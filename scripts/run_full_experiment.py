@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Run the full default benchmark and write all artifacts.
 
-Equivalent to ``surfbench run --outdir artifacts --scatter`` plus a printed
-per-regime method contrast. Use --outdir/--seed/--config as with the CLI.
+Writes what ``surfbench run --outdir artifacts --scatter`` writes, then prints
+the per-regime method contrast computed from the same run records. Use
+--outdir/--seed/--config as with the CLI.
 """
 
 import argparse
+import dataclasses
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from surfbench.cli import cli_main
+from surfbench.cli import run_experiment
 from surfbench.config import ExperimentConfig, load_config
-from surfbench.protocol import execute_experiment, method_contrast
-from surfbench.synthdata import generate
+from surfbench.protocol import method_contrast
 
 
 def main() -> int:
@@ -23,22 +25,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int)
     args = parser.parse_args()
 
-    argv = ["run", "--outdir", args.outdir, "--scatter"]
-    if args.config:
-        argv += ["--config", args.config]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    code = cli_main(argv)
-    if code != 0:
-        return code
-
-    # paired RMSE contrasts (rbf minus cubic) over runs where both are valid
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        import dataclasses
-
         config = dataclasses.replace(config, random_seed=args.seed)
-    records = execute_experiment(generate(noise=config.noise_spec()), config)
+    records = run_experiment(config, Path(args.outdir), scatter=True)
+
+    # paired RMSE contrasts (rbf minus cubic) over runs where both are valid
     by_key = {}
     for r in records:
         key = (r.regime, r.output_index, r.fixed_axis, r.level_index, r.repeat)

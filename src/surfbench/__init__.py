@@ -6,7 +6,7 @@ uncertainty-aware error metrics plus reproducibility artifacts.
 """
 
 from .config import ExperimentConfig, load_config
-from .cubic import CubicSurface, estimate_gradients, eval_cubic, fit_cubic
+from .cubic import CubicSurface, estimate_gradients, fit_cubic
 from .errors import (
     DegenerateGeometry,
     DuplicateNodes,

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .protocol import execute_experiment
+from .protocol import RunRecord, execute_experiment
 from .report import (
     diagnose_slices,
     export_pred_vs_true,
@@ -99,9 +99,10 @@ def _cmd_generate(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_run(args, config: ExperimentConfig) -> int:
+def run_experiment(config: ExperimentConfig, outdir: Path, scatter: bool = False) -> list[RunRecord]:
+    """Run the full experiment, write its artifacts into ``outdir`` and print
+    the summary table; return the run records (what ``surfbench run`` does)."""
     started = time.perf_counter()
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     dataset = generate(noise=config.noise_spec())
     records = execute_experiment(dataset, config)
@@ -116,7 +117,7 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
     written.append("summary.csv")
     config.write_settings_csv(outdir / "settings.csv")
     written.append("settings.csv")
-    if args.scatter:
+    if scatter:
         write_scatter_csv(export_pred_vs_true(records), outdir / "scatter.csv")
         written.append("scatter.csv")
 
@@ -129,6 +130,11 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
     write_json(meta, outdir / "meta.json")
     print(table.to_text())
     print(f"\nartifacts in {outdir}: {', '.join(written + ['meta.json'])}")
+    return records
+
+
+def _cmd_run(args, config: ExperimentConfig) -> int:
+    run_experiment(config, Path(args.outdir), args.scatter)
     return 0
 
 

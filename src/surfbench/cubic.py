@@ -17,19 +17,21 @@ are supplied.
 
 Evaluation outside the convex hull is undefined and returns NaN; the
 benchmark protocol treats such predictions as missing rather than errors.
+A surface is triangulated when fitted, but its gradients and control nets
+are built on the first evaluation, so a fit whose queries leave the hull
+(``CubicSurface.covers``) never pays for them. Evaluation locates all
+queries in one batched pass and sums the Bernstein form over arrays.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientNodes
-from .geometry import LOCATE_TOL, Triangulation, as_points, locate, triangulate
+from .geometry import Triangulation, as_points, locate, triangulate
 
-__all__ = ["CubicSurface", "estimate_gradients", "fit_cubic", "eval_cubic"]
+__all__ = ["CubicSurface", "estimate_gradients", "fit_cubic"]
 
 # Vertex order of the three subtriangles, as (outer_start, outer_end) pairs of
 # macro-vertex slots; the split point is vertex 0 of every subtriangle.
@@ -77,14 +79,18 @@ def estimate_gradients(tri: Triangulation, values) -> np.ndarray:
     return grads
 
 
-def _control_net(p1, p2, p3, f, g):
-    """Bezier ordinates for one macro triangle's three subpatches.
+def _control_nets(tri: Triangulation, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Bezier ordinates of every macro triangle's three subpatches, (m, 3, 10).
 
-    ``f`` and ``g`` hold the three corner values and gradient vectors. Returns
-    a 3-tuple of 10-tuples ordered (b300, b210, b201, b120, b111, b102, b030,
-    b021, b012, b003) w.r.t. subtriangle vertices (split point, Va, Vb).
+    The last axis is ordered (b300, b210, b201, b120, b111, b102, b030, b021,
+    b012, b003) w.r.t. subtriangle vertices (split point, Va, Vb). Each
+    quantity below is an (m,) array over the triangles.
     """
-    verts = (p1, p2, p3)
+    corners = tri.triangles.T
+    verts = tuple(tri.points[c].T for c in corners)  # (x, y) rows per corner
+    f = tuple(z[c] for c in corners)
+    g = tuple(grad[c].T for c in corners)
+    p1, p2, p3 = verts
     p0 = ((p1[0] + p2[0] + p3[0]) / 3.0, (p1[1] + p2[1] + p3[1]) / 3.0)
 
     # Boundary control points from corner data.
@@ -132,69 +138,28 @@ def _control_net(p1, p2, p3, f, g):
             e[(b, a)],    # b012
             f[b],         # b003 (corner Vb)
         ))
-    return tuple(nets)
+    return np.stack([np.stack(net, axis=-1) for net in nets], axis=1)
 
 
-@dataclass(frozen=True)
-class CubicSurface:
-    """A fitted C1 cubic surface over the node set's convex hull."""
+def _eval_located(nets: np.ndarray, t: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """Values at macro barycentric coordinates ``bary`` (k, 3) inside macro
+    triangles ``t`` (k,).
 
-    tri: Triangulation
-    values: np.ndarray
-    gradients: np.ndarray
-    nets: tuple = field(repr=False)
-
-    def __call__(self, query) -> float:
-        return eval_cubic(self, query)
-
-    def evaluate(self, queries) -> np.ndarray:
-        """Vectorized evaluation; NaN for queries outside the hull."""
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
-        return np.array([eval_cubic(self, row) for row in q])
-
-
-def fit_cubic(points, values, gradients=None) -> CubicSurface:
-    """Fit the C1 cubic interpolant through (points, values).
-
-    ``gradients`` overrides the per-vertex gradient estimate (one (du, dv)
-    row per node); by default gradients are estimated from the data.
-    Propagates triangulation failures (InsufficientNodes, DegenerateGeometry,
-    DuplicateNodes).
+    The smallest coordinate ``s`` picks the subtriangle (the first on a
+    tie): subtriangle ``(s + 1) % 3`` holds the outer edge opposite macro
+    vertex ``s``, and ``u0, u1, u2`` are coordinates w.r.t. its vertices
+    (split point, Va, Vb).
     """
-    pts = as_points(points)
-    z = np.asarray(values, dtype=float)
-    if z.shape != (pts.shape[0],):
-        raise ValueError(f"expected {pts.shape[0]} values, got shape {z.shape}")
-    tri = triangulate(pts)
-    if gradients is None:
-        grad = estimate_gradients(tri, z)
-    else:
-        grad = np.asarray(gradients, dtype=float)
-        if grad.shape != (pts.shape[0], 2):
-            raise ValueError(f"expected gradient shape ({pts.shape[0]}, 2), got {grad.shape}")
-    nets = []
-    for i, j, k in tri.triangles:
-        nets.append(_control_net(
-            tri.points[i], tri.points[j], tri.points[k],
-            (z[i], z[j], z[k]),
-            (grad[i], grad[j], grad[k]),
-        ))
-    return CubicSurface(tri=tri, values=z, gradients=grad, nets=tuple(nets))
-
-
-def _eval_in_triangle(surface: CubicSurface, t: int, bary) -> float:
-    """Evaluate macro triangle ``t`` at the given macro barycentric coords."""
-    l1, l2, l3 = bary
-    s = int(np.argmin(bary))  # smallest coordinate picks the subtriangle
-    if s == 2:
-        sub, u0, u1, u2 = 0, 3.0 * l3, l1 - l3, l2 - l3
-    elif s == 0:
-        sub, u0, u1, u2 = 1, 3.0 * l1, l2 - l1, l3 - l1
-    else:
-        sub, u0, u1, u2 = 2, 3.0 * l2, l3 - l2, l1 - l2
-    u1 = max(u1, 0.0)
-    u2 = max(u2, 0.0)
-    b300, b210, b201, b120, b111, b102, b030, b021, b012, b003 = surface.nets[t][sub]
+    rows = np.arange(t.size)
+    s = bary.argmin(axis=1)
+    low = bary[rows, s]
+    u0 = 3.0 * low
+    u1 = bary[rows, (s + 1) % 3] - low
+    u2 = bary[rows, (s + 2) % 3] - low
+    # Clamp as max(u, 0.0) does: a -0.0 stays -0.0.
+    u1 = np.where(0.0 > u1, 0.0, u1)
+    u2 = np.where(0.0 > u2, 0.0, u2)
+    b300, b210, b201, b120, b111, b102, b030, b021, b012, b003 = nets[t, (s + 1) % 3].T
     return (
         b300 * u0 * u0 * u0
         + 3.0 * b210 * u0 * u0 * u1
@@ -209,10 +174,56 @@ def _eval_in_triangle(surface: CubicSurface, t: int, bary) -> float:
     )
 
 
-def eval_cubic(surface: CubicSurface, query, tol: float = LOCATE_TOL) -> float:
-    """Surface value at a point; NaN when the point lies outside the hull."""
-    hit = locate(surface.tri, query, tol=tol)
-    if hit is None:
-        return math.nan
-    t, bary = hit
-    return _eval_in_triangle(surface, t, bary)
+class CubicSurface:
+    """A fitted C1 cubic surface over the node set's convex hull.
+
+    ``gradients`` are the supplied vertex gradients, or estimated from the
+    data on first use; ``nets`` are the (m, 3, 10) control nets, built on
+    first use.
+    """
+
+    def __init__(self, tri: Triangulation, values: np.ndarray, gradients: np.ndarray | None = None):
+        self.tri = tri
+        self.values = values
+        if gradients is not None:
+            self.gradients = gradients  # takes the place of the lazy estimate
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        return estimate_gradients(self.tri, self.values)
+
+    @cached_property
+    def nets(self) -> np.ndarray:
+        return _control_nets(self.tri, self.values, self.gradients)
+
+    def covers(self, queries) -> np.ndarray:
+        """Mask of the queries inside the hull, where the surface is defined."""
+        return locate(self.tri, queries)[0] >= 0
+
+    def evaluate(self, queries) -> np.ndarray:
+        """Values at (k, 2) queries; NaN for queries outside the hull."""
+        t, bary = locate(self.tri, queries)
+        out = np.full(t.size, np.nan)
+        hit = t >= 0
+        out[hit] = _eval_located(self.nets, t[hit], bary[hit])
+        return out
+
+
+def fit_cubic(points, values, gradients=None) -> CubicSurface:
+    """Fit the C1 cubic interpolant through (points, values).
+
+    ``gradients`` overrides the per-vertex gradient estimate (one (du, dv)
+    row per node); by default gradients are estimated from the data when the
+    surface is first evaluated. Propagates triangulation failures
+    (InsufficientNodes, DegenerateGeometry, DuplicateNodes).
+    """
+    pts = as_points(points)
+    z = np.asarray(values, dtype=float)
+    if z.shape != (pts.shape[0],):
+        raise ValueError(f"expected {pts.shape[0]} values, got shape {z.shape}")
+    tri = triangulate(pts)
+    if gradients is not None:
+        gradients = np.asarray(gradients, dtype=float)
+        if gradients.shape != (pts.shape[0], 2):
+            raise ValueError(f"expected gradient shape ({pts.shape[0]}, 2), got {gradients.shape}")
+    return CubicSurface(tri, z, gradients)

@@ -39,6 +39,7 @@ __all__ = [
 
 DUPLICATE_TOL = 1e-12
 LOCATE_TOL = 1e-9
+LOCATE_BLOCK = 256  # queries per barycentric block in locate
 FILL_GRID_RESOLUTION = 200
 
 # Degeneracy band of the predicates, relative to operand magnitude. Well
@@ -198,13 +199,13 @@ class Triangulation:
             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
         )
 
-    def barycentric(self, query) -> np.ndarray:
-        """Barycentric coordinates of ``query`` w.r.t. every triangle, (m, 3)."""
-        q = np.asarray(query, dtype=float)
-        d = q - self._origin
-        u = self._inv[:, 0, 0] * d[:, 0] + self._inv[:, 0, 1] * d[:, 1]
-        v = self._inv[:, 1, 0] * d[:, 0] + self._inv[:, 1, 1] * d[:, 1]
-        return np.column_stack([1.0 - u - v, u, v])
+    def barycentric(self, queries) -> np.ndarray:
+        """Barycentric coordinates of each of ``k`` queries w.r.t. every
+        triangle, (k, m, 3)."""
+        d = np.asarray(queries, dtype=float)[:, None, :] - self._origin
+        u = self._inv[:, 0, 0] * d[..., 0] + self._inv[:, 0, 1] * d[..., 1]
+        v = self._inv[:, 1, 0] * d[..., 0] + self._inv[:, 1, 1] * d[..., 1]
+        return np.stack([1.0 - u - v, u, v], axis=-1)
 
 
 def _pair_key(pts, i: int, j: int):
@@ -398,19 +399,29 @@ def triangulate(points) -> Triangulation:
     return Triangulation(arr, triangles, np.array(hull, dtype=np.intp))
 
 
-def locate(tri: Triangulation, query, tol: float = LOCATE_TOL):
-    """Containing triangle and barycentric coordinates of a query point.
+def locate(tri: Triangulation, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Containing triangle and barycentric coordinates of each query point.
 
-    Returns ``(triangle_index, bary)`` with ``bary`` summing to 1 and each
-    component in [-tol, 1 + tol], or ``None`` when the query lies outside the
-    hull. Queries on shared edges resolve to the lowest-index triangle.
+    Returns ``(t, bary)`` for ``k`` queries: ``t`` (k,) holds the triangle
+    index of each query, or -1 when it lies outside the hull, and ``bary``
+    (k, 3) its barycentric coordinates in that triangle, each in
+    [-LOCATE_TOL, 1 + LOCATE_TOL] (NaN rows outside the hull). Queries on
+    shared edges resolve to the lowest-index triangle. Queries are taken
+    ``LOCATE_BLOCK`` rows at a time, so memory stays O(LOCATE_BLOCK x m).
     """
-    bary = tri.barycentric(query)
-    inside = np.nonzero(bary.min(axis=1) >= -tol)[0]
-    if inside.size == 0:
-        return None
-    t = int(inside[0])
-    return t, bary[t]
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise ValueError(f"expected (k, 2) query coordinates, got shape {q.shape}")
+    t = np.full(q.shape[0], -1, dtype=np.intp)
+    bary = np.full((q.shape[0], 3), np.nan)
+    for start in range(0, q.shape[0], LOCATE_BLOCK):
+        block = tri.barycentric(q[start:start + LOCATE_BLOCK])
+        inside = block.min(axis=2) >= -LOCATE_TOL
+        first = inside.argmax(axis=1)
+        rows = np.nonzero(inside[np.arange(first.size), first])[0]
+        t[start + rows] = first[rows]
+        bary[start + rows] = block[rows, first[rows]]
+    return t, bary
 
 
 def convex_hull_polygon(points) -> np.ndarray:

@@ -195,12 +195,13 @@ def make_splits(
     return plans
 
 
-def _make_record(task, plan, method, y_pred, reason=None) -> RunRecord:
+def _make_record(task, plan, method, y_pred, reason=None, n_finite=0) -> RunRecord:
+    """Record of one run; ``y_pred`` None marks a run that made no
+    predictions, with ``reason`` and ``n_finite`` given by the caller."""
     y_true = task.values[plan.test_indices]
     n_test = int(y_true.size)
     if y_pred is None:
         y_pred = np.full(n_test, np.nan)
-        n_finite = 0
         metrics = None
     else:
         n_finite = int(np.count_nonzero(np.isfinite(y_pred)))
@@ -239,9 +240,11 @@ def _make_record(task, plan, method, y_pred, reason=None) -> RunRecord:
 def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[RunRecord, RunRecord]:
     """Fit and score both methods on identical train/test geometry.
 
-    Fit failures yield invalid records with a reason code; cubic predictions
-    outside the training hull are NaN and fall under the metrics validity
-    rule. Nothing raises for expected degeneracies.
+    Fit failures yield invalid records with a reason code. A cubic run with
+    test points outside the training hull is recorded as
+    ``test_points_outside_support`` with ``n_finite`` counting the test
+    points inside, before any gradient is estimated. Nothing raises for
+    expected degeneracies.
     """
     train_pts = task.points[plan.train_indices]
     train_vals = task.values[plan.train_indices]
@@ -249,7 +252,12 @@ def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[R
 
     try:
         cubic_surface = fit_cubic(train_pts, train_vals)
-        cubic_record = _make_record(task, plan, "cubic", cubic_surface.evaluate(test_pts))
+        covered = cubic_surface.covers(test_pts)
+        if covered.all():
+            cubic_record = _make_record(task, plan, "cubic", cubic_surface.evaluate(test_pts))
+        else:
+            cubic_record = _make_record(task, plan, "cubic", None, "test_points_outside_support",
+                                        int(np.count_nonzero(covered)))
     except InterpolationError as exc:
         cubic_record = _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
 

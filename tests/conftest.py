@@ -3,6 +3,7 @@ import pytest
 
 from surfbench.config import ExperimentConfig
 from surfbench.protocol import execute_experiment
+from surfbench.report import summarize
 from surfbench.synthdata import generate
 
 
@@ -20,6 +21,12 @@ def default_dataset(default_config):
 def full_run(default_dataset, default_config):
     """Run records of the full default experiment (computed once per session)."""
     return execute_experiment(default_dataset, default_config)
+
+
+@pytest.fixture(scope="session")
+def summary(full_run, default_config):
+    """Summary table of the full default experiment."""
+    return summarize(full_run, default_config)
 
 
 def min_separated(rng, n, minsep, box=1.0, max_tries=4000):

@@ -24,7 +24,7 @@ from surfbench.geometry import (
 from surfbench.metrics import _resample_means, bootstrap_ci, compute_metrics
 from surfbench.protocol import METHODS, REGIMES, execute_experiment, valid_run_counts
 from surfbench.rbf import eval_rbf, fit_rbf
-from surfbench.report import summarize, write_runs_csv
+from surfbench.report import write_runs_csv
 from test_geometry import assert_delaunay
 from test_rbf import naive_saddle_solve
 
@@ -35,11 +35,6 @@ ORACLE_TOL = 1e-10
 METRIC_TOL = 1e-12
 
 OUTPUT_SIGMAS = {1: 0.1, 2: 1.0, 3: 2.0}
-
-
-@pytest.fixture(scope="session")
-def summary(full_run, default_config):
-    return summarize(full_run, default_config)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

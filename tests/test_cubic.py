@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import min_separated
-from surfbench.cubic import _eval_in_triangle, estimate_gradients, eval_cubic, fit_cubic
+from surfbench.cubic import _eval_located, estimate_gradients, fit_cubic
 from surfbench.errors import DegenerateGeometry, InsufficientNodes
-from surfbench.geometry import triangulate
+from surfbench.geometry import locate, triangulate
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -59,7 +59,7 @@ class TestFitCubic:
         for _ in range(25):
             w = rng.dirichlet(np.ones(3))
             q = w @ pts
-            assert eval_cubic(surface, q) == pytest.approx(
+            assert surface.evaluate([q])[0] == pytest.approx(
                 1.0 + 2.0 * q[0] - q[1], abs=1e-12
             )
 
@@ -115,13 +115,11 @@ class TestFitCubic:
 class TestEvalCubic:
     def test_outside_hull_is_nan(self):
         surface = fit_cubic(UNIT_SQUARE, np.arange(4.0))
-        assert math.isnan(eval_cubic(surface, [5.0, 5.0]))
-        assert math.isnan(eval_cubic(surface, [-0.2, 0.5]))
+        assert np.isnan(surface.evaluate([[5.0, 5.0], [-0.2, 0.5]])).all()
 
     def test_hull_boundary_is_defined(self):
         surface = fit_cubic(UNIT_SQUARE, np.arange(4.0))
-        assert math.isfinite(eval_cubic(surface, [0.5, 0.0]))
-        assert math.isfinite(eval_cubic(surface, [1.0, 0.5]))
+        assert np.isfinite(surface.evaluate([[0.5, 0.0], [1.0, 0.5]])).all()
 
     def test_edge_agreement_between_adjacent_triangles(self):
         # C0 check: force evaluation through both triangles sharing each edge
@@ -139,8 +137,8 @@ class TestEvalCubic:
                 i, j = tri.triangles[t, (k + 1) % 3], tri.triangles[t, (k + 2) % 3]
                 for tau in (0.2, 0.5, 0.8):
                     p = (1.0 - tau) * tri.points[i] + tau * tri.points[j]
-                    v1 = _eval_in_triangle(surface, t, tri.barycentric(p)[t])
-                    v2 = _eval_in_triangle(surface, int(t2), tri.barycentric(p)[int(t2)])
+                    both = np.array([t, t2])
+                    v1, v2 = _eval_located(surface.nets, both, tri.barycentric([p])[0, both])
                     assert abs(v1 - v2) <= 1e-9 * scale
 
     def test_c1_probe_across_interior_edges(self):
@@ -163,18 +161,11 @@ class TestEvalCubic:
                 h = 1e-5 * length
                 for tau in (0.3, 0.5, 0.7):
                     p = tri.points[i] + tau * edge
-                    f0 = eval_cubic(surface, p)
+                    offsets = np.array([0.0, 1.0, 2.0, -1.0, -2.0])[:, None]
+                    f0, f1, f2, fm1, fm2 = surface.evaluate(p + offsets * h * normal)
                     # second-order one-sided stencils into each triangle
-                    d_plus = (
-                        -3.0 * f0
-                        + 4.0 * eval_cubic(surface, p + h * normal)
-                        - eval_cubic(surface, p + 2.0 * h * normal)
-                    ) / (2.0 * h)
-                    d_minus = -(
-                        -3.0 * f0
-                        + 4.0 * eval_cubic(surface, p - h * normal)
-                        - eval_cubic(surface, p - 2.0 * h * normal)
-                    ) / (2.0 * h)
+                    d_plus = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+                    d_minus = -(-3.0 * f0 + 4.0 * fm1 - fm2) / (2.0 * h)
                     if not (math.isfinite(d_plus) and math.isfinite(d_minus)):
                         continue  # probe stepped outside the hull
                     denom = max(abs(d_plus), abs(d_minus), 1e-6)
@@ -189,7 +180,7 @@ class TestEvalCubic:
         values = rng.normal(0.0, 1.0, len(grid))
         surface = fit_cubic(grid, values)
         query = np.array([0.4, 0.4])
-        t, _ = __import__("surfbench.geometry", fromlist=["locate"]).locate(surface.tri, query)
+        t = locate(surface.tri, [query])[0][0]
         tri_vertices = set(surface.tri.triangles[t].tolist())
         star = set(tri_vertices)
         for a, b in surface.tri.edges():
@@ -201,7 +192,7 @@ class TestEvalCubic:
         perturbed = values.copy()
         perturbed[outside_star] += 100.0
         surface2 = fit_cubic(grid, perturbed)
-        assert eval_cubic(surface, query) == eval_cubic(surface2, query)
+        assert surface.evaluate([query])[0] == surface2.evaluate([query])[0]
 
     @given(
         seed=st.integers(0, 10_000),

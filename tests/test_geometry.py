@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import min_separated
 from surfbench.errors import DegenerateGeometry, DuplicateNodes, InsufficientNodes
 from surfbench.geometry import (
+    LOCATE_BLOCK,
+    LOCATE_TOL,
     GeometryReport,
     PointSet2,
     convex_hull_polygon,
@@ -154,34 +156,107 @@ class TestTriangulate:
         assert tri.n_triangles == 2 * len(pts) - len(tri.hull) - 2
 
 
+def reference_locate(tri, query):
+    """Per-row oracle: the scalar point location that batched ``locate``
+    must reproduce bit for bit (first triangle whose smallest barycentric
+    coordinate is at least -LOCATE_TOL)."""
+    p0 = tri.points[tri.triangles[:, 0]]
+    e1 = tri.points[tri.triangles[:, 1]] - p0
+    e2 = tri.points[tri.triangles[:, 2]] - p0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    d = np.asarray(query, dtype=float) - p0
+    u = e2[:, 1] / det * d[:, 0] + -e2[:, 0] / det * d[:, 1]
+    v = -e1[:, 1] / det * d[:, 0] + e1[:, 0] / det * d[:, 1]
+    bary = np.column_stack([1.0 - u - v, u, v])
+    inside = np.nonzero(bary.min(axis=1) >= -LOCATE_TOL)[0]
+    if inside.size == 0:
+        return -1, None
+    return int(inside[0]), bary[inside[0]]
+
+
+def locate_probes(tri, rng):
+    """Queries on every vertex, on every edge midpoint (shared edges
+    included), just inside and outside every hull edge at about LOCATE_TOL,
+    and uniformly spread over the bounding box."""
+    corners = tri.points[tri.triangles]
+    midpoints = 0.5 * (corners + np.roll(corners, 1, axis=1))
+    probes = [tri.points, midpoints.reshape(-1, 2)]
+    for t, k in zip(*np.nonzero(tri.neighbors < 0)):
+        for eps in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+            w = np.full(3, 0.5 * (1.0 + eps * LOCATE_TOL))
+            w[k] = -eps * LOCATE_TOL  # coordinate of the vertex opposite the hull edge
+            probes.append(w @ corners[t])
+    lo, hi = tri.points.min(axis=0), tri.points.max(axis=0)
+    probes.append(rng.uniform(lo - 0.1, hi + 0.1, (64, 2)))
+    return np.vstack(probes)
+
+
 class TestLocate:
     def test_vertex_has_unit_barycentric(self):
         tri = triangulate(UNIT_SQUARE)
-        t, bary = locate(tri, [0.0, 0.0])
-        v = tri.triangles[t].tolist().index(0)
-        assert bary[v] == pytest.approx(1.0, abs=1e-12)
+        t, bary = locate(tri, [[0.0, 0.0]])
+        v = tri.triangles[t[0]].tolist().index(0)
+        assert bary[0, v] == pytest.approx(1.0, abs=1e-12)
 
     def test_centroid_is_uniform(self):
         tri = triangulate(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
-        t, bary = locate(tri, [1.0, 1.0])
-        np.testing.assert_allclose(bary, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        t, bary = locate(tri, [[1.0, 1.0]])
+        np.testing.assert_allclose(bary[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_far_outside_is_none(self):
         tri = triangulate(UNIT_SQUARE)
-        assert locate(tri, [10.0, -3.0]) is None
+        t, bary = locate(tri, [[10.0, -3.0]])
+        assert t[0] == -1
+        assert np.isnan(bary[0]).all()
 
     def test_barycentric_reconstruction(self):
         rng = np.random.default_rng(9)
         pts = min_separated(rng, 14, 0.05)
         tri = triangulate(pts)
-        for _ in range(50):
-            q = rng.uniform(0, 1, 2)
-            hit = locate(tri, q)
-            if hit is None:
-                continue
-            t, bary = hit
-            rebuilt = bary @ tri.points[tri.triangles[t]]
-            np.testing.assert_allclose(rebuilt, q, rtol=1e-9, atol=1e-12)
+        queries = rng.uniform(0, 1, (50, 2))
+        t, bary = locate(tri, queries)
+        hit = t >= 0
+        rebuilt = np.einsum("kj,kjd->kd", bary[hit], tri.points[tri.triangles[t[hit]]])
+        np.testing.assert_allclose(rebuilt, queries[hit], rtol=1e-9, atol=1e-12)
+
+    def test_hull_tolerance_is_inclusive(self):
+        # unit legs from the origin vertex: the coordinates are computed exactly
+        tri = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        queries = np.array([[-LOCATE_TOL, 0.5], [0.5, -LOCATE_TOL], [-2.0 * LOCATE_TOL, 0.5]])
+        t, bary = locate(tri, queries)
+        assert t.tolist() == [0, 0, -1]
+        assert bary[:2].min(axis=1).tolist() == [-LOCATE_TOL, -LOCATE_TOL]
+        assert [reference_locate(tri, q)[0] for q in queries] == t.tolist()
+
+    @given(
+        seed=st.integers(0, 10_000),
+        lattice=st.booleans(),
+        n_queries=st.sampled_from(
+            [1, LOCATE_BLOCK - 1, LOCATE_BLOCK, LOCATE_BLOCK + 1, 2 * LOCATE_BLOCK + 3]
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batched_matches_scalar_reference(self, seed, lattice, n_queries):
+        rng = np.random.default_rng(seed)
+        if lattice:  # cocircular cells: edge midpoints lie exactly on shared edges
+            pts = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
+        else:
+            pts = min_separated(rng, int(rng.integers(3, 15)), 0.05)
+        try:
+            tri = triangulate(pts)
+        except DegenerateGeometry:
+            return
+        probes = locate_probes(tri, rng)
+        queries = np.resize(probes[rng.permutation(len(probes))], (n_queries, 2))
+        t, bary = locate(tri, queries)
+        assert t.shape == (n_queries,) and bary.shape == (n_queries, 3)
+        for i, q in enumerate(queries):
+            t_ref, bary_ref = reference_locate(tri, q)
+            assert t[i] == t_ref
+            if t_ref < 0:
+                assert np.isnan(bary[i]).all()
+            else:
+                assert bary[i].tobytes() == bary_ref.tobytes()
 
 
 class TestFillDistance:

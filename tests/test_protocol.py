@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from surfbench import cubic
 from surfbench.config import ExperimentConfig
 from surfbench.metrics import MetricSet
 from surfbench.protocol import (
@@ -145,6 +146,37 @@ class TestRunPair:
         assert cubic.n_finite == 0
         assert rbf.valid
         assert rbf.n_finite == rbf.n_test == 3
+
+    def test_partially_covered_split_skips_gradient_estimation(self, monkeypatch):
+        # one of three test nodes inside the training hull; the cubic run
+        # cannot score, so its gradients must never be estimated
+        pts = np.array([
+            [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5],
+            [0.25, 0.5], [5.0, 5.0], [6.0, 5.0],
+        ])
+        values = pts[:, 0] + pts[:, 1] ** 2
+        task = make_task(pts, values)
+        calls = []
+        original = cubic.estimate_gradients
+        monkeypatch.setattr(cubic, "estimate_gradients",
+                            lambda *args: calls.append(args) or original(*args))
+        plan = dataclasses.replace(
+            make_splits(task, 1, 0.7, 42)[0],
+            train_indices=np.arange(5),
+            test_indices=np.arange(5, 8),
+        )
+        partial, _ = run_pair(task, plan, ExperimentConfig().rbf_config())
+        assert partial.reason == "test_points_outside_support"
+        assert partial.n_finite == 1
+        assert np.isnan(partial.y_pred).all()
+        assert calls == []
+
+        covered = dataclasses.replace(
+            plan, train_indices=np.array([0, 1, 2, 3, 6, 7]), test_indices=np.array([4, 5])
+        )
+        full, _ = run_pair(task, covered, ExperimentConfig().rbf_config())
+        assert full.valid and full.n_finite == 2
+        assert len(calls) == 1
 
     def test_collinear_training_subset_invalidates_both(self):
         pts = np.array([
