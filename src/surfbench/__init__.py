@@ -13,11 +13,11 @@ from .errors import (
     IllConditionedWarning,
     InsufficientNodes,
     InterpolationError,
+    NonFiniteInput,
     SingularSystem,
 )
 from .geometry import (
     GeometryReport,
-    PointSet2,
     Triangulation,
     convex_hull_polygon,
     fill_distance,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .synthdata import NoiseSpec
 __all__ = ["ExperimentConfig", "load_config"]
 
 CUBIC_METHOD = "clough_tocher"
+RBF_KERNEL = "multiquadric"
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,7 @@ class ExperimentConfig:
     repeats_per_slice: int = 40
     train_fraction: float = 0.7
     bootstrap_resamples: int = 1000
-    rbf_kernel: str = "multiquadric"
+    rbf_kernel: str = RBF_KERNEL
     rbf_smoothing: float = 0.0
     rbf_epsilon: float = 1.0
     cubic_interpolator: str = CUBIC_METHOD
@@ -39,12 +41,32 @@ class ExperimentConfig:
     grid_resolution: int = 50
 
     def __post_init__(self):
+        # Numbers arrive as Python or NumPy numbers, or as strings from a
+        # settings file; store each as its field's type, rejecting what
+        # would have to be rounded and floats that are not finite.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                value = int(value)
+            elif f.type == "float":
+                value = float(value)
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, value)
+        if self.random_seed < 0:
+            raise ValueError("random_seed must be >= 0")
         if self.repeats_per_slice < 1:
             raise ValueError("repeats_per_slice must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.bootstrap_resamples < 1:
             raise ValueError("bootstrap_resamples must be >= 1")
+        if self.rbf_kernel != RBF_KERNEL:
+            raise ValueError(
+                f"unsupported rbf_kernel {self.rbf_kernel!r}; only {RBF_KERNEL!r} is implemented"
+            )
         if self.cubic_interpolator != CUBIC_METHOD:
             raise ValueError(
                 f"unsupported cubic_interpolator {self.cubic_interpolator!r}; "
@@ -52,7 +74,7 @@ class ExperimentConfig:
             )
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
-        # Kernel/epsilon/smoothing bounds are enforced by RbfConfig.
+        # Epsilon and smoothing bounds are enforced by RbfConfig.
         self.rbf_config()
 
     def noise_spec(self) -> NoiseSpec:
@@ -64,11 +86,7 @@ class ExperimentConfig:
         )
 
     def rbf_config(self) -> RbfConfig:
-        return RbfConfig(
-            kernel=self.rbf_kernel,
-            epsilon=self.rbf_epsilon,
-            smoothing=self.rbf_smoothing,
-        )
+        return RbfConfig(epsilon=self.rbf_epsilon, smoothing=self.rbf_smoothing)
 
     def to_rows(self) -> list[tuple[str, str]]:
         """(key, value) rows in field order, with full float precision."""
@@ -84,14 +102,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        kwargs = {}
-        known = {f.name: f.type for f in fields(cls)}
-        casts = {"int": int, "float": float, "str": str}
-        for key, value in mapping.items():
+        known = {f.name for f in fields(cls)}
+        for key in mapping:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = casts[known[key]](value)
-        return cls(**kwargs)
+        return cls(**mapping)
 
     def write_settings_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NonFiniteInput
 from .geometry import Triangulation, as_points, locate, triangulate
 
 __all__ = ["CubicSurface", "estimate_gradients", "fit_cubic"]
@@ -214,13 +215,16 @@ def fit_cubic(points, values, gradients=None) -> CubicSurface:
 
     ``gradients`` overrides the per-vertex gradient estimate (one (du, dv)
     row per node); by default gradients are estimated from the data when the
-    surface is first evaluated. Propagates triangulation failures
+    surface is first evaluated. Raises NonFiniteInput for a NaN or infinite
+    coordinate or value, and propagates triangulation failures
     (InsufficientNodes, DegenerateGeometry, DuplicateNodes).
     """
     pts = as_points(points)
     z = np.asarray(values, dtype=float)
     if z.shape != (pts.shape[0],):
         raise ValueError(f"expected {pts.shape[0]} values, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise NonFiniteInput("cubic fit values must be finite")
     tri = triangulate(pts)
     if gradients is not None:
         gradients = np.asarray(gradients, dtype=float)

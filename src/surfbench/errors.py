@@ -26,6 +26,10 @@ class SingularSystem(InterpolationError):
     """The interpolation system has no unique solution."""
 
 
+class NonFiniteInput(InterpolationError):
+    """A node coordinate or a data value is NaN or infinite."""
+
+
 class IllConditionedWarning(UserWarning):
     """Fit succeeded but the system condition estimate is alarming."""
 
@@ -37,4 +41,5 @@ def reason_code(exc: Exception) -> str:
         DegenerateGeometry: "degenerate_geometry",
         DuplicateNodes: "duplicate_nodes",
         SingularSystem: "singular_system",
+        NonFiniteInput: "non_finite_input",
     }.get(type(exc), "error")

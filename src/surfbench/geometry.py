@@ -16,13 +16,14 @@ makes the output deterministic for a fixed input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DuplicateNodes, InsufficientNodes
+from .errors import DegenerateGeometry, DuplicateNodes, InsufficientNodes, NonFiniteInput
 
 __all__ = [
-    "PointSet2",
+    "as_points",
     "Triangulation",
     "GeometryReport",
     "triangulate",
@@ -92,40 +93,27 @@ def incircle_sign(pa, pb, pc, pd) -> int:
     return int(det > 0) - int(det < 0)
 
 
-@dataclass(frozen=True)
-class PointSet2:
-    """A validated planar node set: no two nodes within the duplicate tolerance."""
-
-    points: np.ndarray
-    duplicate_tol: float = DUPLICATE_TOL
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size and pts.shape[1] != 2:
-            raise ValueError(f"expected (n, 2) coordinates, got shape {pts.shape}")
-        object.__setattr__(self, "points", pts)
-        pts.setflags(write=False)
-        n = pts.shape[0]
-        if n > 1:
-            d = pts[:, None, :] - pts[None, :, :]
-            dist = np.hypot(d[..., 0], d[..., 1])
-            dist[np.diag_indices(n)] = np.inf
-            if dist.min() < self.duplicate_tol:
-                i, j = np.unravel_index(np.argmin(dist), dist.shape)
-                raise DuplicateNodes(
-                    f"nodes {i} and {j} coincide within tolerance {self.duplicate_tol:g}"
-                )
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-
 def as_points(points) -> np.ndarray:
-    """Coerce a PointSet2 or array-like into a validated (n, 2) float array."""
-    if isinstance(points, PointSet2):
-        return points.points
-    return PointSet2(np.asarray(points, dtype=float)).points
+    """Validate node coordinates as a read-only (n, 2) float array.
+
+    Raises NonFiniteInput for a NaN or infinite coordinate and
+    DuplicateNodes when two nodes lie within DUPLICATE_TOL of each other.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size and pts.shape[1] != 2:
+        raise ValueError(f"expected (n, 2) coordinates, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise NonFiniteInput("node coordinates must be finite")
+    pts.setflags(write=False)
+    n = pts.shape[0]
+    if n > 1:
+        d = pts[:, None, :] - pts[None, :, :]
+        dist = np.hypot(d[..., 0], d[..., 1])
+        dist[np.diag_indices(n)] = np.inf
+        if dist.min() < DUPLICATE_TOL:
+            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            raise DuplicateNodes(f"nodes {i} and {j} coincide within tolerance {DUPLICATE_TOL:g}")
+    return pts
 
 
 class Triangulation:
@@ -136,7 +124,8 @@ class Triangulation:
     points : (n, 2) array of node coordinates.
     triangles : (m, 3) int array, counterclockwise vertex indices.
     neighbors : (m, 3) int array; ``neighbors[t, k]`` is the triangle across
-        the edge opposite ``triangles[t, k]``, or -1 on the hull.
+        the edge opposite ``triangles[t, k]``, or -1 on the hull. Built on
+        first access.
     hull : int array of hull vertex indices in counterclockwise order,
         including vertices that lie on a hull edge (collinear boundary nodes).
     """
@@ -148,7 +137,6 @@ class Triangulation:
         self.points.setflags(write=False)
         self.triangles.setflags(write=False)
         self.hull.setflags(write=False)
-        self.neighbors = self._build_neighbors()
         # Per-triangle affine maps for barycentric point location.
         p0 = self.points[self.triangles[:, 0]]
         e1 = self.points[self.triangles[:, 1]] - p0
@@ -161,7 +149,8 @@ class Triangulation:
         self._inv[:, 1, 0] = -e1[:, 1] / det
         self._inv[:, 1, 1] = e1[:, 0] / det
 
-    def _build_neighbors(self) -> np.ndarray:
+    @cached_property
+    def neighbors(self) -> np.ndarray:
         edge_owner = {}
         for t, (a, b, c) in enumerate(self.triangles):
             for u, v in ((a, b), (b, c), (c, a)):
@@ -462,9 +451,6 @@ def _domain_polygon(arr: np.ndarray, domain) -> np.ndarray:
     if isinstance(domain, str):
         if domain == "hull":
             return convex_hull_polygon(arr)
-        if domain == "bbox":
-            lo, hi = arr.min(axis=0), arr.max(axis=0)
-            return np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
         raise ValueError(f"unknown domain {domain!r}")
     return np.atleast_2d(np.asarray(domain, dtype=float))
 
@@ -475,7 +461,7 @@ def fill_distance(points, domain="hull", grid_resolution: int = FILL_GRID_RESOLU
     The supremum over the domain is approximated by a uniform
     ``grid_resolution x grid_resolution`` grid clipped to the (convex) domain
     polygon; the approximation error is at most one grid-cell diagonal.
-    ``domain`` is a polygon vertex array, or 'hull' / 'bbox' of the node set.
+    ``domain`` is a polygon vertex array, or 'hull' for the node set's hull.
     """
     arr = as_points(points)
     if arr.shape[0] == 0:
@@ -558,23 +544,15 @@ def geometry_report(points, domain="hull", grid_resolution: int = FILL_GRID_RESO
     q = separation_distance(arr)
     poly = convex_hull_polygon(arr)
     tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]), 1.0)
-    n_hull = 0
-    for p in arr:
-        on_boundary = False
-        m = poly.shape[0]
-        for k in range(m):
-            a = poly[k]
-            b = poly[(k + 1) % m] if m > 1 else poly[k]
-            ab = b - a
-            seg_len2 = ab @ ab
-            if seg_len2 == 0.0:
-                on_boundary = np.hypot(*(p - a)) <= tol
-            else:
-                t = np.clip((p - a) @ ab / seg_len2, 0.0, 1.0)
-                on_boundary = np.hypot(*(p - (a + t * ab))) <= tol
-            if on_boundary:
-                break
-        n_hull += bool(on_boundary)
+    # Distance from every node to every hull edge (a, b); a lone hull point
+    # is the zero-length edge (a, a).
+    ab = np.roll(poly, -1, axis=0) - poly
+    seg_len2 = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+    d = arr[:, None, :] - poly
+    t = np.divide(d[..., 0] * ab[:, 0] + d[..., 1] * ab[:, 1], seg_len2,
+                  out=np.zeros(d.shape[:2]), where=seg_len2 > 0.0)
+    gap = arr[:, None, :] - (poly + np.clip(t, 0.0, 1.0)[..., None] * ab)
+    n_hull = int(np.count_nonzero((np.hypot(gap[..., 0], gap[..., 1]) <= tol).any(axis=1)))
     return GeometryReport(
         fill_distance=h,
         separation_distance=q,

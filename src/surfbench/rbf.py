@@ -1,8 +1,9 @@
 """Multiquadric radial basis function interpolation with a polynomial tail.
 
 The surface is s(x) = sum_i w_i phi(||x - x_i||) + p(x) with the multiquadric
-kernel phi(r) = sqrt(1 + (eps r)^2) and a degree <= 1 polynomial tail p. The
-weights and tail coefficients solve the symmetric saddle system
+kernel phi(r) = sqrt(1 + (eps r)^2) and a degree-1 polynomial tail
+p(x) = c0 + c1 x + c2 y. The weights and tail coefficients solve the
+symmetric saddle system
 
     [ -K + lambda I   P ] [v]   [y]
     [  P^T            0 ] [c] = [0],      w = -v
@@ -23,12 +24,19 @@ fit; lambda = 0 interpolates the data.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateNodes, IllConditionedWarning, InsufficientNodes, SingularSystem
+from .errors import (
+    DuplicateNodes,
+    IllConditionedWarning,
+    InsufficientNodes,
+    NonFiniteInput,
+    SingularSystem,
+)
 from .geometry import as_points
 
 __all__ = ["RbfConfig", "RbfSurface", "kernel_mq", "fit_rbf", "eval_rbf", "smoothing_residual"]
@@ -45,37 +53,26 @@ def kernel_mq(r, epsilon: float = 1.0):
 
 @dataclass(frozen=True)
 class RbfConfig:
-    """Kernel shape, smoothing strength, and tail degree of an RBF fit."""
+    """Kernel shape parameter and smoothing strength of an RBF fit."""
 
-    kernel: str = "multiquadric"
     epsilon: float = 1.0
     smoothing: float = 0.0
-    tail_degree: int = 1
-    standardize: bool = False  # center/scale coordinates before kernel distances
 
     def __post_init__(self):
-        if self.kernel != "multiquadric":
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.smoothing < 0:
-            raise ValueError(f"smoothing must be >= 0, got {self.smoothing}")
-        if self.tail_degree not in (-1, 0, 1):
-            raise ValueError(f"tail_degree must be -1, 0 or 1, got {self.tail_degree}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0.0 <= self.smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
 
 
-def _tail_matrix(pts: np.ndarray, degree: int) -> np.ndarray:
-    if degree == -1:
-        return np.empty((pts.shape[0], 0))
-    cols = [np.ones(pts.shape[0])]
-    if degree >= 1:
-        cols.extend([pts[:, 0], pts[:, 1]])
-    return np.column_stack(cols)
+def _tail_matrix(pts: np.ndarray) -> np.ndarray:
+    """The degree-1 tail basis [1, x, y] at each point."""
+    return np.column_stack([np.ones(pts.shape[0]), pts[:, 0], pts[:, 1]])
 
 
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, phi, epsilon: float) -> np.ndarray:
+def _kernel_matrix(a: np.ndarray, b: np.ndarray, epsilon: float) -> np.ndarray:
     d = a[:, None, :] - b[None, :, :]
-    return phi(np.hypot(d[..., 0], d[..., 1]), epsilon)
+    return kernel_mq(np.hypot(d[..., 0], d[..., 1]), epsilon)
 
 
 @dataclass(frozen=True)
@@ -88,55 +85,47 @@ class RbfSurface:
     config: RbfConfig
     condition_estimate: float
     ill_conditioned: bool
-    shift: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    scale: float = 1.0
-
-    def __call__(self, query) -> float:
-        return float(eval_rbf(self, query))
-
-    def evaluate(self, queries) -> np.ndarray:
-        return eval_rbf(self, np.atleast_2d(np.asarray(queries, dtype=float)))
 
 
-def _fit_with_kernel(points, values, phi, config: RbfConfig) -> RbfSurface:
-    pts = as_points(points)
+def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
+    """Fit the multiquadric RBF surface through (points, values).
+
+    Raises NonFiniteInput for a NaN or infinite coordinate or value,
+    InsufficientNodes for fewer than 3 nodes, and SingularSystem for
+    duplicate centers or collinear nodes (which cannot carry the degree-1
+    tail); emits IllConditionedWarning and flags the surface when the
+    condition estimate exceeds 1e12, but still returns the fit.
+    """
+    config = config if config is not None else RbfConfig()
+    try:
+        pts = as_points(points)
+    except DuplicateNodes as exc:
+        raise SingularSystem(f"duplicate centers: {exc}") from exc
     y = np.asarray(values, dtype=float)
     n = pts.shape[0]
     if y.shape != (n,):
         raise ValueError(f"expected {n} values, got shape {y.shape}")
-    n_tail = 0 if config.tail_degree == -1 else (1 if config.tail_degree == 0 else 3)
-    if n < max(n_tail, 1):
-        raise InsufficientNodes(
-            f"rbf fit needs >= {max(n_tail, 1)} nodes for tail degree {config.tail_degree}, got {n}"
-        )
-    shift = np.zeros(2)
-    scale = 1.0
-    work = pts
-    if config.standardize:
-        shift = pts.mean(axis=0)
-        spread = float(pts.std())
-        scale = spread if spread > 0 else 1.0
-        work = (pts - shift) / scale
-    if config.tail_degree == 1:
-        # A degree-1 tail needs nodes spanning the plane.
-        centered = work - work.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-12 * max(1.0, np.abs(centered).max())) < 2:
-            raise SingularSystem("collinear nodes cannot carry a degree-1 tail")
-    k = _kernel_matrix(work, work, phi, config.epsilon)
+    if not np.isfinite(y).all():
+        raise NonFiniteInput("rbf fit values must be finite")
+    if n < 3:
+        raise InsufficientNodes(f"rbf fit needs >= 3 nodes for its degree-1 tail, got {n}")
+    centered = pts - pts.mean(axis=0)
+    if np.linalg.matrix_rank(centered, tol=1e-12 * max(1.0, np.abs(centered).max())) < 2:
+        raise SingularSystem("collinear nodes cannot carry a degree-1 tail")
+    k = _kernel_matrix(pts, pts, config.epsilon)
     k = np.triu(k) + np.triu(k, 1).T  # one evaluation per pair, exact symmetry
-    p = _tail_matrix(work, config.tail_degree)
-    m = n + n_tail
-    a = np.zeros((m, m))
+    p = _tail_matrix(pts)
+    a = np.zeros((n + 3, n + 3))
     a[:n, :n] = -k + config.smoothing * np.eye(n)
     a[:n, n:] = p
     a[n:, :n] = p.T
-    rhs = np.concatenate([y, np.zeros(n_tail)])
+    rhs = np.concatenate([y, np.zeros(3)])
     try:
         sol = np.linalg.solve(a, rhs)
         cond = float(np.linalg.cond(a, 1))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"saddle system is singular: {exc}") from exc
-    sol[:n] = -sol[:n]  # back to the passed kernel's sign convention
+    sol[:n] = -sol[:n]  # back to the positive kernel convention
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("saddle system solve produced non-finite coefficients")
     ill = bool(cond > CONDITION_WARN_THRESHOLD)
@@ -144,7 +133,7 @@ def _fit_with_kernel(points, values, phi, config: RbfConfig) -> RbfSurface:
         warnings.warn(
             f"rbf system condition estimate {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return RbfSurface(
         centers=pts,
@@ -153,37 +142,16 @@ def _fit_with_kernel(points, values, phi, config: RbfConfig) -> RbfSurface:
         config=config,
         condition_estimate=cond,
         ill_conditioned=ill,
-        shift=shift,
-        scale=scale,
     )
 
 
-def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
-    """Fit the multiquadric RBF surface through (points, values).
-
-    Raises SingularSystem for duplicate centers or (with a degree-1 tail)
-    collinear nodes; emits IllConditionedWarning and flags the surface when
-    the condition estimate exceeds 1e12, but still returns the fit.
-    """
-    config = config if config is not None else RbfConfig()
-    try:
-        return _fit_with_kernel(points, values, kernel_mq, config)
-    except DuplicateNodes as exc:
-        raise SingularSystem(f"duplicate centers: {exc}") from exc
-
-
-def eval_rbf(surface: RbfSurface, query):
-    """Surface value(s) at query point(s); finite everywhere in the plane."""
-    q = np.asarray(query, dtype=float)
-    single = q.ndim == 1
-    q2 = np.atleast_2d(q)
-    work_q = (q2 - surface.shift) / surface.scale
-    work_c = (surface.centers - surface.shift) / surface.scale
-    k = _kernel_matrix(work_q, work_c, kernel_mq, surface.config.epsilon)
-    out = k @ surface.weights
-    if surface.tail_coeffs.size:
-        out = out + _tail_matrix(work_q, surface.config.tail_degree) @ surface.tail_coeffs
-    return float(out[0]) if single else out
+def eval_rbf(surface: RbfSurface, queries) -> np.ndarray:
+    """Surface values at (k, 2) query points; finite everywhere in the plane."""
+    q = np.asarray(queries, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise ValueError(f"expected (k, 2) query coordinates, got shape {q.shape}")
+    out = _kernel_matrix(q, surface.centers, surface.config.epsilon) @ surface.weights
+    return out + _tail_matrix(q) @ surface.tail_coeffs
 
 
 def smoothing_residual(surface: RbfSurface, points, values) -> tuple[float, float]:
@@ -195,7 +163,6 @@ def smoothing_residual(surface: RbfSurface, points, values) -> tuple[float, floa
     pts = as_points(points)
     y = np.asarray(values, dtype=float)
     resid = y - eval_rbf(surface, pts)
-    work_c = (surface.centers - surface.shift) / surface.scale
-    k = _kernel_matrix(work_c, work_c, kernel_mq, surface.config.epsilon)
+    k = _kernel_matrix(surface.centers, surface.centers, surface.config.epsilon)
     energy = float(surface.weights @ k @ surface.weights)
     return float(resid @ resid), energy

@@ -21,6 +21,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .config import ExperimentConfig
 from .cubic import fit_cubic
 from .errors import InterpolationError
 from .geometry import geometry_report
-from .metrics import BootstrapCI, bootstrap_ci
+from .metrics import BootstrapCI, MetricSet, bootstrap_ci
 from .protocol import METHODS, REGIMES, enumerate_slices
 from .rbf import eval_rbf, fit_rbf
 from .synthdata import FactorialDataset
@@ -39,6 +40,7 @@ __all__ = [
     "summarize",
     "write_runs_csv",
     "read_runs_csv",
+    "RunRow",
     "write_summary_csv",
     "export_surface_grid",
     "export_pred_vs_true",
@@ -110,6 +112,8 @@ class SummaryTable:
 def summarize(records, config: ExperimentConfig | None = None) -> SummaryTable:
     """Aggregate run records into one row per (regime, output, method).
 
+    ``records`` are RunRecords or RunRows: only their regime, output_index,
+    method, valid and metrics are read.
     Means are taken over valid runs; bootstrap percentile intervals cover the
     mean of the run-level RMSE and R^2 values. Rows with zero valid runs are
     emitted with undefined metrics.
@@ -169,32 +173,19 @@ def write_runs_csv(records, path) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-@dataclass(frozen=True)
-class _CsvRunRecord:
-    """Summary-grade view of a runs.csv row (no predictions)."""
+class RunRow(NamedTuple):
+    """The part of a runs.csv row that ``summarize`` reads; ``metrics`` is
+    None for an invalid run, and its ``n_points`` is the row's n_finite."""
 
     regime: str
     output_index: int
-    fixed_axis: str
-    fixed_level: float
-    repeat: int
     method: str
     valid: bool
-    reason: str
-    n_test: int
-    n_finite: int
-    metrics: object
+    metrics: MetricSet | None
 
 
-@dataclass(frozen=True)
-class _CsvMetrics:
-    rmse: float
-    mae: float
-    r2: float
-
-
-def read_runs_csv(path) -> list[_CsvRunRecord]:
-    """Parse a runs.csv back into summary-grade records."""
+def read_runs_csv(path) -> list[RunRow]:
+    """Parse a runs.csv back into records that ``summarize`` accepts."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -205,13 +196,9 @@ def read_runs_csv(path) -> list[_CsvRunRecord]:
             valid = row[6] == "true"
             metrics = None
             if valid:
-                metrics = _CsvMetrics(rmse=float(row[10]), mae=float(row[11]), r2=float(row[12]))
-            records.append(_CsvRunRecord(
-                regime=row[0], output_index=int(row[1]), fixed_axis=row[2],
-                fixed_level=float(row[3]), repeat=int(row[4]), method=row[5],
-                valid=valid, reason=row[7], n_test=int(row[8]), n_finite=int(row[9]),
-                metrics=metrics,
-            ))
+                metrics = MetricSet(rmse=float(row[10]), mae=float(row[11]), r2=float(row[12]),
+                                    n_points=int(row[9]))
+            records.append(RunRow(row[0], int(row[1]), row[5], valid, metrics))
     return records
 
 

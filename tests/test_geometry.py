@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import min_separated
-from surfbench.errors import DegenerateGeometry, DuplicateNodes, InsufficientNodes
+from surfbench.errors import DegenerateGeometry, DuplicateNodes, InsufficientNodes, NonFiniteInput
 from surfbench.geometry import (
     LOCATE_BLOCK,
     LOCATE_TOL,
     GeometryReport,
-    PointSet2,
+    as_points,
     convex_hull_polygon,
     fill_distance,
     geometry_report,
@@ -73,11 +73,18 @@ class TestPredicates:
 class TestPointSet:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateNodes):
-            PointSet2(np.array([[0.0, 0.0], [1.0, 1.0], [1e-13, 0.0]]))
+            as_points(np.array([[0.0, 0.0], [1.0, 1.0], [1e-13, 0.0]]))
 
     def test_clean_set_accepted(self):
-        ps = PointSet2(UNIT_SQUARE)
-        assert ps.n == 4
+        pts = as_points(UNIT_SQUARE.tolist())
+        assert pts.shape == (4, 2)
+        assert not pts.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN node must not pass as a duplicate (NaN distances compare false)
+        with pytest.raises(NonFiniteInput):
+            as_points(np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.0]]))
 
 
 class TestTriangulate:
@@ -154,6 +161,16 @@ class TestTriangulate:
             return
         assert_delaunay(tri)
         assert tri.n_triangles == 2 * len(pts) - len(tri.hull) - 2
+
+    def test_matches_scipy_delaunay_on_general_position_sets(self):
+        # Random sets only: on cocircular grids Qhull breaks ties differently.
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            pts = min_separated(rng, int(rng.integers(4, 25)), 0.05)
+            ours = {tuple(sorted(t)) for t in triangulate(pts).triangles.tolist()}
+            theirs = {tuple(sorted(t)) for t in spatial.Delaunay(pts).simplices.tolist()}
+            assert ours == theirs
 
 
 def reference_locate(tri, query):
@@ -300,9 +317,6 @@ class TestFillDistance:
         augmented = np.vstack([pts, centroid])
         assert fill_distance(augmented, domain=domain) <= base + 1e-12
 
-    def test_bbox_domain_flag(self):
-        assert fill_distance(UNIT_SQUARE, domain="bbox") == fill_distance(UNIT_SQUARE)
-
 
 class TestSeparation:
     def test_unit_square(self):
@@ -364,6 +378,30 @@ class TestGeometryReport:
         assert payload["n_nodes"] == 4
         assert payload["n_hull"] == 4
         assert isinstance(report, GeometryReport)
+
+    def test_n_hull_matches_per_point_reference(self):
+        def reference_n_hull(arr):
+            """Per-node, per-edge loop that the vectorized count must match."""
+            poly = convex_hull_polygon(arr)
+            tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]), 1.0)
+            count = 0
+            for p in arr:
+                for k in range(poly.shape[0]):
+                    a, b = poly[k], poly[(k + 1) % poly.shape[0]]
+                    ab = b - a
+                    t = 0.0 if ab @ ab == 0.0 else np.clip((p - a) @ ab / (ab @ ab), 0.0, 1.0)
+                    if np.hypot(*(p - (a + t * ab))) <= tol:
+                        count += 1
+                        break
+            return count
+
+        rng = np.random.default_rng(23)
+        xs = np.linspace(0.0, 1.0, 5)
+        cases = [np.array([[x, y] for x in xs for y in xs[:3]]),
+                 np.column_stack([xs, 2.0 * xs])]  # collinear: the hull is a segment
+        cases += [min_separated(rng, int(rng.integers(3, 20)), 0.05) for _ in range(30)]
+        for pts in cases:
+            assert geometry_report(pts, grid_resolution=20).n_hull == reference_n_hull(pts)
 
     def test_grid_hull_counts_collinear_boundary_nodes(self):
         xs = np.linspace(0.0, 1.0, 4)

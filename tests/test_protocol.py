@@ -194,6 +194,24 @@ class TestRunPair:
         assert not cubic.valid and cubic.reason == "fit_failed:degenerate_geometry"
         assert not rbf.valid and rbf.reason == "fit_failed:singular_system"
 
+    @pytest.mark.parametrize("bad", ["coordinate", "value"])
+    def test_non_finite_training_input_invalidates_both(self, bad):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.4],
+                        [0.4, 0.5], [0.6, 0.6]])
+        values = pts[:, 0] + pts[:, 1] ** 2
+        if bad == "coordinate":
+            pts[4, 0] = np.nan
+        else:
+            values[4] = np.nan
+        task = make_task(pts, values)
+        plan = dataclasses.replace(
+            make_splits(task, 1, 0.7, 42)[0],
+            train_indices=np.arange(5),
+            test_indices=np.array([5, 6]),
+        )
+        cubic, rbf = run_pair(task, plan, ExperimentConfig().rbf_config())
+        assert cubic.reason == rbf.reason == "fit_failed:non_finite_input"
+
     def test_valid_noise_free_run_has_high_r2(self, default_dataset, default_config):
         task = next(
             t for t in enumerate_slices(default_dataset, "noise-free")

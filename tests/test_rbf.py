@@ -10,7 +10,6 @@ from conftest import min_separated
 from surfbench.errors import IllConditionedWarning, InsufficientNodes, SingularSystem
 from surfbench.rbf import (
     RbfConfig,
-    _fit_with_kernel,
     eval_rbf,
     fit_rbf,
     kernel_mq,
@@ -73,11 +72,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"kernel": "gaussian"},
             {"epsilon": 0.0},
             {"epsilon": -1.0},
             {"smoothing": -0.5},
-            {"tail_degree": 2},
+            {"epsilon": math.inf},
+            {"smoothing": math.nan},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -125,7 +124,7 @@ class TestFit:
         surface = fit_rbf(np.array(pts), np.array(values))
         w, c = naive_saddle_solve(pts, values)
         expected = naive_eval(pts, w, c, (0.7, 0.3))
-        assert eval_rbf(surface, np.array([0.7, 0.3])) == pytest.approx(expected, abs=1e-10)
+        assert eval_rbf(surface, np.array([[0.7, 0.3]]))[0] == pytest.approx(expected, abs=1e-10)
 
     def test_kernel_block_symmetric_exactly(self):
         rng = np.random.default_rng(4)
@@ -176,24 +175,6 @@ class TestEval:
         truth = 2.0 - 0.5 * queries[:, 0] + 4.0 * queries[:, 1]
         assert np.abs(eval_rbf(surface, queries) - truth).max() <= 1e-8 * 20.0
 
-    def test_sign_convention_indifference(self):
-        # negating the kernel leaves predictions unchanged (weights absorb it)
-        def negated_mq(r, epsilon):
-            return -np.sqrt(1.0 + (epsilon * np.asarray(r, dtype=float)) ** 2)
-
-        rng = np.random.default_rng(7)
-        pts = min_separated(rng, 9, 0.15)
-        values = rng.normal(0.0, 1.5, len(pts))
-        surface_pos = fit_rbf(pts, values)
-        surface_neg = _fit_with_kernel(pts, values, negated_mq, RbfConfig())
-        queries = rng.uniform(0.0, 1.0, (30, 2))
-        d = queries[:, None, :] - pts[None, :, :]
-        k_neg = negated_mq(np.hypot(d[..., 0], d[..., 1]), 1.0)
-        tail_basis = np.column_stack([np.ones(len(queries)), queries])
-        pred_neg = k_neg @ surface_neg.weights + tail_basis @ surface_neg.tail_coeffs
-        scale = max(1.0, np.abs(values).max())
-        assert np.abs(pred_neg - eval_rbf(surface_pos, queries)).max() <= 1e-9 * scale
-
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_translation_invariance(self, seed):
@@ -211,14 +192,24 @@ class TestEval:
             eval_rbf(surface, queries) - eval_rbf(shifted, queries + shift)
         ).max() <= 1e-10 * scale * 100.0
 
-    def test_standardize_flag_preserves_linear_reproduction(self):
-        rng = np.random.default_rng(8)
-        pts = min_separated(rng, 8, 0.15) * np.array([100.0, 0.01])
-        values = 1.0 + 0.3 * pts[:, 0] - 2.0 * pts[:, 1]
-        surface = fit_rbf(pts, values, RbfConfig(standardize=True))
-        queries = pts * 0.9 + 0.05
-        truth = 1.0 + 0.3 * queries[:, 0] - 2.0 * queries[:, 1]
-        np.testing.assert_allclose(eval_rbf(surface, queries), truth, atol=1e-6)
+    def test_matches_scipy_rbf_interpolator(self):
+        # scipy solves with the negated kernel (-phi), so agreement also shows
+        # that the kernel's sign is absorbed by the weights. Both solve the
+        # same system by different factorizations, so the gap scales with
+        # its condition number (at most 11 cond eps measured on these sets).
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            pts = min_separated(rng, int(rng.integers(4, 25)), 0.05)
+            values = rng.normal(0.0, 1.0, len(pts))
+            surface = fit_rbf(pts, values)
+            oracle = interpolate.RBFInterpolator(
+                pts, values, kernel="multiquadric", epsilon=1.0, degree=1
+            )
+            queries = rng.uniform(-0.5, 1.5, (40, 2))
+            gap = np.abs(eval_rbf(surface, queries) - oracle(queries)).max()
+            scale = max(1.0, np.abs(values).max())
+            assert gap <= 50.0 * surface.condition_estimate * np.finfo(float).eps * scale
 
 
 class TestSmoothing:

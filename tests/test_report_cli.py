@@ -83,11 +83,27 @@ class TestConfig:
             {"cubic_interpolator": "bilinear"},
             {"rbf_kernel": "gaussian"},
             {"grid_resolution": 1},
+            {"rbf_epsilon": math.inf},
+            {"rbf_smoothing": math.nan},
+            {"noise_sigma_output1": math.nan},
+            {"noise_sigma_output3": math.inf},
+            {"repeats_per_slice": 2.7},
+            {"grid_resolution": math.nan},
+            {"random_seed": -1},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_non_integral_json_value_rejected_not_truncated(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"repeats_per_slice": 2.7}))
+        with pytest.raises(ValueError):
+            load_config(path)
+        path.write_text(json.dumps({"repeats_per_slice": 3.0}))
+        config = load_config(path)
+        assert config.repeats_per_slice == 3 and isinstance(config.repeats_per_slice, int)
 
 
 class TestSummarize:
