@@ -23,6 +23,7 @@ from surfbench.report import (
     diagnose_slices,
     export_pred_vs_true,
     export_surface_grid,
+    write_csv,
     write_grid_csv,
     write_json,
     write_scatter_csv,
@@ -46,25 +47,21 @@ def main() -> int:
 
     for method in ("cubic", "rbf"):
         for regime in ("noise-free", "noisy"):
-            header, rows = export_surface_grid(
+            header, grid = export_surface_grid(
                 dataset, SLICE_AXIS, SLICE_LEVEL, SLICE_OUTPUT, method, regime, config
             )
             name = f"surface_{method}_{regime.replace('-', '_')}.csv"
-            write_grid_csv(header, rows, outdir / name)
+            write_grid_csv(header, grid, outdir / name)
             print(f"wrote {outdir / name}")
 
     records = execute_experiment(dataset, config)
 
     # per-run RMSE table for distribution plots
     rmse_path = outdir / "rmse_by_run.csv"
-    with open(rmse_path, "w") as fh:
-        fh.write("regime,output,method,repeat,fixed_axis,fixed_level,rmse\n")
-        for r in records:
-            if r.valid:
-                fh.write(
-                    f"{r.regime},{r.output_index},{r.method},{r.repeat},"
-                    f"{r.fixed_axis},{r.fixed_level:.17g},{r.metrics.rmse:.17g}\n"
-                )
+    write_csv(rmse_path, "regime,output,method,repeat,fixed_axis,fixed_level,rmse", (
+        (r.regime, r.output_index, r.method, r.repeat, r.fixed_axis, r.fixed_level, r.metrics.rmse)
+        for r in records if r.valid
+    ))
     print(f"wrote {rmse_path}")
 
     # a representative noisy slice with failure behavior: most negative

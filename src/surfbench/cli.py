@@ -20,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import ExperimentConfig, load_config
 from .protocol import RunRecord, execute_experiment
 from .report import (
@@ -28,6 +30,7 @@ from .report import (
     export_surface_grid,
     read_runs_csv,
     summarize,
+    write_dataset_csv,
     write_grid_csv,
     write_json,
     write_runs_csv,
@@ -94,7 +97,7 @@ def _cmd_generate(args, config: ExperimentConfig) -> int:
     out = Path(args.out) if args.out else outdir / "dataset.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     dataset = generate(noise=config.noise_spec())
-    dataset.write_csv(out)
+    write_dataset_csv(dataset, out)
     print(f"wrote {out} ({dataset.n_rows} rows)")
     return 0
 
@@ -109,7 +112,7 @@ def run_experiment(config: ExperimentConfig, outdir: Path, scatter: bool = False
     table = summarize(records, config)
 
     written = []
-    dataset.write_csv(outdir / "dataset.csv")
+    write_dataset_csv(dataset, outdir / "dataset.csv")
     written.append("dataset.csv")
     write_runs_csv(records, outdir / "runs.csv")
     written.append("runs.csv")
@@ -156,14 +159,14 @@ def _cmd_report(args, config: ExperimentConfig) -> int:
 
 def _cmd_surface(args, config: ExperimentConfig) -> int:
     dataset = generate(noise=config.noise_spec())
-    header, rows = export_surface_grid(
+    header, grid = export_surface_grid(
         dataset, args.axis, args.level, args.output, args.method, args.regime, config
     )
     out = Path(args.out) if args.out else Path(args.outdir) / "surface.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(header, rows, out)
-    defined = sum(1 for _, _, v in rows if v is not None)
-    print(f"wrote {out} ({defined}/{len(rows)} cells defined)")
+    write_grid_csv(header, grid, out)
+    defined = int(np.count_nonzero(np.isfinite(grid[:, 2])))
+    print(f"wrote {out} ({defined}/{len(grid)} cells defined)")
     return 0
 
 

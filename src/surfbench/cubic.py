@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteInput
-from .geometry import Triangulation, as_points, locate, triangulate
+from .geometry import Triangulation, locate, triangulate
 
 __all__ = ["CubicSurface", "estimate_gradients", "fit_cubic"]
 
@@ -219,13 +219,13 @@ def fit_cubic(points, values, gradients=None) -> CubicSurface:
     coordinate or value, and propagates triangulation failures
     (InsufficientNodes, DegenerateGeometry, DuplicateNodes).
     """
-    pts = as_points(points)
+    tri = triangulate(points)  # validates the nodes once, via as_points
+    pts = tri.points
     z = np.asarray(values, dtype=float)
     if z.shape != (pts.shape[0],):
         raise ValueError(f"expected {pts.shape[0]} values, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise NonFiniteInput("cubic fit values must be finite")
-    tri = triangulate(pts)
     if gradients is not None:
         gradients = np.asarray(gradients, dtype=float)
         if gradients.shape != (pts.shape[0], 2):

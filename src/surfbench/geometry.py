@@ -94,12 +94,13 @@ def incircle_sign(pa, pb, pc, pd) -> int:
 
 
 def as_points(points) -> np.ndarray:
-    """Validate node coordinates as a read-only (n, 2) float array.
+    """Validate node coordinates as a read-only (n, 2) float copy; the
+    caller's array is left as it was.
 
     Raises NonFiniteInput for a NaN or infinite coordinate and
     DuplicateNodes when two nodes lie within DUPLICATE_TOL of each other.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.array(points, dtype=float, ndmin=2)
     if pts.size and pts.shape[1] != 2:
         raise ValueError(f"expected (n, 2) coordinates, got shape {pts.shape}")
     if not np.isfinite(pts).all():

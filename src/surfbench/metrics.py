@@ -2,9 +2,9 @@
 
 Prediction pairs with a non-finite value are dropped before computing
 metrics; a result is only defined when at least two pairs remain and the
-retained targets have nonzero variance. This is how interpolants with
-restricted support (NaN outside the hull) feed into the benchmark's
-valid-run accounting.
+retained targets have nonzero variance. The protocol never relies on this
+to score partly covered runs: ``protocol._make_record`` marks a run with any
+non-finite prediction invalid before metrics are computed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = ["MetricSet", "BootstrapCI", "compute_metrics", "bootstrap_ci"]
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_LEVEL = 0.95
+RESAMPLE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,19 @@ class BootstrapCI:
 
 
 def _resample_means(samples: np.ndarray, resamples: int, seed) -> np.ndarray:
-    """Means of ``resamples`` with-replacement resamples (seeded, counter-based)."""
+    """Means of ``resamples`` with-replacement resamples (seeded, counter-based).
+
+    Indices are drawn ``RESAMPLE_CHUNK`` rows at a time from one generator,
+    which gives the same draws as one ``(resamples, n)`` call without
+    allocating it.
+    """
     rng = Generator(Philox(SeedSequence(seed)))
-    idx = rng.integers(0, samples.size, size=(resamples, samples.size))
-    return samples[idx].mean(axis=1)
+    means = np.empty(resamples)
+    for start in range(0, resamples, RESAMPLE_CHUNK):
+        rows = min(RESAMPLE_CHUNK, resamples - start)
+        idx = rng.integers(0, samples.size, size=(rows, samples.size))
+        means[start:start + rows] = samples[idx].mean(axis=1)
+    return means
 
 
 def bootstrap_ci(

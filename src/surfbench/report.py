@@ -5,7 +5,9 @@ surface grids with explicit ``NA`` markers for undefined cells, predicted
 versus true scatter rows, per-slice geometry reports, and the aggregated
 summary table with bootstrap confidence intervals.
 
-File formats are pinned:
+Every CSV table except settings.csv goes through ``write_csv``, whose
+cells are formatted by ``_fmt`` alone. File formats are pinned:
+  dataset.csv  x1,x2,x3,y1_clean,y2_clean,y3_clean,y1_noisy,y2_noisy,y3_noisy
   runs.csv     regime,output,fixed_axis,fixed_level,repeat,method,valid,
                reason,n_test,n_finite,rmse,mae,r2
   summary.csv  regime,output,method,runs,rmse_mean,rmse_ci_lo,rmse_ci_hi,
@@ -38,6 +40,8 @@ __all__ = [
     "SummaryRow",
     "SummaryTable",
     "summarize",
+    "write_csv",
+    "write_dataset_csv",
     "write_runs_csv",
     "read_runs_csv",
     "RunRow",
@@ -45,6 +49,7 @@ __all__ = [
     "export_surface_grid",
     "export_pred_vs_true",
     "diagnose_slices",
+    "DATASET_CSV_HEADER",
     "RUNS_CSV_HEADER",
     "SUMMARY_CSV_HEADER",
     "NA_TOKEN",
@@ -52,6 +57,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+DATASET_CSV_HEADER = "x1,x2,x3,y1_clean,y2_clean,y3_clean,y1_noisy,y2_noisy,y3_noisy"
 RUNS_CSV_HEADER = (
     "regime,output,fixed_axis,fixed_level,repeat,method,valid,reason,"
     "n_test,n_finite,rmse,mae,r2"
@@ -68,11 +74,26 @@ _BOOTSTRAP_STREAM_TAG = 3
 
 
 def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not math.isfinite(x)):
-        return NA_TOKEN
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
+    """One CSV cell: floats with 17 significant digits, None and non-finite
+    floats as ``NA``, bools as ``true``/``false``, anything else as str."""
+    if isinstance(x, float):  # most cells; a bool is never a float
+        return "%.17g" % x if math.isfinite(x) else NA_TOKEN
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return NA_TOKEN if x is None else str(x)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header`` (comma-joined column names) and one line per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def write_dataset_csv(dataset: FactorialDataset, path) -> None:
+    write_csv(path, DATASET_CSV_HEADER,
+              np.hstack([dataset.x, dataset.y_clean, dataset.y_noisy]).tolist())
 
 
 @dataclass(frozen=True)
@@ -160,17 +181,12 @@ def summarize(records, config: ExperimentConfig | None = None) -> SummaryTable:
 
 
 def write_runs_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(RUNS_CSV_HEADER + "\n")
-        for r in records:
-            m = r.metrics
-            fields = [
-                r.regime, str(r.output_index), r.fixed_axis, _fmt(r.fixed_level),
-                str(r.repeat), r.method, "true" if r.valid else "false", r.reason,
-                str(r.n_test), str(r.n_finite),
-                _fmt(m.rmse if m else None), _fmt(m.mae if m else None), _fmt(m.r2 if m else None),
-            ]
-            fh.write(",".join(fields) + "\n")
+    write_csv(path, RUNS_CSV_HEADER, (
+        (r.regime, r.output_index, r.fixed_axis, r.fixed_level, r.repeat, r.method,
+         r.valid, r.reason, r.n_test, r.n_finite,
+         *((r.metrics.rmse, r.metrics.mae, r.metrics.r2) if r.metrics else (None,) * 3))
+        for r in records
+    ))
 
 
 class RunRow(NamedTuple):
@@ -188,35 +204,30 @@ def read_runs_csv(path) -> list[RunRow]:
     """Parse a runs.csv back into records that ``summarize`` accepts."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RUNS_CSV_HEADER.split(","):
-            raise ValueError(f"{path}: unexpected runs.csv header {header}")
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != RUNS_CSV_HEADER.split(","):
+            raise ValueError(f"{path}: unexpected runs.csv header {reader.fieldnames}")
         for row in reader:
-            valid = row[6] == "true"
+            if None in row or None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} does not have "
+                                 f"{len(reader.fieldnames)} fields")
             metrics = None
-            if valid:
-                metrics = MetricSet(rmse=float(row[10]), mae=float(row[11]), r2=float(row[12]),
-                                    n_points=int(row[9]))
-            records.append(RunRow(row[0], int(row[1]), row[5], valid, metrics))
+            if row["valid"] == "true":
+                metrics = MetricSet(rmse=float(row["rmse"]), mae=float(row["mae"]),
+                                    r2=float(row["r2"]), n_points=int(row["n_finite"]))
+            records.append(RunRow(row["regime"], int(row["output"]), row["method"],
+                                  metrics is not None, metrics))
     return records
 
 
 def write_summary_csv(table: SummaryTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SUMMARY_CSV_HEADER + "\n")
-        for r in table.rows:
-            fields = [
-                r.regime, str(r.output_index), r.method, str(r.valid_runs),
-                _fmt(r.rmse_mean),
-                _fmt(r.rmse_ci.lower if r.rmse_ci else None),
-                _fmt(r.rmse_ci.upper if r.rmse_ci else None),
-                _fmt(r.mae_mean),
-                _fmt(r.r2_mean),
-                _fmt(r.r2_ci.lower if r.r2_ci else None),
-                _fmt(r.r2_ci.upper if r.r2_ci else None),
-            ]
-            fh.write(",".join(fields) + "\n")
+    write_csv(path, SUMMARY_CSV_HEADER, (
+        (r.regime, r.output_index, r.method, r.valid_runs,
+         r.rmse_mean, *((r.rmse_ci.lower, r.rmse_ci.upper) if r.rmse_ci else (None,) * 2),
+         r.mae_mean,
+         r.r2_mean, *((r.r2_ci.lower, r.r2_ci.upper) if r.r2_ci else (None,) * 2))
+        for r in table.rows
+    ))
 
 
 def _find_slice(dataset: FactorialDataset, regime: str, fixed_axis: str,
@@ -241,13 +252,13 @@ def export_surface_grid(
     method: str,
     regime: str,
     config: ExperimentConfig | None = None,
-) -> tuple[str, list[tuple[float, float, float | None]]]:
+) -> tuple[str, np.ndarray]:
     """Interpolated values on a uniform grid over a slice's free-axis box.
 
-    The surface is fitted on the whole slice. Returns (csv_header, rows) with
-    one row per grid cell; cells outside the cubic surface's support hold
-    None (written as ``NA``). Fit failures raise the underlying
-    InterpolationError.
+    The surface is fitted on the whole slice. Returns (csv_header, grid)
+    with ``grid`` a (k, 3) float array of (u, v, value) rows, one per grid
+    cell; cells outside the cubic surface's support hold NaN (written as
+    ``NA``). Fit failures raise the underlying InterpolationError.
     """
     config = config if config is not None else ExperimentConfig()
     if method not in METHODS:
@@ -266,20 +277,12 @@ def export_surface_grid(
         np.linspace(lo[0], hi[0], res), np.linspace(lo[1], hi[1], res), indexing="ij"
     )
     queries = np.column_stack([gu.ravel(), gv.ravel()])
-    values = predict(queries)
     header = f"{task.free_axes[0]},{task.free_axes[1]},value"
-    rows = [
-        (float(q[0]), float(q[1]), float(v) if math.isfinite(v) else None)
-        for q, v in zip(queries, values)
-    ]
-    return header, rows
+    return header, np.column_stack([queries, predict(queries)])
 
 
-def write_grid_csv(header: str, rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for u, v, value in rows:
-            fh.write(f"{_fmt(u)},{_fmt(v)},{_fmt(value)}\n")
+def write_grid_csv(header: str, grid: np.ndarray, path) -> None:
+    write_csv(path, header, grid.tolist())
 
 
 def export_pred_vs_true(records, **filters) -> list[tuple]:
@@ -312,10 +315,7 @@ def export_pred_vs_true(records, **filters) -> list[tuple]:
 
 
 def write_scatter_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SCATTER_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(path, SCATTER_CSV_HEADER, rows)
 
 
 def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,

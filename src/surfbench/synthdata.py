@@ -27,12 +27,7 @@ __all__ = [
     "eval_truth",
     "add_noise",
     "generate",
-    "DATASET_CSV_HEADER",
 ]
-
-DATASET_CSV_HEADER = (
-    "x1,x2,x3,y1_clean,y2_clean,y3_clean,y1_noisy,y2_noisy,y3_noisy"
-)
 
 # Domain tag separating the noise stream from other seeded streams that share
 # the master seed (train/test splits, bootstrap resampling).
@@ -161,18 +156,6 @@ class FactorialDataset:
         if regime == "noisy":
             return self.y_noisy
         raise ValueError(f"unknown regime {regime!r}")
-
-    def to_csv(self) -> str:
-        """Full-precision CSV (17 significant digits) of all channels."""
-        lines = [DATASET_CSV_HEADER]
-        for i in range(self.n_rows):
-            vals = list(self.x[i]) + list(self.y_clean[i]) + list(self.y_noisy[i])
-            lines.append(",".join("%.17g" % v for v in vals))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
 
 
 def generate(spec: DesignSpec | None = None, noise: NoiseSpec | None = None) -> FactorialDataset:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import min_separated
+from surfbench import cubic, geometry
 from surfbench.cubic import _eval_located, estimate_gradients, fit_cubic
 from surfbench.errors import DegenerateGeometry, InsufficientNodes
 from surfbench.geometry import locate, triangulate
@@ -104,6 +105,27 @@ class TestFitCubic:
         predictions = surface.evaluate(queries)
         inside = np.isfinite(predictions)
         assert np.abs(predictions[inside] - f(queries[inside])).max() <= 1e-9
+
+    def test_caller_points_stay_writeable(self):
+        pts = UNIT_SQUARE.copy()
+        surface = fit_cubic(pts, np.arange(4.0))
+        before = surface.evaluate([[0.25, 0.5]])
+        pts[0] = (9.0, 9.0)
+        np.testing.assert_array_equal(surface.evaluate([[0.25, 0.5]]), before)
+
+    def test_nodes_validated_once_per_fit(self, monkeypatch):
+        # the O(n^2) duplicate check in as_points runs once, in triangulate
+        calls = []
+        as_points = geometry.as_points
+
+        def counting(points):
+            calls.append(1)
+            return as_points(points)
+
+        for module in (geometry, cubic):
+            monkeypatch.setattr(module, "as_points", counting, raising=False)
+        fit_cubic(UNIT_SQUARE, np.arange(4.0))
+        assert len(calls) == 1
 
     def test_error_propagation(self):
         with pytest.raises(InsufficientNodes):

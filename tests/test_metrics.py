@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
-from surfbench.metrics import _resample_means, bootstrap_ci, compute_metrics
+from surfbench import metrics
+from surfbench.metrics import (
+    DEFAULT_RESAMPLES,
+    RESAMPLE_CHUNK,
+    _resample_means,
+    bootstrap_ci,
+    compute_metrics,
+)
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -131,3 +139,29 @@ class TestBootstrap:
         assert ci.point_estimate == pytest.approx(np.mean(samples), rel=1e-15)
         assert ci.resamples == 100
         assert ci.level == 0.95
+
+    @pytest.mark.parametrize("resamples", [DEFAULT_RESAMPLES, 2 * RESAMPLE_CHUNK + 37, 5])
+    @pytest.mark.parametrize("n", [2, 7, 65, 440])
+    def test_chunked_draws_match_one_shot_draw(self, n, resamples):
+        samples = np.random.default_rng(n).normal(0.0, 1.0, n)
+        seed = (42, 3, 1, 2, 0, 1)
+        idx = Generator(Philox(SeedSequence(seed))).integers(0, n, size=(resamples, n))
+        expected = samples[idx].mean(axis=1)
+        assert _resample_means(samples, resamples, seed).tobytes() == expected.tobytes()
+
+    def test_index_draws_never_exceed_the_chunk(self, monkeypatch):
+        shapes = []
+
+        class Recording:
+            def __init__(self, bit_generator):
+                self.rng = Generator(bit_generator)
+
+            def integers(self, low, high, size):
+                shapes.append(size)
+                return self.rng.integers(low, high, size=size)
+
+        monkeypatch.setattr(metrics, "Generator", Recording)
+        resamples = 4 * RESAMPLE_CHUNK + 1
+        _resample_means(np.arange(30.0), resamples, 0)
+        assert sum(rows for rows, _ in shapes) == resamples
+        assert max(rows for rows, _ in shapes) == RESAMPLE_CHUNK

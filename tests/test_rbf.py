@@ -144,6 +144,13 @@ class TestFit:
         with pytest.raises(SingularSystem):
             fit_rbf(pts, np.zeros(4))
 
+    def test_caller_points_stay_writeable(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.4, 0.6]])
+        surface = fit_rbf(pts, np.arange(5.0))
+        before = eval_rbf(surface, np.array([[0.25, 0.5]]))
+        pts[0] = (9.0, 9.0)
+        np.testing.assert_array_equal(eval_rbf(surface, np.array([[0.25, 0.5]])), before)
+
     def test_too_few_nodes(self):
         with pytest.raises(InsufficientNodes):
             fit_rbf(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2))

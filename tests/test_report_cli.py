@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from surfbench import cli
 from surfbench.cli import cli_main
 from surfbench.config import ExperimentConfig, load_config
 from surfbench.metrics import MetricSet
@@ -11,11 +12,13 @@ from surfbench.protocol import METHODS, RunRecord, execute_experiment
 from surfbench.report import (
     RUNS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
+    _fmt,
     diagnose_slices,
     export_pred_vs_true,
     export_surface_grid,
     read_runs_csv,
     summarize,
+    write_csv,
     write_runs_csv,
     write_summary_csv,
 )
@@ -139,6 +142,30 @@ class TestSummarize:
         assert (a.rmse_ci.lower, a.rmse_ci.upper) == (b.rmse_ci.lower, b.rmse_ci.upper)
 
 
+class TestWriteCsv:
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.10000000000000001"),
+        (np.float64(2.0), "2"),
+        (-0.0, "-0"),
+        (math.nan, "NA"),
+        (math.inf, "NA"),
+        (-math.inf, "NA"),
+        (None, "NA"),
+        (True, "true"),
+        (False, "false"),
+        (3, "3"),
+        (np.int64(7), "7"),
+        ("noise-free", "noise-free"),
+    ])
+    def test_cell_format(self, value, text):
+        assert _fmt(value) == text
+
+    def test_one_line_per_row_with_lf_endings(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b,c", [("x", 1, 0.5), ("y", None, True)])
+        assert path.read_bytes() == b"a,b,c\nx,1,0.5\ny,NA,true\n"
+
+
 class TestRunsCsv:
     def test_header_is_pinned(self):
         assert RUNS_CSV_HEADER == (
@@ -155,11 +182,13 @@ class TestRunsCsv:
         assert len(parsed) == len(records)
         for orig, back in zip(records, parsed):
             assert back.regime == orig.regime
+            assert back.output_index == orig.output_index
             assert back.method == orig.method
             assert back.valid == orig.valid
             if orig.valid:
-                assert back.metrics.rmse == orig.metrics.rmse
-                assert back.metrics.r2 == orig.metrics.r2
+                assert back.metrics == orig.metrics
+            else:
+                assert back.metrics is None
         table_a = summarize(records, config)
         table_b = summarize(parsed, config)
         for ra, rb in zip(table_a.rows, table_b.rows):
@@ -191,12 +220,13 @@ def linear_truth_dataset():
 
 class TestSurfaceGrid:
     def test_rbf_grid_fully_defined(self, default_dataset, default_config):
-        header, rows = export_surface_grid(
+        header, grid = export_surface_grid(
             default_dataset, "x3", 2.0, 1, "rbf", "noise-free", default_config
         )
         assert header == "x1,x2,value"
-        assert len(rows) == default_config.grid_resolution ** 2
-        assert all(v is not None for _, _, v in rows)
+        assert grid.shape == (default_config.grid_resolution ** 2, 3)
+        assert grid.dtype == np.float64
+        assert np.isfinite(grid).all()
 
     def test_cubic_marks_cells_outside_hull(self, default_config):
         # drop one corner of the x3=2 slice so its hull is smaller than the box
@@ -206,21 +236,18 @@ class TestSurfaceGrid:
             x=ds.x[keep].copy(), y_clean=ds.y_clean[keep].copy(),
             y_noisy=ds.y_noisy[keep].copy(), spec=ds.spec, noise=ds.noise,
         )
-        _, rows = export_surface_grid(pruned, "x3", 2.0, 1, "cubic", "noise-free", default_config)
-        undefined = [r for r in rows if r[2] is None]
-        assert undefined, "corner cells should be outside the training hull"
-        corner = max(rows, key=lambda r: (r[0], r[1]))
-        assert corner[2] is None
+        _, grid = export_surface_grid(pruned, "x3", 2.0, 1, "cubic", "noise-free", default_config)
+        assert np.isfinite(grid[:, :2]).all()
+        assert np.isnan(grid[:, 2]).any(), "corner cells should be outside the training hull"
+        corner = max(grid.tolist(), key=lambda r: (r[0], r[1]))
+        assert math.isnan(corner[2])
 
     @pytest.mark.parametrize("method", METHODS)
     def test_linear_truth_reproduced_on_grid(self, method, default_config):
         ds = linear_truth_dataset()
-        _, rows = export_surface_grid(ds, "x1", 1.0, 1, method, "noise-free", default_config)
-        for u, v, value in rows:
-            if value is None:
-                continue
-            truth = 0.5 + 2.0 * 1.0 - 1.0 * u + 0.25 * v
-            assert value == pytest.approx(truth, abs=1e-8)
+        _, grid = export_surface_grid(ds, "x1", 1.0, 1, method, "noise-free", default_config)
+        u, v, value = grid[np.isfinite(grid[:, 2])].T
+        np.testing.assert_allclose(value, 0.5 + 2.0 * 1.0 - 1.0 * u + 0.25 * v, rtol=0, atol=1e-8)
 
     def test_unknown_slice_rejected(self, default_dataset):
         with pytest.raises(ValueError):
@@ -321,6 +348,16 @@ class TestCli:
         assert cli_main(["report", "--runs", str(runs)]) == 1
         assert "no runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [
+        "noisy,1,x3,2,0,cubic,true,ok,5,5,1",  # truncated after rmse
+        "noisy,1,x3,2,0,cubic,true,ok,5,5,1,0.8,0.5,extra",
+    ])
+    def test_report_malformed_row_fails_with_line_number(self, tmp_path, capsys, row):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(RUNS_CSV_HEADER + "\n" + row + "\n")
+        assert cli_main(["report", "--runs", str(runs)]) == 2
+        assert "line 2 does not have 13 fields" in capsys.readouterr().err
+
     def test_report_missing_file_fails(self, tmp_path, capsys):
         assert cli_main(["report", "--runs", str(tmp_path / "nope.csv")]) == 2
         assert "error" in capsys.readouterr().err
@@ -335,6 +372,18 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "x1,x2,value"
         assert len(lines) == 1 + 50 * 50
+
+    def test_surface_counts_defined_cells(self, tmp_path, capsys, monkeypatch):
+        grid = np.array([[1.0, 0.5, 0.1], [2.0, 0.5, math.nan], [3.0, 0.5, -2.0]])
+        monkeypatch.setattr(cli, "export_surface_grid", lambda *args: ("x1,x2,value", grid))
+        out = tmp_path / "surface.csv"
+        code = cli_main([
+            "surface", "--axis", "x3", "--level", "2", "--output", "1",
+            "--method", "cubic", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == ["1,0.5,0.10000000000000001", "2,0.5,NA", "3,0.5,-2"]
+        assert "(2/3 cells defined)" in capsys.readouterr().out
 
     def test_diagnose_prints_json(self, capsys):
         assert cli_main(["diagnose", "--axis", "x3", "--level", "2"]) == 0

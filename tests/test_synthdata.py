@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfbench.report import DATASET_CSV_HEADER, write_dataset_csv
 from surfbench.synthdata import (
-    DATASET_CSV_HEADER,
     DesignSpec,
     NoiseSpec,
     add_noise,
@@ -121,8 +121,10 @@ class TestGenerate:
     def test_default_has_48_rows(self):
         assert generate().n_rows == 48
 
-    def test_same_seed_identical_bytes(self):
-        assert generate().to_csv() == generate().to_csv()
+    def test_same_seed_identical_bytes(self, tmp_path):
+        write_dataset_csv(generate(), tmp_path / "a.csv")
+        write_dataset_csv(generate(), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_seed_changes_only_noisy_channel(self):
         a = generate(noise=NoiseSpec(master_seed=42))
@@ -147,22 +149,30 @@ class TestGenerate:
 
 
 class TestCsvExport:
-    def test_header(self):
-        assert generate().to_csv().splitlines()[0] == DATASET_CSV_HEADER
+    @pytest.fixture()
+    def lines(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(generate(), path)
+        return path.read_text().splitlines()
+
+    def test_header(self, lines):
+        assert lines[0] == DATASET_CSV_HEADER
         assert DATASET_CSV_HEADER == (
             "x1,x2,x3,y1_clean,y2_clean,y3_clean,y1_noisy,y2_noisy,y3_noisy"
         )
 
-    def test_full_precision_round_trip(self):
+    def test_full_precision_round_trip(self, lines):
         ds = generate()
-        lines = ds.to_csv().splitlines()[1:]
-        assert len(lines) == 48
-        first = [float(v) for v in lines[0].split(",")]
+        assert len(lines) == 1 + 48
+        first = [float(v) for v in lines[1].split(",")]
         assert first[3] == ds.y_clean[0, 0]
         assert first[8] == ds.y_noisy[0, 2]
 
     def test_write_csv(self, tmp_path):
-        path = tmp_path / "dataset.csv"
+        # every cell is the %.17g text of the dataset value; lines end in LF
         ds = generate()
-        ds.write_csv(path)
-        assert path.read_text() == ds.to_csv()
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(ds, path)
+        rows = np.hstack([ds.x, ds.y_clean, ds.y_noisy])
+        expected = [DATASET_CSV_HEADER] + [",".join("%.17g" % v for v in row) for row in rows]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
