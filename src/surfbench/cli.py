@@ -172,7 +172,7 @@ def _cmd_surface(args, config: ExperimentConfig) -> int:
 
 def _cmd_diagnose(args, config: ExperimentConfig) -> int:
     dataset = generate(noise=config.noise_spec())
-    reports = diagnose_slices(dataset, args.axis, args.level, grid_resolution=200)
+    reports = diagnose_slices(dataset, args.axis, args.level)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -74,7 +74,9 @@ class ExperimentConfig:
             )
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
-        # Epsilon and smoothing bounds are enforced by RbfConfig.
+        # Noise sigma bounds are enforced by NoiseSpec, epsilon and
+        # smoothing bounds by RbfConfig.
+        self.noise_spec()
         self.rbf_config()
 
     def noise_spec(self) -> NoiseSpec:

@@ -1,16 +1,18 @@
 """Planar geometry substrate: Delaunay triangulation, point location, and
 node-distribution descriptors (fill distance, separation distance, mesh ratio).
 
-The triangulation is built by incremental insertion with Lawson edge flips.
-Orientation and in-circle predicates snap to zero when the determinant is
-below 1e-12 relative to its operand magnitude; above that band the floating
-point sign is provably exact (the band sits far above the roundoff bound),
-so no configuration is ever mis-signed. The snap treats nearly collinear
+The triangulation is built by incremental insertion in lexicographic (x, y)
+order with Lawson edge flips; each new node lies outside the hull of the
+nodes before it, so no node is ever located inside the mesh. Orientation
+and in-circle predicates snap to zero when the determinant is below 1e-12
+relative to its operand magnitude; above that band the floating point sign
+is provably exact (the band sits far above the roundoff bound), so no
+configuration is ever mis-signed. The snap treats nearly collinear
 triples as collinear and nearly cocircular quadruples as cocircular, which
 keeps sliver triangles out of grid-structured inputs whose levels do not
 round to exactly even spacing. Cocircular quadrilaterals are canonicalized
-to the diagonal connecting the lexicographically smallest vertex pair, which
-makes the output deterministic for a fixed input order.
+to the diagonal connecting the lexicographically smallest vertex pair, so
+the triangle set does not depend on the input order.
 """
 
 from __future__ import annotations
@@ -87,7 +89,11 @@ def incircle_sign(pa, pb, pc, pd) -> int:
         + blift * (cdxady - adxcdy)
         + clift * (adxbdy - bdxady)
     )
-    scale = max(alift, blift, clift) ** 2
+    # Largest squared pairwise distance: the band is then the same whichever
+    # of the four points is passed as pd, so every argument order of one
+    # quadruple gets the same answer up to roundoff.
+    scale = max(alift, blift, clift, (adx - bdx) ** 2 + (ady - bdy) ** 2,
+                (bdx - cdx) ** 2 + (bdy - cdy) ** 2, (cdx - adx) ** 2 + (cdy - ady) ** 2) ** 2
     if abs(det) <= PREDICATE_EPS_REL * scale:
         return 0
     return int(det > 0) - int(det < 0)
@@ -250,63 +256,8 @@ class _Builder:
                 stack.append((t4, p))
 
     def insert(self, p: int) -> None:
-        pp = self.pts[p]
-        located = None
-        for t, tri in enumerate(self.tris):
-            if tri is None:
-                continue
-            a, b, c = tri
-            s_ab = orient_sign(self.pts[a], self.pts[b], pp)
-            if s_ab < 0:
-                continue
-            s_bc = orient_sign(self.pts[b], self.pts[c], pp)
-            if s_bc < 0:
-                continue
-            s_ca = orient_sign(self.pts[c], self.pts[a], pp)
-            if s_ca < 0:
-                continue
-            located = (t, (s_ab, s_bc, s_ca))
-            break
-        if located is None:
-            self._insert_outside(p)
-            return
-        t, signs = located
-        zeros = signs.count(0)
-        if zeros == 0:
-            self._split_interior(t, p)
-        elif zeros == 1:
-            a, b, c = self.tris[t]
-            edge = ((a, b), (b, c), (c, a))[signs.index(0)]
-            self._split_edge(edge, p)
-        else:
-            raise DuplicateNodes(f"point {p} coincides with an existing vertex")
-
-    def _split_interior(self, t: int, p: int) -> None:
-        a, b, c = self.tris[t]
-        self.remove_tri(t)
-        t1 = self.add_tri(a, b, p)
-        t2 = self.add_tri(b, c, p)
-        t3 = self.add_tri(c, a, p)
-        self.legalize(t1, p)
-        self.legalize(t2, p)
-        self.legalize(t3, p)
-
-    def _split_edge(self, edge, p: int) -> None:
-        a, b = edge
-        t = self.edge[(a, b)]
-        c = next(w for w in self.tris[t] if w != a and w != b)
-        t_opp = self.edge.get((b, a))
-        self.remove_tri(t)
-        new = [self.add_tri(a, p, c), self.add_tri(p, b, c)]
-        if t_opp is not None:
-            d = next(w for w in self.tris[t_opp] if w != a and w != b)
-            self.remove_tri(t_opp)
-            new.append(self.add_tri(b, p, d))
-            new.append(self.add_tri(p, a, d))
-        for t_new in new:
-            self.legalize(t_new, p)
-
-    def _insert_outside(self, p: int) -> None:
+        """Insert node ``p``, which lies outside the current hull: join it to
+        every hull edge it sees, then legalize the new triangles."""
         pp = self.pts[p]
         boundary = [e for e in self.edge if (e[1], e[0]) not in self.edge]
         visible = [
@@ -315,6 +266,10 @@ class _Builder:
         ]
         if not visible:
             raise DegenerateGeometry(f"point {p} could not be located")
+        # Seen from outside the hull, the visible edges form one chain unless
+        # p is collinear with a hull edge within the predicate band.
+        if len({a for a, _ in visible} - {b for _, b in visible}) != 1:
+            raise DegenerateGeometry(f"point {p} is collinear with the hull within tolerance")
         new = [self.add_tri(b, a, p) for a, b in visible]
         for t_new in new:
             self.legalize(t_new, p)
@@ -323,7 +278,12 @@ class _Builder:
         """Flip exactly-cocircular quads to the lexicographically preferred
         diagonal. Preserves the Delaunay property (both diagonals share the
         same circumcircle); each flip strictly lowers the edge-key multiset,
-        so the loop terminates."""
+        so the loop terminates.
+
+        Each edge is tested from its lexicographically smaller end, so the
+        result does not depend on node indices. A quad that is cocircular
+        only within the predicate band may be nonconvex; it is flipped only
+        when both new triangles are counterclockwise."""
         changed = True
         guard = 0
         while changed:
@@ -332,7 +292,7 @@ class _Builder:
             if guard > 4 * len(self.tris) + 16:
                 raise RuntimeError("cocircular canonicalization failed to settle")
             for (u, v), t in list(self.edge.items()):
-                if u > v or self.tris[t] is None:
+                if self.pts[u] > self.pts[v] or self.tris[t] is None:
                     continue
                 t2 = self.edge.get((v, u))
                 if t2 is None:
@@ -341,7 +301,9 @@ class _Builder:
                 q = next(w for w in self.tris[t2] if w != u and w != v)
                 if incircle_sign(self.pts[p], self.pts[u], self.pts[v], self.pts[q]) != 0:
                     continue
-                if _pair_key(self.pts, p, q) < _pair_key(self.pts, u, v):
+                if (_pair_key(self.pts, p, q) < _pair_key(self.pts, u, v)
+                        and orient_sign(self.pts[p], self.pts[u], self.pts[q]) > 0
+                        and orient_sign(self.pts[p], self.pts[q], self.pts[v]) > 0):
                     self.remove_tri(t)
                     self.remove_tri(t2)
                     self.add_tri(p, u, q)
@@ -350,29 +312,37 @@ class _Builder:
 
 
 def triangulate(points) -> Triangulation:
-    """Delaunay triangulation by incremental insertion in input order.
+    """Delaunay triangulation by incremental insertion in lexicographic
+    (x, y) order, so the triangle set does not depend on the input order.
+
+    Each node is lexicographically larger than every node before it, so it
+    lies outside their hull and is joined to the hull edges it sees.
 
     Raises InsufficientNodes for fewer than 3 nodes, DegenerateGeometry when
-    all nodes are collinear, DuplicateNodes for coincident nodes.
+    all nodes are collinear or a node is collinear with a hull edge within
+    the predicate band, DuplicateNodes for coincident nodes.
     """
     arr = as_points(points)
     n = arr.shape[0]
     if n < 3:
         raise InsufficientNodes(f"triangulation needs >= 3 nodes, got {n}")
     pts = [(float(x), float(y)) for x, y in arr]
-    seed = next(
-        (j for j in range(2, n) if orient_sign(pts[0], pts[1], pts[j]) != 0), None
+    order = sorted(range(n), key=pts.__getitem__)
+    s0, s1 = order[0], order[1]
+    k = next(
+        (j for j in range(2, n) if orient_sign(pts[s0], pts[s1], pts[order[j]]) != 0), None
     )
-    if seed is None:
+    if k is None:
         raise DegenerateGeometry("all nodes are collinear")
+    sk = order[k]
     builder = _Builder(pts)
-    if orient_sign(pts[0], pts[1], pts[seed]) > 0:
-        builder.add_tri(0, 1, seed)
+    if orient_sign(pts[s0], pts[s1], pts[sk]) > 0:
+        builder.add_tri(s0, s1, sk)
     else:
-        builder.add_tri(1, 0, seed)
-    for p in range(2, n):
-        if p != seed:
-            builder.insert(p)
+        builder.add_tri(s0, sk, s1)
+    # The collinear run s2..s(k-1) extends the edge s0-s1 beyond s1.
+    for p in order[2:k] + order[k + 1:]:
+        builder.insert(p)
     builder.canonicalize_cocircular()
 
     triangles = np.array([t for t in builder.tris if t is not None], dtype=np.intp)
@@ -509,9 +479,10 @@ def separation_distance(points) -> float:
     return 0.5 * float(dist.min())
 
 
-def mesh_ratio(points, domain="hull", grid_resolution: int = FILL_GRID_RESOLUTION) -> float:
-    """Fill distance over separation distance; near 1 means quasi-uniform."""
-    return fill_distance(points, domain, grid_resolution) / separation_distance(points)
+def mesh_ratio(points) -> float:
+    """Fill distance over the node set's hull, over separation distance; near
+    1 means quasi-uniform."""
+    return fill_distance(points) / separation_distance(points)
 
 
 @dataclass(frozen=True)
@@ -534,14 +505,14 @@ class GeometryReport:
         }
 
 
-def geometry_report(points, domain="hull", grid_resolution: int = FILL_GRID_RESOLUTION) -> GeometryReport:
-    """Descriptors of a node set over its domain (default: convex hull).
+def geometry_report(points, grid_resolution: int = FILL_GRID_RESOLUTION) -> GeometryReport:
+    """Descriptors of a node set over its convex hull.
 
     ``n_hull`` counts nodes lying on the hull boundary, including nodes
     interior to a hull edge.
     """
     arr = as_points(points)
-    h = fill_distance(arr, domain, grid_resolution)
+    h = fill_distance(arr, grid_resolution=grid_resolution)
     q = separation_distance(arr)
     poly = convex_hull_polygon(arr)
     tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]), 1.0)

@@ -113,7 +113,6 @@ def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
     if np.linalg.matrix_rank(centered, tol=1e-12 * max(1.0, np.abs(centered).max())) < 2:
         raise SingularSystem("collinear nodes cannot carry a degree-1 tail")
     k = _kernel_matrix(pts, pts, config.epsilon)
-    k = np.triu(k) + np.triu(k, 1).T  # one evaluation per pair, exact symmetry
     p = _tail_matrix(pts)
     a = np.zeros((n + 3, n + 3))
     a[:n, :n] = -k + config.smoothing * np.eye(n)

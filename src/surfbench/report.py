@@ -211,12 +211,18 @@ def read_runs_csv(path) -> list[RunRow]:
             if None in row or None in row.values():
                 raise ValueError(f"{path}: line {reader.line_num} does not have "
                                  f"{len(reader.fieldnames)} fields")
-            metrics = None
-            if row["valid"] == "true":
-                metrics = MetricSet(rmse=float(row["rmse"]), mae=float(row["mae"]),
-                                    r2=float(row["r2"]), n_points=int(row["n_finite"]))
-            records.append(RunRow(row["regime"], int(row["output"]), row["method"],
-                                  metrics is not None, metrics))
+            if row["valid"] not in ("true", "false"):
+                raise ValueError(f"{path}: line {reader.line_num}: valid must be "
+                                 f"true or false, got {row['valid']!r}")
+            try:
+                metrics = None
+                if row["valid"] == "true":
+                    metrics = MetricSet(rmse=float(row["rmse"]), mae=float(row["mae"]),
+                                        r2=float(row["r2"]), n_points=int(row["n_finite"]))
+                records.append(RunRow(row["regime"], int(row["output"]), row["method"],
+                                      metrics is not None, metrics))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
 
 
@@ -319,7 +325,7 @@ def write_scatter_csv(rows, path) -> None:
 
 
 def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,
-                    fixed_level: float | None = None, grid_resolution: int = 200) -> list[dict]:
+                    fixed_level: float | None = None) -> list[dict]:
     """Geometry report per slice: fill distance, separation, mesh ratio.
 
     Slice geometry does not depend on output or regime, so reports are
@@ -337,7 +343,7 @@ def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,
         if fixed_level is not None and not np.isclose(task.fixed_level, fixed_level, rtol=1e-12, atol=1e-12):
             continue
         entry = {"fixed_axis": task.fixed_axis, "fixed_level": task.fixed_level}
-        entry.update(geometry_report(task.points, grid_resolution=grid_resolution).to_dict())
+        entry.update(geometry_report(task.points).to_dict())
         reports.append(entry)
     if not reports:
         raise ValueError(f"no slice matches {fixed_axis}={fixed_level}")

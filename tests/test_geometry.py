@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import min_separated
-from surfbench.errors import DegenerateGeometry, DuplicateNodes, InsufficientNodes, NonFiniteInput
+from surfbench.errors import (
+    DegenerateGeometry,
+    DuplicateNodes,
+    InsufficientNodes,
+    InterpolationError,
+    NonFiniteInput,
+)
 from surfbench.geometry import (
     LOCATE_BLOCK,
     LOCATE_TOL,
@@ -23,6 +29,7 @@ from surfbench.geometry import (
     separation_distance,
     triangulate,
 )
+from surfbench.synthdata import DesignSpec
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -50,6 +57,66 @@ def assert_delaunay(tri, rel_tol=1e-10):
             assert dist >= radius * (1.0 - rel_tol), (
                 f"vertex {m} strictly inside circumcircle of triangle ({i},{j},{k})"
             )
+
+
+def assert_canonical_delaunay(tri):
+    """No node strictly inside any circumcircle, and every interior edge of
+    a cocircular quad is the lexicographically smaller diagonal."""
+    pts = [tuple(p) for p in tri.points.tolist()]
+    apex = {}
+    for a, b, c in tri.triangles.tolist():
+        for m in range(len(pts)):
+            assert incircle_sign(pts[a], pts[b], pts[c], pts[m]) <= 0
+        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
+    for (u, v), p in apex.items():
+        q = apex.get((v, u))
+        if q is not None and incircle_sign(pts[p], pts[u], pts[v], pts[q]) == 0:
+            assert sorted([pts[u], pts[v]]) < sorted([pts[p], pts[q]])
+
+
+def near_collinear(rng, log10_offset):
+    """3 to 11 nodes on a random line through the origin, each moved off it
+    by a Gaussian offset of scale 10**log10_offset."""
+    n = int(rng.integers(3, 12))
+    offset = rng.normal(scale=10.0 ** log10_offset, size=(n, 2))
+    return np.outer(np.sort(rng.random(n)), rng.normal(size=2)) + offset
+
+
+@st.composite
+def order_probe_sets(draw):
+    """Subsets of slice lattices (levels such as 4/3 and 5/3 are not evenly
+    spaced in floating point), near-collinear sets and random sets.
+
+    Near-collinear offsets stay at least 1000 times above the predicates'
+    1e-12 snap band; closer to it the snapped in-circle test is not
+    transitive and a node can end up strictly inside a circumcircle.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lattice", "near_collinear", "random"]))
+    if kind == "lattice":
+        levels = st.integers(2, 7)
+        spec = DesignSpec(x1_levels=draw(levels), x2_levels=draw(levels), x3_levels=draw(levels))
+        a, b = draw(st.sampled_from([("x1", "x2"), ("x1", "x3"), ("x2", "x3")]))
+        lattice = np.array([[u, v] for u in spec.axis_levels(a) for v in spec.axis_levels(b)])
+        return lattice[rng.random(len(lattice)) < draw(st.floats(0.3, 1.0))]
+    if kind == "near_collinear":
+        return near_collinear(rng, rng.uniform(-9, -3))
+    return min_separated(rng, int(rng.integers(3, 20)), 0.05)
+
+
+def triangulation_outcome(pts, check_delaunay=True):
+    """The coordinate triangle set and hull-node set of ``triangulate(pts)``,
+    or the type of the InterpolationError it raises."""
+    try:
+        tri = triangulate(pts)
+    except InterpolationError as exc:
+        return type(exc)
+    if check_delaunay:
+        assert_canonical_delaunay(tri)
+    return (
+        {frozenset(map(tuple, tri.points[t].tolist())) for t in tri.triangles},
+        {tuple(q) for q in tri.points[tri.hull].tolist()},
+    )
 
 
 class TestPredicates:
@@ -171,6 +238,24 @@ class TestTriangulate:
             ours = {tuple(sorted(t)) for t in triangulate(pts).triangles.tolist()}
             theirs = {tuple(sorted(t)) for t in spatial.Delaunay(pts).simplices.tolist()}
             assert ours == theirs
+
+    @given(pts=order_probe_sets(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_input_order_does_not_change_the_triangulation(self, pts, data):
+        perm = list(data.draw(st.permutations(range(len(pts)))))
+        assert triangulation_outcome(pts) == triangulation_outcome(pts[perm])
+
+    @given(seed=st.integers(0, 2**32 - 1), log10_offset=st.floats(-12.0, -10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_nodes_at_the_snap_band_fail_cleanly_and_order_free(self, seed, log10_offset):
+        # Within a few times the 1e-12 band some triples snap to collinear
+        # and others do not; the result may then be DegenerateGeometry, but
+        # never a malformed mesh or a bare KeyError/StopIteration.
+        rng = np.random.default_rng(seed)
+        pts = near_collinear(rng, log10_offset)
+        perm = rng.permutation(len(pts))
+        assert (triangulation_outcome(pts, check_delaunay=False)
+                == triangulation_outcome(pts[perm], check_delaunay=False))
 
 
 def reference_locate(tri, query):

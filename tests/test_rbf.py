@@ -10,6 +10,7 @@ from conftest import min_separated
 from surfbench.errors import IllConditionedWarning, InsufficientNodes, SingularSystem
 from surfbench.rbf import (
     RbfConfig,
+    _kernel_matrix,
     eval_rbf,
     fit_rbf,
     kernel_mq,
@@ -127,11 +128,11 @@ class TestFit:
         assert eval_rbf(surface, np.array([[0.7, 0.3]]))[0] == pytest.approx(expected, abs=1e-10)
 
     def test_kernel_block_symmetric_exactly(self):
+        # IEEE subtraction and hypot are sign-symmetric, so the block needs
+        # no explicit symmetrization.
         rng = np.random.default_rng(4)
         pts = min_separated(rng, 8, 0.1)
-        d = pts[:, None, :] - pts[None, :, :]
-        k = kernel_mq(np.hypot(d[..., 0], d[..., 1]), 1.0)
-        k = np.triu(k) + np.triu(k, 1).T
+        k = _kernel_matrix(pts, pts, 1.0)
         assert (k == k.T).all()
 
     def test_collinear_with_degree1_tail_is_singular(self):

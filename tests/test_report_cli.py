@@ -90,6 +90,7 @@ class TestConfig:
             {"rbf_smoothing": math.nan},
             {"noise_sigma_output1": math.nan},
             {"noise_sigma_output3": math.inf},
+            {"noise_sigma_output1": -0.1},
             {"repeats_per_slice": 2.7},
             {"grid_resolution": math.nan},
             {"random_seed": -1},
@@ -357,6 +358,17 @@ class TestCli:
         runs.write_text(RUNS_CSV_HEADER + "\n" + row + "\n")
         assert cli_main(["report", "--runs", str(runs)]) == 2
         assert "line 2 does not have 13 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, cause", [
+        ("noisy,1,x3,2,0,cubic,yes,ok,5,5,1,0.8,0.5", "valid must be true or false, got 'yes'"),
+        ("noisy,1,x3,2,0,cubic,true,ok,5,5,NA,0.8,0.5", "could not convert string to float: 'NA'"),
+    ], ids=["valid_not_a_bool", "metric_not_a_number"])
+    def test_report_bad_cell_fails_with_path_and_line(self, tmp_path, capsys, row, cause):
+        runs = tmp_path / "runs.csv"
+        ok = "noisy,1,x3,2,0,rbf,true,ok,5,5,1,0.8,0.5"
+        runs.write_text(RUNS_CSV_HEADER + "\n" + ok + "\n" + row + "\n")
+        assert cli_main(["report", "--runs", str(runs)]) == 2
+        assert f"{runs}: line 3: {cause}" in capsys.readouterr().err
 
     def test_report_missing_file_fails(self, tmp_path, capsys):
         assert cli_main(["report", "--runs", str(tmp_path / "nope.csv")]) == 2
