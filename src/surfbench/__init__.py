@@ -39,7 +39,7 @@ from .protocol import (
     run_pair,
     valid_run_counts,
 )
-from .rbf import RbfConfig, RbfSurface, eval_rbf, fit_rbf, kernel_mq, smoothing_residual
+from .rbf import RbfConfig, RbfSurface, eval_rbf, fit_rbf, kernel_mq
 from .report import SummaryTable, export_pred_vs_true, export_surface_grid, summarize
 from .synthdata import (
     DesignSpec,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .protocol import RunRecord, execute_experiment
+from .protocol import RunRecord, execute_experiment, reason_histogram
 from .report import (
     diagnose_slices,
     export_pred_vs_true,
@@ -129,6 +129,7 @@ def run_experiment(config: ExperimentConfig, outdir: Path, scatter: bool = False
         "config_sha256": config.sha256(),
         "runtime_seconds": time.perf_counter() - started,
         "n_records": len(records),
+        "reasons": reason_histogram(records),
     }
     write_json(meta, outdir / "meta.json")
     print(table.to_text())

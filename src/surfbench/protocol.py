@@ -18,6 +18,30 @@ target variance). Interpolants with restricted support (the cubic surface is
 undefined outside the training hull) therefore lose runs whenever a split
 pushes any test point off their support, which is what drives the asymmetric
 valid-run counts between the two methods.
+
+All splits of a task run as one stage (``_run_task``):
+
+1. One vectorized pass (``geometry.hull_cover``) tests every test point
+   against its split's training hull. A split whose training values are
+   finite and whose hull leaves a test point uncovered is recorded as
+   ``test_points_outside_support`` without being triangulated; ``n_finite``
+   counts its hull-covered test points. The cover is one-sided: every test
+   point that ``locate`` would find is hull-covered, so the reason code is
+   always right, and the count can differ from ``locate``'s only for a
+   point in the band within 1e-8 of the slice extent outside the hull.
+   Splits the hull test cannot vouch for (a training set that may be
+   collinear, or with a nearly flat triple on its hull) and splits whose
+   test points are all covered go to ``fit_cubic``, whose ``locate`` is
+   authoritative.
+2. The RBF systems of all splits are assembled, solved and
+   condition-estimated as one stack (``rbf.fit_stack``) and evaluated as
+   one batch; each item equals ``fit_rbf``/``eval_rbf`` bit for bit.
+3. A slice whose nodes fail validation, and any split the stack cannot fit
+   (non-finite values, collinear nodes, a singular system or non-finite
+   coefficients), runs alone through ``fit_cubic``/``fit_rbf``, so it keeps
+   exactly its ``fit_failed:*`` reason.
+
+``run_pair`` is this stage on a single split.
 """
 
 from __future__ import annotations
@@ -31,8 +55,9 @@ from numpy.random import Generator, Philox, SeedSequence
 from .config import ExperimentConfig
 from .cubic import fit_cubic
 from .errors import InsufficientNodes, InterpolationError, reason_code
+from .geometry import as_points, hull_cover
 from .metrics import MetricSet, compute_metrics
-from .rbf import RbfConfig, eval_rbf, fit_rbf
+from .rbf import RbfConfig, eval_rbf, eval_stack, fit_rbf, fit_stack
 from .synthdata import FactorialDataset
 
 __all__ = [
@@ -48,6 +73,7 @@ __all__ = [
     "method_contrast",
     "execute_experiment",
     "valid_run_counts",
+    "reason_histogram",
 ]
 
 log = logging.getLogger(__name__)
@@ -58,6 +84,7 @@ METHODS = ("cubic", "rbf")
 
 MIN_SLICE_SIZE = 5
 MIN_TRAIN_SIZE = 3
+PLAN_CHUNK = 64  # splits per stage, so stacked temporaries stay bounded
 
 # Domain tag separating split seeding from the noise stream (tag 1).
 _SPLIT_STREAM_TAG = 2
@@ -88,12 +115,11 @@ class SliceTask:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """One train/test partition of a slice, with its seed derivation."""
+    """One train/test partition of a slice."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
     repeat_index: int
-    seed_derivation: tuple
 
     def __post_init__(self):
         self.train_indices.setflags(write=False)
@@ -190,7 +216,6 @@ def make_splits(
             train_indices=np.sort(perm[:n_train]),
             test_indices=np.sort(perm[n_train:]),
             repeat_index=repeat,
-            seed_derivation=derivation,
         ))
     return plans
 
@@ -237,6 +262,80 @@ def _make_record(task, plan, method, y_pred, reason=None, n_finite=0) -> RunReco
     )
 
 
+def _cubic_record(task: SliceTask, plan: SplitPlan) -> RunRecord:
+    """The cubic run of one split through ``fit_cubic``; ``locate`` decides
+    coverage, before any gradient is estimated."""
+    test_pts = task.points[plan.test_indices]
+    try:
+        surface = fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])
+        covered = surface.covers(test_pts)
+        if covered.all():
+            return _make_record(task, plan, "cubic", surface.evaluate(test_pts))
+        return _make_record(task, plan, "cubic", None, "test_points_outside_support",
+                            int(np.count_nonzero(covered)))
+    except InterpolationError as exc:
+        return _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
+
+
+def _rbf_record(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> RunRecord:
+    """The RBF run of one split through ``fit_rbf``."""
+    try:
+        surface = fit_rbf(task.points[plan.train_indices], task.values[plan.train_indices], rbf_config)
+        return _make_record(task, plan, "rbf", eval_rbf(surface, task.points[plan.test_indices]))
+    except InterpolationError as exc:
+        return _make_record(task, plan, "rbf", None, reason=f"fit_failed:{reason_code(exc)}")
+
+
+def _run_task(task: SliceTask, plans: list[SplitPlan], rbf_config: RbfConfig) -> list[RunRecord]:
+    """Both runs of every split of one task, as one stage (see the module
+    docstring): records in plan order, cubic then RBF for each split.
+
+    The plans share one train size, as ``make_splits`` draws them; they are
+    taken PLAN_CHUNK at a time. Plans with fewer than MIN_TRAIN_SIZE
+    training nodes run alone, as a slice that fails validation does.
+    """
+    if not plans:
+        return []
+    if len(plans) > PLAN_CHUNK:
+        return [rec for lo in range(0, len(plans), PLAN_CHUNK)
+                for rec in _run_task(task, plans[lo:lo + PLAN_CHUNK], rbf_config)]
+    try:
+        as_points(task.points)
+        staged = min(plan.train_indices.size for plan in plans) >= MIN_TRAIN_SIZE
+    except InterpolationError:
+        staged = False
+    if not staged:
+        return [rec for plan in plans
+                for rec in (_cubic_record(task, plan), _rbf_record(task, plan, rbf_config))]
+    train = np.stack([plan.train_indices for plan in plans])
+    test = np.stack([plan.test_indices for plan in plans])
+    finite = np.isfinite(task.values[train]).all(axis=1)
+    covered, trusted = hull_cover(task.points, train, test)
+
+    rbf_pred: dict[int, np.ndarray] = {}
+    stack = np.nonzero(finite)[0]
+    if stack.size:
+        centers = task.points[train[stack]]
+        coeffs, _, errors = fit_stack(centers, task.values[train[stack]], rbf_config)
+        fitted = np.array([e is None for e in errors])
+        pred = eval_stack(centers[fitted], coeffs[fitted], task.points[test[stack[fitted]]],
+                          rbf_config.epsilon)
+        rbf_pred = dict(zip(stack[fitted].tolist(), pred))
+
+    records = []
+    for i, plan in enumerate(plans):
+        if finite[i] and trusted[i] and not covered[i].all():
+            records.append(_make_record(task, plan, "cubic", None, "test_points_outside_support",
+                                        int(np.count_nonzero(covered[i]))))
+        else:
+            records.append(_cubic_record(task, plan))
+        if i in rbf_pred:
+            records.append(_make_record(task, plan, "rbf", rbf_pred[i]))
+        else:
+            records.append(_rbf_record(task, plan, rbf_config))
+    return records
+
+
 def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[RunRecord, RunRecord]:
     """Fit and score both methods on identical train/test geometry.
 
@@ -244,29 +343,9 @@ def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[R
     test points outside the training hull is recorded as
     ``test_points_outside_support`` with ``n_finite`` counting the test
     points inside, before any gradient is estimated. Nothing raises for
-    expected degeneracies.
+    expected degeneracies. This is ``_run_task`` on a single split.
     """
-    train_pts = task.points[plan.train_indices]
-    train_vals = task.values[plan.train_indices]
-    test_pts = task.points[plan.test_indices]
-
-    try:
-        cubic_surface = fit_cubic(train_pts, train_vals)
-        covered = cubic_surface.covers(test_pts)
-        if covered.all():
-            cubic_record = _make_record(task, plan, "cubic", cubic_surface.evaluate(test_pts))
-        else:
-            cubic_record = _make_record(task, plan, "cubic", None, "test_points_outside_support",
-                                        int(np.count_nonzero(covered)))
-    except InterpolationError as exc:
-        cubic_record = _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
-
-    try:
-        rbf_surface = fit_rbf(train_pts, train_vals, rbf_config)
-        rbf_record = _make_record(task, plan, "rbf", eval_rbf(rbf_surface, test_pts))
-    except InterpolationError as exc:
-        rbf_record = _make_record(task, plan, "rbf", None, reason=f"fit_failed:{reason_code(exc)}")
-
+    cubic_record, rbf_record = _run_task(task, [plan], rbf_config)
     return cubic_record, rbf_record
 
 
@@ -298,8 +377,7 @@ def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | Non
                     task.fixed_axis, task.fixed_level, task.output_index, regime, exc,
                 )
                 continue
-            for plan in plans:
-                records.extend(run_pair(task, plan, rbf_config))
+            records.extend(_run_task(task, plans, rbf_config))
     return records
 
 
@@ -314,3 +392,13 @@ def valid_run_counts(records) -> dict[tuple[str, int, str], int]:
         if rec.valid:
             counts[(rec.regime, rec.output_index, rec.method)] += 1
     return counts
+
+
+def reason_histogram(records) -> dict[str, dict[str, dict[str, int]]]:
+    """Run counts per regime, method and reason code:
+    ``hist[regime][method][reason]``."""
+    hist: dict[str, dict[str, dict[str, int]]] = {}
+    for rec in records:
+        counts = hist.setdefault(rec.regime, {}).setdefault(rec.method, {})
+        counts[rec.reason] = counts.get(rec.reason, 0) + 1
+    return hist

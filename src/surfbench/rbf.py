@@ -39,7 +39,7 @@ from .errors import (
 )
 from .geometry import as_points
 
-__all__ = ["RbfConfig", "RbfSurface", "kernel_mq", "fit_rbf", "eval_rbf", "smoothing_residual"]
+__all__ = ["RbfConfig", "RbfSurface", "kernel_mq", "fit_rbf", "eval_rbf", "fit_stack", "eval_stack"]
 
 CONDITION_WARN_THRESHOLD = 1e12
 
@@ -66,12 +66,14 @@ class RbfConfig:
 
 
 def _tail_matrix(pts: np.ndarray) -> np.ndarray:
-    """The degree-1 tail basis [1, x, y] at each point."""
-    return np.column_stack([np.ones(pts.shape[0]), pts[:, 0], pts[:, 1]])
+    """The degree-1 tail basis [1, x, y] at each point, (..., n, 3)."""
+    return np.concatenate([np.ones(pts.shape[:-1] + (1,)), pts], axis=-1)
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, epsilon: float) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
+    """Kernel values between (..., k, 2) points ``a`` and (..., n, 2)
+    centers ``b``, (..., k, n)."""
+    d = a[..., :, None, :] - b[..., None, :, :]
     return kernel_mq(np.hypot(d[..., 0], d[..., 1]), epsilon)
 
 
@@ -87,6 +89,68 @@ class RbfSurface:
     ill_conditioned: bool
 
 
+def fit_stack(pts: np.ndarray, y: np.ndarray, config: RbfConfig) -> tuple[np.ndarray, np.ndarray, list]:
+    """Fit B surfaces at once: centers ``pts`` (B, n, 2), finite values
+    ``y`` (B, n).
+
+    Returns ``(coeffs, cond, errors)``: ``coeffs`` (B, n + 3) holds each
+    surface's weights (positive kernel convention) then tail coefficients,
+    ``cond`` (B,) the 1-norm condition estimate of its saddle system, and
+    ``errors`` the SingularSystem of each item that could not be fitted
+    (collinear centers, a singular system, non-finite coefficients), else
+    None. The systems are assembled, solved and condition-estimated as one
+    stack, so each item equals its batch of one bit for bit; when one item
+    is singular, the stack is solved item by item. Emits one
+    IllConditionedWarning per fitted item whose estimate exceeds 1e12.
+    """
+    n_sets, n = y.shape
+    errors: list = [None] * n_sets
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    tol = 1e-12 * np.maximum(1.0, np.abs(centered).max(axis=(1, 2), initial=0.0))
+    for i in np.nonzero(np.linalg.matrix_rank(centered, tol=tol) < 2)[0]:
+        errors[i] = SingularSystem("collinear nodes cannot carry a degree-1 tail")
+    a = np.zeros((n_sets, n + 3, n + 3))
+    a[:, :n, :n] = -_kernel_matrix(pts, pts, config.epsilon) + config.smoothing * np.eye(n)
+    a[:, :n, n:] = _tail_matrix(pts)
+    a[:, n:, :n] = a[:, :n, n:].transpose(0, 2, 1)
+    rhs = np.zeros((n_sets, n + 3, 1))
+    rhs[:, :n, 0] = y
+    ok = np.array([e is None for e in errors])
+    coeffs = np.full((n_sets, n + 3), np.nan)
+    cond = np.full(n_sets, np.nan)
+    try:
+        if ok.any():
+            coeffs[ok] = np.linalg.solve(a[ok], rhs[ok])[..., 0]
+            cond[ok] = np.linalg.cond(a[ok], 1)
+    except np.linalg.LinAlgError as exc:
+        if ok.sum() > 1:
+            for i in np.nonzero(ok)[0]:
+                c, k, err = fit_stack(pts[i:i + 1], y[i:i + 1], config)
+                coeffs[i], cond[i], errors[i] = c[0], k[0], err[0]
+            return coeffs, cond, errors
+        errors[int(np.argmax(ok))] = SingularSystem(f"saddle system is singular: {exc}")
+        ok[:] = False
+    coeffs[:, :n] = -coeffs[:, :n]  # back to the positive kernel convention
+    for i in np.nonzero(ok & ~np.isfinite(coeffs).all(axis=1))[0]:
+        errors[i] = SingularSystem("saddle system solve produced non-finite coefficients")
+    for i, c in enumerate(cond):
+        if errors[i] is None and c > CONDITION_WARN_THRESHOLD:
+            warnings.warn(
+                f"rbf system condition estimate {c:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}",
+                IllConditionedWarning,
+                stacklevel=3,
+            )
+    return coeffs, cond, errors
+
+
+def eval_stack(centers: np.ndarray, coeffs: np.ndarray, queries: np.ndarray, epsilon: float) -> np.ndarray:
+    """Values of B surfaces (``fit_stack`` coefficients on (B, n, 2)
+    centers) at their own (B, k, 2) queries, (B, k)."""
+    n = centers.shape[1]
+    out = _kernel_matrix(queries, centers, epsilon) @ coeffs[:, :n, None]
+    return (out + _tail_matrix(queries) @ coeffs[:, n:, None])[..., 0]
+
+
 def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
     """Fit the multiquadric RBF surface through (points, values).
 
@@ -94,7 +158,8 @@ def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
     InsufficientNodes for fewer than 3 nodes, and SingularSystem for
     duplicate centers or collinear nodes (which cannot carry the degree-1
     tail); emits IllConditionedWarning and flags the surface when the
-    condition estimate exceeds 1e12, but still returns the fit.
+    condition estimate exceeds 1e12, but still returns the fit. This is
+    ``fit_stack`` on a batch of one.
     """
     config = config if config is not None else RbfConfig()
     try:
@@ -109,59 +174,24 @@ def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
         raise NonFiniteInput("rbf fit values must be finite")
     if n < 3:
         raise InsufficientNodes(f"rbf fit needs >= 3 nodes for its degree-1 tail, got {n}")
-    centered = pts - pts.mean(axis=0)
-    if np.linalg.matrix_rank(centered, tol=1e-12 * max(1.0, np.abs(centered).max())) < 2:
-        raise SingularSystem("collinear nodes cannot carry a degree-1 tail")
-    k = _kernel_matrix(pts, pts, config.epsilon)
-    p = _tail_matrix(pts)
-    a = np.zeros((n + 3, n + 3))
-    a[:n, :n] = -k + config.smoothing * np.eye(n)
-    a[:n, n:] = p
-    a[n:, :n] = p.T
-    rhs = np.concatenate([y, np.zeros(3)])
-    try:
-        sol = np.linalg.solve(a, rhs)
-        cond = float(np.linalg.cond(a, 1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"saddle system is singular: {exc}") from exc
-    sol[:n] = -sol[:n]  # back to the positive kernel convention
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("saddle system solve produced non-finite coefficients")
-    ill = bool(cond > CONDITION_WARN_THRESHOLD)
-    if ill:
-        warnings.warn(
-            f"rbf system condition estimate {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
+    (coeffs,), (cond,), (error,) = fit_stack(pts[None], y[None], config)
+    if error is not None:
+        raise error
     return RbfSurface(
         centers=pts,
-        weights=sol[:n],
-        tail_coeffs=sol[n:],
+        weights=coeffs[:n],
+        tail_coeffs=coeffs[n:],
         config=config,
-        condition_estimate=cond,
-        ill_conditioned=ill,
+        condition_estimate=float(cond),
+        ill_conditioned=bool(cond > CONDITION_WARN_THRESHOLD),
     )
 
 
 def eval_rbf(surface: RbfSurface, queries) -> np.ndarray:
-    """Surface values at (k, 2) query points; finite everywhere in the plane."""
+    """Surface values at (k, 2) query points; finite everywhere in the plane.
+    This is ``eval_stack`` on a batch of one."""
     q = np.asarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValueError(f"expected (k, 2) query coordinates, got shape {q.shape}")
-    out = _kernel_matrix(q, surface.centers, surface.config.epsilon) @ surface.weights
-    return out + _tail_matrix(q) @ surface.tail_coeffs
-
-
-def smoothing_residual(surface: RbfSurface, points, values) -> tuple[float, float]:
-    """Diagnostics of the penalized objective at the fitted surface.
-
-    Returns (data_residual, kernel_energy): the sum of squared data misfits
-    sum_i (y_i - s(x_i))^2 and the roughness term w^T K w.
-    """
-    pts = as_points(points)
-    y = np.asarray(values, dtype=float)
-    resid = y - eval_rbf(surface, pts)
-    k = _kernel_matrix(surface.centers, surface.centers, surface.config.epsilon)
-    energy = float(surface.weights @ k @ surface.weights)
-    return float(resid @ resid), energy
+    coeffs = np.concatenate([surface.weights, surface.tail_coeffs])
+    return eval_stack(surface.centers[None], coeffs[None], q[None], surface.config.epsilon)[0]

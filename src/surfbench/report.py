@@ -13,7 +13,8 @@ cells are formatted by ``_fmt`` alone. File formats are pinned:
   summary.csv  regime,output,method,runs,rmse_mean,rmse_ci_lo,rmse_ci_hi,
                mae_mean,r2_mean,r2_ci_lo,r2_ci_hi
   settings.csv key,value rows that round-trip into an ExperimentConfig
-  meta.json    every written file, the config hash, and the total runtime
+  meta.json    every written file, the config hash, the total runtime, the
+               record count and run counts per regime, method and reason
 """
 
 from __future__ import annotations

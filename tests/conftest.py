@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from surfbench.config import ExperimentConfig
 from surfbench.protocol import execute_experiment
 from surfbench.report import summarize
-from surfbench.synthdata import generate
+from surfbench.synthdata import DesignSpec, generate
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,33 @@ def min_separated(rng, n, minsep, box=1.0, max_tries=4000):
         if all(np.hypot(*(p - q)) > minsep for q in pts):
             pts.append(p)
     return np.array(pts)
+
+
+def near_collinear(rng, log10_offset):
+    """3 to 11 nodes on a random line through the origin, each moved off it
+    by a Gaussian offset of scale 10**log10_offset."""
+    n = int(rng.integers(3, 12))
+    offset = rng.normal(scale=10.0 ** log10_offset, size=(n, 2))
+    return np.outer(np.sort(rng.random(n)), rng.normal(size=2)) + offset
+
+
+@st.composite
+def order_probe_sets(draw):
+    """Subsets of slice lattices (levels such as 4/3 and 5/3 are not evenly
+    spaced in floating point), near-collinear sets and random sets.
+
+    Near-collinear offsets stay at least 1000 times above the predicates'
+    1e-12 snap band; closer to it the snapped in-circle test is not
+    transitive and a node can end up strictly inside a circumcircle.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lattice", "near_collinear", "random"]))
+    if kind == "lattice":
+        levels = st.integers(2, 7)
+        spec = DesignSpec(x1_levels=draw(levels), x2_levels=draw(levels), x3_levels=draw(levels))
+        a, b = draw(st.sampled_from([("x1", "x2"), ("x1", "x3"), ("x2", "x3")]))
+        lattice = np.array([[u, v] for u in spec.axis_levels(a) for v in spec.axis_levels(b)])
+        return lattice[rng.random(len(lattice)) < draw(st.floats(0.3, 1.0))]
+    if kind == "near_collinear":
+        return near_collinear(rng, rng.uniform(-9, -3))
+    return min_separated(rng, int(rng.integers(3, 20)), 0.05)

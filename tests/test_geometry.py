@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import min_separated
+from conftest import min_separated, near_collinear, order_probe_sets
 from surfbench.errors import (
     DegenerateGeometry,
     DuplicateNodes,
@@ -29,7 +29,6 @@ from surfbench.geometry import (
     separation_distance,
     triangulate,
 )
-from surfbench.synthdata import DesignSpec
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -72,36 +71,6 @@ def assert_canonical_delaunay(tri):
         q = apex.get((v, u))
         if q is not None and incircle_sign(pts[p], pts[u], pts[v], pts[q]) == 0:
             assert sorted([pts[u], pts[v]]) < sorted([pts[p], pts[q]])
-
-
-def near_collinear(rng, log10_offset):
-    """3 to 11 nodes on a random line through the origin, each moved off it
-    by a Gaussian offset of scale 10**log10_offset."""
-    n = int(rng.integers(3, 12))
-    offset = rng.normal(scale=10.0 ** log10_offset, size=(n, 2))
-    return np.outer(np.sort(rng.random(n)), rng.normal(size=2)) + offset
-
-
-@st.composite
-def order_probe_sets(draw):
-    """Subsets of slice lattices (levels such as 4/3 and 5/3 are not evenly
-    spaced in floating point), near-collinear sets and random sets.
-
-    Near-collinear offsets stay at least 1000 times above the predicates'
-    1e-12 snap band; closer to it the snapped in-circle test is not
-    transitive and a node can end up strictly inside a circumcircle.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["lattice", "near_collinear", "random"]))
-    if kind == "lattice":
-        levels = st.integers(2, 7)
-        spec = DesignSpec(x1_levels=draw(levels), x2_levels=draw(levels), x3_levels=draw(levels))
-        a, b = draw(st.sampled_from([("x1", "x2"), ("x1", "x3"), ("x2", "x3")]))
-        lattice = np.array([[u, v] for u in spec.axis_levels(a) for v in spec.axis_levels(b)])
-        return lattice[rng.random(len(lattice)) < draw(st.floats(0.3, 1.0))]
-    if kind == "near_collinear":
-        return near_collinear(rng, rng.uniform(-9, -3))
-    return min_separated(rng, int(rng.integers(3, 20)), 0.05)
 
 
 def triangulation_outcome(pts, check_delaunay=True):

@@ -5,9 +5,13 @@ abs 1e-9 + rel 1e-6 rather than byte for byte, because their last digits
 depend on the platform's floating-point libraries.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
+
+from surfbench.cli import run_experiment
+from surfbench.protocol import reason_histogram
 
 REASONS = {
     ("cubic", "ok"): 402,
@@ -59,6 +63,18 @@ SUMMARY = (
 
 def test_reason_histogram(full_run):
     assert Counter((r.method, r.reason) for r in full_run) == REASONS
+
+
+def test_meta_reason_histogram(default_config, full_run, tmp_path, capsys):
+    run_experiment(default_config, tmp_path)
+    capsys.readouterr()
+    reasons = json.loads((tmp_path / "meta.json").read_text())["reasons"]
+    assert reasons == reason_histogram(full_run)
+    totals = Counter()
+    for by_method in reasons.values():
+        for method, counts in by_method.items():
+            totals.update({(method, reason): n for reason, n in counts.items()})
+    assert totals == REASONS
 
 
 def test_summary_values(summary):

@@ -1,16 +1,24 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
+from conftest import order_probe_sets
 from surfbench import cubic
 from surfbench.config import ExperimentConfig
+from surfbench.geometry import HULL_TOL, convex_hull_polygon, hull_cover, locate, triangulate
 from surfbench.metrics import MetricSet
 from surfbench.protocol import (
     AXES,
     REGIMES,
     RunRecord,
     SliceTask,
+    SplitPlan,
+    _cubic_record,
+    _rbf_record,
+    _run_task,
     enumerate_slices,
     execute_experiment,
     make_splits,
@@ -18,7 +26,13 @@ from surfbench.protocol import (
     run_pair,
     valid_run_counts,
 )
-from surfbench.errors import InsufficientNodes
+from surfbench.errors import (
+    DegenerateGeometry,
+    IllConditionedWarning,
+    InsufficientNodes,
+    InterpolationError,
+)
+from surfbench.rbf import fit_rbf
 from surfbench.synthdata import DesignSpec, NoiseSpec, generate
 
 
@@ -222,6 +236,154 @@ class TestRunPair:
             if cubic.valid:
                 assert cubic.metrics.r2 > 0.5
             assert rbf.valid
+
+
+def hull_probes(nodes):
+    """Probes 0, +-0.5, +-2 and +-10 band widths (HULL_TOL times the extent)
+    off every hull edge, at its midpoint and a third of the way along, and
+    off every hull vertex along the bisector of its edge normals. Returns
+    the probes, the signed distance of each to the hull (positive outside,
+    the largest over the edge lines) and the band width."""
+    poly = convex_hull_polygon(nodes)
+    band = HULL_TOL * max(np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1]))
+    edge = np.roll(poly, -1, axis=0) - poly
+    length = np.hypot(edge[:, 0], edge[:, 1])[:, None]
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / length
+    bisector = normal + np.roll(normal, 1, axis=0)
+    bisector /= np.hypot(bisector[:, 0], bisector[:, 1])[:, None]
+    steps = np.array([0.0, 0.5, -0.5, 2.0, -2.0, 10.0, -10.0])[None, :, None] * band
+    probes = np.concatenate([
+        (base[:, None, :] + steps * direction[:, None, :]).reshape(-1, 2)
+        for base, direction in ((poly + 0.5 * edge, normal), (poly + edge / 3.0, normal),
+                                (poly, bisector))
+    ])
+    rel = probes[:, None, :] - poly[None, :, :]
+    outside = (edge[:, 1] * rel[..., 0] - edge[:, 0] * rel[..., 1]) / length[:, 0]
+    return probes, outside.max(axis=1), band
+
+
+class TestHullCover:
+    @settings(max_examples=150, deadline=None)
+    @given(nodes=order_probe_sets())
+    def test_cover_contains_locate_and_equals_it_outside_the_band(self, nodes):
+        assume(len(nodes) >= 3 and len(convex_hull_polygon(nodes)) >= 3)
+        probes, outside, band = hull_probes(nodes)
+        m = len(nodes)
+        covered, trusted = hull_cover(np.vstack([nodes, probes]), np.arange(m)[None],
+                                      np.arange(m, m + len(probes))[None])
+        assume(trusted[0])
+        try:
+            tri = triangulate(nodes)
+        except InterpolationError:
+            return  # a node within the predicate band of a hull edge
+        located = locate(tri, probes)[0] >= 0
+        assert not (located & ~covered[0]).any()
+        far = np.abs(outside) > 1.01 * band
+        np.testing.assert_array_equal(covered[0][far], located[far])
+
+    def test_collinear_and_nearly_flat_training_sets_are_not_trusted(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+        row = np.column_stack([np.arange(5.0) / 3.0, np.full(5, 4.0 / 3.0)])
+        # a node 1e-10 inside the bottom edge makes a flat Delaunay triangle
+        # there, on which locate resolves coordinates only to about 1e-6
+        turn = np.array([[0.8, -0.6], [0.6, 0.8]])
+        flat = np.vstack([square, [[0.37, 1e-10]]]) @ turn.T
+        # three hull vertices, yet collinear within triangulate's band
+        # relative to its first two nodes
+        sliver = np.array([[0.0, 0.0], [1e-3, 0.0], [1.0, 4e-10]])
+        with pytest.raises(DegenerateGeometry):
+            triangulate(sliver)
+        for nodes, expected in ((square, True), (row, False), (flat, False), (sliver, False)):
+            m = len(nodes)
+            _, trusted = hull_cover(nodes, np.arange(m)[None], np.arange(m - 1, m)[None])
+            assert trusted[0] == expected
+
+
+def reference_records(task, plans, rbf_config):
+    """Each split alone through fit_cubic and fit_rbf."""
+    return [rec for plan in plans
+            for rec in (_cubic_record(task, plan), _rbf_record(task, plan, rbf_config))]
+
+
+def assert_same_records(got, expected):
+    """Field by field, with arrays equal bit for bit."""
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        for field in dataclasses.fields(RunRecord):
+            a, b = getattr(g, field.name), getattr(e, field.name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+            else:
+                assert a == b, field.name
+
+
+class TestStage:
+    @pytest.mark.parametrize("seed", [42, 1009])
+    def test_staged_experiment_equals_per_split_runs(self, seed):
+        config = ExperimentConfig(random_seed=seed, repeats_per_slice=3)
+        dataset = generate(noise=config.noise_spec())
+        per_split, reference = [], []
+        for regime in REGIMES:
+            for task in enumerate_slices(dataset, regime):
+                plans = make_splits(task, 3, config.train_fraction, seed)
+                for plan in plans:
+                    per_split.extend(run_pair(task, plan, config.rbf_config()))
+                reference.extend(reference_records(task, plans, config.rbf_config()))
+        staged = execute_experiment(dataset, config)
+        assert_same_records(staged, per_split)
+        assert_same_records(staged, reference)
+
+    def test_faulty_splits_keep_their_reasons_and_leave_the_others_unchanged(self):
+        xs, ys = np.meshgrid(np.arange(5.0), np.arange(3.0) / 3.0, indexing="ij")
+        pts = np.column_stack([xs.ravel(), ys.ravel()])  # node 3 * i + j
+        values = pts[:, 0] ** 2 + pts[:, 1]
+        values[7] = np.nan
+
+        def plan(train, repeat):
+            train = np.array(sorted(train))
+            return SplitPlan(train, np.setdiff1d(np.arange(15), train), repeat)
+
+        covering = plan([0, 2, 12, 14, 4], 0)  # the four corners: every test node covered
+        partial = plan([0, 1, 3, 4, 6], 1)
+        non_finite = plan([0, 1, 3, 4, 7], 2)  # test nodes outside too
+        collinear = plan([0, 3, 6, 9, 12], 3)  # one lattice row
+        plans = [covering, non_finite, partial, collinear]
+        config = ExperimentConfig().rbf_config()
+        task = make_task(pts, values)
+        records = _run_task(task, plans, config)
+        assert_same_records(records, reference_records(task, plans, config))
+        assert [r.reason for r in records] == [
+            "ok", "ok",
+            "fit_failed:non_finite_input", "fit_failed:non_finite_input",
+            "test_points_outside_support", "ok",
+            "fit_failed:degenerate_geometry", "fit_failed:singular_system",
+        ]
+        alone = _run_task(task, [covering, partial], config)
+        assert_same_records(records[0:2] + records[4:6], alone)
+
+        bad_node = make_task(np.where(np.arange(15)[:, None] == 7, np.nan, pts), pts[:, 0])
+        records = _run_task(bad_node, [covering, non_finite], config)
+        assert_same_records(records, reference_records(bad_node, [covering, non_finite], config))
+        assert records[2].reason == records[3].reason == "fit_failed:non_finite_input"
+
+    def test_one_ill_conditioned_warning_per_flagged_fit(self, default_dataset):
+        config = ExperimentConfig(repeats_per_slice=3, rbf_epsilon=0.04)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            execute_experiment(default_dataset, config)
+        warned = sum(issubclass(w.category, IllConditionedWarning) for w in caught)
+        flagged = fits = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            for regime in REGIMES:
+                for task in enumerate_slices(default_dataset, regime):
+                    for plan in make_splits(task, 3, config.train_fraction, config.random_seed):
+                        fits += 1
+                        flagged += fit_rbf(task.points[plan.train_indices],
+                                           task.values[plan.train_indices],
+                                           config.rbf_config()).ill_conditioned
+        assert 0 < flagged < fits
+        assert warned == flagged
 
 
 class TestMethodContrast:

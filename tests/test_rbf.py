@@ -12,9 +12,10 @@ from surfbench.rbf import (
     RbfConfig,
     _kernel_matrix,
     eval_rbf,
+    eval_stack,
     fit_rbf,
+    fit_stack,
     kernel_mq,
-    smoothing_residual,
 )
 
 
@@ -220,13 +221,47 @@ class TestEval:
             assert gap <= 50.0 * surface.condition_estimate * np.finfo(float).eps * scale
 
 
+class TestStack:
+    def test_stack_items_equal_their_batch_of_one(self):
+        rng = np.random.default_rng(12)
+        for n, k in ((8, 4), (11, 5), (30, 300)):
+            pts = np.stack([min_separated(rng, n, 0.05) for _ in range(7)])
+            values = rng.normal(0.0, 1.0, (7, n))
+            queries = rng.uniform(-0.5, 1.5, (7, k, 2))
+            coeffs, cond, errors = fit_stack(pts, values, RbfConfig())
+            pred = eval_stack(pts, coeffs, queries, RbfConfig().epsilon)
+            assert errors == [None] * 7
+            for i in range(7):
+                surface = fit_rbf(pts[i], values[i])
+                assert coeffs[i].tobytes() == np.concatenate(
+                    [surface.weights, surface.tail_coeffs]).tobytes()
+                assert cond[i] == surface.condition_estimate
+                assert pred[i].tobytes() == eval_rbf(surface, queries[i]).tobytes()
+
+    def test_failing_items_fail_alone(self):
+        rng = np.random.default_rng(13)
+        pts = np.stack([min_separated(rng, 6, 0.15) for _ in range(4)])
+        pts[1, :, 1] = 0.25  # collinear
+        pts[2, 3] = pts[2, 0]  # duplicate centers: a singular system
+        values = rng.normal(0.0, 1.0, (4, 6))
+        coeffs, cond, errors = fit_stack(pts, values, RbfConfig())
+        assert errors[0] is None and errors[3] is None
+        assert isinstance(errors[1], SingularSystem) and "collinear" in str(errors[1])
+        assert isinstance(errors[2], SingularSystem) and "is singular" in str(errors[2])
+        for i in (0, 3):
+            surface = fit_rbf(pts[i], values[i])
+            assert coeffs[i, :6].tobytes() == surface.weights.tobytes()
+            assert cond[i] == surface.condition_estimate
+
+
 class TestSmoothing:
     def test_zero_smoothing_has_zero_data_residual(self):
         rng = np.random.default_rng(9)
         pts = min_separated(rng, 10, 0.15)
         values = rng.normal(0.0, 1.0, len(pts))
         surface = fit_rbf(pts, values)
-        data_residual, _ = smoothing_residual(surface, pts, values)
+        resid = values - eval_rbf(surface, pts)
+        data_residual = float(resid @ resid)
         assert data_residual <= 1e-12 * max(1.0, float(values @ values))
 
     def test_residual_monotone_in_lambda(self):
@@ -236,7 +271,8 @@ class TestSmoothing:
         previous = -1.0
         for lam in (0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0):
             surface = fit_rbf(pts, values, RbfConfig(smoothing=lam))
-            data_residual, _ = smoothing_residual(surface, pts, values)
+            resid = values - eval_rbf(surface, pts)
+            data_residual = float(resid @ resid)
             assert data_residual >= previous - 1e-12
             previous = data_residual
 
