@@ -19,7 +19,7 @@ Evaluation outside the convex hull is undefined and returns NaN; the
 benchmark protocol treats such predictions as missing rather than errors.
 A surface is triangulated when fitted, but its gradients and control nets
 are built on the first evaluation, so a fit whose queries leave the hull
-(``CubicSurface.covers``) never pays for them. Evaluation locates all
+(``CubicSurface.locate``) never pays for them. Evaluation locates all
 queries in one batched pass and sums the Bernstein form over arrays.
 """
 
@@ -197,13 +197,18 @@ class CubicSurface:
     def nets(self) -> np.ndarray:
         return _control_nets(self.tri, self.values, self.gradients)
 
-    def covers(self, queries) -> np.ndarray:
-        """Mask of the queries inside the hull, where the surface is defined."""
-        return locate(self.tri, queries)[0] >= 0
+    def locate(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """``geometry.locate`` on the surface's triangulation: ``t >= 0``
+        marks the queries inside the hull, where the surface is defined."""
+        return locate(self.tri, queries)
 
-    def evaluate(self, queries) -> np.ndarray:
-        """Values at (k, 2) queries; NaN for queries outside the hull."""
-        t, bary = locate(self.tri, queries)
+    def evaluate(self, queries, located=None) -> np.ndarray:
+        """Values at (k, 2) queries; NaN for queries outside the hull.
+
+        ``located`` is ``self.locate(queries)`` when the caller already has
+        it, so the queries are not located twice.
+        """
+        t, bary = self.locate(queries) if located is None else located
         out = np.full(t.size, np.nan)
         hit = t >= 0
         out[hit] = _eval_located(self.nets, t[hit], bary[hit])

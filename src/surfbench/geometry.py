@@ -18,7 +18,6 @@ the triangle set does not depend on the input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -141,9 +140,6 @@ class Triangulation:
     ----------
     points : (n, 2) array of node coordinates.
     triangles : (m, 3) int array, counterclockwise vertex indices.
-    neighbors : (m, 3) int array; ``neighbors[t, k]`` is the triangle across
-        the edge opposite ``triangles[t, k]``, or -1 on the hull. Built on
-        first access.
     hull : int array of hull vertex indices in counterclockwise order,
         including vertices that lie on a hull edge (collinear boundary nodes).
     """
@@ -167,20 +163,6 @@ class Triangulation:
         self._inv[:, 1, 0] = -e1[:, 1] / det
         self._inv[:, 1, 1] = e1[:, 0] / det
 
-    @cached_property
-    def neighbors(self) -> np.ndarray:
-        edge_owner = {}
-        for t, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                edge_owner[(u, v)] = t
-        nbrs = np.full(self.triangles.shape, -1, dtype=np.intp)
-        for t, (a, b, c) in enumerate(self.triangles):
-            nbrs[t, 0] = edge_owner.get((c, b), -1)
-            nbrs[t, 1] = edge_owner.get((a, c), -1)
-            nbrs[t, 2] = edge_owner.get((b, a), -1)
-        nbrs.setflags(write=False)
-        return nbrs
-
     @property
     def n_vertices(self) -> int:
         return self.points.shape[0]
@@ -198,13 +180,6 @@ class Triangulation:
                 if key not in seen:
                     seen.add(key)
                     yield key
-
-    def triangle_areas(self) -> np.ndarray:
-        p = self.points[self.triangles]
-        return 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-        )
 
     def barycentric(self, queries) -> np.ndarray:
         """Barycentric coordinates of each of ``k`` queries w.r.t. every

@@ -263,14 +263,16 @@ def _make_record(task, plan, method, y_pred, reason=None, n_finite=0) -> RunReco
 
 
 def _cubic_record(task: SliceTask, plan: SplitPlan) -> RunRecord:
-    """The cubic run of one split through ``fit_cubic``; ``locate`` decides
-    coverage, before any gradient is estimated."""
+    """The cubic run of one split through ``fit_cubic``; one ``locate``
+    decides coverage, before any gradient is estimated, and places the test
+    points for evaluation."""
     test_pts = task.points[plan.test_indices]
     try:
         surface = fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])
-        covered = surface.covers(test_pts)
+        located = surface.locate(test_pts)
+        covered = located[0] >= 0
         if covered.all():
-            return _make_record(task, plan, "cubic", surface.evaluate(test_pts))
+            return _make_record(task, plan, "cubic", surface.evaluate(test_pts, located))
         return _make_record(task, plan, "cubic", None, "test_points_outside_support",
                             int(np.count_nonzero(covered)))
     except InterpolationError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Philox, SeedSequence
 
 __all__ = [
     "DesignSpec",
@@ -112,13 +112,16 @@ def _noise_draw(noise: NoiseSpec, row_index: int, output_index: int) -> float:
 
     A Philox counter-based stream keyed by the identity tuple supplies a
     53-bit uniform, mapped through the inverse normal CDF. The half-integer
-    offset keeps the uniform strictly inside (0, 1).
+    offset keeps the uniform strictly inside (0, 1). The 53 bits are the top
+    bits of the stream's first 64-bit word, which is exactly what
+    ``Generator(Philox(key)).integers(0, 2**53)`` returns: for a power-of-two
+    range its Lemire draw is ``x >> 11`` and never rejects.
     """
     sigma = noise.sigmas[output_index]
     if sigma == 0.0:
         return 0.0
     key = SeedSequence((noise.master_seed, _NOISE_STREAM_TAG, row_index, output_index))
-    u = (Generator(Philox(key)).integers(0, 2**53) + 0.5) / 2**53
+    u = ((int(Philox(key).random_raw()) >> 11) + 0.5) / 2**53
     return sigma * _STD_NORMAL.inv_cdf(u)
 
 

@@ -70,3 +70,27 @@ def order_probe_sets(draw):
     if kind == "near_collinear":
         return near_collinear(rng, rng.uniform(-9, -3))
     return min_separated(rng, int(rng.integers(3, 20)), 0.05)
+
+
+def neighbors(tri):
+    """(m, 3) int array: ``neighbors(tri)[t, k]`` is the triangle across the
+    edge opposite ``tri.triangles[t, k]``, or -1 on the hull."""
+    edge_owner = {}
+    for t, (a, b, c) in enumerate(tri.triangles):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edge_owner[(u, v)] = t
+    nbrs = np.full(tri.triangles.shape, -1, dtype=np.intp)
+    for t, (a, b, c) in enumerate(tri.triangles):
+        nbrs[t, 0] = edge_owner.get((c, b), -1)
+        nbrs[t, 1] = edge_owner.get((a, c), -1)
+        nbrs[t, 2] = edge_owner.get((b, a), -1)
+    return nbrs
+
+
+def triangle_areas(tri):
+    """Signed area of every triangle, positive when counterclockwise."""
+    p = tri.points[tri.triangles]
+    return 0.5 * (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+    )

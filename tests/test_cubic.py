@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import min_separated
+from conftest import min_separated, neighbors
 from surfbench import cubic, geometry
 from surfbench.cubic import _eval_located, estimate_gradients, fit_cubic
 from surfbench.errors import DegenerateGeometry, InsufficientNodes
@@ -150,10 +150,11 @@ class TestEvalCubic:
         values = np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
         surface = fit_cubic(pts, values)
         tri = surface.tri
+        nbrs = neighbors(tri)
         scale = max(1.0, np.abs(values).max())
         for t in range(tri.n_triangles):
             for k in range(3):
-                t2 = tri.neighbors[t, k]
+                t2 = nbrs[t, k]
                 if t2 < 0:
                     continue
                 i, j = tri.triangles[t, (k + 1) % 3], tri.triangles[t, (k + 2) % 3]
@@ -171,9 +172,10 @@ class TestEvalCubic:
         values = np.cos(2.0 * pts[:, 0]) * pts[:, 1] + pts[:, 0] ** 2
         surface = fit_cubic(pts, values)
         tri = surface.tri
+        nbrs = neighbors(tri)
         for t in range(tri.n_triangles):
             for k in range(3):
-                t2 = tri.neighbors[t, k]
+                t2 = nbrs[t, k]
                 if t2 < 0 or t2 < t:
                     continue
                 i, j = tri.triangles[t, (k + 1) % 3], tri.triangles[t, (k + 2) % 3]

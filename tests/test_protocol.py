@@ -188,9 +188,14 @@ class TestRunPair:
         covered = dataclasses.replace(
             plan, train_indices=np.array([0, 1, 2, 3, 6, 7]), test_indices=np.array([4, 5])
         )
+        located = []
+        original_locate = cubic.locate
+        monkeypatch.setattr(cubic, "locate",
+                            lambda *args: located.append(args) or original_locate(*args))
         full, _ = run_pair(task, covered, ExperimentConfig().rbf_config())
         assert full.valid and full.n_finite == 2
         assert len(calls) == 1
+        assert len(located) == 1  # coverage and evaluation share one locate
 
     def test_collinear_training_subset_invalidates_both(self):
         pts = np.array([

@@ -1,10 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surfbench import cli
+from surfbench import cli, report
 from surfbench.cli import cli_main
 from surfbench.config import ExperimentConfig, load_config
 from surfbench.metrics import MetricSet
@@ -143,6 +146,53 @@ class TestSummarize:
         assert (a.rmse_ci.lower, a.rmse_ci.upper) == (b.rmse_ci.lower, b.rmse_ci.upper)
 
 
+def reference_csv(header, rows) -> bytes:
+    """The per-row writer that ``write_csv`` must match byte for byte."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# Bit patterns the column-wise writer must keep apart or format like _fmt:
+# signed zeros, quiet NaN, -nan, NaN payloads (one signalling), infinities,
+# subnormals, the largest finite values and values near 1e308.
+SPECIAL_BITS = [
+    int(np.array(x).view(np.uint64)) for x in
+    (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+     2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3)
+] + [0x7FF800000000BEEF, 0xFFF8000000000001, 0x7FF0000000000001]
+
+float_bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1),
+                       st.floats(allow_subnormal=True).map(
+                           lambda x: int(np.array(x).view(np.uint64))))
+
+
+@st.composite
+def float_tables(draw):
+    """(rows, cols) float64 arrays whose cells repeat a few drawn values."""
+    pool = draw(st.lists(float_bits, min_size=1, max_size=6))
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(1, 4))
+    bits = draw(st.lists(st.one_of(st.sampled_from(pool), float_bits),
+                         min_size=rows * cols, max_size=rows * cols))
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+
+
+cells = st.one_of(
+    st.text(alphabet="abcxyz-_ .0123456789", max_size=6),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    float_bits.map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))),
+    float_bits.map(lambda b: np.array(b, dtype=np.uint64).view(np.float64)[()]),
+)
+
+
+def mixed_rows():
+    """Lists of two-cell rows mixing str, int, np.int64, bool, None, float
+    and np.float64 cells."""
+    return st.lists(st.tuples(cells, cells), max_size=20)
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("value, text", [
         (0.1, "0.10000000000000001"),
@@ -165,6 +215,36 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         write_csv(path, "a,b,c", [("x", 1, 0.5), ("y", None, True)])
         assert path.read_bytes() == b"a,b,c\nx,1,0.5\ny,NA,true\n"
+
+    @given(table=float_tables(), block=st.sampled_from([1, 3, report.CSV_BLOCK]))
+    @settings(max_examples=150, deadline=None)
+    def test_float_array_matches_per_row_reference(self, tmp_path_factory, table, block):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = ",".join(f"c{j}" for j in range(table.shape[1]))
+        with mock.patch.object(report, "CSV_BLOCK", block):
+            write_csv(path, header, table)
+            assert path.read_bytes() == reference_csv(header, table.tolist())
+            # Row by row, as numpy rows of float64 scalars, gives the same bytes.
+            write_csv(path, header, list(table))
+            assert path.read_bytes() == reference_csv(header, table.tolist())
+
+    @given(rows=mixed_rows(), block=st.sampled_from([1, 3, report.CSV_BLOCK]))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_rows_match_per_row_reference(self, tmp_path_factory, rows, block):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with mock.patch.object(report, "CSV_BLOCK", block):
+            write_csv(path, "a,b", iter(rows))
+        assert path.read_bytes() == reference_csv("a,b", rows)
+
+    @pytest.mark.parametrize("rows", [[], (), np.empty((0, 3))], ids=["list", "tuple", "array"])
+    def test_no_rows_writes_only_the_header(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, "u,v,value", rows)
+        assert path.read_bytes() == b"u,v,value\n"
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", "a,b", [(1, 2), (3,)])
 
 
 class TestRunsCsv:

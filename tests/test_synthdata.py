@@ -1,14 +1,17 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
 from surfbench.report import DATASET_CSV_HEADER, write_dataset_csv
 from surfbench.synthdata import (
     DesignSpec,
     NoiseSpec,
+    _noise_draw,
     add_noise,
     build_design,
     eval_truth,
@@ -106,15 +109,26 @@ class TestNoise:
         # Statistical oracle: the mean of n draws has standard error sigma/sqrt(n).
         noise = NoiseSpec()
         n = 100_000
-        draws = np.array([add_noise((0.0, 0.0, 0.0), noise, i)[0] for i in range(n)])
+        draws = np.array([_noise_draw(noise, i, 0) for i in range(n)])
         assert abs(draws.mean()) < 3.0 * 0.1 / math.sqrt(n)
 
     def test_sample_std_of_output3_draws(self):
         noise = NoiseSpec()
-        draws = np.array(
-            [add_noise((0.0, 0.0, 0.0), noise, i)[2] for i in range(100_000)]
-        )
+        draws = np.array([_noise_draw(noise, i, 2) for i in range(100_000)])
         assert draws.std() == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 1009, 2**31 - 1, 2**63 + 5])
+    def test_draw_equals_the_generator_integers_draw(self, seed):
+        # Differential oracle: the 53-bit uniform drawn through Generator's
+        # bounded-integer path, which _noise_draw replaces by a shift (1 is
+        # the noise stream tag).
+        noise = NoiseSpec(master_seed=seed)
+        for row in range(300):
+            for k in range(3):
+                key = SeedSequence((seed, 1, row, k))
+                u = (Generator(Philox(key)).integers(0, 2**53) + 0.5) / 2**53
+                expected = noise.sigmas[k] * NormalDist().inv_cdf(u)
+                assert _noise_draw(noise, row, k) == expected
 
 
 class TestGenerate:
