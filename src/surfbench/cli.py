@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .protocol import RunRecord, execute_experiment, reason_histogram
+from .protocol import RunRecord, execute_experiment, rbf_condition_summary, reason_histogram
 from .report import (
     diagnose_slices,
     export_pred_vs_true,
@@ -130,6 +130,7 @@ def run_experiment(config: ExperimentConfig, outdir: Path, scatter: bool = False
         "runtime_seconds": time.perf_counter() - started,
         "n_records": len(records),
         "reasons": reason_histogram(records),
+        "rbf_condition": rbf_condition_summary(records),
     }
     write_json(meta, outdir / "meta.json")
     print(table.to_text())

@@ -11,9 +11,9 @@ composite surface is C1 across macro edges as well.
 
 Vertex gradients default to a weighted least-squares fit of a quadratic over
 each vertex's edge-connected neighbors (inverse-distance weights), dropping
-to an affine fit when fewer than 5 neighbors are available. Affine data is
-therefore reproduced exactly, and so is any quadratic when exact gradients
-are supplied.
+to an affine fit when fewer than 5 neighbors are available or the quadratic
+design is rank-deficient. Affine data is therefore reproduced exactly, and
+so is any quadratic when exact gradients are supplied.
 
 Evaluation outside the convex hull is undefined and returns NaN; the
 benchmark protocol treats such predictions as missing rather than errors.
@@ -21,22 +21,113 @@ A surface is triangulated when fitted, but its gradients and control nets
 are built on the first evaluation, so a fit whose queries leave the hull
 (``CubicSurface.locate``) never pays for them. Evaluation locates all
 queries in one batched pass and sums the Bernstein form over arrays.
+
+Several surfaces are evaluated as one stage (``evaluate_stack``): the
+gradients of all their vertices come from one stacked solve
+(``estimate_gradient_stack``: vertices grouped by neighbour count, each
+group solved by one batched SVD with ``lstsq``'s rank cutoff), their
+control nets from one ``_control_nets`` call on the joined triangles, and
+their values from one ``_eval_located`` call. Every step works per vertex,
+triangle or query, so each surface gets bit for bit its batch-of-one
+result; ``estimate_gradients`` and ``CubicSurface.evaluate`` are that
+batch of one.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteInput
 from .geometry import Triangulation, locate, triangulate
 
-__all__ = ["CubicSurface", "estimate_gradients", "fit_cubic"]
+__all__ = ["CubicSurface", "estimate_gradients", "estimate_gradient_stack", "evaluate_stack", "fit_cubic"]
 
 # Vertex order of the three subtriangles, as (outer_start, outer_end) pairs of
 # macro-vertex slots; the split point is vertex 0 of every subtriangle.
 _SUBS = ((0, 1), (1, 2), (2, 0))
+
+
+def _lstsq_head(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.lstsq(a[i], rhs[i], rcond=None)`` for a (G, k, c) stack with
+    k >= c, by one batched SVD: the first two solution coefficients (G, 2)
+    and the rank (G,).
+
+    As in ``lstsq``, singular values at most ``eps * max(k, c) * s_max``
+    count as zero, which gives the minimum-norm solution. The products are
+    elementwise and summed along a fixed axis, so item ``i`` does not depend
+    on the other items (a matmul kernel may change with the batch shape).
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
+    proj = np.divide((u * rhs[:, :, None]).sum(axis=1), s, out=np.zeros_like(s), where=keep)
+    return (vt[:, :, :2] * proj[:, :, None]).sum(axis=1), keep.sum(axis=1)
+
+
+def _vertex_gradients(points: np.ndarray, triangles: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of every vertex of a mesh, (n, 2), and whether its quadratic
+    fit was kept, (n,).
+
+    Each vertex fits z - z_v = g . u + 0.5 u^T H u over its edge-connected
+    neighbours in ascending index order, with ``u = dx / mean dist`` and
+    weights ``1 / dist``. Vertices are grouped by neighbour count ``k`` and
+    each group is solved as one stack (``_lstsq_head``); the quadratic
+    solution is kept where ``k >= 5`` and its rank is 5, else the affine
+    2-column fit is used. Every operation is per vertex, so a vertex's
+    gradient does not depend on the rest of the mesh beyond its neighbours:
+    several meshes can be solved as one disjoint mesh.
+    """
+    n = points.shape[0]
+    t = triangles
+    # every directed edge (src, nbr), sorted: each vertex's neighbours in
+    # ascending order, vertex after vertex
+    src, nbr = np.divmod(np.unique(
+        np.concatenate([t[:, 0], t[:, 1], t[:, 2], t[:, 1], t[:, 2], t[:, 0]]) * n
+        + np.concatenate([t[:, 1], t[:, 2], t[:, 0], t[:, 0], t[:, 1], t[:, 2]])), n)
+    dx = points[nbr] - points[src]
+    dist = np.hypot(dx[:, 0], dx[:, 1])
+    w = 1.0 / dist
+    rhs = (z[nbr] - z[src]) * w
+    counts = np.bincount(src, minlength=n)
+    start = np.cumsum(counts) - counts
+    grads = np.empty((n, 2))
+    quadratic = np.zeros(n, dtype=bool)
+    for k in np.unique(counts).tolist():
+        verts = np.nonzero(counts == k)[0]
+        rows = start[verts, None] + np.arange(k)
+        scale = dist[rows].mean(axis=1)
+        u = dx[rows] / scale[:, None, None]
+        wk = w[rows, None]
+        if k < 5:
+            coef = _lstsq_head(u * wk, rhs[rows])[0]
+        else:
+            u0, u1 = u[..., 0], u[..., 1]
+            design = np.stack([u0, u1, 0.5 * u0 ** 2, u0 * u1, 0.5 * u1 ** 2], axis=-1)
+            coef, rank = _lstsq_head(design * wk, rhs[rows])
+            kept = rank == 5
+            quadratic[verts] = kept
+            if not kept.all():
+                affine = ~kept
+                coef[affine] = _lstsq_head(u[affine] * wk[affine], rhs[rows[affine]])[0]
+        grads[verts] = coef / scale[:, None]
+    return grads, quadratic
+
+
+def _joined(tris) -> tuple[np.ndarray, np.ndarray]:
+    """Points and triangles of several triangulations as one mesh of
+    disjoint pieces: each piece's vertex indices are offset past the
+    previous pieces' vertices."""
+    offsets = np.cumsum([0] + [tri.n_vertices for tri in tris[:-1]])
+    return (np.concatenate([tri.points for tri in tris]),
+            np.concatenate([tri.triangles + off for tri, off in zip(tris, offsets)]))
+
+
+def estimate_gradient_stack(tris, values) -> list[np.ndarray]:
+    """Vertex gradients of several surfaces, (n_i, 2) each, from one stacked
+    solve over the joined mesh; item ``i`` equals
+    ``estimate_gradients(tris[i], values[i])`` bit for bit."""
+    points, triangles = _joined(tris)
+    grads, _ = _vertex_gradients(points, triangles, np.concatenate(values))
+    return np.split(grads, np.cumsum([tri.n_vertices for tri in tris])[:-1])
 
 
 def estimate_gradients(tri: Triangulation, values) -> np.ndarray:
@@ -46,49 +137,25 @@ def estimate_gradients(tri: Triangulation, values) -> np.ndarray:
     vertex's neighbors (affine model when fewer than 5 neighbors, or when the
     quadratic design is rank-deficient). Exact for data from any affine
     function; exact for quadratics at vertices with a well-posed 5-neighbor
-    fit.
+    fit. This is ``estimate_gradient_stack`` on a batch of one.
     """
     z = np.asarray(values, dtype=float)
     n = tri.n_vertices
     if z.shape != (n,):
         raise ValueError(f"expected {n} vertex values, got shape {z.shape}")
-    neighbor_sets: list[set] = [set() for _ in range(n)]
-    for a, b in tri.edges():
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
-    grads = np.empty((n, 2))
-    for v in range(n):
-        nb = sorted(neighbor_sets[v])
-        dx = tri.points[nb] - tri.points[v]
-        dz = z[nb] - z[v]
-        dist = np.hypot(dx[:, 0], dx[:, 1])
-        scale = dist.mean()
-        u = dx / scale
-        w = 1.0 / dist
-        coef = None
-        if len(nb) >= 5:
-            design = np.column_stack(
-                [u[:, 0], u[:, 1], 0.5 * u[:, 0] ** 2, u[:, 0] * u[:, 1], 0.5 * u[:, 1] ** 2]
-            )
-            sol, _, rank, _ = np.linalg.lstsq(design * w[:, None], dz * w, rcond=None)
-            if rank == 5:
-                coef = sol[:2]
-        if coef is None:
-            design = np.column_stack([u[:, 0], u[:, 1]])
-            coef = np.linalg.lstsq(design * w[:, None], dz * w, rcond=None)[0]
-        grads[v] = coef / scale
-    return grads
+    return estimate_gradient_stack([tri], [z])[0]
 
 
-def _control_nets(tri: Triangulation, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _control_nets(points: np.ndarray, triangles: np.ndarray, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Bezier ordinates of every macro triangle's three subpatches, (m, 3, 10).
 
     The last axis is ordered (b300, b210, b201, b120, b111, b102, b030, b021,
     b012, b003) w.r.t. subtriangle vertices (split point, Va, Vb). Each
-    quantity below is an (m,) array over the triangles.
+    quantity below is an (m,) array over the triangles, computed elementwise,
+    so a triangle's net does not depend on the other triangles passed.
     """
-    corners = tri.triangles.T
-    verts = tuple(tri.points[c].T for c in corners)  # (x, y) rows per corner
+    corners = triangles.T
+    verts = tuple(points[c].T for c in corners)  # (x, y) rows per corner
     f = tuple(z[c] for c in corners)
     g = tuple(grad[c].T for c in corners)
     p1, p2, p3 = verts
@@ -180,22 +247,25 @@ class CubicSurface:
 
     ``gradients`` are the supplied vertex gradients, or estimated from the
     data on first use; ``nets`` are the (m, 3, 10) control nets, built on
-    first use.
+    first use. ``evaluate_stack`` builds both for several surfaces at once.
     """
 
     def __init__(self, tri: Triangulation, values: np.ndarray, gradients: np.ndarray | None = None):
         self.tri = tri
         self.values = values
-        if gradients is not None:
-            self.gradients = gradients  # takes the place of the lazy estimate
+        self._gradients = gradients
+        self._nets = None
 
-    @cached_property
+    @property
     def gradients(self) -> np.ndarray:
-        return estimate_gradients(self.tri, self.values)
+        if self._gradients is None:
+            (self._gradients,) = estimate_gradient_stack([self.tri], [self.values])
+        return self._gradients
 
-    @cached_property
+    @property
     def nets(self) -> np.ndarray:
-        return _control_nets(self.tri, self.values, self.gradients)
+        _build_nets([self])
+        return self._nets
 
     def locate(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """``geometry.locate`` on the surface's triangulation: ``t >= 0``
@@ -206,13 +276,55 @@ class CubicSurface:
         """Values at (k, 2) queries; NaN for queries outside the hull.
 
         ``located`` is ``self.locate(queries)`` when the caller already has
-        it, so the queries are not located twice.
+        it, so the queries are not located twice. This is
+        ``evaluate_stack`` on a batch of one.
         """
-        t, bary = self.locate(queries) if located is None else located
-        out = np.full(t.size, np.nan)
-        hit = t >= 0
-        out[hit] = _eval_located(self.nets, t[hit], bary[hit])
-        return out
+        return evaluate_stack([self], [self.locate(queries) if located is None else located])[0]
+
+
+def _build_nets(surfaces) -> None:
+    """Control nets of the surfaces that lack them: their missing gradients
+    come from one ``estimate_gradient_stack`` call (supplied gradients are
+    kept), and all their nets from one ``_control_nets`` call on the joined
+    mesh."""
+    todo = [s for s in surfaces if s._nets is None]
+    if not todo:
+        return
+    unknown = [s for s in todo if s._gradients is None]
+    if unknown:
+        grads = estimate_gradient_stack([s.tri for s in unknown], [s.values for s in unknown])
+        for surface, g in zip(unknown, grads):
+            surface._gradients = g
+    points, triangles = _joined([s.tri for s in todo])
+    nets = _control_nets(points, triangles, np.concatenate([s.values for s in todo]),
+                         np.concatenate([s._gradients for s in todo]))
+    for surface, net in zip(todo, np.split(nets, np.cumsum([s.tri.n_triangles for s in todo])[:-1])):
+        surface._nets = net
+
+
+def evaluate_stack(surfaces, located) -> list[np.ndarray]:
+    """Values of several surfaces, each at its own located queries
+    (``located[i]`` is ``surfaces[i].locate(queries_i)``); NaN outside the
+    hull. Missing gradients and nets are built for all surfaces at once
+    (``_build_nets``) and every located query is evaluated in one
+    ``_eval_located`` call; item ``i`` equals ``surfaces[i].evaluate`` bit
+    for bit."""
+    if not surfaces:
+        return []
+    _build_nets(surfaces)
+    offsets = np.cumsum([0] + [s.tri.n_triangles for s in surfaces[:-1]])
+    hits = [t >= 0 for t, _ in located]
+    values = _eval_located(
+        np.concatenate([s._nets for s in surfaces]),
+        np.concatenate([t[hit] + off for (t, _), hit, off in zip(located, hits, offsets)]),
+        np.concatenate([bary[hit] for (_, bary), hit in zip(located, hits)]),
+    )
+    out = []
+    for hit, part in zip(hits, np.split(values, np.cumsum([h.sum() for h in hits])[:-1])):
+        pred = np.full(hit.size, np.nan)
+        pred[hit] = part
+        out.append(pred)
+    return out
 
 
 def fit_cubic(points, values, gradients=None) -> CubicSurface:

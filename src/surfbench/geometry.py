@@ -171,16 +171,6 @@ class Triangulation:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def edges(self):
-        """Undirected edges as sorted index pairs (deterministic order)."""
-        seen = set()
-        for a, b, c in self.triangles:
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    yield key
-
     def barycentric(self, queries) -> np.ndarray:
         """Barycentric coordinates of each of ``k`` queries w.r.t. every
         triangle, (k, m, 3)."""

@@ -32,7 +32,9 @@ All splits of a task run as one stage (``_run_task``):
    Splits the hull test cannot vouch for (a training set that may be
    collinear, or with a nearly flat triple on its hull) and splits whose
    test points are all covered go to ``fit_cubic``, whose ``locate`` is
-   authoritative.
+   authoritative. The surfaces on which ``locate`` finds every test point
+   are then evaluated as one stack (``cubic.evaluate_stack``: one gradient
+   solve, one control-net build and one evaluation for the task).
 2. The RBF systems of all splits are assembled, solved and
    condition-estimated as one stack (``rbf.fit_stack``) and evaluated as
    one batch; each item equals ``fit_rbf``/``eval_rbf`` bit for bit.
@@ -40,6 +42,9 @@ All splits of a task run as one stage (``_run_task``):
    (non-finite values, collinear nodes, a singular system or non-finite
    coefficients), runs alone through ``fit_cubic``/``fit_rbf``, so it keeps
    exactly its ``fit_failed:*`` reason.
+
+Each RBF record keeps its fit's condition estimate (``condition_estimate``);
+``rbf_condition_summary`` aggregates them per regime for ``meta.json``.
 
 ``run_pair`` is this stage on a single split.
 """
@@ -53,11 +58,11 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .config import ExperimentConfig
-from .cubic import fit_cubic
+from .cubic import evaluate_stack, fit_cubic
 from .errors import InsufficientNodes, InterpolationError, reason_code
 from .geometry import as_points, hull_cover
 from .metrics import MetricSet, compute_metrics
-from .rbf import RbfConfig, eval_rbf, eval_stack, fit_rbf, fit_stack
+from .rbf import CONDITION_WARN_THRESHOLD, RbfConfig, eval_rbf, eval_stack, fit_rbf, fit_stack
 from .synthdata import FactorialDataset
 
 __all__ = [
@@ -74,6 +79,7 @@ __all__ = [
     "execute_experiment",
     "valid_run_counts",
     "reason_histogram",
+    "rbf_condition_summary",
 ]
 
 log = logging.getLogger(__name__)
@@ -146,6 +152,7 @@ class RunRecord:
     y_pred: np.ndarray
     train_indices: np.ndarray
     test_indices: np.ndarray
+    condition_estimate: float | None = None  # of the RBF saddle system; None for cubic and failed runs
 
 
 def enumerate_slices(dataset: FactorialDataset, regime: str) -> list[SliceTask]:
@@ -220,7 +227,7 @@ def make_splits(
     return plans
 
 
-def _make_record(task, plan, method, y_pred, reason=None, n_finite=0) -> RunRecord:
+def _make_record(task, plan, method, y_pred, reason=None, n_finite=0, condition_estimate=None) -> RunRecord:
     """Record of one run; ``y_pred`` None marks a run that made no
     predictions, with ``reason`` and ``n_finite`` given by the caller."""
     y_true = task.values[plan.test_indices]
@@ -259,31 +266,47 @@ def _make_record(task, plan, method, y_pred, reason=None, n_finite=0) -> RunReco
         y_pred=np.asarray(y_pred, dtype=float),
         train_indices=plan.train_indices,
         test_indices=plan.test_indices,
+        condition_estimate=condition_estimate,
     )
 
 
-def _cubic_record(task: SliceTask, plan: SplitPlan) -> RunRecord:
-    """The cubic run of one split through ``fit_cubic``; one ``locate``
-    decides coverage, before any gradient is estimated, and places the test
-    points for evaluation."""
-    test_pts = task.points[plan.test_indices]
-    try:
-        surface = fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])
-        located = surface.locate(test_pts)
+def _cubic_records(task: SliceTask, plans: list[SplitPlan]) -> list[RunRecord]:
+    """The cubic runs of splits: each is fitted by ``fit_cubic`` and located
+    alone, so a failing split keeps its reason code, and its one ``locate``
+    decides coverage before any gradient is estimated. The covered splits
+    are then evaluated as one stack (``cubic.evaluate_stack``)."""
+    records: list = [None] * len(plans)
+    pending = []
+    for i, plan in enumerate(plans):
+        try:
+            surface = fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])
+            located = surface.locate(task.points[plan.test_indices])
+        except InterpolationError as exc:
+            records[i] = _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
+            continue
         covered = located[0] >= 0
         if covered.all():
-            return _make_record(task, plan, "cubic", surface.evaluate(test_pts, located))
-        return _make_record(task, plan, "cubic", None, "test_points_outside_support",
-                            int(np.count_nonzero(covered)))
-    except InterpolationError as exc:
-        return _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
+            pending.append((i, surface, located))
+        else:
+            records[i] = _make_record(task, plan, "cubic", None, "test_points_outside_support",
+                                      int(np.count_nonzero(covered)))
+    preds = evaluate_stack([surface for _, surface, _ in pending], [loc for *_, loc in pending])
+    for (i, _, _), pred in zip(pending, preds):
+        records[i] = _make_record(task, plans[i], "cubic", pred)
+    return records
+
+
+def _cubic_record(task: SliceTask, plan: SplitPlan) -> RunRecord:
+    """The cubic run of one split: ``_cubic_records`` on a batch of one."""
+    return _cubic_records(task, [plan])[0]
 
 
 def _rbf_record(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> RunRecord:
     """The RBF run of one split through ``fit_rbf``."""
     try:
         surface = fit_rbf(task.points[plan.train_indices], task.values[plan.train_indices], rbf_config)
-        return _make_record(task, plan, "rbf", eval_rbf(surface, task.points[plan.test_indices]))
+        return _make_record(task, plan, "rbf", eval_rbf(surface, task.points[plan.test_indices]),
+                            condition_estimate=surface.condition_estimate)
     except InterpolationError as exc:
         return _make_record(task, plan, "rbf", None, reason=f"fit_failed:{reason_code(exc)}")
 
@@ -314,25 +337,29 @@ def _run_task(task: SliceTask, plans: list[SplitPlan], rbf_config: RbfConfig) ->
     finite = np.isfinite(task.values[train]).all(axis=1)
     covered, trusted = hull_cover(task.points, train, test)
 
-    rbf_pred: dict[int, np.ndarray] = {}
+    rbf_fits: dict[int, tuple[np.ndarray, float]] = {}
     stack = np.nonzero(finite)[0]
     if stack.size:
         centers = task.points[train[stack]]
-        coeffs, _, errors = fit_stack(centers, task.values[train[stack]], rbf_config)
+        coeffs, cond, errors = fit_stack(centers, task.values[train[stack]], rbf_config)
         fitted = np.array([e is None for e in errors])
         pred = eval_stack(centers[fitted], coeffs[fitted], task.points[test[stack[fitted]]],
                           rbf_config.epsilon)
-        rbf_pred = dict(zip(stack[fitted].tolist(), pred))
+        rbf_fits = dict(zip(stack[fitted].tolist(), zip(pred, cond[fitted].tolist())))
 
+    outside = finite & trusted & ~covered.all(axis=1)
+    fit = np.nonzero(~outside)[0].tolist()
+    cubic_runs = dict(zip(fit, _cubic_records(task, [plans[i] for i in fit])))
     records = []
     for i, plan in enumerate(plans):
-        if finite[i] and trusted[i] and not covered[i].all():
+        if outside[i]:
             records.append(_make_record(task, plan, "cubic", None, "test_points_outside_support",
                                         int(np.count_nonzero(covered[i]))))
         else:
-            records.append(_cubic_record(task, plan))
-        if i in rbf_pred:
-            records.append(_make_record(task, plan, "rbf", rbf_pred[i]))
+            records.append(cubic_runs[i])
+        if i in rbf_fits:
+            pred, cond_i = rbf_fits[i]
+            records.append(_make_record(task, plan, "rbf", pred, condition_estimate=cond_i))
         else:
             records.append(_rbf_record(task, plan, rbf_config))
     return records
@@ -404,3 +431,27 @@ def reason_histogram(records) -> dict[str, dict[str, dict[str, int]]]:
         counts = hist.setdefault(rec.regime, {}).setdefault(rec.method, {})
         counts[rec.reason] = counts.get(rec.reason, 0) + 1
     return hist
+
+
+def rbf_condition_summary(records) -> dict[str, dict[str, float | int | None]]:
+    """The RBF condition estimates per regime: the number of fitted runs
+    (``fits``), how many exceed the ill-conditioning threshold 1e12
+    (``ill_conditioned``), and their ``min``, ``median`` and ``max`` (None
+    without fits)."""
+    estimates: dict[str, list[float]] = {}
+    for rec in records:
+        if rec.method == "rbf":
+            found = estimates.setdefault(rec.regime, [])
+            if rec.condition_estimate is not None:
+                found.append(rec.condition_estimate)
+    out = {}
+    for regime, found in estimates.items():
+        cond = np.array(found)
+        out[regime] = {
+            "fits": int(cond.size),
+            "ill_conditioned": int(np.count_nonzero(cond > CONDITION_WARN_THRESHOLD)),
+            "min": float(cond.min()) if cond.size else None,
+            "median": float(np.median(cond)) if cond.size else None,
+            "max": float(cond.max()) if cond.size else None,
+        }
+    return out

@@ -72,6 +72,18 @@ def order_probe_sets(draw):
     return min_separated(rng, int(rng.integers(3, 20)), 0.05)
 
 
+def edges(tri):
+    """Undirected edges of ``tri`` as sorted index pairs, in the order the
+    triangles first reach them."""
+    seen = set()
+    for a, b, c in tri.triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(u, v), max(u, v))
+            if key not in seen:
+                seen.add(key)
+                yield key
+
+
 def neighbors(tri):
     """(m, 3) int array: ``neighbors(tri)[t, k]`` is the triangle across the
     edge opposite ``tri.triangles[t, k]``, or -1 on the hull."""

@@ -5,18 +5,104 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import min_separated, neighbors
+from conftest import edges, min_separated, neighbors
 from surfbench import cubic, geometry
-from surfbench.cubic import _eval_located, estimate_gradients, fit_cubic
-from surfbench.errors import DegenerateGeometry, InsufficientNodes
+from surfbench.config import ExperimentConfig
+from surfbench.cubic import (
+    _eval_located,
+    _vertex_gradients,
+    estimate_gradient_stack,
+    estimate_gradients,
+    evaluate_stack,
+    fit_cubic,
+)
+from surfbench.errors import DegenerateGeometry, InsufficientNodes, InterpolationError
 from surfbench.geometry import locate, triangulate
+from surfbench.protocol import enumerate_slices, execute_experiment, make_splits
+from surfbench.synthdata import DesignSpec, generate
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def neighbor_sets(tri):
+    """The edge-connected neighbours of every vertex."""
+    nbrs = [set() for _ in range(tri.n_vertices)]
+    for a, b in edges(tri):
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return nbrs
 
 
 def random_nodes(rng, n, minsep=0.06):
     pts = min_separated(rng, n, minsep)
     return pts if len(pts) >= 3 else None
+
+
+def reference_gradients(tri, values):
+    """The per-vertex ``np.linalg.lstsq`` loop that the stacked solve
+    replaced. Returns the gradients (n, 2), whether the quadratic fit was
+    kept (n,), and for the fit used its 2-norm condition number and its
+    largest coefficient in gradient units (n,)."""
+    n = tri.n_vertices
+    grads = np.empty((n, 2))
+    quadratic = np.zeros(n, dtype=bool)
+    cond = np.empty(n)
+    size = np.empty(n)
+    for v, neighbor_set in enumerate(neighbor_sets(tri)):
+        nb = sorted(neighbor_set)
+        dx = tri.points[nb] - tri.points[v]
+        dz = values[nb] - values[v]
+        dist = np.hypot(dx[:, 0], dx[:, 1])
+        scale = dist.mean()
+        u = dx / scale
+        w = 1.0 / dist
+        designs = [np.column_stack([u[:, 0], u[:, 1]])]
+        if len(nb) >= 5:
+            designs.insert(0, np.column_stack(
+                [u[:, 0], u[:, 1], 0.5 * u[:, 0] ** 2, u[:, 0] * u[:, 1], 0.5 * u[:, 1] ** 2]))
+        for design in designs:
+            sol, _, rank, sv = np.linalg.lstsq(design * w[:, None], dz * w, rcond=None)
+            if rank == design.shape[1] or design.shape[1] == 2:
+                break
+        quadratic[v] = design.shape[1] == 5
+        grads[v] = sol[:2] / scale
+        cond[v] = sv[0] / sv[rank - 1]
+        size[v] = np.abs(sol).max() / scale
+    return grads, quadratic, cond, size
+
+
+def covered_fits(seed):
+    """(triangulation, values) of every cubic fit whose gradients the
+    default experiment of ``seed`` estimates."""
+    fits = []
+    original = cubic.estimate_gradient_stack
+
+    def capture(tris, values):
+        fits.extend(zip(tris, values))
+        return original(tris, values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cubic, "estimate_gradient_stack", capture)
+        config = ExperimentConfig(random_seed=seed)
+        execute_experiment(generate(noise=config.noise_spec()), config)
+    return fits
+
+
+def lattice_fits():
+    """Slice lattices of every 2..7 x 2..7 design, whole and as a random
+    subset, with random values: cocircular cells and collinear rows give
+    rank-deficient quadratic designs."""
+    rng = np.random.default_rng(8)
+    for rows in range(2, 8):
+        for cols in range(2, 8):
+            spec = DesignSpec(x1_levels=rows, x2_levels=cols)
+            lattice = np.array([[u, v] for u in spec.axis_levels("x1") for v in spec.axis_levels("x2")])
+            for nodes in (lattice, lattice[rng.random(len(lattice)) < 0.6]):
+                try:
+                    tri = triangulate(nodes)
+                except InterpolationError:
+                    continue
+                yield tri, rng.normal(size=len(nodes))
 
 
 class TestGradients:
@@ -49,6 +135,75 @@ class TestGradients:
         tri = triangulate(UNIT_SQUARE)
         with pytest.raises(ValueError):
             estimate_gradients(tri, np.zeros(5))
+
+    @pytest.mark.parametrize("source", [42, 1009, 7, "lattice"])
+    def test_stacked_solve_matches_the_lstsq_loop(self, source):
+        # Same quadratic/affine decision at every vertex (about 30 vertices
+        # per seed and 13 lattice vertices have 5 or more neighbours but a
+        # rank-deficient quadratic design); gradients within 64 * cond * eps
+        # of the fit's largest coefficient. The largest gap measured is
+        # 9.5 * cond * eps (seed 1009), and at most 3.1e-14 relative.
+        fits = lattice_fits() if source == "lattice" else covered_fits(source)
+        n_vertices = n_quadratic = 0
+        for tri, values in fits:
+            expected, quadratic, cond, size = reference_gradients(tri, values)
+            grads, kept = _vertex_gradients(tri.points, tri.triangles, values)
+            np.testing.assert_array_equal(kept, quadratic)
+            gap = np.abs(grads - expected).max(axis=1)
+            assert (gap <= 64.0 * cond * np.finfo(float).eps * size).all()
+            n_vertices += tri.n_vertices
+            n_quadratic += int(quadratic.sum())
+        assert 0 < n_quadratic < n_vertices
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(4, 30), min_size=1, max_size=5),
+           data=st.data())
+    def test_mixed_stack_gives_each_surface_its_batch_of_one(self, seed, sizes, data):
+        # a three-node surface (every vertex has 2 neighbours) among random
+        # and lattice sets of 4 to 30 nodes, one with supplied gradients
+        rng = np.random.default_rng(seed)
+        sets = [(UNIT_SQUARE[:3], rng.normal(size=3))]
+        for n in sizes:
+            if data.draw(st.booleans()):
+                nodes = random_nodes(rng, n, minsep=0.5 / math.sqrt(n))
+            else:
+                lattice = np.array([[u, v] for u in range(6) for v in range(5)]) / 3.0
+                nodes = lattice[np.sort(rng.permutation(len(lattice))[:n])]
+            try:
+                triangulate(nodes)
+            except InterpolationError:
+                continue
+            sets.append((nodes, rng.normal(size=len(nodes))))
+        if len(sets) < 2:
+            return
+        rng.shuffle(sets)
+        supplied = data.draw(st.integers(0, len(sets) - 1))
+        given_grads = rng.normal(size=(len(sets[supplied][0]), 2))
+        grads = [given_grads if i == supplied else None for i in range(len(sets))]
+        queries = [rng.uniform(-0.2, 1.9, (int(rng.integers(0, 40)), 2)) for _ in sets]
+
+        surfaces = [fit_cubic(nodes, values, g) for (nodes, values), g in zip(sets, grads)]
+        assert len({len(nb) for s in surfaces for nb in neighbor_sets(s.tri)}) > 1
+        estimated = []
+        original = cubic.estimate_gradient_stack
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cubic, "estimate_gradient_stack",
+                          lambda tris, values: estimated.append(len(tris)) or original(tris, values))
+            stacked = evaluate_stack(surfaces, [s.locate(q) for s, q in zip(surfaces, queries)])
+        assert estimated == [len(sets) - 1]  # the supplied gradients are never re-estimated
+        assert surfaces[supplied].gradients is given_grads
+
+        tris = [s.tri for s in surfaces]
+        for i, ((nodes, values), g, q) in enumerate(zip(sets, grads, queries)):
+            alone = fit_cubic(nodes, values, g)
+            assert stacked[i].tobytes() == alone.evaluate(q).tobytes()
+            assert surfaces[i].nets.tobytes() == alone.nets.tobytes()
+            assert surfaces[i].gradients.tobytes() == alone.gradients.tobytes()
+        one_by_one = [estimate_gradients(tri, values) for tri, (_, values) in zip(tris, sets)]
+        all_at_once = estimate_gradient_stack(tris, [values for _, values in sets])
+        for a, b in zip(all_at_once, one_by_one):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestFitCubic:
@@ -207,7 +362,7 @@ class TestEvalCubic:
         t = locate(surface.tri, [query])[0][0]
         tri_vertices = set(surface.tri.triangles[t].tolist())
         star = set(tri_vertices)
-        for a, b in surface.tri.edges():
+        for a, b in edges(surface.tri):
             if a in tri_vertices:
                 star.add(b)
             if b in tri_vertices:
@@ -242,3 +397,34 @@ class TestEvalCubic:
         truth = a + b * queries[inside, 0] + c * queries[inside, 1]
         scale = max(1.0, abs(a) + abs(b) + abs(c))
         assert np.abs(predictions[inside] - truth).max(initial=0.0) <= 1e-9 * scale
+
+
+class TestScipyOracle:
+    def test_affine_data_reproduced_as_by_clough_tocher(self):
+        # Both interpolants are exact on affine data, whatever their
+        # gradient estimators: ours fits each vertex by least squares,
+        # scipy's minimizes curvature iteratively (tolerance tightened from
+        # its 1e-6 default). Measured worst: 2.7e-14 ours, 1.2e-13 scipy.
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(12)
+        node_sets = [min_separated(rng, int(rng.integers(3, 40)), 0.03) for _ in range(40)]
+        node_sets += [tri.points for tri, _ in lattice_fits()]
+        for task in enumerate_slices(generate(), "noise-free")[::3]:
+            node_sets.append(task.points)
+            node_sets += [task.points[plan.train_indices] for plan in make_splits(task, 3, 0.7, 42)]
+        for nodes in node_sets:
+            try:
+                tri = triangulate(nodes)
+            except InterpolationError:
+                continue
+            a, b, c = rng.normal(scale=5.0, size=3)
+            values = a + b * nodes[:, 0] + c * nodes[:, 1]
+            # queries inside every triangle, kept off its edges
+            weights = 0.9 * rng.dirichlet(np.ones(3), size=(tri.n_triangles, 5)) + 0.1 / 3.0
+            queries = (weights[..., None] * tri.points[tri.triangles][:, None]).sum(axis=2).reshape(-1, 2)
+            plane = a + b * queries[:, 0] + c * queries[:, 1]
+            ours = fit_cubic(nodes, values).evaluate(queries)
+            theirs = interpolate.CloughTocher2DInterpolator(nodes, values, tol=1e-12, maxiter=2000)(queries)
+            scale = np.abs(values).max()
+            assert np.abs(ours - plane).max() <= 1e-12 * scale
+            assert np.abs(theirs - plane).max() <= 1e-12 * scale

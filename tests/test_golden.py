@@ -5,13 +5,15 @@ abs 1e-9 + rel 1e-6 rather than byte for byte, because their last digits
 depend on the platform's floating-point libraries.
 """
 
+import dataclasses
 import json
 from collections import Counter
 
 import numpy as np
 
 from surfbench.cli import run_experiment
-from surfbench.protocol import reason_histogram
+from surfbench.protocol import rbf_condition_summary, reason_histogram
+from surfbench.report import summarize, write_runs_csv, write_summary_csv
 
 REASONS = {
     ("cubic", "ok"): 402,
@@ -68,8 +70,12 @@ def test_reason_histogram(full_run):
 def test_meta_reason_histogram(default_config, full_run, tmp_path, capsys):
     run_experiment(default_config, tmp_path)
     capsys.readouterr()
-    reasons = json.loads((tmp_path / "meta.json").read_text())["reasons"]
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    reasons = meta["reasons"]
     assert reasons == reason_histogram(full_run)
+    assert meta["rbf_condition"] == rbf_condition_summary(full_run)
+    assert {regime: c["fits"] for regime, c in meta["rbf_condition"].items()} == {
+        "noise-free": 1320, "noisy": 1320}
     totals = Counter()
     for by_method in reasons.values():
         for method, counts in by_method.items():
@@ -84,3 +90,13 @@ def test_summary_values(summary):
         actual = (row.rmse_mean, row.rmse_ci.lower, row.rmse_ci.upper, row.mae_mean,
                   row.r2_mean, row.r2_ci.lower, row.r2_ci.upper)
         np.testing.assert_allclose(actual, expected, rtol=1e-6, atol=1e-9, err_msg=str(key))
+
+
+def test_condition_estimates_leave_runs_and_summary_unchanged(default_config, full_run, tmp_path):
+    assert all((r.condition_estimate is not None) == (r.method == "rbf") for r in full_run)
+    bare = [dataclasses.replace(r, condition_estimate=None) for r in full_run]
+    for name, records in (("with", full_run), ("without", bare)):
+        write_runs_csv(records, tmp_path / f"runs_{name}.csv")
+        write_summary_csv(summarize(records, default_config), tmp_path / f"summary_{name}.csv")
+    for table in ("runs", "summary"):
+        assert (tmp_path / f"{table}_with.csv").read_bytes() == (tmp_path / f"{table}_without.csv").read_bytes()

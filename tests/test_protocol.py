@@ -23,6 +23,7 @@ from surfbench.protocol import (
     execute_experiment,
     make_splits,
     method_contrast,
+    rbf_condition_summary,
     run_pair,
     valid_run_counts,
 )
@@ -171,8 +172,8 @@ class TestRunPair:
         values = pts[:, 0] + pts[:, 1] ** 2
         task = make_task(pts, values)
         calls = []
-        original = cubic.estimate_gradients
-        monkeypatch.setattr(cubic, "estimate_gradients",
+        original = cubic.estimate_gradient_stack
+        monkeypatch.setattr(cubic, "estimate_gradient_stack",
                             lambda *args: calls.append(args) or original(*args))
         plan = dataclasses.replace(
             make_splits(task, 1, 0.7, 42)[0],
@@ -195,6 +196,8 @@ class TestRunPair:
         full, _ = run_pair(task, covered, ExperimentConfig().rbf_config())
         assert full.valid and full.n_finite == 2
         assert len(calls) == 1
+        tris, values = calls[0]
+        assert len(tris) == len(values) == 1  # one call, holding one surface
         assert len(located) == 1  # coverage and evaluation share one locate
 
     def test_collinear_training_subset_invalidates_both(self):
@@ -375,7 +378,7 @@ class TestStage:
         config = ExperimentConfig(repeats_per_slice=3, rbf_epsilon=0.04)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            execute_experiment(default_dataset, config)
+            records = execute_experiment(default_dataset, config)
         warned = sum(issubclass(w.category, IllConditionedWarning) for w in caught)
         flagged = fits = 0
         with warnings.catch_warnings():
@@ -389,6 +392,9 @@ class TestStage:
                                            config.rbf_config()).ill_conditioned
         assert 0 < flagged < fits
         assert warned == flagged
+        summary = rbf_condition_summary(records).values()
+        assert sum(s["fits"] for s in summary) == fits
+        assert sum(s["ill_conditioned"] for s in summary) == warned
 
 
 class TestMethodContrast:
