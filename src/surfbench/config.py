@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -42,19 +43,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Numbers arrive as Python or NumPy numbers, or as strings from a
-        # settings file; store each as its field's type, rejecting what
-        # would have to be rounded and floats that are not finite.
+        # settings file; store each as its field's type, rejecting other
+        # types (a bool, null, a list or an object from JSON), what would
+        # have to be rounded, and floats that are not finite.
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int":
-                if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-                value = int(value)
-            elif f.type == "float":
-                value = float(value)
-                if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value!r}")
-            object.__setattr__(self, f.name, value)
+            if f.type not in ("int", "float"):
+                continue
+            kind = "an integer" if f.type == "int" else "a finite number"
+            try:
+                if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+                    raise ValueError
+                number = int(value) if f.type == "int" else float(value)
+                if (isinstance(value, float) and number != value) or (
+                        isinstance(number, float) and not math.isfinite(number)):
+                    raise ValueError  # rounded, or not finite
+            except (ValueError, OverflowError):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}") from None
+            object.__setattr__(self, f.name, number)
         if self.random_seed < 0:
             raise ValueError("random_seed must be >= 0")
         if self.repeats_per_slice < 1:

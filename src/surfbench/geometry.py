@@ -387,7 +387,8 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
     supporting line.
 
     ``trusted`` (B,) is False in two cases. The first is a training set
-    with fewer than three hull vertices, or that ``triangulate`` may find
+    with fewer than three hull vertices (fewer than three nodes cover
+    nothing), or that ``triangulate`` may find
     collinear: within twice its band of the line through the first two
     nodes in (x, y) order, as it tests. The second is a training node nearly on a supporting line, where
     |orientation determinant| lies between FLAT_BAND and FLAT_REL of the
@@ -407,6 +408,8 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
     train = np.asarray(train, dtype=np.intp)
     test = np.asarray(test, dtype=np.intp)
     n_sets, m = train.shape
+    if m < 3:
+        return np.zeros(test.shape, dtype=bool), np.zeros(n_sets, dtype=bool)
     extent = max(np.ptp(p[:, 0]), np.ptp(p[:, 1]))
     sub = p[train]  # (B, m, 2)
 

@@ -19,7 +19,9 @@ undefined outside the training hull) therefore lose runs whenever a split
 pushes any test point off their support, which is what drives the asymmetric
 valid-run counts between the two methods.
 
-All splits of a task run as one stage (``_run_task``):
+All splits of a task run as one stage (``_run_task``), after one check of
+the slice's nodes (``geometry.as_points`` raises NonFiniteInput or
+DuplicateNodes):
 
 1. One vectorized pass (``geometry.hull_cover``) tests every test point
    against its split's training hull. A split whose training values are
@@ -29,19 +31,16 @@ All splits of a task run as one stage (``_run_task``):
    point that ``locate`` would find is hull-covered, so the reason code is
    always right, and the count can differ from ``locate``'s only for a
    point in the band within 1e-8 of the slice extent outside the hull.
-   Splits the hull test cannot vouch for (a training set that may be
-   collinear, or with a nearly flat triple on its hull) and splits whose
-   test points are all covered go to ``fit_cubic``, whose ``locate`` is
+   Every other split (one the hull test cannot vouch for, one with
+   non-finite values, or one with every test point covered) goes to
+   ``fit_cubic``, whose error is its reason and whose ``locate`` is
    authoritative. The surfaces on which ``locate`` finds every test point
    are then evaluated as one stack (``cubic.evaluate_stack``: one gradient
    solve, one control-net build and one evaluation for the task).
 2. The RBF systems of all splits are assembled, solved and
-   condition-estimated as one stack (``rbf.fit_stack``) and evaluated as
-   one batch; each item equals ``fit_rbf``/``eval_rbf`` bit for bit.
-3. A slice whose nodes fail validation, and any split the stack cannot fit
-   (non-finite values, collinear nodes, a singular system or non-finite
-   coefficients), runs alone through ``fit_cubic``/``fit_rbf``, so it keeps
-   exactly its ``fit_failed:*`` reason.
+   condition-estimated as one stack (``rbf.fit_stack``), which gives the
+   reason of every split it cannot fit, and evaluated as one batch; each
+   item equals ``fit_rbf``/``eval_rbf`` bit for bit.
 
 Each RBF record keeps its fit's condition estimate (``condition_estimate``);
 ``rbf_condition_summary`` aggregates them per regime for ``meta.json``.
@@ -62,7 +61,7 @@ from .cubic import evaluate_stack, fit_cubic
 from .errors import InsufficientNodes, InterpolationError, reason_code
 from .geometry import as_points, hull_cover
 from .metrics import MetricSet, compute_metrics
-from .rbf import CONDITION_WARN_THRESHOLD, RbfConfig, eval_rbf, eval_stack, fit_rbf, fit_stack
+from .rbf import CONDITION_WARN_THRESHOLD, RbfConfig, eval_stack, fit_stack
 from .synthdata import FactorialDataset
 
 __all__ = [
@@ -270,98 +269,72 @@ def _make_record(task, plan, method, y_pred, reason=None, n_finite=0, condition_
     )
 
 
-def _cubic_records(task: SliceTask, plans: list[SplitPlan]) -> list[RunRecord]:
-    """The cubic runs of splits: each is fitted by ``fit_cubic`` and located
+def _cubic_records(task: SliceTask, plans: list[SplitPlan], covered: np.ndarray,
+                   trusted: np.ndarray) -> list[RunRecord]:
+    """The cubic runs of splits, given their ``hull_cover`` masks. A trusted
+    split with an uncovered test point is recorded as outside support
+    unfitted. Every other split is fitted by ``fit_cubic`` and located
     alone, so a failing split keeps its reason code, and its one ``locate``
     decides coverage before any gradient is estimated. The covered splits
     are then evaluated as one stack (``cubic.evaluate_stack``)."""
     records: list = [None] * len(plans)
     pending = []
     for i, plan in enumerate(plans):
-        try:
-            surface = fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])
-            located = surface.locate(task.points[plan.test_indices])
-        except InterpolationError as exc:
-            records[i] = _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
-            continue
-        covered = located[0] >= 0
-        if covered.all():
+        found = covered[i]
+        if found.all() or not trusted[i]:
+            try:
+                surface = fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])
+                located = surface.locate(task.points[plan.test_indices])
+            except InterpolationError as exc:
+                records[i] = _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
+                continue
+            found = located[0] >= 0
+        if found.all():
             pending.append((i, surface, located))
         else:
             records[i] = _make_record(task, plan, "cubic", None, "test_points_outside_support",
-                                      int(np.count_nonzero(covered)))
+                                      int(np.count_nonzero(found)))
     preds = evaluate_stack([surface for _, surface, _ in pending], [loc for *_, loc in pending])
     for (i, _, _), pred in zip(pending, preds):
         records[i] = _make_record(task, plans[i], "cubic", pred)
     return records
 
 
-def _cubic_record(task: SliceTask, plan: SplitPlan) -> RunRecord:
-    """The cubic run of one split: ``_cubic_records`` on a batch of one."""
-    return _cubic_records(task, [plan])[0]
-
-
-def _rbf_record(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> RunRecord:
-    """The RBF run of one split through ``fit_rbf``."""
-    try:
-        surface = fit_rbf(task.points[plan.train_indices], task.values[plan.train_indices], rbf_config)
-        return _make_record(task, plan, "rbf", eval_rbf(surface, task.points[plan.test_indices]),
-                            condition_estimate=surface.condition_estimate)
-    except InterpolationError as exc:
-        return _make_record(task, plan, "rbf", None, reason=f"fit_failed:{reason_code(exc)}")
+def _rbf_records(task: SliceTask, plans: list[SplitPlan], train: np.ndarray, test: np.ndarray,
+                 rbf_config: RbfConfig) -> list[RunRecord]:
+    """The RBF runs of splits with (B, m) ``train`` and (B, k) ``test``
+    node indices: one ``fit_stack`` and one ``eval_stack`` call; a split
+    the stack cannot fit is recorded with ``fit_stack``'s reason."""
+    centers = task.points[train]
+    coeffs, cond, errors = fit_stack(centers, task.values[train], rbf_config)
+    fitted = np.array([e is None for e in errors])
+    pred = iter(eval_stack(centers[fitted], coeffs[fitted], task.points[test[fitted]],
+                           rbf_config.epsilon))
+    return [_make_record(task, plan, "rbf", next(pred), condition_estimate=float(c)) if error is None
+            else _make_record(task, plan, "rbf", None, reason=f"fit_failed:{reason_code(error)}")
+            for plan, error, c in zip(plans, errors, cond)]
 
 
 def _run_task(task: SliceTask, plans: list[SplitPlan], rbf_config: RbfConfig) -> list[RunRecord]:
     """Both runs of every split of one task, as one stage (see the module
     docstring): records in plan order, cubic then RBF for each split.
 
-    The plans share one train size, as ``make_splits`` draws them; they are
-    taken PLAN_CHUNK at a time. Plans with fewer than MIN_TRAIN_SIZE
-    training nodes run alone, as a slice that fails validation does.
+    Validates the slice's nodes once, raising NonFiniteInput or
+    DuplicateNodes. The plans share one train size, as ``make_splits``
+    draws them; they are taken PLAN_CHUNK at a time, each chunk with one
+    ``hull_cover`` and one ``fit_stack`` call.
     """
-    if not plans:
-        return []
-    if len(plans) > PLAN_CHUNK:
-        return [rec for lo in range(0, len(plans), PLAN_CHUNK)
-                for rec in _run_task(task, plans[lo:lo + PLAN_CHUNK], rbf_config)]
-    try:
-        as_points(task.points)
-        staged = min(plan.train_indices.size for plan in plans) >= MIN_TRAIN_SIZE
-    except InterpolationError:
-        staged = False
-    if not staged:
-        return [rec for plan in plans
-                for rec in (_cubic_record(task, plan), _rbf_record(task, plan, rbf_config))]
-    train = np.stack([plan.train_indices for plan in plans])
-    test = np.stack([plan.test_indices for plan in plans])
-    finite = np.isfinite(task.values[train]).all(axis=1)
-    covered, trusted = hull_cover(task.points, train, test)
-
-    rbf_fits: dict[int, tuple[np.ndarray, float]] = {}
-    stack = np.nonzero(finite)[0]
-    if stack.size:
-        centers = task.points[train[stack]]
-        coeffs, cond, errors = fit_stack(centers, task.values[train[stack]], rbf_config)
-        fitted = np.array([e is None for e in errors])
-        pred = eval_stack(centers[fitted], coeffs[fitted], task.points[test[stack[fitted]]],
-                          rbf_config.epsilon)
-        rbf_fits = dict(zip(stack[fitted].tolist(), zip(pred, cond[fitted].tolist())))
-
-    outside = finite & trusted & ~covered.all(axis=1)
-    fit = np.nonzero(~outside)[0].tolist()
-    cubic_runs = dict(zip(fit, _cubic_records(task, [plans[i] for i in fit])))
+    as_points(task.points)
     records = []
-    for i, plan in enumerate(plans):
-        if outside[i]:
-            records.append(_make_record(task, plan, "cubic", None, "test_points_outside_support",
-                                        int(np.count_nonzero(covered[i]))))
-        else:
-            records.append(cubic_runs[i])
-        if i in rbf_fits:
-            pred, cond_i = rbf_fits[i]
-            records.append(_make_record(task, plan, "rbf", pred, condition_estimate=cond_i))
-        else:
-            records.append(_rbf_record(task, plan, rbf_config))
+    for lo in range(0, len(plans), PLAN_CHUNK):
+        chunk = plans[lo:lo + PLAN_CHUNK]
+        train = np.stack([plan.train_indices for plan in chunk])
+        test = np.stack([plan.test_indices for plan in chunk])
+        covered, trusted = hull_cover(task.points, train, test)
+        trusted &= np.isfinite(task.values[train]).all(axis=1)  # fit_cubic gives their reason
+        cubic = _cubic_records(task, chunk, covered, trusted)
+        rbf = _rbf_records(task, chunk, train, test, rbf_config)
+        records.extend(rec for pair in zip(cubic, rbf) for rec in pair)
     return records
 
 
@@ -372,7 +345,9 @@ def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[R
     test points outside the training hull is recorded as
     ``test_points_outside_support`` with ``n_finite`` counting the test
     points inside, before any gradient is estimated. Nothing raises for
-    expected degeneracies. This is ``_run_task`` on a single split.
+    expected degeneracies of a split; a slice whose nodes fail validation
+    raises NonFiniteInput or DuplicateNodes. This is ``_run_task`` on a
+    single split.
     """
     cubic_record, rbf_record = _run_task(task, [plan], rbf_config)
     return cubic_record, rbf_record

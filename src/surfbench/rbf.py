@@ -90,25 +90,35 @@ class RbfSurface:
 
 
 def fit_stack(pts: np.ndarray, y: np.ndarray, config: RbfConfig) -> tuple[np.ndarray, np.ndarray, list]:
-    """Fit B surfaces at once: centers ``pts`` (B, n, 2), finite values
-    ``y`` (B, n).
+    """Fit B surfaces at once: centers ``pts`` (B, n, 2), values ``y``
+    (B, n).
 
     Returns ``(coeffs, cond, errors)``: ``coeffs`` (B, n + 3) holds each
     surface's weights (positive kernel convention) then tail coefficients,
     ``cond`` (B,) the 1-norm condition estimate of its saddle system, and
-    ``errors`` the SingularSystem of each item that could not be fitted
-    (collinear centers, a singular system, non-finite coefficients), else
-    None. The systems are assembled, solved and condition-estimated as one
-    stack, so each item equals its batch of one bit for bit; when one item
-    is singular, the stack is solved item by item. Emits one
-    IllConditionedWarning per fitted item whose estimate exceeds 1e12.
+    ``errors`` the reason each item could not be fitted, else None:
+    NonFiniteInput for a NaN or infinite coordinate or value,
+    InsufficientNodes for fewer than 3 centers, and SingularSystem for
+    collinear centers, a singular system or non-finite coefficients, in
+    that order of precedence. The systems are assembled, solved and
+    condition-estimated as one stack, so each item equals its batch of one
+    bit for bit; when one item is singular, the stack is solved item by
+    item. Emits one IllConditionedWarning per fitted item whose estimate
+    exceeds 1e12.
     """
     n_sets, n = y.shape
-    errors: list = [None] * n_sets
+    finite = np.isfinite(pts).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+    errors: list = [None if ok else NonFiniteInput("rbf fit nodes and values must be finite")
+                    for ok in finite]
+    if n < 3:
+        short = InsufficientNodes(f"rbf fit needs >= 3 nodes for its degree-1 tail, got {n}")
+        return np.full((n_sets, n + 3), np.nan), np.full(n_sets, np.nan), [e or short for e in errors]
+    if not finite.all():
+        pts = np.where(finite[:, None, None], pts, 0.0)  # an inf would warn in the arithmetic below
     centered = pts - pts.mean(axis=1, keepdims=True)
     tol = 1e-12 * np.maximum(1.0, np.abs(centered).max(axis=(1, 2), initial=0.0))
     for i in np.nonzero(np.linalg.matrix_rank(centered, tol=tol) < 2)[0]:
-        errors[i] = SingularSystem("collinear nodes cannot carry a degree-1 tail")
+        errors[i] = errors[i] or SingularSystem("collinear nodes cannot carry a degree-1 tail")
     a = np.zeros((n_sets, n + 3, n + 3))
     a[:, :n, :n] = -_kernel_matrix(pts, pts, config.epsilon) + config.smoothing * np.eye(n)
     a[:, :n, n:] = _tail_matrix(pts)
@@ -170,10 +180,6 @@ def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
     n = pts.shape[0]
     if y.shape != (n,):
         raise ValueError(f"expected {n} values, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise NonFiniteInput("rbf fit values must be finite")
-    if n < 3:
-        raise InsufficientNodes(f"rbf fit needs >= 3 nodes for its degree-1 tail, got {n}")
     (coeffs,), (cond,), (error,) = fit_stack(pts[None], y[None], config)
     if error is not None:
         raise error

@@ -50,6 +50,8 @@ class DesignSpec:
     def __post_init__(self):
         for name in ("x1", "x2", "x3"):
             lo, hi = getattr(self, f"{name}_range")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name}_range must have finite ends, got ({lo}, {hi})")
             if not lo < hi:
                 raise ValueError(f"{name}_range must satisfy lower < upper, got ({lo}, {hi})")
             levels = getattr(self, f"{name}_levels")

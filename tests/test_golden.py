@@ -12,7 +12,8 @@ from collections import Counter
 import numpy as np
 
 from surfbench.cli import run_experiment
-from surfbench.protocol import rbf_condition_summary, reason_histogram
+from surfbench.config import ExperimentConfig
+from surfbench.protocol import REGIMES, execute_experiment, rbf_condition_summary, reason_histogram
 from surfbench.report import summarize, write_runs_csv, write_summary_csv
 
 REASONS = {
@@ -65,6 +66,17 @@ SUMMARY = (
 
 def test_reason_histogram(full_run):
     assert Counter((r.method, r.reason) for r in full_run) == REASONS
+
+
+def test_reason_histogram_with_failing_rbf_fits(default_dataset):
+    # one training node in ten: the only kind of config where RBF fits fail
+    # (collinear training sets), so it pins how their reasons are recorded
+    records = execute_experiment(default_dataset, ExperimentConfig(train_fraction=0.1))
+    per_regime = {
+        "cubic": {"fit_failed:degenerate_geometry": 124, "test_points_outside_support": 1196},
+        "rbf": {"fit_failed:singular_system": 124, "ok": 1196},
+    }
+    assert reason_histogram(records) == {regime: per_regime for regime in REGIMES}
 
 
 def test_meta_reason_histogram(default_config, full_run, tmp_path, capsys):

@@ -16,8 +16,7 @@ from surfbench.protocol import (
     RunRecord,
     SliceTask,
     SplitPlan,
-    _cubic_record,
-    _rbf_record,
+    _make_record,
     _run_task,
     enumerate_slices,
     execute_experiment,
@@ -29,11 +28,14 @@ from surfbench.protocol import (
 )
 from surfbench.errors import (
     DegenerateGeometry,
+    DuplicateNodes,
     IllConditionedWarning,
     InsufficientNodes,
     InterpolationError,
+    NonFiniteInput,
+    reason_code,
 )
-from surfbench.rbf import fit_rbf
+from surfbench.rbf import eval_rbf, fit_rbf
 from surfbench.synthdata import DesignSpec, NoiseSpec, generate
 
 
@@ -218,6 +220,8 @@ class TestRunPair:
 
     @pytest.mark.parametrize("bad", ["coordinate", "value"])
     def test_non_finite_training_input_invalidates_both(self, bad):
+        # a non-finite value fails both fits; a non-finite node fails the
+        # slice's validation
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.4],
                         [0.4, 0.5], [0.6, 0.6]])
         values = pts[:, 0] + pts[:, 1] ** 2
@@ -231,8 +235,31 @@ class TestRunPair:
             train_indices=np.arange(5),
             test_indices=np.array([5, 6]),
         )
+        if bad == "coordinate":
+            with pytest.raises(NonFiniteInput):
+                run_pair(task, plan, ExperimentConfig().rbf_config())
+            return
         cubic, rbf = run_pair(task, plan, ExperimentConfig().rbf_config())
         assert cubic.reason == rbf.reason == "fit_failed:non_finite_input"
+
+    def test_duplicate_slice_nodes_raise(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.4],
+                        [0.4, 0.5], [0.0, 0.0]])
+        task = make_task(pts, pts[:, 0] + pts[:, 1] ** 2)
+        plan = SplitPlan(np.arange(5), np.array([5, 6]), 0)
+        with pytest.raises(DuplicateNodes):
+            run_pair(task, plan, ExperimentConfig().rbf_config())
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_fewer_than_three_training_nodes_invalidate_both(self, m):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.4]])
+        task = make_task(pts, pts[:, 0] + pts[:, 1] ** 2)
+        plan = SplitPlan(np.arange(m), np.arange(m, 5), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cubic, rbf = run_pair(task, plan, ExperimentConfig().rbf_config())
+        assert cubic.reason == rbf.reason == "fit_failed:insufficient_nodes"
+        assert cubic.n_test == rbf.n_test == 5 - m
 
     def test_valid_noise_free_run_has_high_r2(self, default_dataset, default_config):
         task = next(
@@ -308,9 +335,29 @@ class TestHullCover:
 
 
 def reference_records(task, plans, rbf_config):
-    """Each split alone through fit_cubic and fit_rbf."""
-    return [rec for plan in plans
-            for rec in (_cubic_record(task, plan), _rbf_record(task, plan, rbf_config))]
+    """Each split alone through the public per-split API: ``fit_cubic`` and
+    ``evaluate``, ``fit_rbf`` and ``eval_rbf``."""
+    records = []
+    for plan in plans:
+        train, test = task.points[plan.train_indices], task.points[plan.test_indices]
+        values = task.values[plan.train_indices]
+        try:
+            pred = cubic.fit_cubic(train, values).evaluate(test)
+            found = np.isfinite(pred)
+            records.append(_make_record(task, plan, "cubic", pred) if found.all() else
+                           _make_record(task, plan, "cubic", None, "test_points_outside_support",
+                                        int(np.count_nonzero(found))))
+        except InterpolationError as exc:
+            records.append(_make_record(task, plan, "cubic", None,
+                                        reason=f"fit_failed:{reason_code(exc)}"))
+        try:
+            surface = fit_rbf(train, values, rbf_config)
+            records.append(_make_record(task, plan, "rbf", eval_rbf(surface, test),
+                                        condition_estimate=surface.condition_estimate))
+        except InterpolationError as exc:
+            records.append(_make_record(task, plan, "rbf", None,
+                                        reason=f"fit_failed:{reason_code(exc)}"))
+    return records
 
 
 def assert_same_records(got, expected):
@@ -370,9 +417,8 @@ class TestStage:
         assert_same_records(records[0:2] + records[4:6], alone)
 
         bad_node = make_task(np.where(np.arange(15)[:, None] == 7, np.nan, pts), pts[:, 0])
-        records = _run_task(bad_node, [covering, non_finite], config)
-        assert_same_records(records, reference_records(bad_node, [covering, non_finite], config))
-        assert records[2].reason == records[3].reason == "fit_failed:non_finite_input"
+        with pytest.raises(NonFiniteInput):
+            _run_task(bad_node, [covering, non_finite], config)
 
     def test_one_ill_conditioned_warning_per_flagged_fit(self, default_dataset):
         config = ExperimentConfig(repeats_per_slice=3, rbf_epsilon=0.04)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import min_separated
-from surfbench.errors import IllConditionedWarning, InsufficientNodes, SingularSystem
+from surfbench.errors import (
+    IllConditionedWarning,
+    InsufficientNodes,
+    InterpolationError,
+    NonFiniteInput,
+    SingularSystem,
+)
 from surfbench.rbf import (
     RbfConfig,
     _kernel_matrix,
@@ -252,6 +258,37 @@ class TestStack:
             surface = fit_rbf(pts[i], values[i])
             assert coeffs[i, :6].tobytes() == surface.weights.tobytes()
             assert cond[i] == surface.condition_estimate
+
+    def test_each_item_fails_as_fit_rbf_does_alone(self):
+        rng = np.random.default_rng(14)
+        pts = np.stack([min_separated(rng, 6, 0.15) for _ in range(5)])
+        values = rng.normal(0.0, 1.0, (5, 6))
+        values[1, 2] = np.nan  # non-finite value
+        pts[2, :, 1] = 0.25  # collinear
+        pts[3, :, 1] = 0.5
+        values[3, 4] = np.inf  # collinear and non-finite: non-finite wins
+        pts[4, 1, 0] = -np.inf  # non-finite coordinate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            coeffs, cond, errors = fit_stack(pts, values, RbfConfig())
+        expected = [None, NonFiniteInput, SingularSystem, NonFiniteInput, NonFiniteInput]
+        assert [type(e) if e else None for e in errors] == expected
+        for i in range(1, 5):
+            with pytest.raises(InterpolationError) as raised:
+                fit_rbf(pts[i], values[i])
+            assert type(raised.value) is type(errors[i])
+        alone = fit_stack(pts[:1], values[:1], RbfConfig())
+        assert coeffs[0].tobytes() == alone[0][0].tobytes()
+        assert cond[0] == alone[1][0]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_centers_are_insufficient(self, n):
+        rng = np.random.default_rng(15)
+        pts = rng.uniform(0.0, 1.0, (3, n, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, errors = fit_stack(pts, np.zeros((3, n)), RbfConfig())
+        assert all(isinstance(e, InsufficientNodes) for e in errors)
 
 
 class TestSmoothing:

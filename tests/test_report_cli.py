@@ -97,6 +97,11 @@ class TestConfig:
             {"repeats_per_slice": 2.7},
             {"grid_resolution": math.nan},
             {"random_seed": -1},
+            {"repeats_per_slice": None},
+            {"random_seed": [1]},
+            {"noise_sigma_output1": {}},
+            {"train_fraction": "abc"},
+            {"rbf_epsilon": True},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -491,6 +496,19 @@ class TestCli:
 
     def test_unknown_command_fails(self, capsys):
         assert cli_main(["bogus"]) != 0
+
+    @pytest.mark.parametrize("entry", [
+        {"repeats_per_slice": None},
+        {"random_seed": [1]},
+        {"noise_sigma_output1": {}},
+        {"train_fraction": "abc"},
+        {"rbf_epsilon": True},
+    ])
+    def test_config_value_of_wrong_type_fails_naming_the_key(self, tmp_path, capsys, entry):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(entry))
+        assert cli_main(["run", "--config", str(path), "--outdir", str(tmp_path / "art")]) == 2
+        assert f"error: {next(iter(entry))} must be" in capsys.readouterr().err
 
     def test_unreadable_config_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -46,6 +46,8 @@ class TestDesign:
             {"x2_levels": 0},
             {"x1_range": (2.0, 1.0)},
             {"x3_range": (4.0, 4.0)},
+            {"x1_range": (1.0, math.inf)},
+            {"x2_range": (-math.inf, 1.0)},
         ],
     )
     def test_invalid_spec_rejected(self, kwargs):
