@@ -17,30 +17,32 @@ so is any quadratic when exact gradients are supplied.
 
 Evaluation outside the convex hull is undefined and returns NaN; the
 benchmark protocol treats such predictions as missing rather than errors.
-A surface is triangulated when fitted, but its gradients and control nets
-are built on the first evaluation, so a fit whose queries leave the hull
-(``CubicSurface.locate``) never pays for them. Evaluation locates all
-queries in one batched pass and sums the Bernstein form over arrays.
+A fitted surface holds its triangulation, its vertex values and any
+supplied gradients; the estimated gradients and the control nets are built
+when it is evaluated. Evaluation locates all queries in one batched pass
+and sums the Bernstein form over arrays.
 
-Several surfaces are evaluated as one stage (``evaluate_stack``): the
-gradients of all their vertices come from one stacked solve
-(``estimate_gradient_stack``: vertices grouped by neighbour count, each
+Several surfaces are evaluated as one stage (``evaluate_stack``): each
+surface's queries are located on its own triangulation, then the
+gradients of all their vertices come from one stacked solve on the joined
+mesh (``_vertex_gradients``: vertices grouped by neighbour count, each
 group solved by one batched SVD with ``lstsq``'s rank cutoff), their
-control nets from one ``_control_nets`` call on the joined triangles, and
-their values from one ``_eval_located`` call. Every step works per vertex,
-triangle or query, so each surface gets bit for bit its batch-of-one
-result; ``estimate_gradients`` and ``CubicSurface.evaluate`` are that
-batch of one.
+control nets from one ``_control_nets`` call and their values from one
+``_eval_located`` call. Every step works per vertex, triangle or query, so
+each surface gets bit for bit its batch-of-one result;
+``CubicSurface.evaluate`` is that batch of one.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteInput
 from .geometry import Triangulation, locate, triangulate
 
-__all__ = ["CubicSurface", "estimate_gradients", "estimate_gradient_stack", "evaluate_stack", "fit_cubic"]
+__all__ = ["CubicSurface", "estimate_gradients", "evaluate_stack", "fit_cubic"]
 
 # Vertex order of the three subtriangles, as (outer_start, outer_end) pairs of
 # macro-vertex slots; the split point is vertex 0 of every subtriangle.
@@ -112,24 +114,6 @@ def _vertex_gradients(points: np.ndarray, triangles: np.ndarray, z: np.ndarray) 
     return grads, quadratic
 
 
-def _joined(tris) -> tuple[np.ndarray, np.ndarray]:
-    """Points and triangles of several triangulations as one mesh of
-    disjoint pieces: each piece's vertex indices are offset past the
-    previous pieces' vertices."""
-    offsets = np.cumsum([0] + [tri.n_vertices for tri in tris[:-1]])
-    return (np.concatenate([tri.points for tri in tris]),
-            np.concatenate([tri.triangles + off for tri, off in zip(tris, offsets)]))
-
-
-def estimate_gradient_stack(tris, values) -> list[np.ndarray]:
-    """Vertex gradients of several surfaces, (n_i, 2) each, from one stacked
-    solve over the joined mesh; item ``i`` equals
-    ``estimate_gradients(tris[i], values[i])`` bit for bit."""
-    points, triangles = _joined(tris)
-    grads, _ = _vertex_gradients(points, triangles, np.concatenate(values))
-    return np.split(grads, np.cumsum([tri.n_vertices for tri in tris])[:-1])
-
-
 def estimate_gradients(tri: Triangulation, values) -> np.ndarray:
     """Per-vertex surface gradients estimated from triangulation neighbors.
 
@@ -137,13 +121,13 @@ def estimate_gradients(tri: Triangulation, values) -> np.ndarray:
     vertex's neighbors (affine model when fewer than 5 neighbors, or when the
     quadratic design is rank-deficient). Exact for data from any affine
     function; exact for quadratics at vertices with a well-posed 5-neighbor
-    fit. This is ``estimate_gradient_stack`` on a batch of one.
+    fit. These are the gradients ``CubicSurface.evaluate`` estimates.
     """
     z = np.asarray(values, dtype=float)
     n = tri.n_vertices
     if z.shape != (n,):
         raise ValueError(f"expected {n} vertex values, got shape {z.shape}")
-    return estimate_gradient_stack([tri], [z])[0]
+    return _vertex_gradients(tri.points, tri.triangles, z)[0]
 
 
 def _control_nets(points: np.ndarray, triangles: np.ndarray, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -242,81 +226,50 @@ def _eval_located(nets: np.ndarray, t: np.ndarray, bary: np.ndarray) -> np.ndarr
     )
 
 
+@dataclass(frozen=True, eq=False)
 class CubicSurface:
-    """A fitted C1 cubic surface over the node set's convex hull.
+    """A fitted C1 cubic surface over the node set's convex hull: its
+    triangulation, vertex values and supplied vertex gradients (None when
+    they are estimated from the values, as ``estimate_gradients`` does)."""
 
-    ``gradients`` are the supplied vertex gradients, or estimated from the
-    data on first use; ``nets`` are the (m, 3, 10) control nets, built on
-    first use. ``evaluate_stack`` builds both for several surfaces at once.
+    tri: Triangulation
+    values: np.ndarray
+    gradients: np.ndarray | None = None
+
+    def evaluate(self, queries) -> np.ndarray:
+        """Values at (k, 2) queries; NaN for queries outside the hull. This
+        is ``evaluate_stack`` on a batch of one."""
+        return evaluate_stack([self], [queries])[0]
+
+
+def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
+    """Values of several surfaces, each at its own (k_i, 2) ``queries[i]``;
+    NaN outside the hull.
+
+    Each surface's queries are located on its triangulation. On the joined
+    mesh of all surfaces (each piece's vertex indices offset past the
+    previous pieces' vertices), one ``_vertex_gradients`` call estimates
+    every gradient, supplied gradients replace their surface's rows, one
+    ``_control_nets`` call builds every net and one ``_eval_located`` call
+    evaluates every located query. Item ``i`` equals
+    ``surfaces[i].evaluate(queries[i])`` bit for bit.
     """
-
-    def __init__(self, tri: Triangulation, values: np.ndarray, gradients: np.ndarray | None = None):
-        self.tri = tri
-        self.values = values
-        self._gradients = gradients
-        self._nets = None
-
-    @property
-    def gradients(self) -> np.ndarray:
-        if self._gradients is None:
-            (self._gradients,) = estimate_gradient_stack([self.tri], [self.values])
-        return self._gradients
-
-    @property
-    def nets(self) -> np.ndarray:
-        _build_nets([self])
-        return self._nets
-
-    def locate(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """``geometry.locate`` on the surface's triangulation: ``t >= 0``
-        marks the queries inside the hull, where the surface is defined."""
-        return locate(self.tri, queries)
-
-    def evaluate(self, queries, located=None) -> np.ndarray:
-        """Values at (k, 2) queries; NaN for queries outside the hull.
-
-        ``located`` is ``self.locate(queries)`` when the caller already has
-        it, so the queries are not located twice. This is
-        ``evaluate_stack`` on a batch of one.
-        """
-        return evaluate_stack([self], [self.locate(queries) if located is None else located])[0]
-
-
-def _build_nets(surfaces) -> None:
-    """Control nets of the surfaces that lack them: their missing gradients
-    come from one ``estimate_gradient_stack`` call (supplied gradients are
-    kept), and all their nets from one ``_control_nets`` call on the joined
-    mesh."""
-    todo = [s for s in surfaces if s._nets is None]
-    if not todo:
-        return
-    unknown = [s for s in todo if s._gradients is None]
-    if unknown:
-        grads = estimate_gradient_stack([s.tri for s in unknown], [s.values for s in unknown])
-        for surface, g in zip(unknown, grads):
-            surface._gradients = g
-    points, triangles = _joined([s.tri for s in todo])
-    nets = _control_nets(points, triangles, np.concatenate([s.values for s in todo]),
-                         np.concatenate([s._gradients for s in todo]))
-    for surface, net in zip(todo, np.split(nets, np.cumsum([s.tri.n_triangles for s in todo])[:-1])):
-        surface._nets = net
-
-
-def evaluate_stack(surfaces, located) -> list[np.ndarray]:
-    """Values of several surfaces, each at its own located queries
-    (``located[i]`` is ``surfaces[i].locate(queries_i)``); NaN outside the
-    hull. Missing gradients and nets are built for all surfaces at once
-    (``_build_nets``) and every located query is evaluated in one
-    ``_eval_located`` call; item ``i`` equals ``surfaces[i].evaluate`` bit
-    for bit."""
     if not surfaces:
         return []
-    _build_nets(surfaces)
-    offsets = np.cumsum([0] + [s.tri.n_triangles for s in surfaces[:-1]])
+    located = [locate(s.tri, q) for s, q in zip(surfaces, queries)]
+    vert_off = np.cumsum([0] + [s.tri.n_vertices for s in surfaces])
+    tri_off = np.cumsum([0] + [s.tri.n_triangles for s in surfaces])
+    points = np.concatenate([s.tri.points for s in surfaces])
+    triangles = np.concatenate([s.tri.triangles + off for s, off in zip(surfaces, vert_off)])
+    z = np.concatenate([s.values for s in surfaces])
+    grads = _vertex_gradients(points, triangles, z)[0]
+    for s, lo, hi in zip(surfaces, vert_off, vert_off[1:]):
+        if s.gradients is not None:
+            grads[lo:hi] = s.gradients
     hits = [t >= 0 for t, _ in located]
     values = _eval_located(
-        np.concatenate([s._nets for s in surfaces]),
-        np.concatenate([t[hit] + off for (t, _), hit, off in zip(located, hits, offsets)]),
+        _control_nets(points, triangles, z, grads),
+        np.concatenate([t[hit] + off for (t, _), hit, off in zip(located, hits, tri_off)]),
         np.concatenate([bary[hit] for (_, bary), hit in zip(located, hits)]),
     )
     out = []
@@ -332,7 +285,7 @@ def fit_cubic(points, values, gradients=None) -> CubicSurface:
 
     ``gradients`` overrides the per-vertex gradient estimate (one (du, dv)
     row per node); by default gradients are estimated from the data when the
-    surface is first evaluated. Raises NonFiniteInput for a NaN or infinite
+    surface is evaluated. Raises NonFiniteInput for a NaN or infinite
     coordinate or value, and propagates triangulation failures
     (InsufficientNodes, DegenerateGeometry, DuplicateNodes).
     """

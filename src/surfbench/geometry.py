@@ -117,7 +117,9 @@ def as_points(points) -> np.ndarray:
     DuplicateNodes when two nodes lie within DUPLICATE_TOL of each other.
     """
     pts = np.array(points, dtype=float, ndmin=2)
-    if pts.size and pts.shape[1] != 2:
+    if not pts.size:
+        pts = pts.reshape(0, 2)  # an empty list arrives as shape (1, 0)
+    elif pts.shape[1] != 2:
         raise ValueError(f"expected (n, 2) coordinates, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise NonFiniteInput("node coordinates must be finite")
@@ -140,17 +142,13 @@ class Triangulation:
     ----------
     points : (n, 2) array of node coordinates.
     triangles : (m, 3) int array, counterclockwise vertex indices.
-    hull : int array of hull vertex indices in counterclockwise order,
-        including vertices that lie on a hull edge (collinear boundary nodes).
     """
 
-    def __init__(self, points: np.ndarray, triangles: np.ndarray, hull: np.ndarray):
+    def __init__(self, points: np.ndarray, triangles: np.ndarray):
         self.points = np.asarray(points, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.intp)
-        self.hull = np.asarray(hull, dtype=np.intp)
         self.points.setflags(write=False)
         self.triangles.setflags(write=False)
-        self.hull.setflags(write=False)
         # Per-triangle affine maps for barycentric point location.
         p0 = self.points[self.triangles[:, 0]]
         e1 = self.points[self.triangles[:, 1]] - p0
@@ -327,18 +325,7 @@ def triangulate(points) -> Triangulation:
         builder.insert(p)
     builder.canonicalize_cocircular()
 
-    triangles = np.array([t for t in builder.tris if t is not None], dtype=np.intp)
-    # Hull chain: boundary directed edges wind counterclockwise.
-    succ = {a: b for (a, b) in builder.edge if (b, a) not in builder.edge}
-    start = min(succ)
-    hull = [start]
-    cur = succ[start]
-    while cur != start:
-        hull.append(cur)
-        cur = succ[cur]
-        if len(hull) > len(succ):
-            raise RuntimeError("hull walk did not close; triangulation is malformed")
-    return Triangulation(arr, triangles, np.array(hull, dtype=np.intp))
+    return Triangulation(arr, np.array([t for t in builder.tris if t is not None], dtype=np.intp))
 
 
 def locate(tri: Triangulation, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -388,21 +375,21 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
 
     ``trusted`` (B,) is False in two cases. The first is a training set
     with fewer than three hull vertices (fewer than three nodes cover
-    nothing), or that ``triangulate`` may find
-    collinear: within twice its band of the line through the first two
-    nodes in (x, y) order, as it tests. The second is a training node nearly on a supporting line, where
-    |orientation determinant| lies between FLAT_BAND and FLAT_REL of the
-    largest squared side. A Delaunay triangle that flat can only lie along
-    the hull, and ``locate`` resolves its barycentric coordinates only to
-    about 1e-16 / FLAT_REL, so its cover is not bounded by the band. Nodes
-    collinear within the predicate band (lattice lines) keep a split
-    trusted, because no triangle is built on them.
+    nothing), or that ``triangulate`` may find collinear: within twice its
+    band of the line through the first two nodes in (x, y) order, as it
+    tests. The second is a training node nearly on a supporting line,
+    where |orientation determinant| lies between FLAT_BAND and FLAT_REL of
+    the largest squared side. A Delaunay triangle that flat can only lie
+    along the hull, and ``locate`` resolves its barycentric coordinates
+    only to about 1e-16 / FLAT_REL, so its cover is not bounded by the
+    band. Nodes collinear within the predicate band (lattice lines) keep a
+    split trusted, because no triangle is built on them.
 
     Hull vertices are the training nodes that see the other training
     nodes within an angle below pi - SUPPORT_TOL; a node that turns the
-    hull by less lies within the slack of the line past it. Temporaries grow as
-    B * h^2 * max(m, k) for h hull vertices, taken HULL_CHUNK elements at a
-    time.
+    hull by less lies within the slack of the line past it. Temporaries
+    grow as B * h^2 * max(m, k) for h hull vertices, taken HULL_CHUNK
+    elements at a time.
     """
     p = np.asarray(points, dtype=float)
     train = np.asarray(train, dtype=np.intp)

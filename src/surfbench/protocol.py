@@ -33,10 +33,13 @@ DuplicateNodes):
    point in the band within 1e-8 of the slice extent outside the hull.
    Every other split (one the hull test cannot vouch for, one with
    non-finite values, or one with every test point covered) goes to
-   ``fit_cubic``, whose error is its reason and whose ``locate`` is
-   authoritative. The surfaces on which ``locate`` finds every test point
-   are then evaluated as one stack (``cubic.evaluate_stack``: one gradient
-   solve, one control-net build and one evaluation for the task).
+   ``fit_cubic``, whose error is its reason. The fitted surfaces are
+   evaluated at their test points as one stack (``cubic.evaluate_stack``:
+   one ``locate`` per surface, then one gradient solve, one control-net
+   build and one evaluation for the task). ``locate`` is authoritative: a
+   surface that leaves a test point undefined is recorded as
+   ``test_points_outside_support``, with ``n_finite`` counting its finite
+   predictions.
 2. The RBF systems of all splits are assembled, solved and
    condition-estimated as one stack (``rbf.fit_stack``), which gives the
    reason of every split it cannot fit, and evaluated as one batch; each
@@ -231,17 +234,14 @@ def _make_record(task, plan, method, y_pred, reason=None, n_finite=0, condition_
     predictions, with ``reason`` and ``n_finite`` given by the caller."""
     y_true = task.values[plan.test_indices]
     n_test = int(y_true.size)
-    if y_pred is None:
-        y_pred = np.full(n_test, np.nan)
-        metrics = None
-    else:
+    metrics = None
+    if y_pred is not None:
         n_finite = int(np.count_nonzero(np.isfinite(y_pred)))
         # A run is valid only when the method produced a finite prediction at
-        # every test point; partial hull coverage invalidates the run rather
-        # than scoring it on the covered subset.
+        # every test point; partial hull coverage invalidates the run, and
+        # drops its predictions, rather than scoring it on the covered subset.
         if n_finite < n_test:
-            metrics = None
-            reason = "test_points_outside_support"
+            y_pred, reason = None, "test_points_outside_support"
         else:
             metrics = compute_metrics(y_true, y_pred)
             if metrics is None and reason is None:
@@ -262,7 +262,7 @@ def _make_record(task, plan, method, y_pred, reason=None, n_finite=0, condition_
         n_finite=n_finite,
         metrics=metrics,
         y_true=y_true,
-        y_pred=np.asarray(y_pred, dtype=float),
+        y_pred=np.full(n_test, np.nan) if y_pred is None else np.asarray(y_pred, dtype=float),
         train_indices=plan.train_indices,
         test_indices=plan.test_indices,
         condition_estimate=condition_estimate,
@@ -273,29 +273,23 @@ def _cubic_records(task: SliceTask, plans: list[SplitPlan], covered: np.ndarray,
                    trusted: np.ndarray) -> list[RunRecord]:
     """The cubic runs of splits, given their ``hull_cover`` masks. A trusted
     split with an uncovered test point is recorded as outside support
-    unfitted. Every other split is fitted by ``fit_cubic`` and located
-    alone, so a failing split keeps its reason code, and its one ``locate``
-    decides coverage before any gradient is estimated. The covered splits
-    are then evaluated as one stack (``cubic.evaluate_stack``)."""
+    unfitted. Every other split is fitted by ``fit_cubic``, so a failing
+    split keeps its reason code, and the fitted surfaces are evaluated at
+    their test points as one stack (``cubic.evaluate_stack``)."""
     records: list = [None] * len(plans)
-    pending = []
+    fitted = []
     for i, plan in enumerate(plans):
-        found = covered[i]
-        if found.all() or not trusted[i]:
-            try:
-                surface = fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])
-                located = surface.locate(task.points[plan.test_indices])
-            except InterpolationError as exc:
-                records[i] = _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
-                continue
-            found = located[0] >= 0
-        if found.all():
-            pending.append((i, surface, located))
-        else:
+        if trusted[i] and not covered[i].all():
             records[i] = _make_record(task, plan, "cubic", None, "test_points_outside_support",
-                                      int(np.count_nonzero(found)))
-    preds = evaluate_stack([surface for _, surface, _ in pending], [loc for *_, loc in pending])
-    for (i, _, _), pred in zip(pending, preds):
+                                      int(np.count_nonzero(covered[i])))
+            continue
+        try:
+            fitted.append((i, fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])))
+        except InterpolationError as exc:
+            records[i] = _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
+    preds = evaluate_stack([surface for _, surface in fitted],
+                           [task.points[plans[i].test_indices] for i, _ in fitted])
+    for (i, _), pred in zip(fitted, preds):
         records[i] = _make_record(task, plans[i], "cubic", pred)
     return records
 
@@ -344,10 +338,10 @@ def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[R
     Fit failures yield invalid records with a reason code. A cubic run with
     test points outside the training hull is recorded as
     ``test_points_outside_support`` with ``n_finite`` counting the test
-    points inside, before any gradient is estimated. Nothing raises for
-    expected degeneracies of a split; a slice whose nodes fail validation
-    raises NonFiniteInput or DuplicateNodes. This is ``_run_task`` on a
-    single split.
+    points inside, unfitted when the hull test can vouch for the split.
+    Nothing raises for expected degeneracies of a split; a slice whose
+    nodes fail validation raises NonFiniteInput or DuplicateNodes. This is
+    ``_run_task`` on a single split.
     """
     cubic_record, rbf_record = _run_task(task, [plan], rbf_config)
     return cubic_record, rbf_record

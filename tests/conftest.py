@@ -84,6 +84,23 @@ def edges(tri):
                 yield key
 
 
+def hull(tri):
+    """Hull vertex indices of ``tri`` in counterclockwise order, from the
+    smallest index, including vertices that lie on a hull edge: the walk
+    along the boundary edges, which wind counterclockwise."""
+    directed = {(u, v) for a, b, c in tri.triangles.tolist() for u, v in ((a, b), (b, c), (c, a))}
+    succ = {a: b for a, b in directed if (b, a) not in directed}
+    start = min(succ)
+    chain = [start]
+    cur = succ[start]
+    while cur != start:
+        chain.append(cur)
+        cur = succ[cur]
+        if len(chain) > len(succ):
+            raise RuntimeError("hull walk did not close; triangulation is malformed")
+    return np.array(chain, dtype=np.intp)
+
+
 def neighbors(tri):
     """(m, 3) int array: ``neighbors(tri)[t, k]`` is the triangle across the
     edge opposite ``tri.triangles[t, k]``, or -1 on the hull."""

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import min_separated, triangle_areas
+from conftest import hull, min_separated, triangle_areas
 from surfbench.cubic import fit_cubic
 from surfbench.errors import DegenerateGeometry
 from surfbench.geometry import (
@@ -245,7 +245,7 @@ class TestPropertySuites:
                 continue
             checked += 1
             assert_delaunay(tri)
-            assert tri.n_triangles == 2 * tri.n_vertices - len(tri.hull) - 2
+            assert tri.n_triangles == 2 * tri.n_vertices - len(hull(tri)) - 2
             assert (triangle_areas(tri) > 0).all()
             hull_area = polygon_area(convex_hull_polygon(pts))
             assert triangle_areas(tri).sum() == pytest.approx(hull_area, rel=1e-9)

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edges, min_separated, near_collinear, neighbors, order_probe_sets, triangle_areas
+from conftest import edges, hull, min_separated, near_collinear, neighbors, order_probe_sets, triangle_areas
+from surfbench.cubic import fit_cubic
 from surfbench.errors import (
     DegenerateGeometry,
     DuplicateNodes,
@@ -29,6 +31,7 @@ from surfbench.geometry import (
     separation_distance,
     triangulate,
 )
+from surfbench.rbf import fit_rbf
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -84,7 +87,7 @@ def triangulation_outcome(pts, check_delaunay=True):
         assert_canonical_delaunay(tri)
     return (
         {frozenset(map(tuple, tri.points[t].tolist())) for t in tri.triangles},
-        {tuple(q) for q in tri.points[tri.hull].tolist()},
+        {tuple(q) for q in tri.points[hull(tri)].tolist()},
     )
 
 
@@ -122,12 +125,25 @@ class TestPointSet:
         with pytest.raises(NonFiniteInput):
             as_points(np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.0]]))
 
+    @pytest.mark.parametrize("consume", [
+        triangulate, convex_hull_polygon, fill_distance, separation_distance,
+        lambda nodes: fit_cubic(nodes, []), lambda nodes: fit_rbf(nodes, []),
+    ], ids=["triangulate", "convex_hull_polygon", "fill_distance", "separation_distance",
+            "fit_cubic", "fit_rbf"])
+    def test_empty_node_list_is_insufficient(self, consume):
+        # [] is an empty (0, 2) node set, not one node without coordinates
+        assert as_points([]).shape == (0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientNodes):
+                consume([])
+
 
 class TestTriangulate:
     def test_unit_square_two_triangles_four_hull(self):
         tri = triangulate(UNIT_SQUARE)
         assert tri.n_triangles == 2
-        assert len(tri.hull) == 4
+        assert len(hull(tri)) == 4
         assert_delaunay(tri)
 
     def test_cocircular_tie_break_prefers_smallest_pair(self):
@@ -152,8 +168,8 @@ class TestTriangulate:
         ys = np.linspace(0.5, 1.5, 4)
         grid = np.array([[x, y] for x in xs for y in ys])
         tri = triangulate(grid)
-        assert tri.n_triangles == 2 * 16 - len(tri.hull) - 2
-        assert len(tri.hull) == 12  # boundary nodes, including collinear ones
+        assert tri.n_triangles == 2 * 16 - len(hull(tri)) - 2
+        assert len(hull(tri)) == 12  # boundary nodes, including collinear ones
         assert_delaunay(tri)
 
     def test_deterministic_for_fixed_input(self):
@@ -162,7 +178,7 @@ class TestTriangulate:
         a = triangulate(pts)
         b = triangulate(pts)
         np.testing.assert_array_equal(a.triangles, b.triangles)
-        np.testing.assert_array_equal(a.hull, b.hull)
+        np.testing.assert_array_equal(hull(a), hull(b))
 
     def test_positive_areas_and_area_sum(self):
         rng = np.random.default_rng(11)
@@ -197,7 +213,7 @@ class TestTriangulate:
         except DegenerateGeometry:
             return
         assert_delaunay(tri)
-        assert tri.n_triangles == 2 * len(pts) - len(tri.hull) - 2
+        assert tri.n_triangles == 2 * len(pts) - len(hull(tri)) - 2
 
     def test_matches_scipy_delaunay_on_general_position_sets(self):
         # Random sets only: on cocircular grids Qhull breaks ties differently.

@@ -174,8 +174,8 @@ class TestRunPair:
         values = pts[:, 0] + pts[:, 1] ** 2
         task = make_task(pts, values)
         calls = []
-        original = cubic.estimate_gradient_stack
-        monkeypatch.setattr(cubic, "estimate_gradient_stack",
+        original = cubic._vertex_gradients
+        monkeypatch.setattr(cubic, "_vertex_gradients",
                             lambda *args: calls.append(args) or original(*args))
         plan = dataclasses.replace(
             make_splits(task, 1, 0.7, 42)[0],
@@ -198,8 +198,8 @@ class TestRunPair:
         full, _ = run_pair(task, covered, ExperimentConfig().rbf_config())
         assert full.valid and full.n_finite == 2
         assert len(calls) == 1
-        tris, values = calls[0]
-        assert len(tris) == len(values) == 1  # one call, holding one surface
+        points, _, values = calls[0]
+        assert len(points) == len(values) == 6  # one call, holding one surface
         assert len(located) == 1  # coverage and evaluation share one locate
 
     def test_collinear_training_subset_invalidates_both(self):
@@ -419,6 +419,25 @@ class TestStage:
         bad_node = make_task(np.where(np.arange(15)[:, None] == 7, np.nan, pts), pts[:, 0])
         with pytest.raises(NonFiniteInput):
             _run_task(bad_node, [covering, non_finite], config)
+
+    def test_untrusted_split_with_a_test_point_outside_drops_its_predictions(self):
+        # the rotated square with a node 1e-10 inside its bottom edge, which
+        # hull_cover cannot vouch for: the fitted surface is located, finds
+        # the inside test node only, and the run keeps no prediction
+        turn = np.array([[0.8, -0.6], [0.6, 0.8]])
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5],
+                        [0.37, 1e-10], [0.25, 0.6], [1.5, 0.5]]) @ turn.T
+        task = make_task(pts, pts[:, 0] + pts[:, 1] ** 2)
+        plans = [SplitPlan(np.arange(6), np.array([6, 7]), 0)]
+        _, trusted = hull_cover(pts, plans[0].train_indices[None], plans[0].test_indices[None])
+        assert not trusted[0]
+        config = ExperimentConfig().rbf_config()
+        records = _run_task(task, plans, config)
+        cubic_record = records[0]
+        assert cubic_record.reason == "test_points_outside_support"
+        assert cubic_record.n_finite == 1
+        assert np.isnan(cubic_record.y_pred).all()
+        assert_same_records(records, reference_records(task, plans, config))
 
     def test_one_ill_conditioned_warning_per_flagged_fit(self, default_dataset):
         config = ExperimentConfig(repeats_per_slice=3, rbf_epsilon=0.04)
