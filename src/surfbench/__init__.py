@@ -34,6 +34,7 @@ from .protocol import (
     SplitPlan,
     enumerate_slices,
     execute_experiment,
+    find_slice,
     make_splits,
     method_contrast,
     run_pair,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -55,6 +56,7 @@ def _resolve_config(args) -> ExperimentConfig:
     return config
 
 
+@functools.cache  # takes no inputs; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surfbench",

@@ -25,6 +25,7 @@ from .errors import DegenerateGeometry, DuplicateNodes, InsufficientNodes, NonFi
 
 __all__ = [
     "as_points",
+    "as_queries",
     "Triangulation",
     "GeometryReport",
     "triangulate",
@@ -42,7 +43,7 @@ __all__ = [
 
 DUPLICATE_TOL = 1e-12
 LOCATE_TOL = 1e-9
-LOCATE_BLOCK = 256  # queries per barycentric block in locate
+LOCATE_BLOCK = 256  # queries per (block, m) coordinate array in locate
 FILL_GRID_RESOLUTION = 200
 
 # Degeneracy band of the predicates, relative to operand magnitude. Well
@@ -133,6 +134,18 @@ def as_points(points) -> np.ndarray:
             i, j = np.unravel_index(np.argmin(dist), dist.shape)
             raise DuplicateNodes(f"nodes {i} and {j} coincide within tolerance {DUPLICATE_TOL:g}")
     return pts
+
+
+def as_queries(queries) -> np.ndarray:
+    """Query coordinates as a (k, 2) float array; an empty list is an empty
+    (0, 2) set. Any other shape raises ValueError. Non-finite coordinates
+    are kept: they evaluate to NaN."""
+    q = np.asarray(queries, dtype=float)
+    if q.shape == (0,):
+        q = q.reshape(0, 2)
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise ValueError(f"expected (k, 2) query coordinates, got shape {q.shape}")
+    return q
 
 
 class Triangulation:
@@ -336,20 +349,27 @@ def locate(tri: Triangulation, queries) -> tuple[np.ndarray, np.ndarray]:
     (k, 3) its barycentric coordinates in that triangle, each in
     [-LOCATE_TOL, 1 + LOCATE_TOL] (NaN rows outside the hull). Queries on
     shared edges resolve to the lowest-index triangle. Queries are taken
-    ``LOCATE_BLOCK`` rows at a time, so memory stays O(LOCATE_BLOCK x m).
+    ``LOCATE_BLOCK`` rows at a time, whose coordinates against every
+    triangle are three (block, m) arrays computed as
+    ``Triangulation.barycentric`` does, so memory stays O(LOCATE_BLOCK x m).
     """
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise ValueError(f"expected (k, 2) query coordinates, got shape {q.shape}")
+    q = as_queries(queries)
     t = np.full(q.shape[0], -1, dtype=np.intp)
     bary = np.full((q.shape[0], 3), np.nan)
+    (i00, i01), (i10, i11) = tri._inv[:, 0].T, tri._inv[:, 1].T
     for start in range(0, q.shape[0], LOCATE_BLOCK):
-        block = tri.barycentric(q[start:start + LOCATE_BLOCK])
-        inside = block.min(axis=2) >= -LOCATE_TOL
+        block = q[start:start + LOCATE_BLOCK]
+        d0 = block[:, 0:1] - tri._origin[:, 0]
+        d1 = block[:, 1:2] - tri._origin[:, 1]
+        u = i00 * d0 + i01 * d1
+        v = i10 * d0 + i11 * d1
+        w = 1.0 - u - v
+        inside = (w >= -LOCATE_TOL) & (u >= -LOCATE_TOL) & (v >= -LOCATE_TOL)
         first = inside.argmax(axis=1)
         rows = np.nonzero(inside[np.arange(first.size), first])[0]
-        t[start + rows] = first[rows]
-        bary[start + rows] = block[rows, first[rows]]
+        hit = first[rows]
+        t[start + rows] = hit
+        bary[start + rows] = np.column_stack([w[rows, hit], u[rows, hit], v[rows, hit]])
     return t, bary
 
 
@@ -530,8 +550,7 @@ def fill_distance(points, domain="hull", grid_resolution: int = FILL_GRID_RESOLU
         candidates = grid[inside]
     if candidates.shape[0] == 0:
         return 0.0
-    d = candidates[:, None, :] - arr[None, :, :]
-    nearest = np.hypot(d[..., 0], d[..., 1]).min(axis=1)
+    nearest = np.hypot(candidates[:, 0:1] - arr[:, 0], candidates[:, 1:2] - arr[:, 1]).min(axis=1)
     return float(nearest.max())
 
 

@@ -75,6 +75,8 @@ __all__ = [
     "SplitPlan",
     "RunRecord",
     "enumerate_slices",
+    "find_slice",
+    "slice_nodes",
     "make_splits",
     "run_pair",
     "method_contrast",
@@ -157,6 +159,31 @@ class RunRecord:
     condition_estimate: float | None = None  # of the RBF saddle system; None for cubic and failed runs
 
 
+def slice_nodes(dataset: FactorialDataset, fixed_axis: str, level_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and (n, 2) free-axis coordinates of the dataset rows whose
+    ``fixed_axis`` input sits at its ``level_index``-th design level."""
+    level = dataset.spec.axis_levels(fixed_axis)[level_index]
+    rows = np.nonzero(dataset.x[:, AXES.index(fixed_axis)] == level)[0]
+    free = [i for i, a in enumerate(AXES) if a != fixed_axis]
+    return rows, dataset.x[np.ix_(rows, free)]
+
+
+def _slice_task(dataset: FactorialDataset, regime: str, fixed_axis: str, level_index: int,
+                output_index: int) -> SliceTask:
+    rows, points = slice_nodes(dataset, fixed_axis, level_index)
+    return SliceTask(
+        regime=regime,
+        output_index=output_index,
+        fixed_axis=fixed_axis,
+        fixed_level=float(dataset.spec.axis_levels(fixed_axis)[level_index]),
+        level_index=level_index,
+        free_axes=tuple(a for a in AXES if a != fixed_axis),
+        points=points,
+        values=dataset.outputs(regime)[rows, output_index - 1],
+        row_ids=rows,
+    )
+
+
 def enumerate_slices(dataset: FactorialDataset, regime: str) -> list[SliceTask]:
     """All slice tasks of a regime: (axis, level, output) in a fixed order.
 
@@ -164,27 +191,30 @@ def enumerate_slices(dataset: FactorialDataset, regime: str) -> list[SliceTask]:
     Targets come from the clean channel in the noise-free regime and from the
     noisy channel otherwise.
     """
-    outputs = dataset.outputs(regime)
-    tasks = []
-    for axis_idx, axis in enumerate(AXES):
-        free = tuple(a for a in AXES if a != axis)
-        free_idx = [AXES.index(a) for a in free]
-        for level_index, level in enumerate(dataset.spec.axis_levels(axis)):
-            rows = np.nonzero(dataset.x[:, axis_idx] == level)[0]
-            points = dataset.x[np.ix_(rows, free_idx)]
-            for output_index in (1, 2, 3):
-                tasks.append(SliceTask(
-                    regime=regime,
-                    output_index=output_index,
-                    fixed_axis=axis,
-                    fixed_level=float(level),
-                    level_index=level_index,
-                    free_axes=free,
-                    points=points.copy(),
-                    values=outputs[rows, output_index - 1].copy(),
-                    row_ids=rows.copy(),
-                ))
-    return tasks
+    dataset.outputs(regime)  # rejects an unknown regime
+    return [
+        _slice_task(dataset, regime, axis, level_index, output_index)
+        for axis in AXES
+        for level_index in range(len(dataset.spec.axis_levels(axis)))
+        for output_index in (1, 2, 3)
+    ]
+
+
+def find_slice(dataset: FactorialDataset, regime: str, fixed_axis: str, fixed_level: float,
+               output_index: int) -> SliceTask:
+    """The task of ``enumerate_slices(dataset, regime)`` with this axis,
+    output and a design level within 1e-12 of ``fixed_level`` (relative and
+    absolute), built alone. Its ``fixed_level`` is the design level.
+
+    Raises ValueError for an unknown regime or when no task matches.
+    """
+    dataset.outputs(regime)  # rejects an unknown regime before any match
+    if fixed_axis in AXES and output_index in (1, 2, 3):
+        levels = dataset.spec.axis_levels(fixed_axis)
+        match = np.nonzero(np.isclose(levels, fixed_level, rtol=1e-12, atol=1e-12))[0]
+        if match.size:
+            return _slice_task(dataset, regime, fixed_axis, int(match[0]), int(output_index))
+    raise ValueError(f"no slice with {fixed_axis}={fixed_level:g} and output {output_index}")
 
 
 def _train_size(n: int, alpha: float) -> int:

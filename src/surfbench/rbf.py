@@ -37,7 +37,7 @@ from .errors import (
     NonFiniteInput,
     SingularSystem,
 )
-from .geometry import as_points
+from .geometry import as_points, as_queries
 
 __all__ = ["RbfConfig", "RbfSurface", "kernel_mq", "fit_rbf", "eval_rbf", "fit_stack", "eval_stack"]
 
@@ -196,8 +196,6 @@ def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
 def eval_rbf(surface: RbfSurface, queries) -> np.ndarray:
     """Surface values at (k, 2) query points; finite everywhere in the plane.
     This is ``eval_stack`` on a batch of one."""
-    q = np.asarray(queries, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise ValueError(f"expected (k, 2) query coordinates, got shape {q.shape}")
+    q = as_queries(queries)
     coeffs = np.concatenate([surface.weights, surface.tail_coeffs])
     return eval_stack(surface.centers[None], coeffs[None], q[None], surface.config.epsilon)[0]

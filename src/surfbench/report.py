@@ -34,7 +34,7 @@ from .cubic import fit_cubic
 from .errors import InterpolationError
 from .geometry import geometry_report
 from .metrics import BootstrapCI, MetricSet, bootstrap_ci
-from .protocol import METHODS, REGIMES, enumerate_slices
+from .protocol import AXES, METHODS, REGIMES, find_slice, slice_nodes
 from .rbf import eval_rbf, fit_rbf
 from .synthdata import FactorialDataset
 
@@ -271,20 +271,6 @@ def write_summary_csv(table: SummaryTable, path) -> None:
     ))
 
 
-def _find_slice(dataset: FactorialDataset, regime: str, fixed_axis: str,
-                fixed_level: float, output_index: int):
-    for task in enumerate_slices(dataset, regime):
-        if (
-            task.fixed_axis == fixed_axis
-            and task.output_index == output_index
-            and np.isclose(task.fixed_level, fixed_level, rtol=1e-12, atol=1e-12)
-        ):
-            return task
-    raise ValueError(
-        f"no slice with {fixed_axis}={fixed_level:g} and output {output_index}"
-    )
-
-
 def export_surface_grid(
     dataset: FactorialDataset,
     fixed_axis: str,
@@ -304,7 +290,7 @@ def export_surface_grid(
     config = config if config is not None else ExperimentConfig()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    task = _find_slice(dataset, regime, fixed_axis, fixed_level, output_index)
+    task = find_slice(dataset, regime, fixed_axis, fixed_level, output_index)
     if method == "cubic":
         surface = fit_cubic(task.points, task.values)
         predict = surface.evaluate
@@ -367,19 +353,15 @@ def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,
     emitted once per (axis, level).
     """
     reports = []
-    seen = set()
-    for task in enumerate_slices(dataset, "noise-free"):
-        key = (task.fixed_axis, task.level_index)
-        if key in seen:
+    for axis in AXES:
+        if fixed_axis is not None and axis != fixed_axis:
             continue
-        seen.add(key)
-        if fixed_axis is not None and task.fixed_axis != fixed_axis:
-            continue
-        if fixed_level is not None and not np.isclose(task.fixed_level, fixed_level, rtol=1e-12, atol=1e-12):
-            continue
-        entry = {"fixed_axis": task.fixed_axis, "fixed_level": task.fixed_level}
-        entry.update(geometry_report(task.points).to_dict())
-        reports.append(entry)
+        for level_index, level in enumerate(dataset.spec.axis_levels(axis)):
+            if fixed_level is not None and not np.isclose(level, fixed_level, rtol=1e-12, atol=1e-12):
+                continue
+            entry = {"fixed_axis": axis, "fixed_level": float(level)}
+            entry.update(geometry_report(slice_nodes(dataset, axis, level_index)[1]).to_dict())
+            reports.append(entry)
     if not reports:
         raise ValueError(f"no slice matches {fixed_axis}={fixed_level}")
     return reports

@@ -7,17 +7,23 @@ emulates measurement uncertainty.
 
 Noise draws are counter-based: each draw is a pure function of
 ``(master_seed, row_index, output_index)``, so the dataset is deterministic
-and independent of the order in which rows are produced.
+and independent of the order in which rows are produced. Draw (row, k) is
+the inverse normal CDF of the top 53 bits of the first word of
+``Philox(SeedSequence((master_seed, 1, row, k)))``; ``streams`` computes
+those words for every key of a dataset in one vectorized call, and numpy's
+own ``SeedSequence``/``Philox`` remain the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from numpy.random import Philox, SeedSequence
+
+from .streams import int_words, philox_first_words
 
 __all__ = [
     "DesignSpec",
@@ -80,6 +86,9 @@ class NoiseSpec:
     def __post_init__(self):
         if min(self.sigma1, self.sigma2, self.sigma3) < 0:
             raise ValueError("noise sigmas must be >= 0")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, got {seed!r}")
 
     @property
     def sigmas(self) -> tuple[float, float, float]:
@@ -109,27 +118,38 @@ def eval_truth(x1: float, x2: float, x3: float) -> tuple[float, float, float]:
     return (y1, y2, y3)
 
 
-def _noise_draw(noise: NoiseSpec, row_index: int, output_index: int) -> float:
-    """One N(0, sigma_k^2) draw, a pure function of (seed, row, channel).
+def _noise_draws(noise: NoiseSpec, rows) -> np.ndarray:
+    """N(0, sigma_k^2) draws for design rows ``rows``, (len(rows), 3); each
+    is a pure function of (seed, row, channel).
 
-    A Philox counter-based stream keyed by the identity tuple supplies a
-    53-bit uniform, mapped through the inverse normal CDF. The half-integer
-    offset keeps the uniform strictly inside (0, 1). The 53 bits are the top
-    bits of the stream's first 64-bit word, which is exactly what
-    ``Generator(Philox(key)).integers(0, 2**53)`` returns: for a power-of-two
-    range its Lemire draw is ``x >> 11`` and never rejects.
+    The first 64-bit word of the Philox stream keyed by the identity tuple
+    supplies a 53-bit uniform, mapped through the inverse normal CDF. The
+    half-integer offset keeps the uniform strictly inside (0, 1). The 53
+    bits are the word's top bits, which is exactly what
+    ``Generator(Philox(key)).integers(0, 2**53)`` returns: for a
+    power-of-two range its Lemire draw is ``x >> 11`` and never rejects.
     """
-    sigma = noise.sigmas[output_index]
-    if sigma == 0.0:
-        return 0.0
-    key = SeedSequence((noise.master_seed, _NOISE_STREAM_TAG, row_index, output_index))
-    u = ((int(Philox(key).random_raw()) >> 11) + 0.5) / 2**53
-    return sigma * _STD_NORMAL.inv_cdf(u)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if rows.size and not (rows.min() >= 0 and rows.max() < 2**32):
+        raise ValueError("noise row indices must be in [0, 2**32)")
+    head = int_words(int(noise.master_seed)) + [_NOISE_STREAM_TAG]
+    keys = np.empty((rows.size, 3, len(head) + 2), dtype=np.uint32)
+    keys[..., :-2] = head
+    keys[..., -2] = rows[:, None]
+    keys[..., -1] = (0, 1, 2)
+    raw = philox_first_words(keys.reshape(-1, keys.shape[-1])).reshape(rows.size, 3)
+    u = ((raw >> 11).astype(float) + 0.5) / 2**53
+    draws = np.zeros(u.shape)
+    for k, sigma in enumerate(noise.sigmas):
+        if sigma != 0.0:
+            draws[:, k] = sigma * np.array(list(map(_STD_NORMAL.inv_cdf, u[:, k].tolist())))
+    return draws
 
 
 def add_noise(clean, noise: NoiseSpec, row_index: int) -> tuple[float, float, float]:
     """Noisy outputs for one design row: clean values plus seeded draws."""
-    return tuple(clean[k] + _noise_draw(noise, row_index, k) for k in range(3))
+    draws = _noise_draws(noise, [row_index])[0].tolist()
+    return tuple(clean[k] + draws[k] for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -171,11 +191,6 @@ def generate(spec: DesignSpec | None = None, noise: NoiseSpec | None = None) -> 
     spec = spec if spec is not None else DesignSpec()
     noise = noise if noise is not None else NoiseSpec()
     x = build_design(spec)
-    n = x.shape[0]
-    y_clean = np.empty((n, 3))
-    y_noisy = np.empty((n, 3))
-    for i in range(n):
-        clean = eval_truth(x[i, 0], x[i, 1], x[i, 2])
-        y_clean[i] = clean
-        y_noisy[i] = add_noise(clean, noise, i)
+    y_clean = np.array([eval_truth(*row) for row in x.tolist()])
+    y_noisy = y_clean + _noise_draws(noise, np.arange(len(x)))
     return FactorialDataset(x=x, y_clean=y_clean, y_noisy=y_noisy, spec=spec, noise=noise)

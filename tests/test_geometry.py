@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from surfbench.geometry import (
     LOCATE_TOL,
     GeometryReport,
     as_points,
+    as_queries,
     convex_hull_polygon,
     fill_distance,
     geometry_report,
@@ -31,7 +33,8 @@ from surfbench.geometry import (
     separation_distance,
     triangulate,
 )
-from surfbench.rbf import fit_rbf
+from surfbench.protocol import enumerate_slices
+from surfbench.rbf import eval_rbf, fit_rbf
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -279,7 +282,64 @@ def locate_probes(tri, rng):
     return np.vstack(probes)
 
 
+def dense_locate(tri, queries):
+    """Dense oracle: every query against every triangle through the (k, m, 3)
+    ``Triangulation.barycentric`` stack; the lowest-index triangle whose
+    smallest coordinate is at least -LOCATE_TOL."""
+    block = tri.barycentric(queries)
+    inside = block.min(axis=2) >= -LOCATE_TOL
+    first = inside.argmax(axis=1)
+    hit = inside[np.arange(first.size), first]
+    t = np.where(hit, first, -1)
+    bary = np.where(hit[:, None], block[np.arange(first.size), first], np.nan)
+    return t, bary
+
+
 class TestLocate:
+    def test_matches_the_dense_barycentric_stack_on_default_slices(self, default_dataset):
+        rng = np.random.default_rng(11)
+        slices = enumerate_slices(default_dataset, "noise-free")[::3]
+        assert len(slices) == 11
+        for task in slices:
+            tri = triangulate(task.points)
+            lo, hi = task.points.min(axis=0), task.points.max(axis=0)
+            gu, gv = np.meshgrid(np.linspace(lo[0], hi[0], 50), np.linspace(lo[1], hi[1], 50),
+                                 indexing="ij")
+            # the 50 x 50 surface grid, then vertices, shared edges and the
+            # band within LOCATE_TOL of the hull (locate_probes)
+            queries = np.vstack([np.column_stack([gu.ravel(), gv.ravel()]), locate_probes(tri, rng)])
+            t, bary = locate(tri, queries)
+            t_ref, bary_ref = dense_locate(tri, queries)
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(np.isnan(bary), np.isnan(bary_ref))
+            assert np.isnan(bary[t < 0]).all() and not np.isnan(bary[t >= 0]).any()
+            assert bary[t >= 0].tobytes() == bary_ref[t >= 0].tobytes()
+            assert (t < 0).any() and (t >= 0).any()
+
+    def test_empty_and_malformed_queries(self):
+        surface = fit_cubic(UNIT_SQUARE, [0.0, 1.0, 2.0, 3.0])
+        rbf = fit_rbf(UNIT_SQUARE, [0.0, 1.0, 2.0, 3.0])
+        for empty in ([], np.empty((0, 2))):
+            assert as_queries(empty).shape == (0, 2)
+            t, bary = locate(surface.tri, empty)
+            assert t.shape == (0,) and bary.shape == (0, 3)
+            assert surface.evaluate(empty).shape == (0,)
+            assert eval_rbf(rbf, empty).shape == (0,)
+        for bad in (np.zeros(3), [0.5, 0.5], np.zeros((2, 3)), np.zeros((1, 2, 2))):
+            shape = np.shape(bad)
+            for call in (lambda q: locate(surface.tri, q), surface.evaluate,
+                         lambda q: eval_rbf(rbf, q)):
+                with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                    call(bad)
+
+    def test_nan_queries_give_nan(self):
+        surface = fit_cubic(UNIT_SQUARE, [0.0, 1.0, 2.0, 3.0])
+        queries = [[np.nan, 0.5], [0.5, 0.5]]
+        t, bary = locate(surface.tri, queries)
+        assert t[0] == -1 and np.isnan(bary[0]).all() and t[1] >= 0
+        assert np.isnan(surface.evaluate(queries)[0])
+        assert np.isnan(eval_rbf(fit_rbf(UNIT_SQUARE, [0.0, 1.0, 2.0, 3.0]), queries)[0])
+
     def test_vertex_has_unit_barycentric(self):
         tri = triangulate(UNIT_SQUARE)
         t, bary = locate(tri, [[0.0, 0.0]])
@@ -310,10 +370,12 @@ class TestLocate:
     def test_hull_tolerance_is_inclusive(self):
         # unit legs from the origin vertex: the coordinates are computed exactly
         tri = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        queries = np.array([[-LOCATE_TOL, 0.5], [0.5, -LOCATE_TOL], [-2.0 * LOCATE_TOL, 0.5]])
+        # (1, LOCATE_TOL) has u = 1 and v = LOCATE_TOL, so 1 - u - v is -LOCATE_TOL
+        queries = np.array([[-LOCATE_TOL, 0.5], [0.5, -LOCATE_TOL], [1.0, LOCATE_TOL],
+                            [-2.0 * LOCATE_TOL, 0.5]])
         t, bary = locate(tri, queries)
-        assert t.tolist() == [0, 0, -1]
-        assert bary[:2].min(axis=1).tolist() == [-LOCATE_TOL, -LOCATE_TOL]
+        assert t.tolist() == [0, 0, 0, -1]
+        assert bary[:3].min(axis=1).tolist() == [-LOCATE_TOL] * 3
         assert [reference_locate(tri, q)[0] for q in queries] == t.tolist()
 
     @given(

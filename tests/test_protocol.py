@@ -20,6 +20,7 @@ from surfbench.protocol import (
     _run_task,
     enumerate_slices,
     execute_experiment,
+    find_slice,
     make_splits,
     method_contrast,
     rbf_condition_summary,
@@ -94,6 +95,37 @@ class TestEnumerateSlices:
         np.testing.assert_array_equal(
             noisy.values, default_dataset.y_noisy[noisy.row_ids, 0]
         )
+
+
+    def test_find_slice_equals_the_enumerated_task(self, default_dataset):
+        count = 0
+        for regime in REGIMES:
+            for task in enumerate_slices(default_dataset, regime):
+                # the CLI passes the level back through its repr, and any
+                # level within 1e-12 selects the design level
+                for level in (task.fixed_level, float(repr(task.fixed_level)),
+                              task.fixed_level * (1.0 + 1e-13)):
+                    found = find_slice(default_dataset, regime, task.fixed_axis, level,
+                                       task.output_index)
+                    for field in dataclasses.fields(SliceTask):
+                        a, b = getattr(found, field.name), getattr(task, field.name)
+                        if isinstance(b, np.ndarray):
+                            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+                            assert a.tobytes() == b.tobytes() and not a.flags.writeable, field.name
+                        else:
+                            assert type(a) is type(b) and a == b, field.name
+                count += 1
+        assert count == 66
+
+    @pytest.mark.parametrize("args, message", [
+        (("noise-free", "x1", 9.0, 1), "no slice with x1=9 and output 1"),
+        (("noise-free", "x3", 2.0, 4), "no slice with x3=2 and output 4"),
+        (("noise-free", "x4", 2.0, 1), "no slice with x4=2 and output 1"),
+        (("wet", "x3", 2.0, 1), "unknown regime 'wet'"),
+    ])
+    def test_find_slice_rejects_what_enumerate_slices_lacks(self, default_dataset, args, message):
+        with pytest.raises(ValueError, match=message):
+            find_slice(default_dataset, *args)
 
 
 class TestMakeSplits:

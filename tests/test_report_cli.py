@@ -487,6 +487,38 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["mesh_ratio"] >= 1.0 - 1e-3
 
+    def test_one_parser_serves_every_command(self, tmp_path, capsys):
+        # surface, a malformed command, then diagnose in one process give
+        # the outputs and exit codes of separate calls, each with a new parser.
+        def commands(outdir):
+            return [
+                ["surface", "--axis", "x3", "--level", "3", "--output", "2", "--method", "cubic",
+                 "--regime", "noisy", "--seed", "7", "--out", str(outdir / "grid.csv")],
+                ["surface", "--axis", "x9", "--level", "3"],
+                # no --axis: level 2 is a level of x1 and of x3
+                ["diagnose", "--level", "2", "--out", str(outdir / "diagnose.json")],
+            ]
+
+        def outcome(outdir, code):
+            out, err = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            return code, out.replace(str(outdir), "<dir>"), err, files
+
+        cli._build_parser.cache_clear()
+        shared, separate = [], []
+        for argv in commands(tmp_path / "shared"):
+            (tmp_path / "shared").mkdir(exist_ok=True)
+            shared.append(outcome(tmp_path / "shared", cli_main(argv)))
+        assert cli._build_parser.cache_info().misses == 1
+        for argv in commands(tmp_path / "separate"):
+            cli._build_parser.cache_clear()
+            (tmp_path / "separate").mkdir(exist_ok=True)
+            separate.append(outcome(tmp_path / "separate", cli_main(argv)))
+        assert [s[0] for s in shared] == [0, 2, 0]
+        assert "invalid choice: 'x9'" in shared[1][2]
+        assert "(2 slices)" in shared[2][1]
+        assert shared == separate
+
     def test_seed_override(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"

@@ -11,7 +11,7 @@ from surfbench.report import DATASET_CSV_HEADER, write_dataset_csv
 from surfbench.synthdata import (
     DesignSpec,
     NoiseSpec,
-    _noise_draw,
+    _noise_draws,
     add_noise,
     build_design,
     eval_truth,
@@ -107,30 +107,46 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(sigma1=-0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "42", True, None])
+    def test_invalid_master_seed_rejected_naming_the_field(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            NoiseSpec(master_seed=seed)
+
+    def test_master_seed_accepts_numpy_integers(self):
+        a = generate(noise=NoiseSpec(master_seed=np.int64(7)))
+        np.testing.assert_array_equal(a.y_noisy, generate(noise=NoiseSpec(master_seed=7)).y_noisy)
+
+    def test_row_index_outside_uint32_rejected(self):
+        for row in (-1, 2**32):
+            with pytest.raises(ValueError, match="row"):
+                add_noise((0.0, 0.0, 0.0), NoiseSpec(), row)
+
     def test_sample_mean_of_output1_draws(self):
         # Statistical oracle: the mean of n draws has standard error sigma/sqrt(n).
         noise = NoiseSpec()
         n = 100_000
-        draws = np.array([_noise_draw(noise, i, 0) for i in range(n)])
+        draws = _noise_draws(noise, np.arange(n))[:, 0]
         assert abs(draws.mean()) < 3.0 * 0.1 / math.sqrt(n)
 
     def test_sample_std_of_output3_draws(self):
         noise = NoiseSpec()
-        draws = np.array([_noise_draw(noise, i, 2) for i in range(100_000)])
+        draws = _noise_draws(noise, np.arange(100_000))[:, 2]
         assert draws.std() == pytest.approx(2.0, abs=0.05)
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 1009, 2**31 - 1, 2**63 + 5])
     def test_draw_equals_the_generator_integers_draw(self, seed):
-        # Differential oracle: the 53-bit uniform drawn through Generator's
-        # bounded-integer path, which _noise_draw replaces by a shift (1 is
-        # the noise stream tag).
+        # Differential oracle: the 53-bit uniform drawn through numpy's own
+        # SeedSequence, Philox and Generator bounded-integer path, which
+        # _noise_draws replaces by the stream kernel and a shift (1 is the
+        # noise stream tag).
         noise = NoiseSpec(master_seed=seed)
+        draws = _noise_draws(noise, np.arange(300))
         for row in range(300):
             for k in range(3):
                 key = SeedSequence((seed, 1, row, k))
                 u = (Generator(Philox(key)).integers(0, 2**53) + 0.5) / 2**53
                 expected = noise.sigmas[k] * NormalDist().inv_cdf(u)
-                assert _noise_draw(noise, row, k) == expected
+                assert draws[row, k] == expected
 
 
 class TestGenerate:
