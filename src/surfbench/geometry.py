@@ -481,6 +481,11 @@ def convex_hull_polygon(points) -> np.ndarray:
     arr = as_points(points)
     if arr.shape[0] == 0:
         raise InsufficientNodes("hull of an empty point set")
+    return _hull(arr)
+
+
+def _hull(arr: np.ndarray) -> np.ndarray:
+    """``convex_hull_polygon`` of validated, non-empty nodes."""
     pts = sorted({(x, y) for x, y in arr})
     if len(pts) == 1:
         return np.array(pts)
@@ -525,7 +530,12 @@ def fill_distance(points, domain="hull", grid_resolution: int = FILL_GRID_RESOLU
     arr = as_points(points)
     if arr.shape[0] == 0:
         raise InsufficientNodes("fill distance of an empty node set")
-    poly = _domain_polygon(arr, domain)
+    return _fill_distance(arr, _domain_polygon(arr, domain), grid_resolution)
+
+
+def _fill_distance(arr: np.ndarray, poly: np.ndarray, grid_resolution: int) -> float:
+    """``fill_distance`` of validated, non-empty nodes over the domain
+    polygon ``poly``."""
     if poly.shape[0] == 1:
         candidates = poly
     elif poly.shape[0] == 2:
@@ -556,7 +566,10 @@ def fill_distance(points, domain="hull", grid_resolution: int = FILL_GRID_RESOLU
 
 def separation_distance(points) -> float:
     """Half the minimum pairwise node distance."""
-    arr = as_points(points)
+    return _separation_distance(as_points(points))
+
+
+def _separation_distance(arr: np.ndarray) -> float:
     n = arr.shape[0]
     if n < 2:
         raise InsufficientNodes(f"separation distance needs >= 2 nodes, got {n}")
@@ -596,12 +609,15 @@ def geometry_report(points, grid_resolution: int = FILL_GRID_RESOLUTION) -> Geom
     """Descriptors of a node set over its convex hull.
 
     ``n_hull`` counts nodes lying on the hull boundary, including nodes
-    interior to a hull edge.
+    interior to a hull edge. The nodes are validated once and the hull is
+    built once, for the fill distance and the boundary count.
     """
     arr = as_points(points)
-    h = fill_distance(arr, grid_resolution=grid_resolution)
-    q = separation_distance(arr)
-    poly = convex_hull_polygon(arr)
+    if arr.shape[0] == 0:
+        raise InsufficientNodes("fill distance of an empty node set")
+    poly = _hull(arr)
+    h = _fill_distance(arr, poly, grid_resolution)
+    q = _separation_distance(arr)
     tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]), 1.0)
     # Distance from every node to every hull edge (a, b); a lone hull point
     # is the zero-length edge (a, a).

@@ -1,10 +1,11 @@
 """Regression error metrics and nonparametric bootstrap confidence intervals.
 
-Prediction pairs with a non-finite value are dropped before computing
-metrics; a result is only defined when at least two pairs remain and the
-retained targets have nonzero variance. The protocol never relies on this
-to score partly covered runs: ``protocol._make_record`` marks a run with any
-non-finite prediction invalid before metrics are computed.
+``metric_stack`` scores a (B, k) stack of runs at once, one row per run;
+``compute_metrics`` is that kernel on one row, after dropping the prediction
+pairs with a non-finite value. A result is only defined when at least two
+pairs remain and the retained targets have nonzero variance. The protocol
+never relies on the dropping to score partly covered runs: it marks a run
+with any non-finite prediction invalid before scoring its stack.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-__all__ = ["MetricSet", "BootstrapCI", "compute_metrics", "bootstrap_ci"]
+__all__ = ["MetricSet", "BootstrapCI", "metric_stack", "compute_metrics", "bootstrap_ci"]
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_LEVEL = 0.95
@@ -31,33 +32,44 @@ class MetricSet:
     n_points: int
 
 
+def metric_stack(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """RMSE, MAE and R^2 of each row of (B, k) stacks of finite pairs, and
+    whether each row's metrics are defined: k >= 2 and nonzero target
+    variance. An undefined row's R^2 (every metric when k < 2) is NaN.
+
+    Each row's arithmetic is that of the row alone: the sums of squares are
+    row reductions and ``vecdot`` (``einsum`` or ``(err * err).sum(1)`` can
+    round differently).
+    """
+    n_rows, k = y_true.shape
+    if k < 2:
+        nan = np.full(n_rows, np.nan)
+        return nan, nan, nan, np.zeros(n_rows, dtype=bool)
+    ss_tot = np.sum((y_true - y_true.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    err = y_true - y_pred
+    ss_res = np.vecdot(err, err)
+    defined = ss_tot != 0.0
+    with np.errstate(over="ignore"):  # as float division: a huge ratio is inf, silently
+        r2 = 1.0 - ss_res / np.where(defined, ss_tot, np.nan)
+    return np.sqrt(ss_res / k), np.mean(np.abs(err), axis=1), r2, defined
+
+
 def compute_metrics(y_true, y_pred) -> MetricSet | None:
     """Error metrics over finite prediction pairs, or None when undefined.
 
     Undefined means fewer than 2 finite pairs remain after dropping
     non-finite predictions, or the retained targets are constant (zero
-    variance, so R^2 has no meaning).
+    variance, so R^2 has no meaning). This is ``metric_stack`` on one row.
     """
     yt = np.asarray(y_true, dtype=float)
     yp = np.asarray(y_pred, dtype=float)
     if yt.shape != yp.shape:
         raise ValueError(f"length mismatch: {yt.shape} vs {yp.shape}")
     keep = np.isfinite(yt) & np.isfinite(yp)
-    yt, yp = yt[keep], yp[keep]
-    n = yt.size
-    if n < 2:
+    rmse, mae, r2, defined = metric_stack(yt[keep][None], yp[keep][None])
+    if not defined[0]:
         return None
-    ss_tot = float(np.sum((yt - yt.mean()) ** 2))
-    if ss_tot == 0.0:
-        return None
-    err = yt - yp
-    ss_res = float(err @ err)
-    return MetricSet(
-        rmse=float(np.sqrt(ss_res / n)),
-        mae=float(np.mean(np.abs(err))),
-        r2=1.0 - ss_res / ss_tot,
-        n_points=int(n),
-    )
+    return MetricSet(rmse=float(rmse[0]), mae=float(mae[0]), r2=float(r2[0]), n_points=int(keep.sum()))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,13 @@ nodes, so method contrasts isolate interpolation behavior.
 
 Every (task, repeat) split is seeded by a hash of its identity tuple, never
 by call order: results are independent of execution order and safe to
-parallelize. Fit failures and undefined metrics become invalid run records
-with a reason code; they never abort the experiment.
+parallelize. The split of repeat r is numpy's
+``Generator(Philox(SeedSequence((master_seed, 2, regime, output, axis, level,
+r)))).permutation(n)``, cut at the train size; ``execute_experiment`` draws
+the splits of every task up front (``_plan_splits``), all lanes of one slice
+size in one ``streams.permutations`` call, and ``make_splits`` gives one
+task's rows of that plan. Fit failures and undefined metrics become invalid
+run records with a reason code; they never abort the experiment.
 
 A run is valid only when its method produced a finite prediction at every
 test point and the metrics are defined (at least two test points, nonzero
@@ -45,8 +50,11 @@ DuplicateNodes):
    reason of every split it cannot fit, and evaluated as one batch; each
    item equals ``fit_rbf``/``eval_rbf`` bit for bit.
 
-Each RBF record keeps its fit's condition estimate (``condition_estimate``);
-``rbf_condition_summary`` aggregates them per regime for ``meta.json``.
+Each method's complete runs of a chunk are scored as one stack
+(``metrics.metric_stack``, which equals ``compute_metrics`` row by row bit
+for bit). Each RBF record keeps its fit's condition estimate
+(``condition_estimate``); ``rbf_condition_summary`` aggregates them per
+regime for ``meta.json``.
 
 ``run_pair`` is this stage on a single split.
 """
@@ -57,14 +65,14 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .config import ExperimentConfig
 from .cubic import evaluate_stack, fit_cubic
 from .errors import InsufficientNodes, InterpolationError, reason_code
 from .geometry import as_points, hull_cover
-from .metrics import MetricSet, compute_metrics
+from .metrics import MetricSet, compute_metrics, metric_stack
 from .rbf import CONDITION_WARN_THRESHOLD, RbfConfig, eval_stack, fit_stack
+from .streams import int_words, permutations
 from .synthdata import FactorialDataset
 
 __all__ = [
@@ -222,6 +230,46 @@ def _train_size(n: int, alpha: float) -> int:
     return min(max(size, MIN_TRAIN_SIZE), n - 1)
 
 
+def _plan_splits(tasks: list[SliceTask], repeats: int, alpha: float,
+                 master_seed: int) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Sorted (repeats, m) train and (repeats, n - m) test node indices of
+    every task, |train| = round(alpha * n); None for a task with fewer than
+    MIN_SLICE_SIZE nodes.
+
+    Repeat r of a task is the permutation ``Generator(Philox(SeedSequence(
+    (master_seed, 2, regime, output, axis, level, r)))).permutation(n)``,
+    split at m: a pure function of the split's identity, not of the order
+    of generation. The permutations of all tasks of one slice size n are
+    drawn in one ``streams.permutations`` call.
+    """
+    head = int_words(int(master_seed)) + [_SPLIT_STREAM_TAG]
+    by_size: dict[int, list[int]] = {}
+    for t, task in enumerate(tasks):
+        if task.n >= MIN_SLICE_SIZE:
+            by_size.setdefault(task.n, []).append(t)
+    plans: list = [None] * len(tasks)
+    for n, members in by_size.items():
+        ids = [[REGIMES.index(tasks[t].regime), tasks[t].output_index,
+                AXES.index(tasks[t].fixed_axis), tasks[t].level_index] for t in members]
+        entropy = np.column_stack([
+            np.tile(head, (len(members) * repeats, 1)),
+            np.repeat(ids, repeats, axis=0),
+            np.tile(np.arange(repeats), len(members)),
+        ])
+        perm = permutations(entropy, n).reshape(len(members), repeats, n)
+        m = _train_size(n, alpha)
+        train, test = np.sort(perm[..., :m], axis=-1), np.sort(perm[..., m:], axis=-1)
+        train.setflags(write=False)
+        test.setflags(write=False)
+        for i, t in enumerate(members):
+            plans[t] = (train[i], test[i])
+    return plans
+
+
+def _too_small(task: SliceTask) -> InsufficientNodes:
+    return InsufficientNodes(f"slice has {task.n} points; need >= {MIN_SLICE_SIZE}")
+
+
 def make_splits(
     task: SliceTask,
     repeats: int,
@@ -232,133 +280,149 @@ def make_splits(
 
     Each repeat draws from its own stream keyed by
     (master_seed, regime, output, axis, level, repeat), so plans do not
-    depend on generation order.
+    depend on generation order. These are the rows ``execute_experiment``
+    plans for the task (``_plan_splits``). Raises InsufficientNodes for a
+    slice with fewer than 5 nodes.
     """
-    n = task.n
-    if n < MIN_SLICE_SIZE:
-        raise InsufficientNodes(f"slice has {n} points; need >= {MIN_SLICE_SIZE}")
-    n_train = _train_size(n, alpha)
-    plans = []
-    for repeat in range(repeats):
-        derivation = (
-            master_seed,
-            _SPLIT_STREAM_TAG,
-            REGIMES.index(task.regime),
-            task.output_index,
-            AXES.index(task.fixed_axis),
-            task.level_index,
-            repeat,
-        )
-        rng = Generator(Philox(SeedSequence(derivation)))
-        perm = rng.permutation(n)
-        plans.append(SplitPlan(
-            train_indices=np.sort(perm[:n_train]),
-            test_indices=np.sort(perm[n_train:]),
-            repeat_index=repeat,
-        ))
-    return plans
+    plan = _plan_splits([task], repeats, alpha, master_seed)[0]
+    if plan is None:
+        raise _too_small(task)
+    train, test = plan
+    return [SplitPlan(train[r], test[r], r) for r in range(repeats)]
 
 
-def _make_record(task, plan, method, y_pred, reason=None, n_finite=0, condition_estimate=None) -> RunRecord:
-    """Record of one run; ``y_pred`` None marks a run that made no
-    predictions, with ``reason`` and ``n_finite`` given by the caller."""
-    y_true = task.values[plan.test_indices]
-    n_test = int(y_true.size)
-    metrics = None
-    if y_pred is not None:
-        n_finite = int(np.count_nonzero(np.isfinite(y_pred)))
-        # A run is valid only when the method produced a finite prediction at
-        # every test point; partial hull coverage invalidates the run, and
-        # drops its predictions, rather than scoring it on the covered subset.
-        if n_finite < n_test:
-            y_pred, reason = None, "test_points_outside_support"
-        else:
-            metrics = compute_metrics(y_true, y_pred)
-            if metrics is None and reason is None:
-                reason = (
-                    "too_few_test_points" if n_test < 2 else "zero_target_variance"
-                )
-    return RunRecord(
-        regime=task.regime,
-        output_index=task.output_index,
-        fixed_axis=task.fixed_axis,
-        fixed_level=task.fixed_level,
-        level_index=task.level_index,
-        repeat=plan.repeat_index,
-        method=method,
-        valid=metrics is not None,
-        reason="ok" if metrics is not None else reason,
-        n_test=n_test,
-        n_finite=n_finite,
-        metrics=metrics,
-        y_true=y_true,
-        y_pred=np.full(n_test, np.nan) if y_pred is None else np.asarray(y_pred, dtype=float),
-        train_indices=plan.train_indices,
-        test_indices=plan.test_indices,
-        condition_estimate=condition_estimate,
-    )
+def _score(y_true: np.ndarray, pred: np.ndarray, reasons: list,
+           n_finite: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Metrics, reason codes, finite counts and kept predictions of one
+    method's runs on (B, k) targets ``y_true``.
+
+    ``pred`` (B, k) holds each run's predictions. A run that made none has
+    its reason in ``reasons`` (None for one that did), NaN predictions and
+    its ``n_finite`` given. A run is valid only when its method produced a
+    finite prediction at every test point: partial coverage invalidates the
+    run, and drops its predictions, rather than scoring it on the covered
+    subset. The complete runs are scored as one stack (``metric_stack``);
+    a run whose targets are not all finite is scored alone by
+    ``compute_metrics``, which drops those pairs.
+    """
+    n_test = y_true.shape[1]
+    made = np.array([r is None for r in reasons], dtype=bool)
+    n_finite = np.where(made, np.isfinite(pred).sum(axis=1), n_finite)
+    complete = made & (n_finite == n_test)
+    pred = np.where(complete[:, None], pred, np.nan)
+    clean = complete & np.isfinite(y_true).all(axis=1)
+    metrics: list = [None] * len(y_true)
+    rmse, mae, r2, defined = metric_stack(y_true[clean], pred[clean])
+    for i, e, a, r, ok in zip(np.flatnonzero(clean), rmse, mae, r2, defined):
+        if ok:
+            metrics[i] = MetricSet(rmse=float(e), mae=float(a), r2=float(r), n_points=n_test)
+    for i in np.flatnonzero(complete & ~clean):
+        metrics[i] = compute_metrics(y_true[i], pred[i])
+    undefined = "too_few_test_points" if n_test < 2 else "zero_target_variance"
+    codes = ["ok" if m is not None else reason if not ok else undefined if full
+             else "test_points_outside_support"
+             for m, reason, ok, full in zip(metrics, reasons, made, complete)]
+    return metrics, codes, n_finite, pred
 
 
-def _cubic_records(task: SliceTask, plans: list[SplitPlan], covered: np.ndarray,
-                   trusted: np.ndarray) -> list[RunRecord]:
-    """The cubic runs of splits, given their ``hull_cover`` masks. A trusted
-    split with an uncovered test point is recorded as outside support
-    unfitted. Every other split is fitted by ``fit_cubic``, so a failing
-    split keeps its reason code, and the fitted surfaces are evaluated at
-    their test points as one stack (``cubic.evaluate_stack``)."""
-    records: list = [None] * len(plans)
-    fitted = []
-    for i, plan in enumerate(plans):
+def _records(task: SliceTask, train: np.ndarray, test: np.ndarray, repeats: np.ndarray,
+             runs: list[tuple]) -> list[RunRecord]:
+    """The records of splits with (B, m) ``train`` and (B, k) ``test`` node
+    indices and (B,) ``repeats``: for each split, one record per method in
+    ``runs`` order. Each item of ``runs`` is ``(method, pred, reasons,
+    n_finite, cond)`` as ``_score`` takes them, with the (B,) condition
+    estimates ``cond`` or None. A split's records share its index and
+    target arrays."""
+    y_true = task.values[test]
+    scored = [(method, *_score(y_true, pred, reasons, n_finite), cond)
+              for method, pred, reasons, n_finite, cond in runs]
+    out = []
+    for i, (targets, train_row, test_row) in enumerate(zip(y_true, train, test)):
+        for method, metrics, codes, n_finite, pred, cond in scored:
+            out.append(RunRecord(
+                regime=task.regime,
+                output_index=task.output_index,
+                fixed_axis=task.fixed_axis,
+                fixed_level=task.fixed_level,
+                level_index=task.level_index,
+                repeat=int(repeats[i]),
+                method=method,
+                valid=metrics[i] is not None,
+                reason=codes[i],
+                n_test=len(test_row),
+                n_finite=int(n_finite[i]),
+                metrics=metrics[i],
+                y_true=targets,
+                y_pred=pred[i],
+                train_indices=train_row,
+                test_indices=test_row,
+                condition_estimate=None if cond is None else cond[i],
+            ))
+    return out
+
+
+def _cubic_runs(task: SliceTask, train: np.ndarray, test: np.ndarray, covered: np.ndarray,
+                trusted: np.ndarray) -> tuple:
+    """The cubic runs of splits, given their ``hull_cover`` masks, as
+    ``_records`` takes them. A trusted split with an uncovered test point is
+    recorded as outside support unfitted. Every other split is fitted by
+    ``fit_cubic``, so a failing split keeps its reason code, and the fitted
+    surfaces are evaluated at their test points as one stack
+    (``cubic.evaluate_stack``)."""
+    reasons: list = [None] * len(train)
+    n_finite = np.zeros(len(train), dtype=int)
+    fitted, surfaces = [], []
+    for i in range(len(train)):
         if trusted[i] and not covered[i].all():
-            records[i] = _make_record(task, plan, "cubic", None, "test_points_outside_support",
-                                      int(np.count_nonzero(covered[i])))
+            reasons[i] = "test_points_outside_support"
+            n_finite[i] = np.count_nonzero(covered[i])
             continue
         try:
-            fitted.append((i, fit_cubic(task.points[plan.train_indices], task.values[plan.train_indices])))
+            surfaces.append(fit_cubic(task.points[train[i]], task.values[train[i]]))
+            fitted.append(i)
         except InterpolationError as exc:
-            records[i] = _make_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
-    preds = evaluate_stack([surface for _, surface in fitted],
-                           [task.points[plans[i].test_indices] for i, _ in fitted])
-    for (i, _), pred in zip(fitted, preds):
-        records[i] = _make_record(task, plans[i], "cubic", pred)
-    return records
+            reasons[i] = f"fit_failed:{reason_code(exc)}"
+    pred = np.full(test.shape, np.nan)
+    if fitted:
+        pred[fitted] = evaluate_stack(surfaces, list(task.points[test[fitted]]))
+    return "cubic", pred, reasons, n_finite, None
 
 
-def _rbf_records(task: SliceTask, plans: list[SplitPlan], train: np.ndarray, test: np.ndarray,
-                 rbf_config: RbfConfig) -> list[RunRecord]:
-    """The RBF runs of splits with (B, m) ``train`` and (B, k) ``test``
-    node indices: one ``fit_stack`` and one ``eval_stack`` call; a split
-    the stack cannot fit is recorded with ``fit_stack``'s reason."""
+def _rbf_runs(task: SliceTask, train: np.ndarray, test: np.ndarray, rbf_config: RbfConfig) -> tuple:
+    """The RBF runs of splits, as ``_records`` takes them: one
+    ``fit_stack`` and one ``eval_stack`` call; a split the stack cannot fit
+    is recorded with ``fit_stack``'s reason."""
     centers = task.points[train]
     coeffs, cond, errors = fit_stack(centers, task.values[train], rbf_config)
     fitted = np.array([e is None for e in errors])
-    pred = iter(eval_stack(centers[fitted], coeffs[fitted], task.points[test[fitted]],
-                           rbf_config.epsilon))
-    return [_make_record(task, plan, "rbf", next(pred), condition_estimate=float(c)) if error is None
-            else _make_record(task, plan, "rbf", None, reason=f"fit_failed:{reason_code(error)}")
-            for plan, error, c in zip(plans, errors, cond)]
+    pred = np.full(test.shape, np.nan)
+    pred[fitted] = eval_stack(centers[fitted], coeffs[fitted], task.points[test[fitted]],
+                              rbf_config.epsilon)
+    reasons = [None if e is None else f"fit_failed:{reason_code(e)}" for e in errors]
+    return ("rbf", pred, reasons, np.zeros(len(train), dtype=int),
+            [float(c) if e is None else None for e, c in zip(errors, cond)])
 
 
-def _run_task(task: SliceTask, plans: list[SplitPlan], rbf_config: RbfConfig) -> list[RunRecord]:
+def _run_task(task: SliceTask, train: np.ndarray, test: np.ndarray, repeats: np.ndarray,
+              rbf_config: RbfConfig) -> list[RunRecord]:
     """Both runs of every split of one task, as one stage (see the module
-    docstring): records in plan order, cubic then RBF for each split.
+    docstring): records in row order, cubic then RBF for each split.
 
-    Validates the slice's nodes once, raising NonFiniteInput or
-    DuplicateNodes. The plans share one train size, as ``make_splits``
-    draws them; they are taken PLAN_CHUNK at a time, each chunk with one
-    ``hull_cover`` and one ``fit_stack`` call.
+    ``train`` (B, m) and ``test`` (B, k) hold the splits' node indices and
+    ``repeats`` (B,) their repeat indices. Validates the slice's nodes
+    once, raising NonFiniteInput or DuplicateNodes. The splits are taken
+    PLAN_CHUNK rows at a time, each chunk with one ``hull_cover``, one
+    ``fit_stack`` and one scoring stack per method.
     """
     as_points(task.points)
     records = []
-    for lo in range(0, len(plans), PLAN_CHUNK):
-        chunk = plans[lo:lo + PLAN_CHUNK]
-        train = np.stack([plan.train_indices for plan in chunk])
-        test = np.stack([plan.test_indices for plan in chunk])
-        covered, trusted = hull_cover(task.points, train, test)
-        trusted &= np.isfinite(task.values[train]).all(axis=1)  # fit_cubic gives their reason
-        cubic = _cubic_records(task, chunk, covered, trusted)
-        rbf = _rbf_records(task, chunk, train, test, rbf_config)
-        records.extend(rec for pair in zip(cubic, rbf) for rec in pair)
+    for lo in range(0, len(train), PLAN_CHUNK):
+        rows = slice(lo, lo + PLAN_CHUNK)
+        covered, trusted = hull_cover(task.points, train[rows], test[rows])
+        trusted &= np.isfinite(task.values[train[rows]]).all(axis=1)  # fit_cubic gives their reason
+        runs = [_cubic_runs(task, train[rows], test[rows], covered, trusted),
+                _rbf_runs(task, train[rows], test[rows], rbf_config)]
+        records.extend(_records(task, train[rows], test[rows], repeats[rows], runs))
     return records
 
 
@@ -373,7 +437,8 @@ def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[R
     nodes fail validation raises NonFiniteInput or DuplicateNodes. This is
     ``_run_task`` on a single split.
     """
-    cubic_record, rbf_record = _run_task(task, [plan], rbf_config)
+    cubic_record, rbf_record = _run_task(task, plan.train_indices[None], plan.test_indices[None],
+                                         np.array([plan.repeat_index]), rbf_config)
     return cubic_record, rbf_record
 
 
@@ -392,20 +457,18 @@ def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | Non
     """
     config = config if config is not None else ExperimentConfig()
     rbf_config = config.rbf_config()
+    tasks = [task for regime in REGIMES for task in enumerate_slices(dataset, regime)]
+    plans = _plan_splits(tasks, config.repeats_per_slice, config.train_fraction, config.random_seed)
+    repeats = np.arange(config.repeats_per_slice)
     records: list[RunRecord] = []
-    for regime in REGIMES:
-        for task in enumerate_slices(dataset, regime):
-            try:
-                plans = make_splits(
-                    task, config.repeats_per_slice, config.train_fraction, config.random_seed
-                )
-            except InsufficientNodes as exc:
-                log.warning(
-                    "skipping slice %s=%g output %d (%s): %s",
-                    task.fixed_axis, task.fixed_level, task.output_index, regime, exc,
-                )
-                continue
-            records.extend(_run_task(task, plans, rbf_config))
+    for task, plan in zip(tasks, plans):
+        if plan is None:
+            log.warning(
+                "skipping slice %s=%g output %d (%s): %s",
+                task.fixed_axis, task.fixed_level, task.output_index, task.regime, _too_small(task),
+            )
+            continue
+        records.extend(_run_task(task, *plan, repeats, rbf_config))
     return records
 
 

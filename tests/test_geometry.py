@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edges, hull, min_separated, near_collinear, neighbors, order_probe_sets, triangle_areas
+from surfbench import geometry
 from surfbench.cubic import fit_cubic
 from surfbench.errors import (
     DegenerateGeometry,
@@ -511,6 +512,25 @@ class TestGeometryReport:
         assert payload["n_nodes"] == 4
         assert payload["n_hull"] == 4
         assert isinstance(report, GeometryReport)
+
+    def test_nodes_validated_once_and_hull_built_once(self, monkeypatch):
+        calls = {"as_points": 0, "_hull": 0}
+
+        def counted(name):
+            original = getattr(geometry, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(geometry, name, counted(name))
+        grid = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
+        report = geometry_report(grid, grid_resolution=30)
+        assert calls == {"as_points": 1, "_hull": 1}
+        assert report.fill_distance == fill_distance(grid, grid_resolution=30)
+        assert report.separation_distance == separation_distance(grid)
 
     def test_n_hull_matches_per_point_reference(self):
         def reference_n_hull(arr):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.random import Generator, Philox, SeedSequence
 
 from surfbench import metrics
@@ -13,6 +14,7 @@ from surfbench.metrics import (
     _resample_means,
     bootstrap_ci,
     compute_metrics,
+    metric_stack,
 )
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -87,6 +89,64 @@ class TestComputeMetrics:
         assert scaled.r2 == pytest.approx(base.r2, rel=1e-9, abs=1e-12)
         shifted = compute_metrics(y + shift, pred + shift)
         assert shifted.r2 == pytest.approx(base.r2, rel=1e-9, abs=1e-12)
+
+
+def scalar_metrics(yt, yp):
+    """The oracle: one run's metrics by 1-D arithmetic, (rmse, mae, r2),
+    None when undefined."""
+    if yt.size < 2:
+        return None
+    ss_tot = float(np.sum((yt - yt.mean()) ** 2))
+    if ss_tot == 0.0:
+        return None
+    err = yt - yp
+    ss_res = float(err @ err)
+    return float(np.sqrt(ss_res / yt.size)), float(np.mean(np.abs(err))), 1.0 - ss_res / ss_tot
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def metric_stacks(draw, min_k=2):
+    """(B, k) targets and predictions, k = min_k ... 11; some target rows
+    constant (zero variance), values from a small pool so ties occur."""
+    b = draw(st.integers(1, 12))
+    k = draw(st.integers(min_k, 11))
+    values = st.one_of(st.sampled_from([0.0, 1.0, -2.5, 1e-300]), finite_floats)
+    y_true = draw(arrays(np.float64, (b, k), elements=values))
+    constant = draw(arrays(np.bool_, b))
+    y_true[constant] = y_true[constant, :1]
+    y_pred = draw(arrays(np.float64, (b, k), elements=values))
+    return y_true, y_pred
+
+
+class TestMetricStack:
+    @given(stacks=metric_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_equals_the_row_alone_bit_for_bit(self, stacks):
+        y_true, y_pred = stacks
+        rmse, mae, r2, defined = metric_stack(y_true, y_pred)
+        for i, (yt, yp) in enumerate(zip(y_true, y_pred)):
+            expected = scalar_metrics(yt, yp)
+            alone = compute_metrics(yt, yp)
+            assert defined[i] == (expected is not None) == (alone is not None)
+            if expected is None:
+                assert np.isnan(r2[i])
+                continue
+            assert bits([rmse[i], mae[i], r2[i]]) == bits(expected)
+            assert bits([alone.rmse, alone.mae, alone.r2]) == bits(expected)
+            assert alone.n_points == yt.size
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_columns_are_undefined(self, k):
+        rmse, mae, r2, defined = metric_stack(np.ones((3, k)), np.ones((3, k)))
+        assert not defined.any()
+        assert np.isnan(np.concatenate([rmse, mae, r2])).all()
+
+    def test_no_rows(self):
+        assert all(v.shape == (0,) for v in metric_stack(np.empty((0, 4)), np.empty((0, 4))))
 
 
 class TestBootstrap:

@@ -1,22 +1,25 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import order_probe_sets
 from surfbench import cubic
 from surfbench.config import ExperimentConfig
 from surfbench.geometry import HULL_TOL, convex_hull_polygon, hull_cover, locate, triangulate
-from surfbench.metrics import MetricSet
+from surfbench.metrics import MetricSet, compute_metrics
 from surfbench.protocol import (
     AXES,
     REGIMES,
     RunRecord,
     SliceTask,
     SplitPlan,
-    _make_record,
+    _records,
     _run_task,
     enumerate_slices,
     execute_experiment,
@@ -166,6 +169,34 @@ class TestMakeSplits:
                          np.arange(4.0))
         with pytest.raises(InsufficientNodes):
             make_splits(task, repeats=1, alpha=0.7, master_seed=42)
+
+
+    def test_default_plan_is_pinned(self, full_run):
+        # every train/test index array of the 2640 default splits (seed 42),
+        # in run order, as little-endian int64
+        digest = hashlib.sha256()
+        for rec in full_run[0::2]:
+            digest.update(rec.train_indices.astype("<i8").tobytes())
+            digest.update(rec.test_indices.astype("<i8").tobytes())
+        assert len(full_run) == 2 * 2640
+        assert digest.hexdigest() == "bafc9482ab92c7f184adf74691739c726766a978aefbcd93749d74ad8686655e"
+
+    def test_make_splits_gives_the_rows_the_experiment_runs(self, default_dataset, default_config,
+                                                            full_run):
+        records = iter(full_run)
+        for regime in REGIMES:
+            for task in enumerate_slices(default_dataset, regime):
+                for plan in make_splits(task, default_config.repeats_per_slice,
+                                        default_config.train_fraction, default_config.random_seed):
+                    for method in ("cubic", "rbf"):
+                        rec = next(records)
+                        assert (rec.regime, rec.output_index, rec.fixed_axis, rec.level_index,
+                                rec.repeat, rec.method) == (regime, task.output_index,
+                                                            task.fixed_axis, task.level_index,
+                                                            plan.repeat_index, method)
+                        np.testing.assert_array_equal(rec.train_indices, plan.train_indices)
+                        np.testing.assert_array_equal(rec.test_indices, plan.test_indices)
+        assert next(records, None) is None
 
 
 class TestRunPair:
@@ -366,9 +397,34 @@ class TestHullCover:
             assert trusted[0] == expected
 
 
+def reference_record(task, plan, method, y_pred, reason=None, n_finite=0, condition_estimate=None):
+    """One run's record, scored alone by ``compute_metrics``; ``y_pred``
+    None marks a run that made no predictions."""
+    y_true = task.values[plan.test_indices]
+    n_test = int(y_true.size)
+    metrics = None
+    if y_pred is not None:
+        n_finite = int(np.count_nonzero(np.isfinite(y_pred)))
+        if n_finite < n_test:
+            y_pred, reason = None, "test_points_outside_support"
+        else:
+            metrics = compute_metrics(y_true, y_pred)
+            if metrics is None:
+                reason = "too_few_test_points" if n_test < 2 else "zero_target_variance"
+    return RunRecord(
+        regime=task.regime, output_index=task.output_index, fixed_axis=task.fixed_axis,
+        fixed_level=task.fixed_level, level_index=task.level_index, repeat=plan.repeat_index,
+        method=method, valid=metrics is not None, reason="ok" if metrics is not None else reason,
+        n_test=n_test, n_finite=n_finite, metrics=metrics, y_true=y_true,
+        y_pred=np.full(n_test, np.nan) if y_pred is None else np.asarray(y_pred, dtype=float),
+        train_indices=plan.train_indices, test_indices=plan.test_indices,
+        condition_estimate=condition_estimate,
+    )
+
+
 def reference_records(task, plans, rbf_config):
     """Each split alone through the public per-split API: ``fit_cubic`` and
-    ``evaluate``, ``fit_rbf`` and ``eval_rbf``."""
+    ``evaluate``, ``fit_rbf`` and ``eval_rbf``, ``compute_metrics``."""
     records = []
     for plan in plans:
         train, test = task.points[plan.train_indices], task.points[plan.test_indices]
@@ -376,20 +432,27 @@ def reference_records(task, plans, rbf_config):
         try:
             pred = cubic.fit_cubic(train, values).evaluate(test)
             found = np.isfinite(pred)
-            records.append(_make_record(task, plan, "cubic", pred) if found.all() else
-                           _make_record(task, plan, "cubic", None, "test_points_outside_support",
-                                        int(np.count_nonzero(found))))
+            records.append(reference_record(task, plan, "cubic", pred) if found.all() else
+                           reference_record(task, plan, "cubic", None, "test_points_outside_support",
+                                            int(np.count_nonzero(found))))
         except InterpolationError as exc:
-            records.append(_make_record(task, plan, "cubic", None,
-                                        reason=f"fit_failed:{reason_code(exc)}"))
+            records.append(reference_record(task, plan, "cubic", None,
+                                            reason=f"fit_failed:{reason_code(exc)}"))
         try:
             surface = fit_rbf(train, values, rbf_config)
-            records.append(_make_record(task, plan, "rbf", eval_rbf(surface, test),
-                                        condition_estimate=surface.condition_estimate))
+            records.append(reference_record(task, plan, "rbf", eval_rbf(surface, test),
+                                            condition_estimate=surface.condition_estimate))
         except InterpolationError as exc:
-            records.append(_make_record(task, plan, "rbf", None,
-                                        reason=f"fit_failed:{reason_code(exc)}"))
+            records.append(reference_record(task, plan, "rbf", None,
+                                            reason=f"fit_failed:{reason_code(exc)}"))
     return records
+
+
+def stage(task, plans, rbf_config):
+    """``_run_task`` on the stacked index arrays of ``plans``."""
+    return _run_task(task, np.stack([plan.train_indices for plan in plans]),
+                     np.stack([plan.test_indices for plan in plans]),
+                     np.array([plan.repeat_index for plan in plans]), rbf_config)
 
 
 def assert_same_records(got, expected):
@@ -437,7 +500,7 @@ class TestStage:
         plans = [covering, non_finite, partial, collinear]
         config = ExperimentConfig().rbf_config()
         task = make_task(pts, values)
-        records = _run_task(task, plans, config)
+        records = stage(task, plans, config)
         assert_same_records(records, reference_records(task, plans, config))
         assert [r.reason for r in records] == [
             "ok", "ok",
@@ -445,12 +508,12 @@ class TestStage:
             "test_points_outside_support", "ok",
             "fit_failed:degenerate_geometry", "fit_failed:singular_system",
         ]
-        alone = _run_task(task, [covering, partial], config)
+        alone = stage(task, [covering, partial], config)
         assert_same_records(records[0:2] + records[4:6], alone)
 
         bad_node = make_task(np.where(np.arange(15)[:, None] == 7, np.nan, pts), pts[:, 0])
         with pytest.raises(NonFiniteInput):
-            _run_task(bad_node, [covering, non_finite], config)
+            stage(bad_node, [covering, non_finite], config)
 
     def test_untrusted_split_with_a_test_point_outside_drops_its_predictions(self):
         # the rotated square with a node 1e-10 inside its bottom edge, which
@@ -464,7 +527,7 @@ class TestStage:
         _, trusted = hull_cover(pts, plans[0].train_indices[None], plans[0].test_indices[None])
         assert not trusted[0]
         config = ExperimentConfig().rbf_config()
-        records = _run_task(task, plans, config)
+        records = stage(task, plans, config)
         cubic_record = records[0]
         assert cubic_record.reason == "test_points_outside_support"
         assert cubic_record.n_finite == 1
@@ -492,6 +555,59 @@ class TestStage:
         summary = rbf_condition_summary(records).values()
         assert sum(s["fits"] for s in summary) == fits
         assert sum(s["ill_conditioned"] for s in summary) == warned
+
+
+@st.composite
+def scored_stacks(draw):
+    """A task, (B, k) test indices with k = 1 ... 11 and one method's
+    predictions; some target rows constant, some targets and predictions
+    non-finite, some runs without predictions."""
+    b = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 11))
+    n = k + 3
+    pool = st.one_of(st.sampled_from([0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
+    values = draw(arrays(np.float64, n, elements=st.one_of(pool, st.just(np.nan))))
+    test = draw(arrays(np.int64, (b, k), elements=st.integers(3, n - 1)))
+    constant = draw(arrays(np.bool_, b))
+    test[constant] = test[constant, :1]
+    pred = draw(arrays(np.float64, (b, k), elements=st.one_of(pool, st.just(np.nan),
+                                                               st.just(np.inf))))
+    made = draw(arrays(np.bool_, b))
+    pred[~made] = np.nan
+    n_finite = draw(arrays(np.int64, b, elements=st.integers(0, k)))
+    task = make_task(np.column_stack([np.arange(n), np.arange(n) % 2]), values)
+    return task, test, pred, made, n_finite
+
+
+class TestScoring:
+    @given(case=scored_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_scoring_equals_each_run_scored_alone(self, case):
+        task, test, pred, made, n_finite = case
+        b = len(test)
+        train = np.tile(np.arange(3), (b, 1))
+        repeats = np.arange(b)
+        reasons = [None if m else "fit_failed:singular_system" for m in made]
+        got = _records(task, train, test, repeats, [("rbf", pred, reasons, n_finite, None)])
+        expected = [
+            reference_record(task, SplitPlan(train[i], test[i], i), "rbf",
+                             *((pred[i],) if made[i] else (None, reasons[i], int(n_finite[i]))))
+            for i in range(b)
+        ]
+        assert_same_records(got, expected)
+        k = test.shape[1]
+        for rec, yp in zip(got, pred):
+            if rec.valid:
+                assert np.isfinite(rec.y_pred).all()
+                continue
+            assert rec.metrics is None
+            if rec.reason == "test_points_outside_support":
+                assert not np.isfinite(yp).all() and np.isnan(rec.y_pred).all()
+            elif rec.reason == "too_few_test_points":
+                assert k < 2
+            elif rec.reason == "zero_target_variance":
+                yt = rec.y_true[np.isfinite(rec.y_true)]
+                assert k >= 2 and (yt.size < 2 or np.sum((yt - yt.mean()) ** 2) == 0.0)
 
 
 class TestMethodContrast:
@@ -584,6 +700,28 @@ class TestExecuteExperiment:
             records = execute_experiment(dataset, config)
         assert records == []
         assert "skipping slice" in caplog.text
+
+    def test_small_slices_skipped_in_order_with_the_same_warning(self, caplog):
+        # fixing x3 leaves 2 x 2 = 4 nodes, too few to split; the x1 and x2
+        # slices keep 6 and run around them
+        dataset = generate(DesignSpec(x1_levels=2, x2_levels=2, x3_levels=3), NoiseSpec())
+        config = ExperimentConfig(repeats_per_slice=2)
+        with caplog.at_level("WARNING"):
+            records = execute_experiment(dataset, config)
+        expected, skipped = [], []
+        for regime in REGIMES:
+            for task in enumerate_slices(dataset, regime):
+                if task.fixed_axis == "x3":
+                    with pytest.raises(InsufficientNodes):
+                        make_splits(task, 2, config.train_fraction, config.random_seed)
+                    skipped.append(f"skipping slice x3={task.fixed_level:g} output "
+                                   f"{task.output_index} ({regime}): slice has 4 points; need >= 5")
+                    continue
+                for plan in make_splits(task, 2, config.train_fraction, config.random_seed):
+                    expected.extend(run_pair(task, plan, config.rbf_config()))
+        assert len(records) == 96 and len(skipped) == 18
+        assert_same_records(records, expected)
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == skipped
 
     def test_mean_noisy_contrast_positive_for_every_output(self, full_run):
         # full-pipeline observation: on noisy data the exact RBF fit loses to
