@@ -17,13 +17,15 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from surfbench.config import ExperimentConfig
 from surfbench.protocol import execute_experiment
 from surfbench.report import (
     diagnose_slices,
     export_pred_vs_true,
     export_surface_grid,
-    write_csv,
+    write_columns,
     write_grid_csv,
     write_json,
     write_scatter_csv,
@@ -54,22 +56,22 @@ def main() -> int:
             write_grid_csv(header, grid, outdir / name)
             print(f"wrote {outdir / name}")
 
-    records = execute_experiment(dataset, config)
+    runs = execute_experiment(dataset, config)
 
     # per-run RMSE table for distribution plots
     rmse_path = outdir / "rmse_by_run.csv"
-    write_csv(rmse_path, "regime,output,method,repeat,fixed_axis,fixed_level,rmse", (
-        (r.regime, r.output_index, r.method, r.repeat, r.fixed_axis, r.fixed_level, r.metrics.rmse)
-        for r in records if r.valid
-    ))
+    write_columns(rmse_path, "regime,output,method,repeat,fixed_axis,fixed_level,rmse", [
+        getattr(runs, name)[runs.valid]
+        for name in ("regime", "output_index", "method", "repeat", "fixed_axis", "fixed_level", "rmse")
+    ])
     print(f"wrote {rmse_path}")
 
     # a representative noisy slice with failure behavior: most negative
     # jointly-valid r2 for the rbf method
-    noisy_rbf = [r for r in records if r.valid and r.regime == "noisy" and r.method == "rbf"]
-    worst = min(noisy_rbf, key=lambda r: r.metrics.r2)
+    noisy_rbf = np.flatnonzero(runs.valid & (runs.regime == "noisy") & (runs.method == "rbf"))
+    worst = runs[int(noisy_rbf[np.argmin(runs.r2[noisy_rbf])])]
     rows = export_pred_vs_true(
-        records,
+        runs,
         regime="noisy",
         output_index=worst.output_index,
         fixed_axis=worst.fixed_axis,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .protocol import RunRecord, execute_experiment, rbf_condition_summary, reason_histogram
+from .protocol import RunTable, execute_experiment, rbf_condition_summary, reason_histogram
 from .report import (
     diagnose_slices,
     export_pred_vs_true,
@@ -104,40 +104,40 @@ def _cmd_generate(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def run_experiment(config: ExperimentConfig, outdir: Path, scatter: bool = False) -> list[RunRecord]:
+def run_experiment(config: ExperimentConfig, outdir: Path, scatter: bool = False) -> RunTable:
     """Run the full experiment, write its artifacts into ``outdir`` and print
-    the summary table; return the run records (what ``surfbench run`` does)."""
+    the summary table; return the run table (what ``surfbench run`` does)."""
     started = time.perf_counter()
     outdir.mkdir(parents=True, exist_ok=True)
     dataset = generate(noise=config.noise_spec())
-    records = execute_experiment(dataset, config)
-    table = summarize(records, config)
+    runs = execute_experiment(dataset, config)
+    table = summarize(runs, config)
 
     written = []
     write_dataset_csv(dataset, outdir / "dataset.csv")
     written.append("dataset.csv")
-    write_runs_csv(records, outdir / "runs.csv")
+    write_runs_csv(runs, outdir / "runs.csv")
     written.append("runs.csv")
     write_summary_csv(table, outdir / "summary.csv")
     written.append("summary.csv")
     config.write_settings_csv(outdir / "settings.csv")
     written.append("settings.csv")
     if scatter:
-        write_scatter_csv(export_pred_vs_true(records), outdir / "scatter.csv")
+        write_scatter_csv(export_pred_vs_true(runs), outdir / "scatter.csv")
         written.append("scatter.csv")
 
     meta = {
         "files": written,
         "config_sha256": config.sha256(),
         "runtime_seconds": time.perf_counter() - started,
-        "n_records": len(records),
-        "reasons": reason_histogram(records),
-        "rbf_condition": rbf_condition_summary(records),
+        "n_records": len(runs),
+        "reasons": reason_histogram(runs),
+        "rbf_condition": rbf_condition_summary(runs),
     }
     write_json(meta, outdir / "meta.json")
     print(table.to_text())
     print(f"\nartifacts in {outdir}: {', '.join(written + ['meta.json'])}")
-    return records
+    return runs
 
 
 def _cmd_run(args, config: ExperimentConfig) -> int:
@@ -147,8 +147,8 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
 
 def _cmd_report(args, config: ExperimentConfig) -> int:
     runs_path = Path(args.runs) if args.runs else Path(args.outdir) / "runs.csv"
-    records = read_runs_csv(runs_path)
-    if not records:
+    runs = read_runs_csv(runs_path)
+    if not len(runs):
         print(f"error: no runs in {runs_path}", file=sys.stderr)
         return 1
     settings = runs_path.parent / "settings.csv"
@@ -156,7 +156,7 @@ def _cmd_report(args, config: ExperimentConfig) -> int:
         config = ExperimentConfig.from_settings_csv(settings)
         if args.seed is not None:
             config = dataclasses.replace(config, random_seed=args.seed)
-    table = summarize(records, config)
+    table = summarize(runs, config)
     print(table.to_text())
     return 0
 

@@ -315,7 +315,11 @@ def triangulate(points) -> Triangulation:
     search found 3 of 6000 near-collinear sets with offsets 1e-10 to 1e-9
     of the extent (none at 1e-9 to 1e-8, none on lattices or random sets).
     """
-    arr = as_points(points)
+    return _triangulate(as_points(points))
+
+
+def _triangulate(arr: np.ndarray) -> Triangulation:
+    """``triangulate`` of nodes that already passed ``as_points``."""
     n = arr.shape[0]
     if n < 3:
         raise InsufficientNodes(f"triangulation needs >= 3 nodes, got {n}")

@@ -24,9 +24,9 @@ undefined outside the training hull) therefore lose runs whenever a split
 pushes any test point off their support, which is what drives the asymmetric
 valid-run counts between the two methods.
 
-All splits of a task run as one stage (``_run_task``), after one check of
-the slice's nodes (``geometry.as_points`` raises NonFiniteInput or
-DuplicateNodes):
+The experiment runs as one stage (``_run_tasks``). Each task's nodes are
+checked once (``geometry.as_points`` raises NonFiniteInput or
+DuplicateNodes), then its splits are taken PLAN_CHUNK at a time:
 
 1. One vectorized pass (``geometry.hull_cover``) tests every test point
    against its split's training hull. A split whose training values are
@@ -35,39 +35,39 @@ DuplicateNodes):
    counts its hull-covered test points. The cover is one-sided: every test
    point that ``locate`` would find is hull-covered, so the reason code is
    always right, and the count can differ from ``locate``'s only for a
-   point in the band within 1e-8 of the slice extent outside the hull.
-   Every other split (one the hull test cannot vouch for, one with
-   non-finite values, or one with every test point covered) goes to
-   ``fit_cubic``, whose error is its reason. The fitted surfaces are
-   evaluated at their test points as one stack (``cubic.evaluate_stack``:
-   one ``locate`` per surface, then one gradient solve, one control-net
-   build and one evaluation for the task). ``locate`` is authoritative: a
-   surface that leaves a test point undefined is recorded as
-   ``test_points_outside_support``, with ``n_finite`` counting its finite
-   predictions.
-2. The RBF systems of all splits are assembled, solved and
+   point in the band within 1e-8 of the slice extent outside the hull. A
+   split with every test point covered is triangulated on its already
+   checked nodes; every other split (one the hull test cannot vouch for,
+   or one with non-finite values) goes to ``fit_cubic``, whose error is its
+   reason.
+2. The RBF systems of the splits are assembled, solved and
    condition-estimated as one stack (``rbf.fit_stack``), which gives the
    reason of every split it cannot fit, and evaluated as one batch; each
    item equals ``fit_rbf``/``eval_rbf`` bit for bit.
 
-Each method's complete runs of a chunk are scored as one stack
-(``metrics.metric_stack``, which equals ``compute_metrics`` row by row bit
-for bit). Each RBF record keeps its fit's condition estimate
-(``condition_estimate``); ``rbf_condition_summary`` aggregates them per
-regime for ``meta.json``.
-
-``run_pair`` is this stage on a single split.
+The fitted cubic surfaces of all tasks are then evaluated at their test
+points as one stack (``cubic.evaluate_stack``). ``locate`` is
+authoritative: a surface that leaves a test point undefined is recorded as
+``test_points_outside_support``, with ``n_finite`` counting its finite
+predictions. Each method's complete runs of a chunk are scored as one
+stack (``metrics.metric_stack``, which equals ``compute_metrics`` row by
+row bit for bit), and the runs come back as one columnar ``RunTable``,
+whose rows are ``RunRecord``s. Each RBF run keeps its fit's condition
+estimate; ``rbf_condition_summary`` aggregates them per regime for
+``meta.json``. ``run_pair`` is this stage on a single split.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .cubic import evaluate_stack, fit_cubic
+from .cubic import _fit_validated, evaluate_stack, fit_cubic
 from .errors import InsufficientNodes, InterpolationError, reason_code
 from .geometry import as_points, hull_cover
 from .metrics import MetricSet, compute_metrics, metric_stack
@@ -82,6 +82,7 @@ __all__ = [
     "SliceTask",
     "SplitPlan",
     "RunRecord",
+    "RunTable",
     "enumerate_slices",
     "find_slice",
     "slice_nodes",
@@ -146,7 +147,7 @@ class SplitPlan:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One (regime, output, slice, repeat, method) evaluation."""
+    """One (regime, output, slice, repeat, method) run: a row of a RunTable."""
 
     regime: str
     output_index: int
@@ -160,11 +161,89 @@ class RunRecord:
     n_test: int
     n_finite: int
     metrics: MetricSet | None
-    y_true: np.ndarray
-    y_pred: np.ndarray
-    train_indices: np.ndarray
-    test_indices: np.ndarray
+    y_true: np.ndarray | None
+    y_pred: np.ndarray | None
+    train_indices: np.ndarray | None
+    test_indices: np.ndarray | None
     condition_estimate: float | None = None  # of the RBF saddle system; None for cubic and failed runs
+
+
+# The RunTable columns that a RunRecord holds as they are, and the flat
+# ones with the column of their lengths.
+_SCALARS = {"regime": str, "output_index": int, "fixed_axis": str, "fixed_level": float,
+            "level_index": int, "repeat": int, "method": str, "valid": bool, "reason": str,
+            "n_test": int, "n_finite": int}
+_FLAT = {"y_true": "n_test", "y_pred": "n_test", "train_indices": "n_train", "test_indices": "n_test"}
+
+
+@dataclass(frozen=True, eq=False)
+class RunTable:
+    """Every run of an experiment as read-only columns, one entry per run in
+    runs.csv order; a metric is NaN where the run is invalid, and so is
+    ``condition_estimate`` where it has none. Each run's targets, kept
+    predictions and test node indices lie flat in ``y_true``, ``y_pred``
+    and ``test_indices`` (offsets from ``n_test``), its training node
+    indices in ``train_indices`` (offsets from ``n_train``). A table read
+    from runs.csv has none of these five and ``level_index`` -1.
+
+    Iterating or indexing yields the runs as RunRecords.
+    """
+
+    regime: np.ndarray
+    output_index: np.ndarray
+    fixed_axis: np.ndarray
+    fixed_level: np.ndarray
+    level_index: np.ndarray
+    repeat: np.ndarray
+    method: np.ndarray
+    valid: np.ndarray
+    reason: np.ndarray
+    n_test: np.ndarray
+    n_finite: np.ndarray
+    rmse: np.ndarray
+    mae: np.ndarray
+    r2: np.ndarray
+    condition_estimate: np.ndarray
+    y_true: np.ndarray | None = None
+    y_pred: np.ndarray | None = None
+    train_indices: np.ndarray | None = None
+    test_indices: np.ndarray | None = None
+    n_train: np.ndarray | None = None
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            if column is not None:
+                column.setflags(write=False)
+
+    @classmethod
+    def empty(cls) -> RunTable:
+        return cls(**{name: np.empty(0, dtype) for name, dtype in _SCALARS.items()},
+                   **{name: np.empty(0) for name in ("rmse", "mae", "r2", "condition_estimate")})
+
+    def __len__(self) -> int:
+        return len(self.regime)
+
+    def __getitem__(self, index):
+        return list(self)[index]  # builds every row
+
+    def __iter__(self):
+        col = {name: getattr(self, name).tolist()
+               for name in (*_SCALARS, "rmse", "mae", "r2", "condition_estimate")}
+        flat = {name: None if getattr(self, name) is None else
+                np.split(getattr(self, name), np.cumsum(getattr(self, n))[:-1])
+                for name, n in _FLAT.items()}
+        for i in range(len(self)):
+            arrays = {name: None if a is None else a[i] for name, a in flat.items()}
+            # a valid run's predictions are all finite: it scored its finite targets
+            n_points = (col["n_finite"][i] if arrays["y_true"] is None
+                        else int(np.isfinite(arrays["y_true"]).sum()))
+            cond = col["condition_estimate"][i]
+            yield RunRecord(
+                **{name: col[name][i] for name in _SCALARS}, **arrays,
+                metrics=MetricSet(col["rmse"][i], col["mae"][i], col["r2"][i], n_points)
+                if col["valid"][i] else None,
+                condition_estimate=None if math.isnan(cond) else cond,
+            )
 
 
 def slice_nodes(dataset: FactorialDataset, fixed_axis: str, level_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,9 +371,9 @@ def make_splits(
 
 
 def _score(y_true: np.ndarray, pred: np.ndarray, reasons: list,
-           n_finite: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
-    """Metrics, reason codes, finite counts and kept predictions of one
-    method's runs on (B, k) targets ``y_true``.
+           n_finite: np.ndarray) -> tuple:
+    """Validity, reason codes, finite counts, RMSE, MAE, R^2 and kept
+    predictions of one method's runs on (B, k) targets ``y_true``.
 
     ``pred`` (B, k) holds each run's predictions. A run that made none has
     its reason in ``reasons`` (None for one that did), NaN predictions and
@@ -311,64 +390,63 @@ def _score(y_true: np.ndarray, pred: np.ndarray, reasons: list,
     complete = made & (n_finite == n_test)
     pred = np.where(complete[:, None], pred, np.nan)
     clean = complete & np.isfinite(y_true).all(axis=1)
-    metrics: list = [None] * len(y_true)
-    rmse, mae, r2, defined = metric_stack(y_true[clean], pred[clean])
-    for i, e, a, r, ok in zip(np.flatnonzero(clean), rmse, mae, r2, defined):
-        if ok:
-            metrics[i] = MetricSet(rmse=float(e), mae=float(a), r2=float(r), n_points=n_test)
+    valid = np.zeros(len(y_true), dtype=bool)
+    rmse, mae, r2 = np.full((3, len(y_true)), np.nan)
+    e, a, r, ok = metric_stack(y_true[clean], pred[clean])
+    rows = np.flatnonzero(clean)[ok]
+    valid[rows], rmse[rows], mae[rows], r2[rows] = True, e[ok], a[ok], r[ok]
     for i in np.flatnonzero(complete & ~clean):
-        metrics[i] = compute_metrics(y_true[i], pred[i])
+        m = compute_metrics(y_true[i], pred[i])
+        if m is not None:
+            valid[i], rmse[i], mae[i], r2[i] = True, m.rmse, m.mae, m.r2
     undefined = "too_few_test_points" if n_test < 2 else "zero_target_variance"
-    codes = ["ok" if m is not None else reason if not ok else undefined if full
-             else "test_points_outside_support"
-             for m, reason, ok, full in zip(metrics, reasons, made, complete)]
-    return metrics, codes, n_finite, pred
+    reason = np.where(valid, "ok", np.where(made, np.where(
+        complete, undefined, "test_points_outside_support"), [r or "" for r in reasons]))
+    return valid, reason, n_finite, rmse, mae, r2, pred
 
 
-def _records(task: SliceTask, train: np.ndarray, test: np.ndarray, repeats: np.ndarray,
-             runs: list[tuple]) -> list[RunRecord]:
-    """The records of splits with (B, m) ``train`` and (B, k) ``test`` node
-    indices and (B,) ``repeats``: for each split, one record per method in
-    ``runs`` order. Each item of ``runs`` is ``(method, pred, reasons,
-    n_finite, cond)`` as ``_score`` takes them, with the (B,) condition
-    estimates ``cond`` or None. A split's records share its index and
-    target arrays."""
+def _task_columns(task: SliceTask, train: np.ndarray, test: np.ndarray, repeats: np.ndarray,
+                  runs: list[tuple]) -> dict[str, np.ndarray]:
+    """The RunTable columns of splits of ``task`` with (B, m) ``train`` and
+    (B, k) ``test`` node indices and (B,) ``repeats``: for each split, one
+    run per method in ``runs`` order. Each item of ``runs`` is ``(method, pred,
+    reasons, n_finite, cond)`` as ``_score`` takes them, with the (B,)
+    condition estimates ``cond`` (NaN where none) or None."""
     y_true = task.values[test]
-    scored = [(method, *_score(y_true, pred, reasons, n_finite), cond)
-              for method, pred, reasons, n_finite, cond in runs]
-    out = []
-    for i, (targets, train_row, test_row) in enumerate(zip(y_true, train, test)):
-        for method, metrics, codes, n_finite, pred, cond in scored:
-            out.append(RunRecord(
-                regime=task.regime,
-                output_index=task.output_index,
-                fixed_axis=task.fixed_axis,
-                fixed_level=task.fixed_level,
-                level_index=task.level_index,
-                repeat=int(repeats[i]),
-                method=method,
-                valid=metrics[i] is not None,
-                reason=codes[i],
-                n_test=len(test_row),
-                n_finite=int(n_finite[i]),
-                metrics=metrics[i],
-                y_true=targets,
-                y_pred=pred[i],
-                train_indices=train_row,
-                test_indices=test_row,
-                condition_estimate=None if cond is None else cond[i],
-            ))
-    return out
+    scored = [_score(y_true, pred, reasons, n_finite)
+              + (np.full(len(test), np.nan) if cond is None else cond,)
+              for _, pred, reasons, n_finite, cond in runs]
+    size = len(test) * len(runs)
+
+    def shared(column):  # a split's entries, once for each of its runs
+        return np.repeat(column, len(runs), axis=0).ravel()
+
+    def each(i):  # the methods' entries of a split, one after the other
+        return np.stack([columns[i] for columns in scored], axis=1).ravel()
+
+    return dict(
+        **{name: np.full(size, getattr(task, name)) for name in (
+            "regime", "output_index", "fixed_axis", "fixed_level", "level_index")},
+        repeat=shared(repeats),
+        method=np.tile([method for method, *_ in runs], len(test)),
+        **dict(zip(("valid", "reason", "n_finite", "rmse", "mae", "r2", "y_pred",
+                    "condition_estimate"), map(each, range(8)))),
+        n_test=np.full(size, test.shape[1]),
+        y_true=shared(y_true),
+        train_indices=shared(train),
+        test_indices=shared(test),
+        n_train=np.full(size, train.shape[1]),
+    )
 
 
-def _cubic_runs(task: SliceTask, train: np.ndarray, test: np.ndarray, covered: np.ndarray,
-                trusted: np.ndarray) -> tuple:
-    """The cubic runs of splits, given their ``hull_cover`` masks, as
-    ``_records`` takes them. A trusted split with an uncovered test point is
-    recorded as outside support unfitted. Every other split is fitted by
-    ``fit_cubic``, so a failing split keeps its reason code, and the fitted
-    surfaces are evaluated at their test points as one stack
-    (``cubic.evaluate_stack``)."""
+def _cubic_fits(task: SliceTask, train: np.ndarray, covered: np.ndarray,
+                trusted: np.ndarray) -> tuple[list, np.ndarray, list, list]:
+    """The cubic fits of splits, given their ``hull_cover`` masks: reasons
+    and finite counts as ``_score`` takes them, and the indices and surfaces
+    of the fitted splits. A trusted split with an uncovered test point is
+    recorded as outside support unfitted, and one with every test point
+    covered is triangulated on its checked nodes. Every other split goes
+    through ``fit_cubic``, so a failing split keeps its reason code."""
     reasons: list = [None] * len(train)
     n_finite = np.zeros(len(train), dtype=int)
     fitted, surfaces = [], []
@@ -378,18 +456,16 @@ def _cubic_runs(task: SliceTask, train: np.ndarray, test: np.ndarray, covered: n
             n_finite[i] = np.count_nonzero(covered[i])
             continue
         try:
-            surfaces.append(fit_cubic(task.points[train[i]], task.values[train[i]]))
+            fit = _fit_validated if trusted[i] else fit_cubic
+            surfaces.append(fit(task.points[train[i]], task.values[train[i]]))
             fitted.append(i)
         except InterpolationError as exc:
             reasons[i] = f"fit_failed:{reason_code(exc)}"
-    pred = np.full(test.shape, np.nan)
-    if fitted:
-        pred[fitted] = evaluate_stack(surfaces, list(task.points[test[fitted]]))
-    return "cubic", pred, reasons, n_finite, None
+    return reasons, n_finite, fitted, surfaces
 
 
 def _rbf_runs(task: SliceTask, train: np.ndarray, test: np.ndarray, rbf_config: RbfConfig) -> tuple:
-    """The RBF runs of splits, as ``_records`` takes them: one
+    """The RBF runs of splits, as ``_task_columns`` takes them: one
     ``fit_stack`` and one ``eval_stack`` call; a split the stack cannot fit
     is recorded with ``fit_stack``'s reason."""
     centers = task.points[train]
@@ -399,31 +475,44 @@ def _rbf_runs(task: SliceTask, train: np.ndarray, test: np.ndarray, rbf_config: 
     pred[fitted] = eval_stack(centers[fitted], coeffs[fitted], task.points[test[fitted]],
                               rbf_config.epsilon)
     reasons = [None if e is None else f"fit_failed:{reason_code(e)}" for e in errors]
-    return ("rbf", pred, reasons, np.zeros(len(train), dtype=int),
-            [float(c) if e is None else None for e, c in zip(errors, cond)])
+    return "rbf", pred, reasons, np.zeros(len(train), dtype=int), np.where(fitted, cond, np.nan)
 
 
-def _run_task(task: SliceTask, train: np.ndarray, test: np.ndarray, repeats: np.ndarray,
-              rbf_config: RbfConfig) -> list[RunRecord]:
-    """Both runs of every split of one task, as one stage (see the module
-    docstring): records in row order, cubic then RBF for each split.
+def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig) -> RunTable:
+    """Both runs of every split of the tasks (see the module docstring), in
+    task order, cubic then RBF for each split; ``plans[t]`` holds the (B, m)
+    train and (B, k) test node indices and (B,) repeats of ``tasks[t]``.
 
-    ``train`` (B, m) and ``test`` (B, k) hold the splits' node indices and
-    ``repeats`` (B,) their repeat indices. Validates the slice's nodes
-    once, raising NonFiniteInput or DuplicateNodes. The splits are taken
-    PLAN_CHUNK rows at a time, each chunk with one ``hull_cover``, one
-    ``fit_stack`` and one scoring stack per method.
+    Validates each task's nodes once, raising NonFiniteInput or
+    DuplicateNodes. A task's splits are taken PLAN_CHUNK rows at a time,
+    each chunk with one ``hull_cover`` and one ``fit_stack``; the cubic
+    surfaces of all chunks are evaluated as one stack.
     """
-    as_points(task.points)
-    records = []
-    for lo in range(0, len(train), PLAN_CHUNK):
-        rows = slice(lo, lo + PLAN_CHUNK)
-        covered, trusted = hull_cover(task.points, train[rows], test[rows])
-        trusted &= np.isfinite(task.values[train[rows]]).all(axis=1)  # fit_cubic gives their reason
-        runs = [_cubic_runs(task, train[rows], test[rows], covered, trusted),
-                _rbf_runs(task, train[rows], test[rows], rbf_config)]
-        records.extend(_records(task, train[rows], test[rows], repeats[rows], runs))
-    return records
+    staged, surfaces, queries = [], [], []
+    for task, (train, test, repeats) in zip(tasks, plans):
+        as_points(task.points)
+        for lo in range(0, len(train), PLAN_CHUNK):
+            rows = slice(lo, lo + PLAN_CHUNK)
+            covered, trusted = hull_cover(task.points, train[rows], test[rows])
+            trusted &= np.isfinite(task.values[train[rows]]).all(axis=1)  # fit_cubic gives their reason
+            reasons, n_finite, fitted, fits = _cubic_fits(task, train[rows], covered, trusted)
+            surfaces += fits
+            queries += list(task.points[test[rows][fitted]])
+            staged.append((task, train[rows], test[rows], repeats[rows], fitted, reasons, n_finite,
+                           _rbf_runs(task, train[rows], test[rows], rbf_config)))
+    values = iter(evaluate_stack(surfaces, queries))
+    del surfaces, queries  # not needed past their values: freed before the columns are built
+    parts = []
+    for task, train, test, repeats, fitted, reasons, n_finite, rbf in staged:
+        pred = np.full(test.shape, np.nan)
+        for i in fitted:
+            pred[i] = next(values)
+        parts.append(_task_columns(task, train, test, repeats,
+                                   [("cubic", pred, reasons, n_finite, None), rbf]))
+    # column by column, each dropping its parts, so the parts and the table
+    # are not held whole at once
+    return RunTable(**{name: np.concatenate([part.pop(name) for part in parts])
+                       for name in list(parts[0])})
 
 
 def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[RunRecord, RunRecord]:
@@ -435,10 +524,11 @@ def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[R
     points inside, unfitted when the hull test can vouch for the split.
     Nothing raises for expected degeneracies of a split; a slice whose
     nodes fail validation raises NonFiniteInput or DuplicateNodes. This is
-    ``_run_task`` on a single split.
+    ``execute_experiment``'s stage on a single split.
     """
-    cubic_record, rbf_record = _run_task(task, plan.train_indices[None], plan.test_indices[None],
-                                         np.array([plan.repeat_index]), rbf_config)
+    cubic_record, rbf_record = _run_tasks(
+        [task], [(plan.train_indices[None], plan.test_indices[None], np.array([plan.repeat_index]))],
+        rbf_config)
     return cubic_record, rbf_record
 
 
@@ -449,66 +539,58 @@ def method_contrast(cubic_record: RunRecord, rbf_record: RunRecord, metric: str 
     return getattr(rbf_record.metrics, metric) - getattr(cubic_record.metrics, metric)
 
 
-def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | None = None) -> list[RunRecord]:
+def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | None = None) -> RunTable:
     """The full run table: regimes x tasks x repeats x methods.
 
-    A pure function of (dataset, config); rerunning yields identical records.
-    Slices too small to split are skipped with a log message.
+    A pure function of (dataset, config); rerunning yields an identical
+    table. Slices too small to split are skipped with a log message.
     """
     config = config if config is not None else ExperimentConfig()
-    rbf_config = config.rbf_config()
     tasks = [task for regime in REGIMES for task in enumerate_slices(dataset, regime)]
     plans = _plan_splits(tasks, config.repeats_per_slice, config.train_fraction, config.random_seed)
     repeats = np.arange(config.repeats_per_slice)
-    records: list[RunRecord] = []
+    kept = []
     for task, plan in zip(tasks, plans):
         if plan is None:
             log.warning(
                 "skipping slice %s=%g output %d (%s): %s",
                 task.fixed_axis, task.fixed_level, task.output_index, task.regime, _too_small(task),
             )
-            continue
-        records.extend(_run_task(task, *plan, repeats, rbf_config))
-    return records
+        else:
+            kept.append((task, (*plan, repeats)))
+    if not kept:
+        return RunTable.empty()
+    return _run_tasks(*map(list, zip(*kept)), config.rbf_config())
 
 
-def valid_run_counts(records) -> dict[tuple[str, int, str], int]:
+def valid_run_counts(table: RunTable) -> dict[tuple[str, int, str], int]:
     """Valid-run count per (regime, output_index, method)."""
-    counts: dict[tuple[str, int, str], int] = {}
-    for regime in REGIMES:
-        for output_index in (1, 2, 3):
-            for method in METHODS:
-                counts[(regime, output_index, method)] = 0
-    for rec in records:
-        if rec.valid:
-            counts[(rec.regime, rec.output_index, rec.method)] += 1
-    return counts
+    return {(regime, output_index, method): int(np.count_nonzero(
+                table.valid & (table.regime == regime) & (table.output_index == output_index)
+                & (table.method == method)))
+            for regime in REGIMES for output_index in (1, 2, 3) for method in METHODS}
 
 
-def reason_histogram(records) -> dict[str, dict[str, dict[str, int]]]:
+def reason_histogram(table: RunTable) -> dict[str, dict[str, dict[str, int]]]:
     """Run counts per regime, method and reason code:
     ``hist[regime][method][reason]``."""
     hist: dict[str, dict[str, dict[str, int]]] = {}
-    for rec in records:
-        counts = hist.setdefault(rec.regime, {}).setdefault(rec.method, {})
-        counts[rec.reason] = counts.get(rec.reason, 0) + 1
+    keys = zip(table.regime.tolist(), table.method.tolist(), table.reason.tolist())
+    for (regime, method, reason), n in Counter(keys).items():
+        hist.setdefault(regime, {}).setdefault(method, {})[reason] = n
     return hist
 
 
-def rbf_condition_summary(records) -> dict[str, dict[str, float | int | None]]:
+def rbf_condition_summary(table: RunTable) -> dict[str, dict[str, float | int | None]]:
     """The RBF condition estimates per regime: the number of fitted runs
     (``fits``), how many exceed the ill-conditioning threshold 1e12
     (``ill_conditioned``), and their ``min``, ``median`` and ``max`` (None
     without fits)."""
-    estimates: dict[str, list[float]] = {}
-    for rec in records:
-        if rec.method == "rbf":
-            found = estimates.setdefault(rec.regime, [])
-            if rec.condition_estimate is not None:
-                found.append(rec.condition_estimate)
+    rbf = table.method == "rbf"
     out = {}
-    for regime, found in estimates.items():
-        cond = np.array(found)
+    for regime in dict.fromkeys(table.regime[rbf].tolist()):
+        cond = table.condition_estimate[rbf & (table.regime == regime)]
+        cond = cond[~np.isnan(cond)]
         out[regime] = {
             "fits": int(cond.size),
             "ill_conditioned": int(np.count_nonzero(cond > CONDITION_WARN_THRESHOLD)),

@@ -5,8 +5,9 @@ surface grids with explicit ``NA`` markers for undefined cells, predicted
 versus true scatter rows, per-slice geometry reports, and the aggregated
 summary table with bootstrap confidence intervals.
 
-Every CSV table except settings.csv goes through ``write_csv``, whose
-cells are formatted by ``_fmt`` alone. File formats are pinned:
+Every CSV table except settings.csv goes through ``write_columns``
+(``write_csv`` hands it its columns), whose cells are formatted by
+``_fmt`` alone. File formats are pinned:
   dataset.csv  x1,x2,x3,y1_clean,y2_clean,y3_clean,y1_noisy,y2_noisy,y3_noisy
   runs.csv     regime,output,fixed_axis,fixed_level,repeat,method,valid,
                reason,n_test,n_finite,rmse,mae,r2
@@ -23,9 +24,9 @@ import csv
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .config import ExperimentConfig
 from .cubic import fit_cubic
 from .errors import InterpolationError
 from .geometry import geometry_report
-from .metrics import BootstrapCI, MetricSet, bootstrap_ci
-from .protocol import AXES, METHODS, REGIMES, find_slice, slice_nodes
+from .metrics import BootstrapCI, bootstrap_ci
+from .protocol import AXES, METHODS, REGIMES, RunTable, find_slice, slice_nodes
 from .rbf import eval_rbf, fit_rbf
 from .synthdata import FactorialDataset
 
@@ -43,10 +44,10 @@ __all__ = [
     "SummaryTable",
     "summarize",
     "write_csv",
+    "write_columns",
     "write_dataset_csv",
     "write_runs_csv",
     "read_runs_csv",
-    "RunRow",
     "write_summary_csv",
     "export_surface_grid",
     "export_pred_vs_true",
@@ -85,45 +86,54 @@ def _fmt(x) -> str:
     floats as ``NA``, bools as ``true``/``false``, anything else as str."""
     if isinstance(x, float):  # most cells; a bool is never a float
         return "%.17g" % x if math.isfinite(x) else NA_TOKEN
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     return NA_TOKEN if x is None else str(x)
 
 
-def _column(values):
-    """The cells of one column, each as ``_fmt`` writes it.
+def _cells(values) -> tuple[list[str], np.ndarray | None]:
+    """The cells of one column as ``_fmt`` writes them: the distinct cells
+    and each row's index among them, or every row's cell and None.
 
-    A float64 array is formatted once per distinct bit pattern (so -0.0,
-    0.0 and each NaN payload stay apart) and the strings are mapped back to
-    the rows; any other column is formatted cell by cell.
+    A bool, integer, str or float64 array is formatted once per distinct
+    value (a float64 once per bit pattern, so -0.0, 0.0 and each NaN
+    payload stay apart); any other column is formatted cell by cell.
     """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-        cells = list(map(_fmt, bits.view(np.float64).tolist()))
-        return map(cells.__getitem__, inverse.tolist())
-    return map(_fmt, values)
+    if isinstance(values, np.ndarray) and (values.dtype.kind in "biuU" or values.dtype == np.float64):
+        floats = values.dtype == np.float64
+        keys, inverse = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
+        return list(map(_fmt, (keys.view(np.float64) if floats else keys).tolist())), inverse
+    return list(map(_fmt, values)), None
 
 
-def _column_blocks(rows):
-    """The columns of ``rows``, block by block: a non-empty 2-D array as one
-    block, whose cells are already in memory; row tuples CSV_BLOCK at a time."""
-    if isinstance(rows, np.ndarray):
-        return [rows.T] if len(rows) else []
-    it = iter(rows)
-    return (zip(*block, strict=True) for block in iter(lambda: list(islice(it, CSV_BLOCK)), []))
+def _write_rows(fh, columns) -> None:
+    """Write the rows of equal-length columns, CSV_BLOCK rows at a time."""
+    cells = [_cells(column) for column in columns]
+    for lo in range(0, len(columns[0]), CSV_BLOCK):
+        block = [cell[lo:lo + CSV_BLOCK] if inverse is None else
+                 map(cell.__getitem__, inverse[lo:lo + CSV_BLOCK].tolist()) for cell, inverse in cells]
+        fh.write("\n".join(map(",".join, zip(*block, strict=True))) + "\n")
+
+
+def write_columns(path, header: str, columns) -> None:
+    """Write ``header`` (comma-joined column names) and one line per row of
+    the equal-length ``columns``, each formatted column by column (see
+    ``_cells``)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        _write_rows(fh, columns)
 
 
 def write_csv(path, header: str, rows) -> None:
-    """Write ``header`` (comma-joined column names) and one line per row.
-
-    ``rows`` is a 2-D float array or an iterable of equal-length row
-    tuples; each block of it is formatted column by column (see
-    ``_column``).
-    """
+    """Write ``header`` and one line per row: ``rows`` is a 2-D array or
+    an iterable of equal-length row tuples, taken CSV_BLOCK at a time."""
+    if isinstance(rows, np.ndarray):
+        return write_columns(path, header, rows.T)
+    it = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for columns in _column_blocks(rows):
-            fh.write("\n".join(map(",".join, zip(*map(_column, columns)))) + "\n")
+        for block in iter(lambda: list(islice(it, CSV_BLOCK)), []):
+            _write_rows(fh, list(zip(*block, strict=True)))
 
 
 def write_dataset_csv(dataset: FactorialDataset, path) -> None:
@@ -165,35 +175,29 @@ class SummaryTable:
         return "\n".join(lines)
 
 
-def summarize(records, config: ExperimentConfig | None = None) -> SummaryTable:
-    """Aggregate run records into one row per (regime, output, method).
+def summarize(runs: RunTable, config: ExperimentConfig | None = None) -> SummaryTable:
+    """Aggregate runs into one row per (regime, output, method).
 
-    ``records`` are RunRecords or RunRows: only their regime, output_index,
-    method, valid and metrics are read.
+    Only the regime, output_index, method, valid and metric columns of
+    ``runs`` are read.
     Means are taken over valid runs; bootstrap percentile intervals cover the
     mean of the run-level RMSE and R^2 values. Rows with zero valid runs are
     emitted with undefined metrics.
     """
     config = config if config is not None else ExperimentConfig()
-    records = list(records)
-    if not records:
+    if not len(runs):
         raise ValueError("no run records to summarize")
     rows = []
     for regime in REGIMES:
         for output_index in (1, 2, 3):
             for method in METHODS:
-                sel = [
-                    r for r in records
-                    if r.valid
-                    and (r.regime, r.output_index, r.method) == (regime, output_index, method)
-                ]
-                if not sel:
+                sel = (runs.valid & (runs.regime == regime) & (runs.output_index == output_index)
+                       & (runs.method == method))
+                if not sel.any():
                     rows.append(SummaryRow(regime, output_index, method, 0,
                                            None, None, None, None, None))
                     continue
-                rmse = np.array([r.metrics.rmse for r in sel])
-                mae = np.array([r.metrics.mae for r in sel])
-                r2 = np.array([r.metrics.r2 for r in sel])
+                rmse, mae, r2 = runs.rmse[sel], runs.mae[sel], runs.r2[sel]
                 seed_base = (
                     config.random_seed,
                     _BOOTSTRAP_STREAM_TAG,
@@ -205,7 +209,7 @@ def summarize(records, config: ExperimentConfig | None = None) -> SummaryTable:
                     regime=regime,
                     output_index=output_index,
                     method=method,
-                    valid_runs=len(sel),
+                    valid_runs=int(np.count_nonzero(sel)),
                     rmse_mean=float(rmse.mean()),
                     mae_mean=float(mae.mean()),
                     r2_mean=float(r2.mean()),
@@ -215,50 +219,57 @@ def summarize(records, config: ExperimentConfig | None = None) -> SummaryTable:
     return SummaryTable(rows=tuple(rows))
 
 
-def write_runs_csv(records, path) -> None:
-    write_csv(path, RUNS_CSV_HEADER, (
-        (r.regime, r.output_index, r.fixed_axis, r.fixed_level, r.repeat, r.method,
-         r.valid, r.reason, r.n_test, r.n_finite,
-         *((r.metrics.rmse, r.metrics.mae, r.metrics.r2) if r.metrics else (None,) * 3))
-        for r in records
-    ))
+# The RunTable column of each runs.csv column.
+_RUNS_CSV_COLUMNS = ("regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method",
+                     "valid", "reason", "n_test", "n_finite", "rmse", "mae", "r2")
 
 
-class RunRow(NamedTuple):
-    """The part of a runs.csv row that ``summarize`` reads; ``metrics`` is
-    None for an invalid run, and its ``n_points`` is the row's n_finite."""
-
-    regime: str
-    output_index: int
-    method: str
-    valid: bool
-    metrics: MetricSet | None
+def write_runs_csv(runs: RunTable, path) -> None:
+    write_columns(path, RUNS_CSV_HEADER, [getattr(runs, name) for name in _RUNS_CSV_COLUMNS])
 
 
-def read_runs_csv(path) -> list[RunRow]:
-    """Parse a runs.csv back into records that ``summarize`` accepts."""
-    records = []
+def _parse_row(row: list[str]) -> list:
+    """The values of one runs.csv row; its metrics NaN unless valid, and
+    its strings interned, so the rows share them."""
+    if row[6] not in ("true", "false"):
+        raise ValueError(f"valid must be true or false, got {row[6]!r}")
+    valid = row[6] == "true"
+    metrics = [float(cell) if valid else math.nan for cell in row[10:]]
+    n_finite = int(row[9])
+    return [sys.intern(row[0]), int(row[1]), sys.intern(row[2]), float(row[3]), int(row[4]),
+            sys.intern(row[5]), valid, sys.intern(row[7]), int(row[8]), n_finite, *metrics]
+
+
+def read_runs_csv(path) -> RunTable:
+    """Parse a runs.csv back into a RunTable (see its docstring for what
+    runs.csv does not hold).
+
+    Raises ValueError, naming the path and the line, for a header other
+    than RUNS_CSV_HEADER, a row without 13 fields, a valid cell other than
+    true or false, or a number that does not parse (a metric only on a
+    valid row).
+    """
+    columns: list[list] = [[] for _ in _RUNS_CSV_COLUMNS]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RUNS_CSV_HEADER.split(","):
-            raise ValueError(f"{path}: unexpected runs.csv header {reader.fieldnames}")
-        for row in reader:
-            if None in row or None in row.values():
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != RUNS_CSV_HEADER.split(","):
+            raise ValueError(f"{path}: unexpected runs.csv header {header}")
+        for row in filter(None, reader):  # a blank line is no row
+            if len(row) != len(_RUNS_CSV_COLUMNS):
                 raise ValueError(f"{path}: line {reader.line_num} does not have "
-                                 f"{len(reader.fieldnames)} fields")
-            if row["valid"] not in ("true", "false"):
-                raise ValueError(f"{path}: line {reader.line_num}: valid must be "
-                                 f"true or false, got {row['valid']!r}")
+                                 f"{len(_RUNS_CSV_COLUMNS)} fields")
             try:
-                metrics = None
-                if row["valid"] == "true":
-                    metrics = MetricSet(rmse=float(row["rmse"]), mae=float(row["mae"]),
-                                        r2=float(row["r2"]), n_points=int(row["n_finite"]))
-                records.append(RunRow(row["regime"], int(row["output"]), row["method"],
-                                      metrics is not None, metrics))
+                values = _parse_row(row)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    return records
+            for column, value in zip(columns, values):
+                column.append(value)
+    if not columns[0]:
+        return RunTable.empty()
+    return RunTable(**dict(zip(_RUNS_CSV_COLUMNS, map(np.array, columns))),
+                    level_index=np.full(len(columns[0]), -1),
+                    condition_estimate=np.full(len(columns[0]), np.nan))
 
 
 def write_summary_csv(table: SummaryTable, path) -> None:
@@ -312,33 +323,29 @@ def write_grid_csv(header: str, grid: np.ndarray, path) -> None:
     write_csv(path, header, grid)
 
 
-def export_pred_vs_true(records, **filters) -> list[tuple]:
+def export_pred_vs_true(runs: RunTable, **filters) -> list[tuple]:
     """Scatter rows (regime, output, axis, level, repeat, method, y_true, y_pred).
 
     Keyword filters narrow the selection (regime=..., output_index=...,
-    method=..., fixed_axis=..., fixed_level=..., repeat=...). Invalid records
-    are excluded and logged. Returns rows for valid records only.
+    method=..., fixed_axis=..., fixed_level=..., repeat=...). Invalid runs
+    are excluded and logged. Returns rows for valid runs only.
     """
     allowed = {"regime", "output_index", "method", "fixed_axis", "fixed_level", "repeat"}
     unknown = set(filters) - allowed
     if unknown:
         raise ValueError(f"unknown filters: {sorted(unknown)}")
-    rows = []
-    skipped = 0
-    for r in records:
-        if any(getattr(r, key) != val for key, val in filters.items()):
-            continue
-        if not r.valid:
-            skipped += 1
-            continue
-        for yt, yp in zip(r.y_true, r.y_pred):
-            rows.append((
-                r.regime, r.output_index, r.fixed_axis, r.fixed_level,
-                r.repeat, r.method, float(yt), float(yp),
-            ))
+    if runs.y_true is None:
+        raise ValueError("the run table holds no predictions (read from runs.csv)")
+    keep = np.ones(len(runs), dtype=bool)
+    for key, val in filters.items():
+        keep &= getattr(runs, key) == val
+    skipped = int(np.count_nonzero(keep & ~runs.valid))
     if skipped:
         log.info("export_pred_vs_true: skipped %d invalid records", skipped)
-    return rows
+    point = np.repeat(keep & runs.valid, runs.n_test)  # over the flat arrays
+    return list(zip(*(np.repeat(getattr(runs, name), runs.n_test)[point].tolist() for name in (
+        "regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method")),
+        runs.y_true[point].tolist(), runs.y_pred[point].tolist()))
 
 
 def write_scatter_csv(rows, path) -> None:

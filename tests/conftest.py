@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from surfbench.config import ExperimentConfig
-from surfbench.protocol import execute_experiment
+from surfbench.protocol import RunRecord, RunTable, execute_experiment
 from surfbench.report import summarize
 from surfbench.synthdata import DesignSpec, generate
 
@@ -28,6 +30,24 @@ def full_run(default_dataset, default_config):
 def summary(full_run, default_config):
     """Summary table of the full default experiment."""
     return summarize(full_run, default_config)
+
+
+def table_of(records):
+    """The RunTable whose rows are ``records`` (RunRecords that hold their
+    targets, predictions and node indices)."""
+    records = list(records)
+    flat = ("y_true", "y_pred", "train_indices", "test_indices")
+    columns = {f.name: np.array([getattr(r, f.name) for r in records])
+               for f in dataclasses.fields(RunRecord)
+               if f.name not in ("metrics", "condition_estimate", *flat)}
+    for name in ("rmse", "mae", "r2"):
+        columns[name] = np.array([getattr(r.metrics, name) if r.metrics else np.nan for r in records])
+    columns["condition_estimate"] = np.array(
+        [np.nan if r.condition_estimate is None else r.condition_estimate for r in records])
+    for name in flat:
+        columns[name] = np.concatenate([getattr(r, name) for r in records])
+    columns["n_train"] = np.array([len(r.train_indices) for r in records])
+    return RunTable(**columns)
 
 
 def min_separated(rng, n, minsep, box=1.0, max_tries=4000):

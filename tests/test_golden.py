@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 
+from conftest import table_of
 from surfbench.cli import run_experiment
 from surfbench.config import ExperimentConfig
 from surfbench.protocol import REGIMES, execute_experiment, rbf_condition_summary, reason_histogram
@@ -106,7 +107,7 @@ def test_summary_values(summary):
 
 def test_condition_estimates_leave_runs_and_summary_unchanged(default_config, full_run, tmp_path):
     assert all((r.condition_estimate is not None) == (r.method == "rbf") for r in full_run)
-    bare = [dataclasses.replace(r, condition_estimate=None) for r in full_run]
+    bare = table_of(dataclasses.replace(r, condition_estimate=None) for r in full_run)
     for name, records in (("with", full_run), ("without", bare)):
         write_runs_csv(records, tmp_path / f"runs_{name}.csv")
         write_summary_csv(summarize(records, default_config), tmp_path / f"summary_{name}.csv")

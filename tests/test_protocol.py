@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import order_probe_sets
+from conftest import order_probe_sets, table_of
 from surfbench import cubic
 from surfbench.config import ExperimentConfig
 from surfbench.geometry import HULL_TOL, convex_hull_polygon, hull_cover, locate, triangulate
@@ -17,10 +17,11 @@ from surfbench.protocol import (
     AXES,
     REGIMES,
     RunRecord,
+    RunTable,
     SliceTask,
     SplitPlan,
-    _records,
-    _run_task,
+    _run_tasks,
+    _task_columns,
     enumerate_slices,
     execute_experiment,
     find_slice,
@@ -40,6 +41,7 @@ from surfbench.errors import (
     reason_code,
 )
 from surfbench.rbf import eval_rbf, fit_rbf
+from surfbench.report import RUNS_CSV_HEADER, summarize, write_csv, write_runs_csv, write_summary_csv
 from surfbench.synthdata import DesignSpec, NoiseSpec, generate
 
 
@@ -449,14 +451,15 @@ def reference_records(task, plans, rbf_config):
 
 
 def stage(task, plans, rbf_config):
-    """``_run_task`` on the stacked index arrays of ``plans``."""
-    return _run_task(task, np.stack([plan.train_indices for plan in plans]),
-                     np.stack([plan.test_indices for plan in plans]),
-                     np.array([plan.repeat_index for plan in plans]), rbf_config)
+    """The run table of ``_run_tasks`` on the stacked index arrays of ``plans``."""
+    return _run_tasks([task], [(np.stack([plan.train_indices for plan in plans]),
+                                np.stack([plan.test_indices for plan in plans]),
+                                np.array([plan.repeat_index for plan in plans]))], rbf_config)
 
 
 def assert_same_records(got, expected):
-    """Field by field, with arrays equal bit for bit."""
+    """Field by field, with arrays equal bit for bit; ``got`` may be a
+    RunTable, compared by its rows."""
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         for field in dataclasses.fields(RunRecord):
@@ -482,6 +485,32 @@ class TestStage:
         staged = execute_experiment(dataset, config)
         assert_same_records(staged, per_split)
         assert_same_records(staged, reference)
+
+    @pytest.mark.parametrize("seed", [42, 1009])
+    @pytest.mark.parametrize("train_fraction", [0.1, 0.95])
+    def test_artifacts_equal_those_of_per_split_rows(self, tmp_path, seed, train_fraction):
+        # runs.csv and summary.csv of the table, byte for byte against those
+        # of the per-split reference rows, each row written cell by cell
+        config = ExperimentConfig(random_seed=seed, train_fraction=train_fraction,
+                                  repeats_per_slice=3)
+        dataset = generate(noise=config.noise_spec())
+        reference = []
+        for regime in REGIMES:
+            for task in enumerate_slices(dataset, regime):
+                plans = make_splits(task, 3, train_fraction, seed)
+                reference.extend(reference_records(task, plans, config.rbf_config()))
+        table = execute_experiment(dataset, config)
+        write_runs_csv(table, tmp_path / "runs.csv")
+        write_csv(tmp_path / "runs_reference.csv", RUNS_CSV_HEADER, [
+            (r.regime, r.output_index, r.fixed_axis, r.fixed_level, r.repeat, r.method, r.valid,
+             r.reason, r.n_test, r.n_finite,
+             *((r.metrics.rmse, r.metrics.mae, r.metrics.r2) if r.metrics else (None,) * 3))
+            for r in reference])
+        write_summary_csv(summarize(table, config), tmp_path / "summary.csv")
+        write_summary_csv(summarize(table_of(reference), config), tmp_path / "summary_reference.csv")
+        for name in ("runs", "summary"):
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_reference.csv").read_bytes()), name
 
     def test_faulty_splits_keep_their_reasons_and_leave_the_others_unchanged(self):
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(3.0) / 3.0, indexing="ij")
@@ -588,7 +617,8 @@ class TestScoring:
         train = np.tile(np.arange(3), (b, 1))
         repeats = np.arange(b)
         reasons = [None if m else "fit_failed:singular_system" for m in made]
-        got = _records(task, train, test, repeats, [("rbf", pred, reasons, n_finite, None)])
+        got = RunTable(**_task_columns(task, train, test, repeats,
+                                       [("rbf", pred, reasons, n_finite, None)]))
         expected = [
             reference_record(task, SplitPlan(train[i], test[i], i), "rbf",
                              *((pred[i],) if made[i] else (None, reasons[i], int(n_finite[i]))))
@@ -698,7 +728,7 @@ class TestExecuteExperiment:
         config = ExperimentConfig(repeats_per_slice=2)
         with caplog.at_level("WARNING"):
             records = execute_experiment(dataset, config)
-        assert records == []
+        assert list(records) == []
         assert "skipping slice" in caplog.text
 
     def test_small_slices_skipped_in_order_with_the_same_warning(self, caplog):

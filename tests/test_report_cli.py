@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import table_of
 from surfbench import cli, report
 from surfbench.cli import cli_main
 from surfbench.config import ExperimentConfig, load_config
 from surfbench.metrics import MetricSet
-from surfbench.protocol import METHODS, RunRecord, execute_experiment
+from surfbench.protocol import METHODS, RunRecord, RunTable, execute_experiment
 from surfbench.report import (
     RUNS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -21,6 +23,7 @@ from surfbench.report import (
     export_surface_grid,
     read_runs_csv,
     summarize,
+    write_columns,
     write_csv,
     write_runs_csv,
     write_summary_csv,
@@ -121,19 +124,19 @@ class TestConfig:
 class TestSummarize:
     def test_mean_of_known_values(self):
         records = [synthetic_record(rmse=r, repeat=i) for i, r in enumerate((1.0, 2.0, 3.0))]
-        table = summarize(records, ExperimentConfig(bootstrap_resamples=50))
+        table = summarize(table_of(records), ExperimentConfig(bootstrap_resamples=50))
         row = table.row("noisy", 1, "cubic")
         assert row.rmse_mean == pytest.approx(2.0, rel=1e-15)
         assert row.valid_runs == 3
 
     def test_always_12_rows(self):
-        table = summarize([synthetic_record()], ExperimentConfig(bootstrap_resamples=10))
+        table = summarize(table_of([synthetic_record()]), ExperimentConfig(bootstrap_resamples=10))
         assert len(table.rows) == 12
         keys = {(r.regime, r.output_index, r.method) for r in table.rows}
         assert len(keys) == 12
 
     def test_zero_valid_rows_have_undefined_metrics(self):
-        table = summarize([synthetic_record()], ExperimentConfig(bootstrap_resamples=10))
+        table = summarize(table_of([synthetic_record()]), ExperimentConfig(bootstrap_resamples=10))
         empty = table.row("noise-free", 2, "rbf")
         assert empty.valid_runs == 0
         assert empty.rmse_mean is None
@@ -141,13 +144,13 @@ class TestSummarize:
 
     def test_empty_record_list_rejected(self):
         with pytest.raises(ValueError):
-            summarize([], ExperimentConfig())
+            summarize(RunTable.empty(), ExperimentConfig())
 
     def test_deterministic_cis(self):
         records = [synthetic_record(rmse=r, repeat=i) for i, r in enumerate((0.5, 1.5, 2.5, 3.0))]
         config = ExperimentConfig(bootstrap_resamples=200)
-        a = summarize(records, config).row("noisy", 1, "cubic")
-        b = summarize(records, config).row("noisy", 1, "cubic")
+        a = summarize(table_of(records), config).row("noisy", 1, "cubic")
+        b = summarize(table_of(records), config).row("noisy", 1, "cubic")
         assert (a.rmse_ci.lower, a.rmse_ci.upper) == (b.rmse_ci.lower, b.rmse_ci.upper)
 
 
@@ -192,6 +195,31 @@ cells = st.one_of(
 )
 
 
+@st.composite
+def typed_columns(draw):
+    """Equal-length bool, int64, unicode and float64 arrays whose cells
+    repeat a few drawn values; the floats include signed zeros, NaN
+    payloads and infinities."""
+    rows = draw(st.integers(0, 30))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("bisf"), min_size=1, max_size=5)):
+        if kind == "b":
+            columns.append(draw(arrays(np.bool_, rows)))
+        elif kind == "i":
+            pool = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4))
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows,
+                                                  max_size=rows)), dtype=np.int64))
+        elif kind == "s":
+            pool = draw(st.lists(st.text(alphabet="abxyz-_ .09", max_size=6), min_size=1, max_size=4))
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows,
+                                                  max_size=rows)), dtype=str))
+        else:
+            pool = draw(st.lists(float_bits, min_size=1, max_size=4))
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)),
+                                    dtype=np.uint64).view(np.float64))
+    return columns
+
+
 def mixed_rows():
     """Lists of two-cell rows mixing str, int, np.int64, bool, None, float
     and np.float64 cells."""
@@ -212,6 +240,8 @@ class TestWriteCsv:
         (3, "3"),
         (np.int64(7), "7"),
         ("noise-free", "noise-free"),
+        (np.True_, "true"),
+        (np.False_, "false"),
     ])
     def test_cell_format(self, value, text):
         assert _fmt(value) == text
@@ -240,6 +270,17 @@ class TestWriteCsv:
         with mock.patch.object(report, "CSV_BLOCK", block):
             write_csv(path, "a,b", iter(rows))
         assert path.read_bytes() == reference_csv("a,b", rows)
+
+    @given(columns=typed_columns(), block=st.sampled_from([1, 3, report.CSV_BLOCK]))
+    @settings(max_examples=150, deadline=None)
+    def test_typed_columns_match_per_row_reference(self, tmp_path_factory, columns, block):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        with mock.patch.object(report, "CSV_BLOCK", block):
+            write_columns(path, header, columns)
+        # numpy scalars and the Python values they hold give the same bytes
+        assert path.read_bytes() == reference_csv(header, zip(*columns))
+        assert path.read_bytes() == reference_csv(header, zip(*(c.tolist() for c in columns)))
 
     @pytest.mark.parametrize("rows", [[], (), np.empty((0, 3))], ids=["list", "tuple", "array"])
     def test_no_rows_writes_only_the_header(self, tmp_path, rows):
@@ -284,7 +325,7 @@ class TestRunsCsv:
 
 class TestSummaryCsv:
     def test_header_and_shape(self, tmp_path):
-        table = summarize([synthetic_record()], ExperimentConfig(bootstrap_resamples=10))
+        table = summarize(table_of([synthetic_record()]), ExperimentConfig(bootstrap_resamples=10))
         path = tmp_path / "summary.csv"
         write_summary_csv(table, path)
         lines = path.read_text().splitlines()
@@ -342,12 +383,12 @@ class TestSurfaceGrid:
 
 class TestPredVsTrue:
     def test_perfect_prediction_rows(self):
-        rows = export_pred_vs_true([synthetic_record()])
+        rows = export_pred_vs_true(table_of([synthetic_record()]))
         assert len(rows) == 5
         assert all(r[6] == r[7] for r in rows)
 
     def test_invalid_records_excluded(self):
-        rows = export_pred_vs_true([synthetic_record(valid=False)])
+        rows = export_pred_vs_true(table_of([synthetic_record(valid=False)]))
         assert rows == []
 
     def test_filters(self):
@@ -356,13 +397,18 @@ class TestPredVsTrue:
             synthetic_record(method="rbf"),
             synthetic_record(method="rbf", output_index=2),
         ]
-        rows = export_pred_vs_true(records, method="rbf", output_index=2)
+        rows = export_pred_vs_true(table_of(records), method="rbf", output_index=2)
         assert {r[5] for r in rows} == {"rbf"}
         assert {r[1] for r in rows} == {2}
 
     def test_unknown_filter_rejected(self):
         with pytest.raises(ValueError):
-            export_pred_vs_true([synthetic_record()], color="red")
+            export_pred_vs_true(table_of([synthetic_record()]), color="red")
+
+    def test_table_read_from_runs_csv_rejected(self, tmp_path):
+        write_runs_csv(table_of([synthetic_record()]), tmp_path / "runs.csv")
+        with pytest.raises(ValueError, match="no predictions"):
+            export_pred_vs_true(read_runs_csv(tmp_path / "runs.csv"))
 
     def test_noisy_output3_rbf_residuals_have_both_heavy_tails(self, full_run):
         # the noisy high-sigma channel produces residuals beyond 2 sigma in
