@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInput
-from .geometry import Triangulation, _triangulate, locate, triangulate
+from .geometry import Triangulation, locate, triangulate
 
 __all__ = ["CubicSurface", "estimate_gradients", "evaluate_stack", "fit_cubic"]
 
@@ -301,9 +301,3 @@ def fit_cubic(points, values, gradients=None) -> CubicSurface:
         if gradients.shape != (pts.shape[0], 2):
             raise ValueError(f"expected gradient shape ({pts.shape[0]}, 2), got {gradients.shape}")
     return CubicSurface(tri, z, gradients)
-
-
-def _fit_validated(points: np.ndarray, values: np.ndarray) -> CubicSurface:
-    """``fit_cubic`` of nodes that passed ``as_points`` and their finite
-    values, without checking them again."""
-    return CubicSurface(_triangulate(points), values)

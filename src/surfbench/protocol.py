@@ -24,32 +24,44 @@ undefined outside the training hull) therefore lose runs whenever a split
 pushes any test point off their support, which is what drives the asymmetric
 valid-run counts between the two methods.
 
-The experiment runs as one stage (``_run_tasks``). Each task's nodes are
-checked once (``geometry.as_points`` raises NonFiniteInput or
-DuplicateNodes), then its splits are taken PLAN_CHUNK at a time:
+The experiment runs as one stage (``_run_tasks``) per node set. Tasks
+whose nodes are equal bit for bit (every slice of one axis in the full
+factorial design: 3 node sets for the 66 default tasks) and whose splits
+have the same sizes form a group. Each group's nodes are checked once
+(``geometry.as_points`` raises NonFiniteInput or DuplicateNodes), and the
+value-free work of each distinct (train, test) set of the group is done
+once, however many tasks and repeats draw it:
 
-1. One vectorized pass (``geometry.hull_cover``) tests every test point
-   against its split's training hull. A split whose training values are
-   finite and whose hull leaves a test point uncovered is recorded as
-   ``test_points_outside_support`` without being triangulated; ``n_finite``
-   counts its hull-covered test points. The cover is one-sided: every test
-   point that ``locate`` would find is hull-covered, so the reason code is
-   always right, and the count can differ from ``locate``'s only for a
-   point in the band within 1e-8 of the slice extent outside the hull. A
-   split with every test point covered is triangulated on its already
-   checked nodes; every other split (one the hull test cannot vouch for,
-   or one with non-finite values) goes to ``fit_cubic``, whose error is its
-   reason.
-2. The RBF systems of the splits are assembled, solved and
-   condition-estimated as one stack (``rbf.fit_stack``), which gives the
-   reason of every split it cannot fit, and evaluated as one batch; each
-   item equals ``fit_rbf``/``eval_rbf`` bit for bit.
+1. One vectorized pass (``geometry.hull_cover``, PLAN_CHUNK sets per
+   call) tests every test point against its set's training hull. A split
+   whose training values are finite and whose hull leaves a test point
+   uncovered is recorded as ``test_points_outside_support`` without being
+   triangulated; ``n_finite`` counts its hull-covered test points. The
+   cover is one-sided: every test point that ``locate`` would find is
+   hull-covered, so the reason code is always right, and the count can
+   differ from ``locate``'s only for a point in the band within 1e-8 of
+   the slice extent outside the hull. A set with every test point covered
+   is triangulated once on its already checked nodes, and its splits share
+   that triangulation; every other split (one the hull test cannot vouch
+   for, or one with non-finite values) goes to ``fit_cubic``, whose error
+   is its reason.
+2. The RBF saddle matrix, rank test and condition estimate of each set
+   are made once (``rbf._saddle_systems``). The splits are then solved and
+   evaluated PLAN_CHUNK at a time, each on its own copy of its set's
+   matrix (``rbf._fit_systems``, which also gives the reason of every
+   split it cannot fit, and ``rbf.eval_stack``); each item equals
+   ``fit_rbf``/``eval_rbf`` bit for bit.
+
+What depends on the values stays per split: the finite-values test, the
+gradients, the control nets, the RBF solve and the metrics. Every step
+treats each set or split on its own, so the table equals, bit for bit,
+that of each task run alone.
 
 The fitted cubic surfaces of all tasks are then evaluated at their test
 points as one stack (``cubic.evaluate_stack``). ``locate`` is
 authoritative: a surface that leaves a test point undefined is recorded as
 ``test_points_outside_support``, with ``n_finite`` counting its finite
-predictions. Each method's complete runs of a chunk are scored as one
+predictions. Each method's complete runs of a task are scored as one
 stack (``metrics.metric_stack``, which equals ``compute_metrics`` row by
 row bit for bit), and the runs come back as one columnar ``RunTable``,
 whose rows are ``RunRecord``s. Each RBF run keeps its fit's condition
@@ -67,11 +79,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .cubic import _fit_validated, evaluate_stack, fit_cubic
+from .cubic import CubicSurface, evaluate_stack, fit_cubic
 from .errors import InsufficientNodes, InterpolationError, reason_code
-from .geometry import as_points, hull_cover
+from .geometry import _triangulate, as_points, hull_cover
 from .metrics import MetricSet, compute_metrics, metric_stack
-from .rbf import CONDITION_WARN_THRESHOLD, RbfConfig, eval_stack, fit_stack
+from .rbf import CONDITION_WARN_THRESHOLD, RbfConfig, _fit_systems, _saddle_systems, eval_stack
 from .streams import int_words, permutations
 from .synthdata import FactorialDataset
 
@@ -439,43 +451,75 @@ def _task_columns(task: SliceTask, train: np.ndarray, test: np.ndarray, repeats:
     )
 
 
-def _cubic_fits(task: SliceTask, train: np.ndarray, covered: np.ndarray,
-                trusted: np.ndarray) -> tuple[list, np.ndarray, list, list]:
-    """The cubic fits of splits, given their ``hull_cover`` masks: reasons
-    and finite counts as ``_score`` takes them, and the indices and surfaces
-    of the fitted splits. A trusted split with an uncovered test point is
+def _cubic_fits(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: np.ndarray,
+                y: np.ndarray) -> tuple[list, np.ndarray, list, list]:
+    """The cubic fits of B splits of one node set, ``points``, with (B, m)
+    ``train`` node indices and (B, m) training values ``y``: reasons and
+    finite counts as ``_score`` takes them, and the indices and surfaces of
+    the fitted splits. Split i's train and test node indices are
+    ``sets[inverse[i]]``, m of them then the rest.
+
+    ``hull_cover`` tests each distinct set once, PLAN_CHUNK sets per call.
+    A trusted split with finite values and an uncovered test point is
     recorded as outside support unfitted, and one with every test point
-    covered is triangulated on its checked nodes. Every other split goes
-    through ``fit_cubic``, so a failing split keeps its reason code."""
+    covered gets its set's triangulation, built once and shared by every
+    split of the set. Every other split goes through ``fit_cubic``, so a
+    failing split keeps its reason code."""
+    m = train.shape[1]
+    covered, trusted = (np.concatenate(part)[inverse] for part in zip(*(
+        hull_cover(points, sets[lo:lo + PLAN_CHUNK, :m], sets[lo:lo + PLAN_CHUNK, m:])
+        for lo in range(0, len(sets), PLAN_CHUNK))))
+    trusted &= np.isfinite(y).all(axis=1)  # fit_cubic gives their reason
     reasons: list = [None] * len(train)
     n_finite = np.zeros(len(train), dtype=int)
-    fitted, surfaces = [], []
-    for i in range(len(train)):
+    fitted, surfaces, tris = [], [], {}
+    for i, s in enumerate(inverse.tolist()):
         if trusted[i] and not covered[i].all():
             reasons[i] = "test_points_outside_support"
             n_finite[i] = np.count_nonzero(covered[i])
             continue
         try:
-            fit = _fit_validated if trusted[i] else fit_cubic
-            surfaces.append(fit(task.points[train[i]], task.values[train[i]]))
+            if trusted[i]:
+                if s not in tris:
+                    tris[s] = _triangulate(points[train[i]])
+                surfaces.append(CubicSurface(tris[s], y[i]))
+            else:
+                surfaces.append(fit_cubic(points[train[i]], y[i]))
             fitted.append(i)
         except InterpolationError as exc:
             reasons[i] = f"fit_failed:{reason_code(exc)}"
     return reasons, n_finite, fitted, surfaces
 
 
-def _rbf_runs(task: SliceTask, train: np.ndarray, test: np.ndarray, rbf_config: RbfConfig) -> tuple:
-    """The RBF runs of splits, as ``_task_columns`` takes them: one
-    ``fit_stack`` and one ``eval_stack`` call; a split the stack cannot fit
-    is recorded with ``fit_stack``'s reason."""
-    centers = task.points[train]
-    coeffs, cond, errors = fit_stack(centers, task.values[train], rbf_config)
-    fitted = np.array([e is None for e in errors])
+def _rbf_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: np.ndarray,
+              test: np.ndarray, y: np.ndarray, rbf_config: RbfConfig) -> tuple:
+    """The RBF runs of splits of one node set, as ``_task_columns`` takes
+    them (arguments as for ``_cubic_fits``, with (B, k) ``test`` node
+    indices). The saddle system, rank test and condition estimate of each
+    of ``sets`` are made once, PLAN_CHUNK sets at a time, and the splits of
+    those sets are then solved and evaluated PLAN_CHUNK at a time, each on
+    its own copy of its set's system; each equals ``fit_stack``'s item bit
+    for bit. A split that cannot be fitted is recorded with
+    ``fit_stack``'s reason."""
     pred = np.full(test.shape, np.nan)
-    pred[fitted] = eval_stack(centers[fitted], coeffs[fitted], task.points[test[fitted]],
-                              rbf_config.epsilon)
-    reasons = [None if e is None else f"fit_failed:{reason_code(e)}" for e in errors]
-    return "rbf", pred, reasons, np.zeros(len(train), dtype=int), np.where(fitted, cond, np.nan)
+    fit_cond = np.full(len(train), np.nan)
+    reasons: list = [None] * len(train)
+    order = np.argsort(inverse, kind="stable")  # the splits, set by set
+    edges = np.searchsorted(inverse[order], np.arange(0, len(sets) + PLAN_CHUNK, PLAN_CHUNK))
+    for lo, first, last in zip(range(0, len(sets), PLAN_CHUNK), edges, edges[1:]):
+        a, tail, cond = _saddle_systems(points[sets[lo:lo + PLAN_CHUNK, :train.shape[1]]], rbf_config)
+        for start in range(first, last, PLAN_CHUNK):
+            rows = order[start:min(start + PLAN_CHUNK, last)]
+            s = inverse[rows] - lo
+            coeffs, chunk_cond, errors = _fit_systems(a[s], tail[s], cond[s], y[rows],
+                                                      np.isfinite(y[rows]).all(axis=1))
+            ok = np.array([e is None for e in errors])
+            fit_cond[rows] = np.where(ok, chunk_cond, np.nan)
+            pred[rows[ok]] = eval_stack(points[train[rows[ok]]], coeffs[ok],
+                                        points[test[rows[ok]]], rbf_config.epsilon)
+            for i, e in zip(rows.tolist(), errors):
+                reasons[i] = None if e is None else f"fit_failed:{reason_code(e)}"
+    return "rbf", pred, reasons, np.zeros(len(train), dtype=int), fit_cond
 
 
 def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig) -> RunTable:
@@ -483,32 +527,45 @@ def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig
     task order, cubic then RBF for each split; ``plans[t]`` holds the (B, m)
     train and (B, k) test node indices and (B,) repeats of ``tasks[t]``.
 
-    Validates each task's nodes once, raising NonFiniteInput or
-    DuplicateNodes. A task's splits are taken PLAN_CHUNK rows at a time,
-    each chunk with one ``hull_cover`` and one ``fit_stack``; the cubic
-    surfaces of all chunks are evaluated as one stack.
+    The tasks are grouped by node set: the exact bytes of their points and
+    their split sizes. Each group's nodes are validated once, in order of
+    first appearance, so the first failing task raises NonFiniteInput or
+    DuplicateNodes. The splits of a group are taken together, with the
+    value-free work done once per distinct (train, test) set: one hull
+    test, one triangulation and one RBF saddle system. The cubic surfaces
+    of all groups are evaluated as one stack.
     """
+    groups: dict[tuple, list[int]] = {}
+    for t, (task, (train, test, _)) in enumerate(zip(tasks, plans)):
+        key = (task.points.dtype.str, task.points.shape, task.points.tobytes(),
+               train.shape[1], test.shape[1])
+        groups.setdefault(key, []).append(t)
+    for members in groups.values():
+        as_points(tasks[members[0]].points)
     staged, surfaces, queries = [], [], []
-    for task, (train, test, repeats) in zip(tasks, plans):
-        as_points(task.points)
-        for lo in range(0, len(train), PLAN_CHUNK):
-            rows = slice(lo, lo + PLAN_CHUNK)
-            covered, trusted = hull_cover(task.points, train[rows], test[rows])
-            trusted &= np.isfinite(task.values[train[rows]]).all(axis=1)  # fit_cubic gives their reason
-            reasons, n_finite, fitted, fits = _cubic_fits(task, train[rows], covered, trusted)
-            surfaces += fits
-            queries += list(task.points[test[rows][fitted]])
-            staged.append((task, train[rows], test[rows], repeats[rows], fitted, reasons, n_finite,
-                           _rbf_runs(task, train[rows], test[rows], rbf_config)))
+    for members in groups.values():
+        points = tasks[members[0]].points
+        train, test = (np.concatenate([plans[t][j] for t in members]) for j in (0, 1))
+        y = np.concatenate([tasks[t].values[plans[t][0]] for t in members])
+        sets, inverse = np.unique(np.hstack([train, test]), axis=0, return_inverse=True)
+        reasons, n_finite, fitted, fits = _cubic_fits(points, sets, inverse, train, y)
+        surfaces += fits
+        queries += list(points[test[fitted]])
+        staged.append((members, test.shape, fitted, reasons, n_finite,
+                       _rbf_runs(points, sets, inverse, train, test, y, rbf_config)))
     values = iter(evaluate_stack(surfaces, queries))
     del surfaces, queries  # not needed past their values: freed before the columns are built
-    parts = []
-    for task, train, test, repeats, fitted, reasons, n_finite, rbf in staged:
-        pred = np.full(test.shape, np.nan)
+    parts: list = [None] * len(tasks)
+    for members, shape, fitted, reasons, n_finite, rbf in staged:
+        pred = np.full(shape, np.nan)
         for i in fitted:
             pred[i] = next(values)
-        parts.append(_task_columns(task, train, test, repeats,
-                                   [("cubic", pred, reasons, n_finite, None), rbf]))
+        runs = [("cubic", pred, reasons, n_finite, None), rbf]
+        bounds = np.cumsum([0] + [len(plans[t][0]) for t in members])
+        for t, lo, hi in zip(members, bounds, bounds[1:]):
+            parts[t] = _task_columns(tasks[t], *plans[t], [
+                (method, *(None if column is None else column[lo:hi] for column in columns))
+                for method, *columns in runs])
     # column by column, each dropping its parts, so the parts and the table
     # are not held whole at once
     return RunTable(**{name: np.concatenate([part.pop(name) for part in parts])

@@ -89,6 +89,75 @@ class RbfSurface:
     ill_conditioned: bool
 
 
+def _saddle_systems(pts: np.ndarray, config: RbfConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The value-free part of ``fit_stack`` for B sets of finite centers
+    ``pts`` (B, n, 2): the saddle matrices (B, n + 3, n + 3), whether each
+    set's centers carry the degree-1 tail (B,), and the 1-norm condition
+    estimate of each matrix whose centers do (B,), NaN elsewhere. Fewer than
+    3 centers carry no tail. Item i depends on set i alone."""
+    n_sets, n = pts.shape[:2]
+    a = np.zeros((n_sets, n + 3, n + 3))
+    cond = np.full(n_sets, np.nan)
+    if n < 3:
+        return a, np.zeros(n_sets, dtype=bool), cond
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    tol = 1e-12 * np.maximum(1.0, np.abs(centered).max(axis=(1, 2), initial=0.0))
+    tail = np.linalg.matrix_rank(centered, tol=tol) >= 2
+    a[:, :n, :n] = -_kernel_matrix(pts, pts, config.epsilon) + config.smoothing * np.eye(n)
+    a[:, :n, n:] = _tail_matrix(pts)
+    a[:, n:, :n] = a[:, :n, n:].transpose(0, 2, 1)
+    if tail.any():
+        cond[tail] = np.linalg.cond(a[tail], 1)
+    return a, tail, cond
+
+
+def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarray,
+                 finite: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """``fit_stack`` of B items from the value-free part of each, as
+    ``_saddle_systems`` gives it (``a``, ``tail`` and ``cond``, one entry per
+    item), their values ``y`` (B, n) and whether their coordinates and
+    values are all finite (B,). Each item's system is solved on its own
+    matrix, all those of the fitted items as one stack.
+    """
+    n_sets, n = y.shape
+    errors: list = [None if ok else NonFiniteInput("rbf fit nodes and values must be finite")
+                    for ok in finite]
+    if n < 3:
+        short = InsufficientNodes(f"rbf fit needs >= 3 nodes for its degree-1 tail, got {n}")
+        return np.full((n_sets, n + 3), np.nan), np.full(n_sets, np.nan), [e or short for e in errors]
+    for i in np.nonzero(~tail)[0]:
+        errors[i] = errors[i] or SingularSystem("collinear nodes cannot carry a degree-1 tail")
+    rhs = np.zeros((n_sets, n + 3, 1))
+    rhs[:, :n, 0] = y
+    ok = np.array([e is None for e in errors])
+    coeffs = np.full((n_sets, n + 3), np.nan)
+    try:
+        if ok.any():
+            coeffs[ok] = np.linalg.solve(a[ok], rhs[ok])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        if ok.sum() > 1:
+            cond = np.where(ok, cond, np.nan)
+            for i in np.nonzero(ok)[0]:
+                one = slice(i, i + 1)
+                c, k, err = _fit_systems(a[one], tail[one], cond[one], y[one], ok[one])
+                coeffs[i], cond[i], errors[i] = c[0], k[0], err[0]
+            return coeffs, cond, errors
+        errors[int(np.argmax(ok))] = SingularSystem(f"saddle system is singular: {exc}")
+        ok[:] = False
+    coeffs[ok, :n] = -coeffs[ok, :n]  # back to the positive kernel convention
+    for i in np.nonzero(ok & ~np.isfinite(coeffs).all(axis=1))[0]:
+        errors[i] = SingularSystem("saddle system solve produced non-finite coefficients")
+    cond = np.where(ok, cond, np.nan)
+    for i, c in enumerate(cond):
+        if errors[i] is None and c > CONDITION_WARN_THRESHOLD:
+            warnings.warn(
+                f"rbf system condition estimate {c:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}",
+                IllConditionedWarning,
+                stacklevel=4,
+            )
+    return coeffs, cond, errors
+
+
 def fit_stack(pts: np.ndarray, y: np.ndarray, config: RbfConfig) -> tuple[np.ndarray, np.ndarray, list]:
     """Fit B surfaces at once: centers ``pts`` (B, n, 2), values ``y``
     (B, n).
@@ -100,57 +169,23 @@ def fit_stack(pts: np.ndarray, y: np.ndarray, config: RbfConfig) -> tuple[np.nda
     NonFiniteInput for a NaN or infinite coordinate or value,
     InsufficientNodes for fewer than 3 centers, and SingularSystem for
     collinear centers, a singular system or non-finite coefficients, in
-    that order of precedence. The systems are assembled, solved and
-    condition-estimated as one stack, so each item equals its batch of one
-    bit for bit; when one item is singular, the stack is solved item by
-    item. Emits one IllConditionedWarning per fitted item whose estimate
-    exceeds 1e12.
+    that order of precedence.
+
+    The value-free work (saddle matrix, rank test, condition estimate) is
+    done once per distinct center set, bit pattern for bit pattern; each
+    item's system is then solved on its own copy of its matrix, all of them
+    as one stack, so each item equals its batch of one bit for bit. When
+    one item is singular, the stack is solved item by item. Emits one
+    IllConditionedWarning per fitted item whose estimate exceeds 1e12.
     """
     n_sets, n = y.shape
     finite = np.isfinite(pts).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
-    errors: list = [None if ok else NonFiniteInput("rbf fit nodes and values must be finite")
-                    for ok in finite]
-    if n < 3:
-        short = InsufficientNodes(f"rbf fit needs >= 3 nodes for its degree-1 tail, got {n}")
-        return np.full((n_sets, n + 3), np.nan), np.full(n_sets, np.nan), [e or short for e in errors]
     if not finite.all():
         pts = np.where(finite[:, None, None], pts, 0.0)  # an inf would warn in the arithmetic below
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    tol = 1e-12 * np.maximum(1.0, np.abs(centered).max(axis=(1, 2), initial=0.0))
-    for i in np.nonzero(np.linalg.matrix_rank(centered, tol=tol) < 2)[0]:
-        errors[i] = errors[i] or SingularSystem("collinear nodes cannot carry a degree-1 tail")
-    a = np.zeros((n_sets, n + 3, n + 3))
-    a[:, :n, :n] = -_kernel_matrix(pts, pts, config.epsilon) + config.smoothing * np.eye(n)
-    a[:, :n, n:] = _tail_matrix(pts)
-    a[:, n:, :n] = a[:, :n, n:].transpose(0, 2, 1)
-    rhs = np.zeros((n_sets, n + 3, 1))
-    rhs[:, :n, 0] = y
-    ok = np.array([e is None for e in errors])
-    coeffs = np.full((n_sets, n + 3), np.nan)
-    cond = np.full(n_sets, np.nan)
-    try:
-        if ok.any():
-            coeffs[ok] = np.linalg.solve(a[ok], rhs[ok])[..., 0]
-            cond[ok] = np.linalg.cond(a[ok], 1)
-    except np.linalg.LinAlgError as exc:
-        if ok.sum() > 1:
-            for i in np.nonzero(ok)[0]:
-                c, k, err = fit_stack(pts[i:i + 1], y[i:i + 1], config)
-                coeffs[i], cond[i], errors[i] = c[0], k[0], err[0]
-            return coeffs, cond, errors
-        errors[int(np.argmax(ok))] = SingularSystem(f"saddle system is singular: {exc}")
-        ok[:] = False
-    coeffs[:, :n] = -coeffs[:, :n]  # back to the positive kernel convention
-    for i in np.nonzero(ok & ~np.isfinite(coeffs).all(axis=1))[0]:
-        errors[i] = SingularSystem("saddle system solve produced non-finite coefficients")
-    for i, c in enumerate(cond):
-        if errors[i] is None and c > CONDITION_WARN_THRESHOLD:
-            warnings.warn(
-                f"rbf system condition estimate {c:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}",
-                IllConditionedWarning,
-                stacklevel=3,
-            )
-    return coeffs, cond, errors
+    bits = np.ascontiguousarray(pts, dtype=float).reshape(n_sets, 2 * n).view(np.uint64)
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    shared = _saddle_systems(pts[first], config)
+    return _fit_systems(*(part[inverse] for part in shared), y, finite)
 
 
 def eval_stack(centers: np.ndarray, coeffs: np.ndarray, queries: np.ndarray, epsilon: float) -> np.ndarray:

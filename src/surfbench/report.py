@@ -357,18 +357,21 @@ def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,
     """Geometry report per slice: fill distance, separation, mesh ratio.
 
     Slice geometry does not depend on output or regime, so reports are
-    emitted once per (axis, level).
+    emitted once per (axis, level). Slices whose nodes are equal bit for
+    bit share one ``geometry_report``.
     """
-    reports = []
+    reports, by_nodes = [], {}
     for axis in AXES:
         if fixed_axis is not None and axis != fixed_axis:
             continue
         for level_index, level in enumerate(dataset.spec.axis_levels(axis)):
             if fixed_level is not None and not np.isclose(level, fixed_level, rtol=1e-12, atol=1e-12):
                 continue
-            entry = {"fixed_axis": axis, "fixed_level": float(level)}
-            entry.update(geometry_report(slice_nodes(dataset, axis, level_index)[1]).to_dict())
-            reports.append(entry)
+            nodes = slice_nodes(dataset, axis, level_index)[1]
+            key = (nodes.shape, nodes.tobytes())
+            if key not in by_nodes:
+                by_nodes[key] = geometry_report(nodes).to_dict()
+            reports.append({"fixed_axis": axis, "fixed_level": float(level), **by_nodes[key]})
     if not reports:
         raise ValueError(f"no slice matches {fixed_axis}={fixed_level}")
     return reports

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import order_probe_sets, table_of
-from surfbench import cubic
+from surfbench import cubic, protocol
 from surfbench.config import ExperimentConfig
 from surfbench.geometry import HULL_TOL, convex_hull_polygon, hull_cover, locate, triangulate
 from surfbench.metrics import MetricSet, compute_metrics
@@ -20,6 +21,7 @@ from surfbench.protocol import (
     RunTable,
     SliceTask,
     SplitPlan,
+    _plan_splits,
     _run_tasks,
     _task_columns,
     enumerate_slices,
@@ -584,6 +586,93 @@ class TestStage:
         summary = rbf_condition_summary(records).values()
         assert sum(s["fits"] for s in summary) == fits
         assert sum(s["ill_conditioned"] for s in summary) == warned
+
+
+def assert_same_columns(got, expected):
+    """RunTables equal column by column, floats bit for bit."""
+    for field in dataclasses.fields(RunTable):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if a is None or b is None:
+            assert a is b is None, field.name
+            continue
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        if a.dtype == float:
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        np.testing.assert_array_equal(a, b, err_msg=field.name)
+
+
+def lattice_task(points, values_seed=0, **overrides):
+    rng = np.random.default_rng(values_seed)
+    return make_task(points, rng.normal(0.0, 1.0, len(points)), **overrides)
+
+
+class TestSharing:
+    """Tasks on one node set share the value-free work of each training set."""
+
+    @pytest.mark.parametrize("seed", [42, 1009])
+    @pytest.mark.parametrize("train_fraction", [0.1, 0.95])
+    def test_shared_table_equals_each_task_run_alone(self, seed, train_fraction):
+        config = ExperimentConfig(random_seed=seed, train_fraction=train_fraction,
+                                  repeats_per_slice=12)
+        dataset = generate(noise=config.noise_spec())
+        tasks = [task for regime in REGIMES for task in enumerate_slices(dataset, regime)]
+        plans = _plan_splits(tasks, 12, train_fraction, seed)
+        repeats = np.arange(12)
+        alone = [_run_tasks([task], [(*plan, repeats)], config.rbf_config())
+                 for task, plan in zip(tasks, plans)]
+        expected = RunTable(**{field.name: np.concatenate([getattr(t, field.name) for t in alone])
+                               for field in dataclasses.fields(RunTable)})
+        assert_same_columns(execute_experiment(dataset, config), expected)
+
+    @pytest.mark.parametrize("perturb", ["nextafter", "negative_zero"])
+    def test_nodes_differing_in_one_bit_are_not_merged(self, monkeypatch, perturb):
+        xs, ys = np.meshgrid(np.arange(4.0), np.arange(3.0), indexing="ij")
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        other = pts.copy()
+        if perturb == "nextafter":
+            other[4, 0] = np.nextafter(other[4, 0], np.inf)
+        else:
+            other[0, 1] = -0.0
+        assert other.tobytes() != pts.tobytes()  # -0.0 == 0.0 all the same
+        train = np.array([[0, 2, 9, 11, 4, 7]])  # the four corners: every test node covered
+        test = np.setdiff1d(np.arange(12), train)[None]
+        plan = (train, test, np.array([0]))
+        config = ExperimentConfig().rbf_config()
+        built = []
+        original = protocol._triangulate
+        monkeypatch.setattr(protocol, "_triangulate",
+                            lambda arr: built.append(arr.tobytes()) or original(arr))
+        same = [lattice_task(pts, 1), lattice_task(pts, 2, output_index=2)]
+        differ = [lattice_task(pts, 1), lattice_task(other, 2, output_index=2)]
+        _run_tasks(same, [plan, plan], config)
+        assert len(built) == 1
+        built.clear()
+        shared = _run_tasks(differ, [plan, plan], config)
+        assert len(built) == 2 and built[0] != built[1]
+        expected = [_run_tasks([task], [plan], config) for task in differ]
+        assert_same_records(shared, [r for t in expected for r in t])
+        assert shared.valid.all()
+
+    def test_default_run_builds_each_training_set_once(self, monkeypatch, default_dataset,
+                                                      default_config):
+        counts = Counter()
+
+        def counting(name, fn, size=lambda *args: 1):
+            def wrapper(*args):
+                counts[name] += size(*args)
+                return fn(*args)
+            monkeypatch.setattr(protocol, name, wrapper)
+
+        counting("_triangulate", protocol._triangulate)
+        counting("hull_cover", protocol.hull_cover, lambda points, train, test: len(train))
+        counting("_saddle_systems", protocol._saddle_systems, lambda pts, config: len(pts))
+        counting("as_points", protocol.as_points)
+        table = execute_experiment(default_dataset, default_config)
+        assert counts == {"_triangulate": 249, "hull_cover": 1496, "_saddle_systems": 1496,
+                          "as_points": 3}
+        assert Counter(zip(table.method.tolist(), table.reason.tolist())) == {
+            ("cubic", "ok"): 402, ("cubic", "test_points_outside_support"): 2238,
+            ("rbf", "ok"): 2640}
 
 
 @st.composite

@@ -15,6 +15,7 @@ from surfbench.errors import (
     SingularSystem,
 )
 from surfbench.rbf import (
+    CONDITION_WARN_THRESHOLD,
     RbfConfig,
     _kernel_matrix,
     eval_rbf,
@@ -280,6 +281,41 @@ class TestStack:
         alone = fit_stack(pts[:1], values[:1], RbfConfig())
         assert coeffs[0].tobytes() == alone[0][0].tobytes()
         assert cond[0] == alone[1][0]
+
+    @pytest.mark.parametrize("seed", [16, 17, 18])
+    def test_repeated_center_sets_equal_their_batch_of_one(self, seed):
+        # center sets repeat with other values, among them an ill-conditioned
+        # set, a singular one (duplicate centers: the item-by-item fallback
+        # runs) and a set that differs from another only by the sign of a zero
+        rng = np.random.default_rng(seed)
+        base = [min_separated(rng, 7, 0.1) for _ in range(3)]
+        base[0][0] = 0.0
+        signed = base[0].copy()
+        signed[0, 1] = -0.0
+        ill = base[1] * 1e-3  # at epsilon 1, nearly flat kernel rows
+        singular = base[2].copy()
+        singular[4] = singular[1]
+        sets = [base[0], signed, ill, singular, base[1]]
+        which = rng.integers(0, len(sets), 14)
+        which[:len(sets) + 2] = [*rng.permutation(len(sets)), 2, 3]  # ill and singular twice
+        pts = np.stack([sets[i] for i in which])
+        values = rng.normal(0.0, 1.0, (len(which), 7))
+        values[rng.integers(len(which)), 2] = np.nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coeffs, cond, errors = fit_stack(pts, values, RbfConfig())
+        warned = sum(issubclass(w.category, IllConditionedWarning) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            for i in range(len(which)):
+                c, k, err = fit_stack(pts[i:i + 1], values[i:i + 1], RbfConfig())
+                assert coeffs[i].tobytes() == c[0].tobytes()
+                assert cond[i:i + 1].tobytes() == k.tobytes()
+                assert (type(errors[i]), str(errors[i])) == (type(err[0]), str(err[0]))
+        flagged = [e is None and c > CONDITION_WARN_THRESHOLD for e, c in zip(errors, cond)]
+        assert warned == sum(flagged) > 0
+        singular_rows = (which == 3) & np.isfinite(values).all(axis=1)
+        assert [isinstance(e, SingularSystem) for e in errors] == singular_rows.tolist()
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_fewer_than_three_centers_are_insufficient(self, n):

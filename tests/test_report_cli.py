@@ -13,7 +13,7 @@ from surfbench import cli, report
 from surfbench.cli import cli_main
 from surfbench.config import ExperimentConfig, load_config
 from surfbench.metrics import MetricSet
-from surfbench.protocol import METHODS, RunRecord, RunTable, execute_experiment
+from surfbench.protocol import METHODS, RunRecord, RunTable, execute_experiment, slice_nodes
 from surfbench.report import (
     RUNS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -434,6 +434,21 @@ class TestDiagnose:
     def test_unknown_slice_rejected(self, default_dataset):
         with pytest.raises(ValueError):
             diagnose_slices(default_dataset, "x3", 9.9)
+
+    def test_each_distinct_node_set_is_reported_once(self, default_dataset, monkeypatch):
+        # 11 slices on 3 node sets; each entry equals its slice's own report
+        nodes = []
+        original = report.geometry_report
+        monkeypatch.setattr(report, "geometry_report",
+                            lambda points: nodes.append(points) or original(points))
+        reports = diagnose_slices(default_dataset)
+        assert len(reports) == 11 and len(nodes) == 3
+        for entry in reports:
+            level_index = default_dataset.spec.axis_levels(entry["fixed_axis"]).tolist().index(
+                entry["fixed_level"])
+            points = slice_nodes(default_dataset, entry["fixed_axis"], level_index)[1]
+            assert entry == {"fixed_axis": entry["fixed_axis"], "fixed_level": entry["fixed_level"],
+                             **original(points).to_dict()}
 
 
 class TestCli:
