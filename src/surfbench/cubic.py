@@ -23,7 +23,8 @@ when it is evaluated. Evaluation locates all queries in one batched pass
 and sums the Bernstein form over arrays.
 
 Several surfaces are evaluated as one stage (``evaluate_stack``): each
-surface's queries are located on its own triangulation, then the
+surface's queries are located on its own triangulation (once for surfaces
+that share a triangulation and their queries), then the
 gradients of all their vertices come from one stacked solve on the joined
 mesh (``_vertex_gradients``: vertices grouped by neighbour count, each
 group solved by one batched SVD with ``lstsq``'s rank cutoff), their
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInput
-from .geometry import Triangulation, locate, triangulate
+from .geometry import Triangulation, as_queries, locate, triangulate
 
 __all__ = ["CubicSurface", "estimate_gradients", "evaluate_stack", "fit_cubic"]
 
@@ -246,7 +247,9 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     """Values of several surfaces, each at its own (k_i, 2) ``queries[i]``;
     NaN outside the hull.
 
-    Each surface's queries are located on its triangulation. On the joined
+    Each surface's queries are located on its triangulation, once per
+    distinct (triangulation object, query bytes) pair: surfaces sharing a
+    triangulation and their queries share ``locate``'s result. On the joined
     mesh of all surfaces (each piece's vertex indices offset past the
     previous pieces' vertices), one ``_vertex_gradients`` call estimates
     every gradient, supplied gradients replace their surface's rows, one
@@ -256,7 +259,13 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     """
     if not surfaces:
         return []
-    located = [locate(s.tri, q) for s, q in zip(surfaces, queries)]
+    located, seen = [], {}
+    for s, q in zip(surfaces, queries):
+        q = as_queries(q)
+        key = (id(s.tri), q.shape, q.tobytes())
+        if key not in seen:
+            seen[key] = locate(s.tri, q)
+        located.append(seen[key])
     vert_off = np.cumsum([0] + [s.tri.n_vertices for s in surfaces])
     tri_off = np.cumsum([0] + [s.tri.n_triangles for s in surfaces])
     points = np.concatenate([s.tri.points for s in surfaces])

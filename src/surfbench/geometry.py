@@ -45,6 +45,7 @@ DUPLICATE_TOL = 1e-12
 LOCATE_TOL = 1e-9
 LOCATE_BLOCK = 256  # queries per (block, m) coordinate array in locate
 FILL_GRID_RESOLUTION = 200
+FILL_MARGIN = 1e-12  # relative band of squared distance kept for the exact fill scan
 
 # Degeneracy band of the predicates, relative to operand magnitude. Well
 # above the float roundoff bound for these determinants (~3.3e-16 relative),
@@ -125,15 +126,21 @@ def as_points(points) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise NonFiniteInput("node coordinates must be finite")
     pts.setflags(write=False)
-    n = pts.shape[0]
-    if n > 1:
-        d = pts[:, None, :] - pts[None, :, :]
-        dist = np.hypot(d[..., 0], d[..., 1])
-        dist[np.diag_indices(n)] = np.inf
+    if pts.shape[0] > 1:
+        dist = _pair_distances(pts)
         if dist.min() < DUPLICATE_TOL:
             i, j = np.unravel_index(np.argmin(dist), dist.shape)
             raise DuplicateNodes(f"nodes {i} and {j} coincide within tolerance {DUPLICATE_TOL:g}")
     return pts
+
+
+def _pair_distances(pts: np.ndarray) -> np.ndarray:
+    """Distance between every two of the (n, 2) nodes, (n, n), with inf on
+    the diagonal. The x and y differences are two (n, n) arrays."""
+    x, y = pts[:, 0], pts[:, 1]
+    dist = np.hypot(x[:, None] - x, y[:, None] - y)
+    dist[np.diag_indices(pts.shape[0])] = np.inf
+    return dist
 
 
 def as_queries(queries) -> np.ndarray:
@@ -539,32 +546,56 @@ def fill_distance(points, domain="hull", grid_resolution: int = FILL_GRID_RESOLU
 
 def _fill_distance(arr: np.ndarray, poly: np.ndarray, grid_resolution: int) -> float:
     """``fill_distance`` of validated, non-empty nodes over the domain
-    polygon ``poly``."""
+    polygon ``poly``: the largest over the candidate points of
+    ``np.hypot(dx, dy)`` to the nearest node.
+
+    A running minimum of squared distances, taken one node at a time,
+    ranks the candidates. Its relative error is a few ulps for squares in
+    the normal range, so a candidate whose distance is the largest has a
+    squared distance within FILL_MARGIN of the largest squared distance;
+    only those candidates are measured with ``np.hypot``, which gives the
+    result bit for bit. When that bound does not hold (a squared distance
+    that is not finite, or a largest one below the normal range), every
+    candidate is measured, as one (candidates, nodes) array. Otherwise
+    memory is linear in the candidates (and the kept ones times nodes).
+    """
     if poly.shape[0] == 1:
-        candidates = poly
+        cx, cy = poly[:, 0], poly[:, 1]
     elif poly.shape[0] == 2:
-        t = np.linspace(0.0, 1.0, grid_resolution)[:, None]
-        candidates = poly[0] + t * (poly[1] - poly[0])
+        t = np.linspace(0.0, 1.0, grid_resolution)
+        cx = poly[0, 0] + t * (poly[1, 0] - poly[0, 0])
+        cy = poly[0, 1] + t * (poly[1, 1] - poly[0, 1])
     else:
         lo, hi = poly.min(axis=0), poly.max(axis=0)
-        gx, gy = np.meshgrid(
+        gx, gy = (g.ravel() for g in np.meshgrid(
             np.linspace(lo[0], hi[0], grid_resolution),
             np.linspace(lo[1], hi[1], grid_resolution),
             indexing="ij",
-        )
-        grid = np.column_stack([gx.ravel(), gy.ravel()])
+        ))
         if polygon_area(poly) < 0:
             poly = poly[::-1]
         tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
-        inside = np.ones(grid.shape[0], dtype=bool)
+        inside = np.ones(gx.shape[0], dtype=bool)
         for k in range(poly.shape[0]):
             a, b = poly[k], poly[(k + 1) % poly.shape[0]]
-            cross = (b[0] - a[0]) * (grid[:, 1] - a[1]) - (b[1] - a[1]) * (grid[:, 0] - a[0])
+            cross = (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0])
             inside &= cross >= -tol
-        candidates = grid[inside]
-    if candidates.shape[0] == 0:
+        cx, cy = gx[inside], gy[inside]
+    if cx.shape[0] == 0:
         return 0.0
-    nearest = np.hypot(candidates[:, 0:1] - arr[:, 0], candidates[:, 1:2] - arr[:, 1]).min(axis=1)
+    sq = np.full(cx.shape[0], np.inf)
+    with np.errstate(over="ignore"):
+        for x, y in arr.tolist():
+            dx, dy = cx - x, cy - y
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.minimum(sq, dx, out=sq)
+    top = sq.max()
+    if np.finfo(float).tiny <= top < np.inf:
+        keep = sq >= (1.0 - FILL_MARGIN) * top
+        cx, cy = cx[keep], cy[keep]
+    nearest = np.hypot(cx[:, None] - arr[:, 0], cy[:, None] - arr[:, 1]).min(axis=1)
     return float(nearest.max())
 
 
@@ -577,10 +608,7 @@ def _separation_distance(arr: np.ndarray) -> float:
     n = arr.shape[0]
     if n < 2:
         raise InsufficientNodes(f"separation distance needs >= 2 nodes, got {n}")
-    d = arr[:, None, :] - arr[None, :, :]
-    dist = np.hypot(d[..., 0], d[..., 1])
-    dist[np.diag_indices(n)] = np.inf
-    return 0.5 * float(dist.min())
+    return 0.5 * float(_pair_distances(arr).min())
 
 
 def mesh_ratio(points) -> float:

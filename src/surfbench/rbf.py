@@ -42,6 +42,7 @@ from .geometry import as_points, as_queries
 __all__ = ["RbfConfig", "RbfSurface", "kernel_mq", "fit_rbf", "eval_rbf", "fit_stack", "eval_stack"]
 
 CONDITION_WARN_THRESHOLD = 1e12
+ILL_CONDITIONED_MESSAGE = f"rbf system condition estimate exceeds {CONDITION_WARN_THRESHOLD:g}"
 
 
 def kernel_mq(r, epsilon: float = 1.0):
@@ -72,9 +73,11 @@ def _tail_matrix(pts: np.ndarray) -> np.ndarray:
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, epsilon: float) -> np.ndarray:
     """Kernel values between (..., k, 2) points ``a`` and (..., n, 2)
-    centers ``b``, (..., k, n)."""
-    d = a[..., :, None, :] - b[..., None, :, :]
-    return kernel_mq(np.hypot(d[..., 0], d[..., 1]), epsilon)
+    centers ``b``, (..., k, n). The x and y differences are two (..., k, n)
+    arrays."""
+    dx = a[..., :, None, 0] - b[..., None, :, 0]
+    dy = a[..., :, None, 1] - b[..., None, :, 1]
+    return kernel_mq(np.hypot(dx, dy, out=dx), epsilon)
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,7 @@ def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarra
     cond = np.where(ok, cond, np.nan)
     for i, c in enumerate(cond):
         if errors[i] is None and c > CONDITION_WARN_THRESHOLD:
-            warnings.warn(
-                f"rbf system condition estimate {c:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}",
-                IllConditionedWarning,
-                stacklevel=4,
-            )
+            warnings.warn(ILL_CONDITIONED_MESSAGE, IllConditionedWarning, stacklevel=4)
     return coeffs, cond, errors
 
 
@@ -176,7 +175,9 @@ def fit_stack(pts: np.ndarray, y: np.ndarray, config: RbfConfig) -> tuple[np.nda
     item's system is then solved on its own copy of its matrix, all of them
     as one stack, so each item equals its batch of one bit for bit. When
     one item is singular, the stack is solved item by item. Emits one
-    IllConditionedWarning per fitted item whose estimate exceeds 1e12.
+    IllConditionedWarning per fitted item whose estimate exceeds 1e12, all
+    with the same text (``ILL_CONDITIONED_MESSAGE``), so Python's default
+    filter prints one per call site; the estimates are in ``cond``.
     """
     n_sets, n = y.shape
     finite = np.isfinite(pts).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)

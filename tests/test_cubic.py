@@ -9,6 +9,7 @@ from conftest import edges, hull, min_separated, neighbors
 from surfbench import cubic, geometry, protocol
 from surfbench.config import ExperimentConfig
 from surfbench.cubic import (
+    CubicSurface,
     _control_nets,
     _eval_located,
     _vertex_gradients,
@@ -207,6 +208,24 @@ class TestGradients:
             assert stacked[i].tobytes() == alone.evaluate(q).tobytes()
             rows = solves[0][offsets[i]:offsets[i + 1]]
             assert rows.tobytes() == estimate_gradients(alone.tri, values).tobytes()
+
+
+def test_surfaces_sharing_a_triangulation_and_queries_share_one_locate(monkeypatch):
+    rng = np.random.default_rng(17)
+    tri = triangulate(random_nodes(rng, 9))
+    q = rng.uniform(-0.2, 1.2, (30, 2))
+    other = q[::-1].copy()
+    surfaces = [CubicSurface(tri, rng.normal(size=9)) for _ in range(4)]
+    surfaces.append(CubicSurface(triangulate(tri.points.copy()), rng.normal(size=9)))
+    queries = [q, q.copy(), other, q, q]  # equal bytes share; another tri does not
+    calls = []
+    original = cubic.locate
+    monkeypatch.setattr(cubic, "locate", lambda t, x: calls.append(t) or original(t, x))
+    stacked = evaluate_stack(surfaces, queries)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    for s, x, got in zip(surfaces, queries, stacked):
+        assert got.tobytes() == s.evaluate(x).tobytes()
 
 
 class TestFitCubic:

@@ -1,10 +1,11 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import edges, hull, min_separated, near_collinear, neighbors, order_probe_sets, triangle_areas
@@ -450,6 +451,163 @@ class TestFillDistance:
         centroid = pts.mean(axis=0)
         augmented = np.vstack([pts, centroid])
         assert fill_distance(augmented, domain=domain) <= base + 1e-12
+
+
+def fill_distance_oracle(arr, poly, grid_resolution):
+    """The dense fill-distance scan: every candidate against every node in
+    one (candidates, nodes) ``np.hypot`` array."""
+    if poly.shape[0] == 1:
+        candidates = poly
+    elif poly.shape[0] == 2:
+        t = np.linspace(0.0, 1.0, grid_resolution)[:, None]
+        candidates = poly[0] + t * (poly[1] - poly[0])
+    else:
+        lo, hi = poly.min(axis=0), poly.max(axis=0)
+        gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], grid_resolution),
+                             np.linspace(lo[1], hi[1], grid_resolution), indexing="ij")
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
+        if polygon_area(poly) < 0:
+            poly = poly[::-1]
+        tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+        inside = np.ones(grid.shape[0], dtype=bool)
+        for k in range(poly.shape[0]):
+            a, b = poly[k], poly[(k + 1) % poly.shape[0]]
+            cross = (b[0] - a[0]) * (grid[:, 1] - a[1]) - (b[1] - a[1]) * (grid[:, 0] - a[0])
+            inside &= cross >= -tol
+        candidates = grid[inside]
+    if candidates.shape[0] == 0:
+        return 0.0
+    nearest = np.hypot(candidates[:, 0:1] - arr[:, 0], candidates[:, 1:2] - arr[:, 1]).min(axis=1)
+    return float(nearest.max())
+
+
+def pair_distance_oracle(pts):
+    """Pairwise node distances from one (n, n, 2) difference stack, inf on
+    the diagonal."""
+    d = pts[:, None, :] - pts[None, :, :]
+    dist = np.hypot(d[..., 0], d[..., 1])
+    dist[np.diag_indices(len(pts))] = np.inf
+    return dist
+
+
+@st.composite
+def node_sets(draw):
+    """1 to 30 nodes: uniform random, or a subset of a (possibly
+    anisotropic) lattice, scaled by 1e-6 to 1e6 and shifted by up to 100
+    times the scale; duplicates are possible."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 30)))
+    if draw(st.booleans()):
+        pts = rng.random((n, 2))
+    else:
+        a, b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        height = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        xs, ys = np.meshgrid(np.linspace(0.0, 1.0, a), np.linspace(0.0, height, b))
+        lattice = np.column_stack([xs.ravel(), ys.ravel()])
+        pts = lattice[rng.choice(len(lattice), min(n, len(lattice)), replace=False)]
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    offset = np.array([draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))])
+    return (pts + offset) * scale, rng, scale
+
+
+@st.composite
+def fill_cases(draw):
+    """Valid nodes, a domain (None for their hull, or a user polygon of 1
+    to 6 vertices in any order around them) and a grid resolution 2 ... 200."""
+    arr, rng, scale = draw(node_sets())
+    assume(len(arr) < 2 or pair_distance_oracle(arr).min() >= geometry.DUPLICATE_TOL)
+    domain = None
+    if draw(st.booleans()):
+        domain = arr.mean(axis=0) + (rng.random((draw(st.integers(1, 6)), 2)) - 0.5) * 3.0 * scale
+    return arr, domain, draw(st.integers(2, 200))
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestDistanceKernels:
+    """The distance kernels equal the dense (…, n, 2)-stack expressions they
+    replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fill_cases())
+    def test_fill_distance_matches_the_dense_scan(self, case):
+        arr, domain, res = case
+        expected = fill_distance_oracle(arr, convex_hull_polygon(arr) if domain is None else domain, res)
+        assert same_float(fill_distance(arr, "hull" if domain is None else domain, res), expected)
+        if domain is None and len(arr) > 1:
+            report = geometry_report(arr, res)
+            assert same_float(report.fill_distance, expected)
+            assert same_float(report.mesh_ratio, expected / separation_distance(arr))
+
+    @pytest.mark.parametrize("scale, seed", [(1e-161, 6), (1e-170, 3), (1e-300, 3), (1e155, 3), (1e300, 3)])
+    def test_fill_distance_outside_the_normal_square_range(self, scale, seed):
+        # squares underflow or overflow: the ranking is not trusted, and every
+        # candidate is measured exactly (nodes this close are duplicates to
+        # as_points, so the scan is called directly); at 1e-161, seed 6, the
+        # subnormal squares rank the farthest candidate out of the band
+        arr = np.random.default_rng(seed).random((7, 2)) * scale
+        poly = UNIT_SQUARE * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the clipping overflows alike in both
+            assert same_float(geometry._fill_distance(arr, poly, 50), fill_distance_oracle(arr, poly, 50))
+
+    def test_fill_distance_measures_candidates_the_squares_rank_lower(self):
+        # from the origin, the first end of this segment is at hypot 1.0 and
+        # the second at 1 - 2^-53, but their rounded squares order them the
+        # other way round
+        domain = np.array([[0.8841738299371694, 0.4671580444070693],
+                           [0.53324228931928, 0.8459625647045697]])
+        origin = np.zeros((1, 2))
+        assert fill_distance(origin, domain, grid_resolution=2) == 1.0
+        assert fill_distance_oracle(origin, domain, 2) == 1.0
+
+    def test_fill_distance_with_a_non_finite_domain(self):
+        arr = as_points(UNIT_SQUARE)
+        for poly in (np.array([[np.nan, 0.0]]), np.array([[0.0, 0.0], [np.inf, 1.0]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert same_float(geometry._fill_distance(arr, poly, 20), fill_distance_oracle(arr, poly, 20))
+
+    def test_mesh_ratio_of_default_slices_matches_the_dense_scan(self, default_dataset):
+        for task in enumerate_slices(default_dataset, "noise-free")[::4]:
+            arr = as_points(task.points)
+            expected = fill_distance_oracle(arr, geometry._hull(arr), 200)
+            assert same_float(mesh_ratio(arr), expected / separation_distance(arr))
+
+    @settings(max_examples=150, deadline=None)
+    @given(node_sets(), st.booleans())
+    def test_as_points_and_separation_match_the_stack(self, drawn, near_duplicate):
+        pts = drawn[0]
+        if near_duplicate and len(pts) > 1:
+            pts = np.vstack([pts, pts[-1] + 1e-13])
+        if len(pts) < 2:
+            as_points(pts)
+            return
+        dist = pair_distance_oracle(pts)
+        assert geometry._pair_distances(pts).tobytes() == dist.tobytes()
+        if dist.min() < geometry.DUPLICATE_TOL:
+            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            with pytest.raises(DuplicateNodes, match=f"nodes {i} and {j} coincide"):
+                as_points(pts)
+        else:
+            assert as_points(pts).tobytes() == pts.tobytes()
+            assert same_float(separation_distance(pts), 0.5 * float(dist.min()))
+
+    def test_fill_scan_memory_is_bounded(self):
+        # three (40000, 100) candidate-by-node arrays would take about 96 MB
+        xs = np.arange(10.0)
+        pts = np.array([[x, y] for x in xs for y in xs])
+        tracemalloc.start()
+        try:
+            for report in (fill_distance, geometry_report):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                report(pts, grid_resolution=200)
+                assert tracemalloc.get_traced_memory()[1] - base < 5e6, report.__name__
+        finally:
+            tracemalloc.stop()
 
 
 class TestSeparation:

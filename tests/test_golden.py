@@ -3,8 +3,8 @@
 The reason histogram is pinned exactly. Summary values are pinned within
 abs 1e-9 + rel 1e-6 rather than byte for byte, because their last digits
 depend on the platform's floating-point libraries. Only the sha256 digests
-of runs.csv and summary.csv are pinned byte for byte, and only under the
-numpy version they were recorded with.
+of runs.csv, summary.csv, twelve surface grids and diagnose.json are pinned
+byte for byte, and only under the numpy version they were recorded with.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ from surfbench.cli import cli_main, run_experiment
 from surfbench.config import ExperimentConfig
 from surfbench.protocol import REGIMES, execute_experiment, rbf_condition_summary, reason_histogram
 from surfbench.report import summarize, write_runs_csv, write_summary_csv
+from surfbench.synthdata import DesignSpec
 
 REASONS = {
     ("cubic", "ok"): 402,
@@ -131,3 +132,41 @@ def test_default_artifact_digests(tmp_path, capsys):
         "runs.csv": "37da04a8d8c51051872201109998ecaf633d90584ae53d2f64e4a9c69ddb844e",
         "summary.csv": "d42b74a993c37a074d5478146a36232dab2eef17a09f97781f3eab50332cb8e7",
     }
+
+
+# sha256 of `surfbench surface` grids (seed 42), one (level, output) per
+# axis, for each regime and method, and of `surfbench diagnose`.
+SURFACE_DIGESTS = {
+    ("noise-free", "x1", 1, 1, "cubic"): "e09cc09c104cb4397448d9172bdb5cf0c37b497b0bbdba10844fbe16d4c6164a",
+    ("noise-free", "x1", 1, 1, "rbf"): "0a22ba86ce89919202645630ed704411c96d968a79ff22ab04941ee0072727ca",
+    ("noise-free", "x2", 2, 2, "cubic"): "86f0febffedf3d5e6dcae2c3ec3a4e0ba6674e285e45f64f52cce5da52f75940",
+    ("noise-free", "x2", 2, 2, "rbf"): "8168fafcb14d40a6478a68fb710c114d9fbe909dfdee5e6a4f3a3ac11c34b469",
+    ("noise-free", "x3", 1, 3, "cubic"): "2248dbb600589980a1156e9365cf4236c134f8fe9642b87232021e11df9a8bff",
+    ("noise-free", "x3", 1, 3, "rbf"): "27781df13e424a944112959ec7cd9510e921143fdf164f9ed3ae1342b5176f87",
+    ("noisy", "x1", 1, 1, "cubic"): "f43b0a35169f5e85e5a328a2e1834f9089847f5cf4481892cfff8ed769eaf1e9",
+    ("noisy", "x1", 1, 1, "rbf"): "c4cc09f08d9a11855d87b13eb1be75660eb76f74d8bc9a4c267c6cb96fb0e8e8",
+    ("noisy", "x2", 2, 2, "cubic"): "22b978ca01471921e3ac06c3216814415b5523463ddbc6f6c4446c91eb3ec658",
+    ("noisy", "x2", 2, 2, "rbf"): "db906e24d874592ac705efcbadaef42cceba0bd0e4c8c680881d9ca85615b00e",
+    ("noisy", "x3", 1, 3, "cubic"): "9778e9dbc83224546a8370260e94257946245fdf5129d4bface1ebb86969244f",
+    ("noisy", "x3", 1, 3, "rbf"): "b06f0631f048670ef0164d0d050cf7546880cf3b3b63acafb8ad65cbc0de59e2",
+}
+DIAGNOSE_DIGEST = "de508a20fa1e4768ad89015ef67f07a4b03e2dc05e74075dfb88c870ac68d843"
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="the digests were recorded with numpy 2.4.6; another numpy or "
+                           "floating-point library may change the last digits of the artifacts")
+def test_surface_and_diagnose_digests(tmp_path, capsys):
+    levels = DesignSpec().axis_levels
+    digests = {}
+    for key in SURFACE_DIGESTS:
+        regime, axis, level_index, output, method = key
+        out = tmp_path / "grid.csv"
+        assert cli_main(["surface", "--axis", axis, "--level", repr(float(levels(axis)[level_index])),
+                         "--output", str(output), "--method", method, "--regime", regime,
+                         "--out", str(out)]) == 0
+        digests[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert cli_main(["diagnose", "--out", str(tmp_path / "diagnose.json")]) == 0
+    capsys.readouterr()
+    assert digests == SURFACE_DIGESTS
+    assert hashlib.sha256((tmp_path / "diagnose.json").read_bytes()).hexdigest() == DIAGNOSE_DIGEST

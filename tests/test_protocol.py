@@ -583,6 +583,10 @@ class TestStage:
                                            config.rbf_config()).ill_conditioned
         assert 0 < flagged < fits
         assert warned == flagged
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # one text: shown once, not once per fit
+            execute_experiment(default_dataset, config)
+        assert sum(issubclass(w.category, IllConditionedWarning) for w in caught) == 1
         summary = rbf_condition_summary(records).values()
         assert sum(s["fits"] for s in summary) == fits
         assert sum(s["ill_conditioned"] for s in summary) == warned
@@ -657,19 +661,21 @@ class TestSharing:
                                                       default_config):
         counts = Counter()
 
-        def counting(name, fn, size=lambda *args: 1):
+        def counting(name, fn, size=lambda *args: 1, module=protocol):
             def wrapper(*args):
                 counts[name] += size(*args)
                 return fn(*args)
-            monkeypatch.setattr(protocol, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
         counting("_triangulate", protocol._triangulate)
         counting("hull_cover", protocol.hull_cover, lambda points, train, test: len(train))
         counting("_saddle_systems", protocol._saddle_systems, lambda pts, config: len(pts))
         counting("as_points", protocol.as_points)
+        # once per (triangulation, queries) pair of the 402 covered surfaces
+        counting("locate", cubic.locate, module=cubic)
         table = execute_experiment(default_dataset, default_config)
         assert counts == {"_triangulate": 249, "hull_cover": 1496, "_saddle_systems": 1496,
-                          "as_points": 3}
+                          "as_points": 3, "locate": 249}
         assert Counter(zip(table.method.tolist(), table.reason.tolist())) == {
             ("cubic", "ok"): 402, ("cubic", "test_points_outside_support"): 2238,
             ("rbf", "ok"): 2640}

@@ -16,6 +16,7 @@ from surfbench.errors import (
 )
 from surfbench.rbf import (
     CONDITION_WARN_THRESHOLD,
+    ILL_CONDITIONED_MESSAGE,
     RbfConfig,
     _kernel_matrix,
     eval_rbf,
@@ -75,6 +76,21 @@ class TestKernel:
     def test_vectorized(self):
         out = kernel_mq(np.array([0.0, 1.0]), 1.0)
         np.testing.assert_allclose(out, [1.0, math.sqrt(2.0)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (5,)]), st.integers(1, 40),
+           st.integers(1, 20), st.floats(-6.0, 6.0), st.floats(0.01, 10.0))
+    def test_kernel_matrix_matches_the_difference_stack(self, seed, batch, k, n, log_scale, epsilon):
+        # the (..., k, n, 2) difference stack the kernel was computed from
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        a = (rng.random(batch + (k, 2)) + rng.normal()) * scale
+        b = (rng.random(batch + (n, 2)) + rng.normal()) * scale
+        d = a[..., :, None, :] - b[..., None, :, :]
+        expected = kernel_mq(np.hypot(d[..., 0], d[..., 1]), epsilon)
+        got = _kernel_matrix(a, b, epsilon)
+        assert got.shape == expected.shape == batch + (k, n)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestConfig:
@@ -171,6 +187,21 @@ class TestFit:
             surface = fit_rbf(pts, values)
         assert surface.ill_conditioned
         assert surface.condition_estimate > 1e12
+
+    def test_default_filter_shows_one_ill_conditioned_warning_per_call(self):
+        rng = np.random.default_rng(8)
+        base = min_separated(rng, 7, 0.1)
+        pts = np.stack([base * 1e-3, base * 1e-3 + 0.5, base])  # two nearly flat kernels
+        values = rng.normal(0.0, 1.0, (3, 7))
+        for action, expected in (("always", 4), ("default", 1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                for _ in range(2):  # the same call site twice
+                    cond = fit_stack(pts, values, RbfConfig())[1]
+            assert (cond > CONDITION_WARN_THRESHOLD).tolist() == [True, True, False]
+            ill = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
+            assert len(ill) == expected
+            assert {str(w.message) for w in ill} == {ILL_CONDITIONED_MESSAGE}
 
     def test_well_conditioned_fit_not_flagged(self):
         rng = np.random.default_rng(5)
