@@ -2,7 +2,7 @@
 """Run the full default benchmark and write all artifacts.
 
 Writes what ``surfbench run --outdir artifacts --scatter`` writes, then prints
-the per-regime method contrast computed from the same run records. Use
+the per-regime method contrast computed from the same run table. Use
 --outdir/--seed/--config as with the CLI.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from surfbench.cli import run_experiment
 from surfbench.config import ExperimentConfig, load_config
-from surfbench.protocol import method_contrast
 
 
 def main() -> int:
@@ -28,24 +27,19 @@ def main() -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, random_seed=args.seed)
-    records = run_experiment(config, Path(args.outdir), scatter=True)
+    runs = run_experiment(config, Path(args.outdir), scatter=True)
 
-    # paired RMSE contrasts (rbf minus cubic) over runs where both are valid
-    by_key = {}
-    for r in records:
-        key = (r.regime, r.output_index, r.fixed_axis, r.level_index, r.repeat)
-        by_key.setdefault(key, {})[r.method] = r
+    # paired rmse contrasts (rbf minus cubic) over splits where both runs
+    # are valid; each split's cubic run is followed by its rbf run
+    cubic, rbf = slice(0, None, 2), slice(1, None, 2)
+    joint = runs.valid[cubic] & runs.valid[rbf]
+    deltas = runs.rmse[rbf] - runs.rmse[cubic]
     print("\npaired rmse contrast (rbf - cubic), mean over jointly valid runs:")
     for regime in ("noise-free", "noisy"):
         for output in (1, 2, 3):
-            deltas = [
-                method_contrast(pair["cubic"], pair["rbf"])
-                for (g, o, *_), pair in by_key.items()
-                if g == regime and o == output
-            ]
-            deltas = [d for d in deltas if d is not None]
-            if deltas:
-                print(f"  {regime:11s} output{output}: {np.mean(deltas):+.4f}  (n={len(deltas)})")
+            keep = joint & (runs.regime[cubic] == regime) & (runs.output_index[cubic] == output)
+            if keep.any():
+                print(f"  {regime:11s} output{output}: {np.mean(deltas[keep]):+.4f}  (n={keep.sum()})")
     return 0
 
 

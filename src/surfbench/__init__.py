@@ -37,8 +37,6 @@ from .protocol import (
     execute_experiment,
     find_slice,
     make_splits,
-    method_contrast,
-    run_pair,
     valid_run_counts,
 )
 from .rbf import RbfConfig, RbfSurface, eval_rbf, fit_rbf, kernel_mq

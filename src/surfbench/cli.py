@@ -40,6 +40,8 @@ from .report import (
 )
 from .synthdata import generate
 
+__all__ = ["cli_main", "main", "run_experiment"]
+
 DEFAULT_OUTDIR = "artifacts"
 
 

@@ -5,6 +5,9 @@ runner converts them into invalid run records (with a reason code) rather
 than letting them abort an experiment.
 """
 
+__all__ = ["InterpolationError", "InsufficientNodes", "DegenerateGeometry", "DuplicateNodes",
+           "SingularSystem", "NonFiniteInput", "IllConditionedWarning", "reason_code"]
+
 
 class InterpolationError(Exception):
     """Base class for recoverable fitting/geometry failures."""

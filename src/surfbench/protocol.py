@@ -40,11 +40,12 @@ once, however many tasks and repeats draw it:
    cover is one-sided: every test point that ``locate`` would find is
    hull-covered, so the reason code is always right, and the count can
    differ from ``locate``'s only for a point in the band within 1e-8 of
-   the slice extent outside the hull. A set with every test point covered
-   is triangulated once on its already checked nodes, and its splits share
-   that triangulation; every other split (one the hull test cannot vouch
-   for, or one with non-finite values) goes to ``fit_cubic``, whose error
-   is its reason.
+   the slice extent outside the hull. Every other split needs its set's
+   triangulation, built once on the already checked nodes and shared by
+   the splits of the set, whether or not the hull test trusts it. A set
+   that cannot be triangulated gives its failure as the reason of each of
+   its splits; a split with non-finite values is then recorded as
+   ``fit_failed:non_finite_input``, the order ``fit_cubic`` checks them in.
 2. The RBF saddle matrix, rank test and condition estimate of each set
    are made once (``rbf._saddle_systems``). The splits are then solved and
    evaluated PLAN_CHUNK at a time, each on its own copy of its set's
@@ -57,7 +58,7 @@ gradients, the control nets, the RBF solve and the metrics. Every step
 treats each set or split on its own, so the table equals, bit for bit,
 that of each task run alone.
 
-The fitted cubic surfaces of all tasks are then evaluated at their test
+The fitted cubic surfaces of a group are then evaluated at their test
 points as one stack (``cubic.evaluate_stack``). ``locate`` is
 authoritative: a surface that leaves a test point undefined is recorded as
 ``test_points_outside_support``, with ``n_finite`` counting its finite
@@ -66,7 +67,7 @@ stack (``metrics.metric_stack``, which equals ``compute_metrics`` row by
 row bit for bit), and the runs come back as one columnar ``RunTable``,
 whose rows are ``RunRecord``s. Each RBF run keeps its fit's condition
 estimate; ``rbf_condition_summary`` aggregates them per regime for
-``meta.json``. ``run_pair`` is this stage on a single split.
+``meta.json``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .cubic import CubicSurface, evaluate_stack, fit_cubic
+from .cubic import CubicSurface, evaluate_stack
 from .errors import InsufficientNodes, InterpolationError, reason_code
 from .geometry import _triangulate, as_points, hull_cover
 from .metrics import MetricSet, compute_metrics, metric_stack
@@ -99,8 +100,6 @@ __all__ = [
     "find_slice",
     "slice_nodes",
     "make_splits",
-    "run_pair",
-    "method_contrast",
     "execute_experiment",
     "valid_run_counts",
     "reason_histogram",
@@ -236,15 +235,28 @@ class RunTable:
         return len(self.regime)
 
     def __getitem__(self, index):
-        return list(self)[index]  # builds every row
+        """The run at an int ``index`` (negative counts from the end), built
+        alone, IndexError past either end; a list of runs for a slice."""
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(len(self))[index]
+        return next(self._records(i, i + 1))
 
     def __iter__(self):
-        col = {name: getattr(self, name).tolist()
+        return self._records(0, len(self))
+
+    def _records(self, lo: int, hi: int):
+        """The runs ``lo`` to ``hi - 1`` as RunRecords."""
+        col = {name: getattr(self, name)[lo:hi].tolist()
                for name in (*_SCALARS, "rmse", "mae", "r2", "condition_estimate")}
-        flat = {name: None if getattr(self, name) is None else
-                np.split(getattr(self, name), np.cumsum(getattr(self, n))[:-1])
-                for name, n in _FLAT.items()}
-        for i in range(len(self)):
+        flat = {}
+        for name, n in _FLAT.items():
+            column = getattr(self, name)
+            if column is not None:
+                bounds = np.concatenate([[0], np.cumsum(getattr(self, n)[:hi])])
+                column = np.split(column[bounds[lo]:bounds[hi]], bounds[lo + 1:hi] - bounds[lo])
+            flat[name] = column
+        for i in range(hi - lo):
             arrays = {name: None if a is None else a[i] for name, a in flat.items()}
             # a valid run's predictions are all finite: it scored its finite targets
             n_points = (col["n_finite"][i] if arrays["y_true"] is None
@@ -451,56 +463,60 @@ def _task_columns(task: SliceTask, train: np.ndarray, test: np.ndarray, repeats:
     )
 
 
-def _cubic_fits(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: np.ndarray,
-                y: np.ndarray) -> tuple[list, np.ndarray, list, list]:
-    """The cubic fits of B splits of one node set, ``points``, with (B, m)
-    ``train`` node indices and (B, m) training values ``y``: reasons and
-    finite counts as ``_score`` takes them, and the indices and surfaces of
-    the fitted splits. Split i's train and test node indices are
-    ``sets[inverse[i]]``, m of them then the rest.
+def _cubic_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: np.ndarray,
+                test: np.ndarray, y: np.ndarray) -> tuple:
+    """The cubic runs of B splits of one node set, ``points``, as
+    ``_task_columns`` takes them, from (B, m) ``train`` and (B, k) ``test``
+    node indices and (B, m) training values ``y``. Split i's train and test
+    node indices are ``sets[inverse[i]]``, m of them then the rest.
 
     ``hull_cover`` tests each distinct set once, PLAN_CHUNK sets per call.
     A trusted split with finite values and an uncovered test point is
-    recorded as outside support unfitted, and one with every test point
-    covered gets its set's triangulation, built once and shared by every
-    split of the set. Every other split goes through ``fit_cubic``, so a
-    failing split keeps its reason code."""
+    recorded as outside support unfitted. Every other split gets its set's
+    triangulation, built once and shared by every split of the set, or that
+    triangulation's failure as its reason; a split with non-finite values
+    is then ``fit_failed:non_finite_input``. The remaining surfaces are
+    evaluated at their test points as one stack."""
     m = train.shape[1]
     covered, trusted = (np.concatenate(part)[inverse] for part in zip(*(
         hull_cover(points, sets[lo:lo + PLAN_CHUNK, :m], sets[lo:lo + PLAN_CHUNK, m:])
         for lo in range(0, len(sets), PLAN_CHUNK))))
-    trusted &= np.isfinite(y).all(axis=1)  # fit_cubic gives their reason
+    finite = np.isfinite(y).all(axis=1)
+    outside = finite & trusted & ~covered.all(axis=1)
     reasons: list = [None] * len(train)
-    n_finite = np.zeros(len(train), dtype=int)
     fitted, surfaces, tris = [], [], {}
     for i, s in enumerate(inverse.tolist()):
-        if trusted[i] and not covered[i].all():
+        if outside[i]:
             reasons[i] = "test_points_outside_support"
-            n_finite[i] = np.count_nonzero(covered[i])
             continue
-        try:
-            if trusted[i]:
-                if s not in tris:
-                    tris[s] = _triangulate(points[train[i]])
-                surfaces.append(CubicSurface(tris[s], y[i]))
-            else:
-                surfaces.append(fit_cubic(points[train[i]], y[i]))
+        if s not in tris:
+            try:
+                tris[s] = _triangulate(points[train[i]])
+            except InterpolationError as exc:
+                tris[s] = f"fit_failed:{reason_code(exc)}"
+        if isinstance(tris[s], str):
+            reasons[i] = tris[s]
+        elif not finite[i]:
+            reasons[i] = "fit_failed:non_finite_input"
+        else:
             fitted.append(i)
-        except InterpolationError as exc:
-            reasons[i] = f"fit_failed:{reason_code(exc)}"
-    return reasons, n_finite, fitted, surfaces
+            surfaces.append(CubicSurface(tris[s], y[i]))
+    pred = np.full(test.shape, np.nan)
+    for i, values in zip(fitted, evaluate_stack(surfaces, points[test[fitted]])):
+        pred[i] = values
+    return "cubic", pred, reasons, np.where(outside, np.count_nonzero(covered, axis=1), 0), None
 
 
 def _rbf_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: np.ndarray,
-              test: np.ndarray, y: np.ndarray, rbf_config: RbfConfig) -> tuple:
+              test: np.ndarray, y: np.ndarray, rbf_config: RbfConfig, stacklevel: int) -> tuple:
     """The RBF runs of splits of one node set, as ``_task_columns`` takes
-    them (arguments as for ``_cubic_fits``, with (B, k) ``test`` node
-    indices). The saddle system, rank test and condition estimate of each
-    of ``sets`` are made once, PLAN_CHUNK sets at a time, and the splits of
-    those sets are then solved and evaluated PLAN_CHUNK at a time, each on
-    its own copy of its set's system; each equals ``fit_stack``'s item bit
-    for bit. A split that cannot be fitted is recorded with
-    ``fit_stack``'s reason."""
+    them (arguments as for ``_cubic_runs``; ``stacklevel`` as
+    ``rbf._fit_systems`` takes it, for a warning raised here). The saddle
+    system, rank test and condition estimate of each of ``sets`` are made
+    once, PLAN_CHUNK sets at a time, and the splits of those sets are then
+    solved and evaluated PLAN_CHUNK at a time, each on its own copy of its
+    set's system; each equals ``fit_rbf``'s surface bit for bit. A split
+    that cannot be fitted is recorded with ``_fit_systems``'s reason."""
     pred = np.full(test.shape, np.nan)
     fit_cond = np.full(len(train), np.nan)
     reasons: list = [None] * len(train)
@@ -512,7 +528,7 @@ def _rbf_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: 
             rows = order[start:min(start + PLAN_CHUNK, last)]
             s = inverse[rows] - lo
             coeffs, chunk_cond, errors = _fit_systems(a[s], tail[s], cond[s], y[rows],
-                                                      np.isfinite(y[rows]).all(axis=1))
+                                                      np.isfinite(y[rows]).all(axis=1), stacklevel + 1)
             ok = np.array([e is None for e in errors])
             fit_cond[rows] = np.where(ok, chunk_cond, np.nan)
             pred[rows[ok]] = eval_stack(points[train[rows[ok]]], coeffs[ok],
@@ -522,18 +538,20 @@ def _rbf_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: 
     return "rbf", pred, reasons, np.zeros(len(train), dtype=int), fit_cond
 
 
-def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig) -> RunTable:
+def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig,
+               stacklevel: int = 2) -> RunTable:
     """Both runs of every split of the tasks (see the module docstring), in
     task order, cubic then RBF for each split; ``plans[t]`` holds the (B, m)
     train and (B, k) test node indices and (B,) repeats of ``tasks[t]``.
+    An IllConditionedWarning names the line ``stacklevel`` frames up, as
+    ``warnings.warn`` called here would: by default this function's caller.
 
     The tasks are grouped by node set: the exact bytes of their points and
     their split sizes. Each group's nodes are validated once, in order of
     first appearance, so the first failing task raises NonFiniteInput or
     DuplicateNodes. The splits of a group are taken together, with the
     value-free work done once per distinct (train, test) set: one hull
-    test, one triangulation and one RBF saddle system. The cubic surfaces
-    of all groups are evaluated as one stack.
+    test, one triangulation and one RBF saddle system.
     """
     groups: dict[tuple, list[int]] = {}
     for t, (task, (train, test, _)) in enumerate(zip(tasks, plans)):
@@ -542,25 +560,14 @@ def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig
         groups.setdefault(key, []).append(t)
     for members in groups.values():
         as_points(tasks[members[0]].points)
-    staged, surfaces, queries = [], [], []
+    parts: list = [None] * len(tasks)
     for members in groups.values():
         points = tasks[members[0]].points
         train, test = (np.concatenate([plans[t][j] for t in members]) for j in (0, 1))
         y = np.concatenate([tasks[t].values[plans[t][0]] for t in members])
         sets, inverse = np.unique(np.hstack([train, test]), axis=0, return_inverse=True)
-        reasons, n_finite, fitted, fits = _cubic_fits(points, sets, inverse, train, y)
-        surfaces += fits
-        queries += list(points[test[fitted]])
-        staged.append((members, test.shape, fitted, reasons, n_finite,
-                       _rbf_runs(points, sets, inverse, train, test, y, rbf_config)))
-    values = iter(evaluate_stack(surfaces, queries))
-    del surfaces, queries  # not needed past their values: freed before the columns are built
-    parts: list = [None] * len(tasks)
-    for members, shape, fitted, reasons, n_finite, rbf in staged:
-        pred = np.full(shape, np.nan)
-        for i in fitted:
-            pred[i] = next(values)
-        runs = [("cubic", pred, reasons, n_finite, None), rbf]
+        runs = [_cubic_runs(points, sets, inverse, train, test, y),
+                _rbf_runs(points, sets, inverse, train, test, y, rbf_config, stacklevel + 1)]
         bounds = np.cumsum([0] + [len(plans[t][0]) for t in members])
         for t, lo, hi in zip(members, bounds, bounds[1:]):
             parts[t] = _task_columns(tasks[t], *plans[t], [
@@ -570,30 +577,6 @@ def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig
     # are not held whole at once
     return RunTable(**{name: np.concatenate([part.pop(name) for part in parts])
                        for name in list(parts[0])})
-
-
-def run_pair(task: SliceTask, plan: SplitPlan, rbf_config: RbfConfig) -> tuple[RunRecord, RunRecord]:
-    """Fit and score both methods on identical train/test geometry.
-
-    Fit failures yield invalid records with a reason code. A cubic run with
-    test points outside the training hull is recorded as
-    ``test_points_outside_support`` with ``n_finite`` counting the test
-    points inside, unfitted when the hull test can vouch for the split.
-    Nothing raises for expected degeneracies of a split; a slice whose
-    nodes fail validation raises NonFiniteInput or DuplicateNodes. This is
-    ``execute_experiment``'s stage on a single split.
-    """
-    cubic_record, rbf_record = _run_tasks(
-        [task], [(plan.train_indices[None], plan.test_indices[None], np.array([plan.repeat_index]))],
-        rbf_config)
-    return cubic_record, rbf_record
-
-
-def method_contrast(cubic_record: RunRecord, rbf_record: RunRecord, metric: str = "rmse") -> float | None:
-    """metric(rbf) - metric(cubic) on the shared test set; None unless both valid."""
-    if not (cubic_record.valid and rbf_record.valid):
-        return None
-    return getattr(rbf_record.metrics, metric) - getattr(cubic_record.metrics, metric)
 
 
 def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | None = None) -> RunTable:
@@ -617,7 +600,7 @@ def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | Non
             kept.append((task, (*plan, repeats)))
     if not kept:
         return RunTable.empty()
-    return _run_tasks(*map(list, zip(*kept)), config.rbf_config())
+    return _run_tasks(*map(list, zip(*kept)), config.rbf_config(), stacklevel=3)
 
 
 def valid_run_counts(table: RunTable) -> dict[tuple[str, int, str], int]:

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .geometry import as_points, as_queries
 
-__all__ = ["RbfConfig", "RbfSurface", "kernel_mq", "fit_rbf", "eval_rbf", "fit_stack", "eval_stack"]
+__all__ = ["RbfConfig", "RbfSurface", "kernel_mq", "fit_rbf", "eval_rbf", "eval_stack"]
 
 CONDITION_WARN_THRESHOLD = 1e12
 ILL_CONDITIONED_MESSAGE = f"rbf system condition estimate exceeds {CONDITION_WARN_THRESHOLD:g}"
@@ -93,11 +93,11 @@ class RbfSurface:
 
 
 def _saddle_systems(pts: np.ndarray, config: RbfConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The value-free part of ``fit_stack`` for B sets of finite centers
-    ``pts`` (B, n, 2): the saddle matrices (B, n + 3, n + 3), whether each
-    set's centers carry the degree-1 tail (B,), and the 1-norm condition
-    estimate of each matrix whose centers do (B,), NaN elsewhere. Fewer than
-    3 centers carry no tail. Item i depends on set i alone."""
+    """The value-free part of the fits on B sets of finite centers ``pts``
+    (B, n, 2): the saddle matrices (B, n + 3, n + 3), whether each set's
+    centers carry the degree-1 tail (B,), and the 1-norm condition estimate
+    of each matrix whose centers do (B,), NaN elsewhere. Fewer than 3
+    centers carry no tail. Item i depends on set i alone."""
     n_sets, n = pts.shape[:2]
     a = np.zeros((n_sets, n + 3, n + 3))
     cond = np.full(n_sets, np.nan)
@@ -115,15 +115,30 @@ def _saddle_systems(pts: np.ndarray, config: RbfConfig) -> tuple[np.ndarray, np.
 
 
 def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarray,
-                 finite: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """``fit_stack`` of B items from the value-free part of each, as
-    ``_saddle_systems`` gives it (``a``, ``tail`` and ``cond``, one entry per
-    item), their values ``y`` (B, n) and whether their coordinates and
-    values are all finite (B,). Each item's system is solved on its own
-    matrix, all those of the fitted items as one stack.
+                 finite: np.ndarray, stacklevel: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Fit B surfaces from the value-free part of each, as
+    ``_saddle_systems`` gives it (``a``, ``tail`` and ``cond``, one entry
+    per item), their values ``y`` (B, n) and whether their values are all
+    finite (B,).
+
+    Returns ``(coeffs, cond, errors)``: ``coeffs`` (B, n + 3) holds each
+    surface's weights (positive kernel convention) then tail coefficients,
+    ``cond`` (B,) the 1-norm condition estimate of its saddle system, and
+    ``errors`` the reason each item could not be fitted, else None:
+    NonFiniteInput for a non-finite value, InsufficientNodes for fewer than
+    3 centers, and SingularSystem for collinear centers, a singular system
+    or non-finite coefficients, in that order of precedence.
+
+    Each item's system is solved on its own matrix, all those of the fitted
+    items as one stack, so each item equals its batch of one bit for bit;
+    when one item is singular, the stack is solved item by item. Emits one
+    IllConditionedWarning per fitted item whose estimate exceeds 1e12, all
+    with the same text (``ILL_CONDITIONED_MESSAGE``), so Python's default
+    filter prints one per call site; ``stacklevel`` is the level that
+    ``warnings.warn`` called here takes to name that call site.
     """
     n_sets, n = y.shape
-    errors: list = [None if ok else NonFiniteInput("rbf fit nodes and values must be finite")
+    errors: list = [None if ok else NonFiniteInput("rbf fit values must be finite")
                     for ok in finite]
     if n < 3:
         short = InsufficientNodes(f"rbf fit needs >= 3 nodes for its degree-1 tail, got {n}")
@@ -142,7 +157,7 @@ def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarra
             cond = np.where(ok, cond, np.nan)
             for i in np.nonzero(ok)[0]:
                 one = slice(i, i + 1)
-                c, k, err = _fit_systems(a[one], tail[one], cond[one], y[one], ok[one])
+                c, k, err = _fit_systems(a[one], tail[one], cond[one], y[one], ok[one], stacklevel + 1)
                 coeffs[i], cond[i], errors[i] = c[0], k[0], err[0]
             return coeffs, cond, errors
         errors[int(np.argmax(ok))] = SingularSystem(f"saddle system is singular: {exc}")
@@ -153,44 +168,12 @@ def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarra
     cond = np.where(ok, cond, np.nan)
     for i, c in enumerate(cond):
         if errors[i] is None and c > CONDITION_WARN_THRESHOLD:
-            warnings.warn(ILL_CONDITIONED_MESSAGE, IllConditionedWarning, stacklevel=4)
+            warnings.warn(ILL_CONDITIONED_MESSAGE, IllConditionedWarning, stacklevel=stacklevel)
     return coeffs, cond, errors
 
 
-def fit_stack(pts: np.ndarray, y: np.ndarray, config: RbfConfig) -> tuple[np.ndarray, np.ndarray, list]:
-    """Fit B surfaces at once: centers ``pts`` (B, n, 2), values ``y``
-    (B, n).
-
-    Returns ``(coeffs, cond, errors)``: ``coeffs`` (B, n + 3) holds each
-    surface's weights (positive kernel convention) then tail coefficients,
-    ``cond`` (B,) the 1-norm condition estimate of its saddle system, and
-    ``errors`` the reason each item could not be fitted, else None:
-    NonFiniteInput for a NaN or infinite coordinate or value,
-    InsufficientNodes for fewer than 3 centers, and SingularSystem for
-    collinear centers, a singular system or non-finite coefficients, in
-    that order of precedence.
-
-    The value-free work (saddle matrix, rank test, condition estimate) is
-    done once per distinct center set, bit pattern for bit pattern; each
-    item's system is then solved on its own copy of its matrix, all of them
-    as one stack, so each item equals its batch of one bit for bit. When
-    one item is singular, the stack is solved item by item. Emits one
-    IllConditionedWarning per fitted item whose estimate exceeds 1e12, all
-    with the same text (``ILL_CONDITIONED_MESSAGE``), so Python's default
-    filter prints one per call site; the estimates are in ``cond``.
-    """
-    n_sets, n = y.shape
-    finite = np.isfinite(pts).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
-    if not finite.all():
-        pts = np.where(finite[:, None, None], pts, 0.0)  # an inf would warn in the arithmetic below
-    bits = np.ascontiguousarray(pts, dtype=float).reshape(n_sets, 2 * n).view(np.uint64)
-    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    shared = _saddle_systems(pts[first], config)
-    return _fit_systems(*(part[inverse] for part in shared), y, finite)
-
-
 def eval_stack(centers: np.ndarray, coeffs: np.ndarray, queries: np.ndarray, epsilon: float) -> np.ndarray:
-    """Values of B surfaces (``fit_stack`` coefficients on (B, n, 2)
+    """Values of B surfaces (``_fit_systems`` coefficients on (B, n, 2)
     centers) at their own (B, k, 2) queries, (B, k)."""
     n = centers.shape[1]
     out = _kernel_matrix(queries, centers, epsilon) @ coeffs[:, :n, None]
@@ -205,7 +188,7 @@ def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
     duplicate centers or collinear nodes (which cannot carry the degree-1
     tail); emits IllConditionedWarning and flags the surface when the
     condition estimate exceeds 1e12, but still returns the fit. This is
-    ``fit_stack`` on a batch of one.
+    ``_fit_systems`` on a batch of one.
     """
     config = config if config is not None else RbfConfig()
     try:
@@ -216,7 +199,8 @@ def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
     n = pts.shape[0]
     if y.shape != (n,):
         raise ValueError(f"expected {n} values, got shape {y.shape}")
-    (coeffs,), (cond,), (error,) = fit_stack(pts[None], y[None], config)
+    (coeffs,), (cond,), (error,) = _fit_systems(*_saddle_systems(pts[None], config), y[None],
+                                                np.isfinite(y).all(keepdims=True), stacklevel=3)
     if error is not None:
         raise error
     return RbfSurface(

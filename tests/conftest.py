@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from surfbench.config import ExperimentConfig
-from surfbench.protocol import RunRecord, RunTable, execute_experiment
+from surfbench.protocol import RunRecord, RunTable, _run_tasks, execute_experiment
 from surfbench.report import summarize
 from surfbench.synthdata import DesignSpec, generate
 
@@ -48,6 +48,21 @@ def table_of(records):
         columns[name] = np.concatenate([getattr(r, name) for r in records])
     columns["n_train"] = np.array([len(r.train_indices) for r in records])
     return RunTable(**columns)
+
+
+def stage(task, plans, rbf_config):
+    """The run table of the experiment stage (``protocol._run_tasks``) on
+    the stacked index arrays of ``plans``, splits of ``task``."""
+    return _run_tasks([task], [(np.stack([plan.train_indices for plan in plans]),
+                                np.stack([plan.test_indices for plan in plans]),
+                                np.array([plan.repeat_index for plan in plans]))], rbf_config)
+
+
+def run_split(task, plan, rbf_config):
+    """The cubic and the RBF run of one split of ``task``, by the stage on
+    that split alone."""
+    cubic, rbf = stage(task, [plan], rbf_config)
+    return cubic, rbf
 
 
 def min_separated(rng, n, minsep, box=1.0, max_tries=4000):

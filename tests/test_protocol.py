@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import warnings
 from collections import Counter
 
@@ -9,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import order_probe_sets, table_of
+from conftest import order_probe_sets, run_split, stage, table_of
 from surfbench import cubic, protocol
 from surfbench.config import ExperimentConfig
 from surfbench.geometry import HULL_TOL, convex_hull_polygon, hull_cover, locate, triangulate
-from surfbench.metrics import MetricSet, compute_metrics
+from surfbench.metrics import compute_metrics
 from surfbench.protocol import (
     AXES,
     REGIMES,
@@ -28,9 +29,7 @@ from surfbench.protocol import (
     execute_experiment,
     find_slice,
     make_splits,
-    method_contrast,
     rbf_condition_summary,
-    run_pair,
     valid_run_counts,
 )
 from surfbench.errors import (
@@ -43,7 +42,9 @@ from surfbench.errors import (
     reason_code,
 )
 from surfbench.rbf import eval_rbf, fit_rbf
-from surfbench.report import RUNS_CSV_HEADER, summarize, write_csv, write_runs_csv, write_summary_csv
+from surfbench.report import (
+    RUNS_CSV_HEADER, read_runs_csv, summarize, write_csv, write_runs_csv, write_summary_csv,
+)
 from surfbench.synthdata import DesignSpec, NoiseSpec, generate
 
 
@@ -207,7 +208,7 @@ class TestRunPair:
     def test_pairing_shares_split_indices(self, default_dataset, default_config):
         task = enumerate_slices(default_dataset, "noise-free")[0]
         plan = make_splits(task, 1, 0.7, 42)[0]
-        cubic, rbf = run_pair(task, plan, default_config.rbf_config())
+        cubic, rbf = run_split(task, plan, default_config.rbf_config())
         np.testing.assert_array_equal(cubic.train_indices, rbf.train_indices)
         np.testing.assert_array_equal(cubic.test_indices, rbf.test_indices)
 
@@ -224,7 +225,7 @@ class TestRunPair:
             train_indices=np.arange(5),
             test_indices=np.arange(5, 8),
         )
-        cubic, rbf = run_pair(task, plan, ExperimentConfig().rbf_config())
+        cubic, rbf = run_split(task, plan, ExperimentConfig().rbf_config())
         assert not cubic.valid
         assert cubic.reason == "test_points_outside_support"
         assert cubic.n_finite == 0
@@ -249,7 +250,7 @@ class TestRunPair:
             train_indices=np.arange(5),
             test_indices=np.arange(5, 8),
         )
-        partial, _ = run_pair(task, plan, ExperimentConfig().rbf_config())
+        partial, _ = run_split(task, plan, ExperimentConfig().rbf_config())
         assert partial.reason == "test_points_outside_support"
         assert partial.n_finite == 1
         assert np.isnan(partial.y_pred).all()
@@ -262,7 +263,7 @@ class TestRunPair:
         original_locate = cubic.locate
         monkeypatch.setattr(cubic, "locate",
                             lambda *args: located.append(args) or original_locate(*args))
-        full, _ = run_pair(task, covered, ExperimentConfig().rbf_config())
+        full, _ = run_split(task, covered, ExperimentConfig().rbf_config())
         assert full.valid and full.n_finite == 2
         assert len(calls) == 1
         points, _, values = calls[0]
@@ -281,7 +282,7 @@ class TestRunPair:
             train_indices=np.arange(5),   # all on one line
             test_indices=np.array([5, 6]),
         )
-        cubic, rbf = run_pair(task, plan, ExperimentConfig().rbf_config())
+        cubic, rbf = run_split(task, plan, ExperimentConfig().rbf_config())
         assert not cubic.valid and cubic.reason == "fit_failed:degenerate_geometry"
         assert not rbf.valid and rbf.reason == "fit_failed:singular_system"
 
@@ -304,9 +305,9 @@ class TestRunPair:
         )
         if bad == "coordinate":
             with pytest.raises(NonFiniteInput):
-                run_pair(task, plan, ExperimentConfig().rbf_config())
+                run_split(task, plan, ExperimentConfig().rbf_config())
             return
-        cubic, rbf = run_pair(task, plan, ExperimentConfig().rbf_config())
+        cubic, rbf = run_split(task, plan, ExperimentConfig().rbf_config())
         assert cubic.reason == rbf.reason == "fit_failed:non_finite_input"
 
     def test_duplicate_slice_nodes_raise(self):
@@ -315,7 +316,7 @@ class TestRunPair:
         task = make_task(pts, pts[:, 0] + pts[:, 1] ** 2)
         plan = SplitPlan(np.arange(5), np.array([5, 6]), 0)
         with pytest.raises(DuplicateNodes):
-            run_pair(task, plan, ExperimentConfig().rbf_config())
+            run_split(task, plan, ExperimentConfig().rbf_config())
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_fewer_than_three_training_nodes_invalidate_both(self, m):
@@ -324,7 +325,7 @@ class TestRunPair:
         plan = SplitPlan(np.arange(m), np.arange(m, 5), 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cubic, rbf = run_pair(task, plan, ExperimentConfig().rbf_config())
+            cubic, rbf = run_split(task, plan, ExperimentConfig().rbf_config())
         assert cubic.reason == rbf.reason == "fit_failed:insufficient_nodes"
         assert cubic.n_test == rbf.n_test == 5 - m
 
@@ -334,7 +335,7 @@ class TestRunPair:
             if t.fixed_axis == "x3" and t.output_index == 1
         )
         for plan in make_splits(task, 10, 0.7, 42):
-            cubic, rbf = run_pair(task, plan, default_config.rbf_config())
+            cubic, rbf = run_split(task, plan, default_config.rbf_config())
             if cubic.valid:
                 assert cubic.metrics.r2 > 0.5
             assert rbf.valid
@@ -452,13 +453,6 @@ def reference_records(task, plans, rbf_config):
     return records
 
 
-def stage(task, plans, rbf_config):
-    """The run table of ``_run_tasks`` on the stacked index arrays of ``plans``."""
-    return _run_tasks([task], [(np.stack([plan.train_indices for plan in plans]),
-                                np.stack([plan.test_indices for plan in plans]),
-                                np.array([plan.repeat_index for plan in plans]))], rbf_config)
-
-
 def assert_same_records(got, expected):
     """Field by field, with arrays equal bit for bit; ``got`` may be a
     RunTable, compared by its rows."""
@@ -482,7 +476,7 @@ class TestStage:
             for task in enumerate_slices(dataset, regime):
                 plans = make_splits(task, 3, config.train_fraction, seed)
                 for plan in plans:
-                    per_split.extend(run_pair(task, plan, config.rbf_config()))
+                    per_split.extend(run_split(task, plan, config.rbf_config()))
                 reference.extend(reference_records(task, plans, config.rbf_config()))
         staged = execute_experiment(dataset, config)
         assert_same_records(staged, per_split)
@@ -592,6 +586,16 @@ class TestStage:
         assert sum(s["ill_conditioned"] for s in summary) == warned
 
 
+    def test_ill_conditioned_warnings_name_the_caller(self, default_dataset):
+        config = ExperimentConfig(repeats_per_slice=1, rbf_epsilon=0.04)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            execute_experiment(default_dataset, config)
+        ill = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
+        assert ill and {(w.filename, w.lineno) for w in ill} == {(__file__, line)}
+
+
 def assert_same_columns(got, expected):
     """RunTables equal column by column, floats bit for bit."""
     for field in dataclasses.fields(RunTable):
@@ -681,6 +685,48 @@ class TestSharing:
             ("rbf", "ok"): 2640}
 
 
+    def test_untrusted_training_sets_are_triangulated_once(self, monkeypatch):
+        # two training sets the hull test cannot vouch for, each drawn by
+        # three splits: one holds a NaN value, one lies on a lattice row
+        xs, ys = np.meshgrid(np.arange(6.0), np.arange(3.0), indexing="ij")
+        pts = np.column_stack([xs.ravel(), ys.ravel()])  # node 3 * i + j
+        values = pts[:, 0] ** 2 + pts[:, 1]
+        values[4] = np.nan
+        sets = [np.array([0, 2, 4, 7, 15, 17]), np.arange(0, 18, 3)]
+        plans = [SplitPlan(sets[r % 2], np.setdiff1d(np.arange(18), sets[r % 2]), r)
+                 for r in range(6)]
+        task = make_task(pts, values)
+        config = ExperimentConfig().rbf_config()
+        _, trusted = hull_cover(pts, np.stack(sets), np.stack([p.test_indices for p in plans[:2]]))
+        assert trusted.tolist() == [True, False]  # the NaN set fails on its values
+        built = []
+        for module, name in ((protocol, "_triangulate"), (cubic, "triangulate")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda nodes, f=original: built.append(1) or f(nodes))
+        records = stage(task, plans, config)
+        assert len(built) == 2
+        assert [r.reason for r in records] == [
+            "fit_failed:non_finite_input", "fit_failed:non_finite_input",
+            "fit_failed:degenerate_geometry", "fit_failed:singular_system",
+        ] * 3
+        monkeypatch.undo()
+        assert_same_records(records, reference_records(task, plans, config))
+
+
+class TestRunTableRows:
+    def test_an_index_builds_the_row_iteration_gives(self, tmp_path, full_run):
+        write_runs_csv(full_run, tmp_path / "runs.csv")
+        for table in (full_run, read_runs_csv(tmp_path / "runs.csv")):
+            rows = list(table)
+            n = len(rows)
+            for i in (0, n // 2, n - 1, -1, -n, np.int64(7)):
+                assert_same_records([table[i]], [rows[i]])
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    table[i]
+            assert_same_records(table[1:9:3], rows[1:9:3])
+
+
 @st.composite
 def scored_stacks(draw):
     """A task, (B, k) test indices with k = 1 ... 11 and one method's
@@ -733,38 +779,6 @@ class TestScoring:
             elif rec.reason == "zero_target_variance":
                 yt = rec.y_true[np.isfinite(rec.y_true)]
                 assert k >= 2 and (yt.size < 2 or np.sum((yt - yt.mean()) ** 2) == 0.0)
-
-
-class TestMethodContrast:
-    def _record(self, method, rmse, r2=0.5):
-        return RunRecord(
-            regime="noisy", output_index=1, fixed_axis="x3", fixed_level=2.0,
-            level_index=0, repeat=0, method=method, valid=True, reason="ok",
-            n_test=5, n_finite=5,
-            metrics=MetricSet(rmse=rmse, mae=rmse, r2=r2, n_points=5),
-            y_true=np.zeros(5), y_pred=np.zeros(5),
-            train_indices=np.arange(11), test_indices=np.arange(5),
-        )
-
-    def test_identical_predictions_give_zero(self):
-        a = self._record("cubic", 0.25)
-        b = self._record("rbf", 0.25)
-        assert method_contrast(a, b) == 0.0
-
-    def test_reported_noisy_output1_contrast(self):
-        cubic = self._record("cubic", 0.097)
-        rbf = self._record("rbf", 0.194)
-        assert method_contrast(cubic, rbf) == pytest.approx(0.097, abs=1e-12)
-
-    def test_invalid_record_gives_none(self):
-        valid = self._record("rbf", 0.2)
-        invalid = dataclasses.replace(self._record("cubic", 0.1), valid=False, metrics=None)
-        assert method_contrast(invalid, valid) is None
-
-    def test_metric_selector(self):
-        a = self._record("cubic", 0.1, r2=0.9)
-        b = self._record("rbf", 0.2, r2=0.4)
-        assert method_contrast(a, b, metric="r2") == pytest.approx(-0.5)
 
 
 @pytest.fixture(scope="module")
@@ -843,7 +857,7 @@ class TestExecuteExperiment:
                                    f"{task.output_index} ({regime}): slice has 4 points; need >= 5")
                     continue
                 for plan in make_splits(task, 2, config.train_fraction, config.random_seed):
-                    expected.extend(run_pair(task, plan, config.rbf_config()))
+                    expected.extend(run_split(task, plan, config.rbf_config()))
         assert len(records) == 96 and len(skipped) == 18
         assert_same_records(records, expected)
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == skipped
@@ -857,10 +871,9 @@ class TestExecuteExperiment:
             by_key.setdefault(key, {})[r.method] = r
         for output in (1, 2, 3):
             deltas = [
-                method_contrast(pair["cubic"], pair["rbf"])
+                pair["rbf"].metrics.rmse - pair["cubic"].metrics.rmse
                 for (regime, o, *_), pair in by_key.items()
-                if regime == "noisy" and o == output
+                if regime == "noisy" and o == output and pair["cubic"].valid and pair["rbf"].valid
             ]
-            deltas = [d for d in deltas if d is not None]
             assert deltas
             assert np.mean(deltas) > 0

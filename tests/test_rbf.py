@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -18,13 +19,22 @@ from surfbench.rbf import (
     CONDITION_WARN_THRESHOLD,
     ILL_CONDITIONED_MESSAGE,
     RbfConfig,
+    _fit_systems,
     _kernel_matrix,
+    _saddle_systems,
     eval_rbf,
     eval_stack,
     fit_rbf,
-    fit_stack,
     kernel_mq,
 )
+
+
+def stack_fit(pts, values, config=RbfConfig()):
+    """The stack path the protocol runs, ``_fit_systems`` over
+    ``_saddle_systems``, on (B, n, 2) finite centers and (B, n) values;
+    its warnings name the caller's line."""
+    return _fit_systems(*_saddle_systems(pts, config), values, np.isfinite(values).all(axis=1),
+                        stacklevel=3)
 
 
 def naive_saddle_solve(points, values, epsilon=1.0):
@@ -180,6 +190,15 @@ class TestFit:
         with pytest.raises(InsufficientNodes):
             fit_rbf(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2))
 
+    def test_ill_conditioned_warning_names_the_caller(self):
+        pts = np.array([[0.0, 0.0], [1e-11, 1e-11], [1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            fit_rbf(pts, np.array([0.0, 0.0, 1.0, 1.0]))
+        assert [(w.filename, w.lineno) for w in caught
+                if issubclass(w.category, IllConditionedWarning)] == [(__file__, line)]
+
     def test_ill_conditioned_fit_is_flagged_but_returned(self):
         pts = np.array([[0.0, 0.0], [1e-11, 1e-11], [1.0, 0.0], [0.0, 1.0]])
         values = np.array([0.0, 0.0, 1.0, 1.0])
@@ -197,7 +216,7 @@ class TestFit:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter(action)
                 for _ in range(2):  # the same call site twice
-                    cond = fit_stack(pts, values, RbfConfig())[1]
+                    cond = stack_fit(pts, values)[1]
             assert (cond > CONDITION_WARN_THRESHOLD).tolist() == [True, True, False]
             ill = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
             assert len(ill) == expected
@@ -266,7 +285,7 @@ class TestStack:
             pts = np.stack([min_separated(rng, n, 0.05) for _ in range(7)])
             values = rng.normal(0.0, 1.0, (7, n))
             queries = rng.uniform(-0.5, 1.5, (7, k, 2))
-            coeffs, cond, errors = fit_stack(pts, values, RbfConfig())
+            coeffs, cond, errors = stack_fit(pts, values)
             pred = eval_stack(pts, coeffs, queries, RbfConfig().epsilon)
             assert errors == [None] * 7
             for i in range(7):
@@ -282,7 +301,7 @@ class TestStack:
         pts[1, :, 1] = 0.25  # collinear
         pts[2, 3] = pts[2, 0]  # duplicate centers: a singular system
         values = rng.normal(0.0, 1.0, (4, 6))
-        coeffs, cond, errors = fit_stack(pts, values, RbfConfig())
+        coeffs, cond, errors = stack_fit(pts, values)
         assert errors[0] is None and errors[3] is None
         assert isinstance(errors[1], SingularSystem) and "collinear" in str(errors[1])
         assert isinstance(errors[2], SingularSystem) and "is singular" in str(errors[2])
@@ -293,23 +312,22 @@ class TestStack:
 
     def test_each_item_fails_as_fit_rbf_does_alone(self):
         rng = np.random.default_rng(14)
-        pts = np.stack([min_separated(rng, 6, 0.15) for _ in range(5)])
-        values = rng.normal(0.0, 1.0, (5, 6))
+        pts = np.stack([min_separated(rng, 6, 0.15) for _ in range(4)])
+        values = rng.normal(0.0, 1.0, (4, 6))
         values[1, 2] = np.nan  # non-finite value
         pts[2, :, 1] = 0.25  # collinear
         pts[3, :, 1] = 0.5
         values[3, 4] = np.inf  # collinear and non-finite: non-finite wins
-        pts[4, 1, 0] = -np.inf  # non-finite coordinate
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            coeffs, cond, errors = fit_stack(pts, values, RbfConfig())
-        expected = [None, NonFiniteInput, SingularSystem, NonFiniteInput, NonFiniteInput]
+            coeffs, cond, errors = stack_fit(pts, values)
+        expected = [None, NonFiniteInput, SingularSystem, NonFiniteInput]
         assert [type(e) if e else None for e in errors] == expected
-        for i in range(1, 5):
+        for i in range(1, 4):
             with pytest.raises(InterpolationError) as raised:
                 fit_rbf(pts[i], values[i])
             assert type(raised.value) is type(errors[i])
-        alone = fit_stack(pts[:1], values[:1], RbfConfig())
+        alone = stack_fit(pts[:1], values[:1])
         assert coeffs[0].tobytes() == alone[0][0].tobytes()
         assert cond[0] == alone[1][0]
 
@@ -334,12 +352,16 @@ class TestStack:
         values[rng.integers(len(which)), 2] = np.nan
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            coeffs, cond, errors = fit_stack(pts, values, RbfConfig())
-        warned = sum(issubclass(w.category, IllConditionedWarning) for w in caught)
+            line = inspect.currentframe().f_lineno + 1
+            coeffs, cond, errors = stack_fit(pts, values)
+        ill = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
+        warned = len(ill)
+        # the item-by-item fallback names the caller's line too
+        assert {(w.filename, w.lineno) for w in ill} == {(__file__, line)}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
             for i in range(len(which)):
-                c, k, err = fit_stack(pts[i:i + 1], values[i:i + 1], RbfConfig())
+                c, k, err = stack_fit(pts[i:i + 1], values[i:i + 1])
                 assert coeffs[i].tobytes() == c[0].tobytes()
                 assert cond[i:i + 1].tobytes() == k.tobytes()
                 assert (type(errors[i]), str(errors[i])) == (type(err[0]), str(err[0]))
@@ -354,7 +376,7 @@ class TestStack:
         pts = rng.uniform(0.0, 1.0, (3, n, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, _, errors = fit_stack(pts, np.zeros((3, n)), RbfConfig())
+            _, _, errors = stack_fit(pts, np.zeros((3, n)))
         assert all(isinstance(e, InsufficientNodes) for e in errors)
 
 

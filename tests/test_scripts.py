@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from surfbench.cli import cli_main
+from surfbench.report import read_runs_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,8 +68,24 @@ def test_run_full_experiment_matches_run_command(tmp_path, capsys):
 
     block = stdout.split("paired rmse contrast (rbf - cubic), mean over jointly valid runs:\n")
     assert len(block) == 2, stdout
-    contrasts = block[1].splitlines()
-    assert contrasts and all(
-        line.split()[0] in ("noise-free", "noisy") and "(n=" in line for line in contrasts
-    )
+    assert block[1].splitlines() == paired_contrast_lines(script_dir / "runs.csv")
+
+
+def paired_contrast_lines(runs_csv):
+    """The contrast lines by the runs.csv rows themselves: each split's
+    cubic and rbf rows paired by (regime, output, axis, level, repeat)."""
+    by_key = {}
+    for r in read_runs_csv(runs_csv):
+        key = (r.regime, r.output_index, r.fixed_axis, r.fixed_level, r.repeat)
+        by_key.setdefault(key, {})[r.method] = r
+    lines = []
+    for regime in ("noise-free", "noisy"):
+        for output in (1, 2, 3):
+            deltas = [pair["rbf"].metrics.rmse - pair["cubic"].metrics.rmse
+                      for (g, o, *_), pair in by_key.items()
+                      if g == regime and o == output and pair["cubic"].valid and pair["rbf"].valid]
+            if deltas:
+                lines.append(f"  {regime:11s} output{output}: {np.mean(deltas):+.4f}  (n={len(deltas)})")
+    assert lines
+    return lines
 
