@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInput
-from .geometry import Triangulation, as_queries, locate, triangulate
+from .geometry import Triangulation, _locate_stack, as_queries, triangulate
+from .geometry import locate  # noqa: F401 -- bench/run.py traces point location as cubic.locate
 
 __all__ = ["CubicSurface", "estimate_gradients", "evaluate_stack", "fit_cubic"]
 
@@ -248,8 +249,9 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     NaN outside the hull.
 
     Each surface's queries are located on its triangulation, once per
-    distinct (triangulation object, query bytes) pair: surfaces sharing a
-    triangulation and their queries share ``locate``'s result. On the joined
+    distinct (triangulation object, query bytes) pair, and all the pairs in
+    one ``geometry._locate_stack`` call: surfaces sharing a triangulation
+    and their queries share one result. On the joined
     mesh of all surfaces (each piece's vertex indices offset past the
     previous pieces' vertices), one ``_vertex_gradients`` call estimates
     every gradient, supplied gradients replace their surface's rows, one
@@ -259,13 +261,13 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     """
     if not surfaces:
         return []
-    located, seen = [], {}
+    pairs: dict = {}  # (triangulation, query bytes) -> (position, triangulation, queries)
+    which = []
     for s, q in zip(surfaces, queries):
         q = as_queries(q)
-        key = (id(s.tri), q.shape, q.tobytes())
-        if key not in seen:
-            seen[key] = locate(s.tri, q)
-        located.append(seen[key])
+        which.append(pairs.setdefault((id(s.tri), q.shape, q.tobytes()), (len(pairs), s.tri, q))[0])
+    found = _locate_stack(*zip(*((tri, q) for _, tri, q in pairs.values())))
+    located = [found[j] for j in which]
     vert_off = np.cumsum([0] + [s.tri.n_vertices for s in surfaces])
     tri_off = np.cumsum([0] + [s.tri.n_triangles for s in surfaces])
     points = np.concatenate([s.tri.points for s in surfaces])

@@ -218,11 +218,13 @@ def test_surfaces_sharing_a_triangulation_and_queries_share_one_locate(monkeypat
     surfaces = [CubicSurface(tri, rng.normal(size=9)) for _ in range(4)]
     surfaces.append(CubicSurface(triangulate(tri.points.copy()), rng.normal(size=9)))
     queries = [q, q.copy(), other, q, q]  # equal bytes share; another tri does not
-    calls = []
-    original = cubic.locate
-    monkeypatch.setattr(cubic, "locate", lambda t, x: calls.append(t) or original(t, x))
+    calls, passes = [], []
+    original, kernel = cubic._locate_stack, geometry._locate_pass
+    monkeypatch.setattr(cubic, "_locate_stack", lambda t, x: calls.append(t) or original(t, x))
+    monkeypatch.setattr(geometry, "_locate_pass", lambda *args: passes.append(1) or kernel(*args))
     stacked = evaluate_stack(surfaces, queries)
-    assert len(calls) == 3
+    assert [len(tris) for tris in calls] == [3]  # three pairs, located in one call
+    assert len(passes) == 1
     monkeypatch.undo()
     for s, x, got in zip(surfaces, queries, stacked):
         assert got.tobytes() == s.evaluate(x).tobytes()

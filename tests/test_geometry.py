@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import edges, hull, min_separated, near_collinear, neighbors, order_probe_sets, triangle_areas
@@ -35,8 +35,10 @@ from surfbench.geometry import (
     separation_distance,
     triangulate,
 )
-from surfbench.protocol import enumerate_slices
+from surfbench.config import ExperimentConfig
+from surfbench.protocol import _plan_splits, enumerate_slices
 from surfbench.rbf import eval_rbf, fit_rbf
+from surfbench.synthdata import DesignSpec, generate
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -249,6 +251,85 @@ class TestTriangulate:
                 == triangulation_outcome(pts[perm], check_delaunay=False))
 
 
+def assert_shared_builds_match(points, node_sets):
+    """Each node set built on one shared ``_Predicates`` of ``points`` is
+    ``triangulate(points[nodes])`` bit for bit, or fails with the same error
+    type and message."""
+    pred = geometry._Predicates(as_points(points))
+    for nodes in node_sets:
+        nodes = [int(i) for i in nodes]
+        try:
+            expected = triangulate(points[nodes])
+        except (InterpolationError, RuntimeError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                geometry._triangulate(pred, nodes)
+            continue
+        got = geometry._triangulate(pred, nodes)
+        assert got.triangles.dtype == expected.triangles.dtype
+        assert got.triangles.shape == expected.triangles.shape
+        assert got.triangles.tobytes() == expected.triangles.tobytes()
+        assert got.points.tobytes() == expected.points.tobytes()
+        assert got._maps.tobytes() == expected._maps.tobytes()
+
+
+def lattice(nx, ny):
+    """The (nx * ny, 2) lattice of the design levels of x1 and x2 (steps
+    such as 1/9 that do not round to even spacing)."""
+    spec = DesignSpec(x1_levels=nx, x2_levels=ny)
+    return np.array([[u, v] for u in spec.axis_levels("x1") for v in spec.axis_levels("x2")])
+
+
+class TestSharedPredicates:
+    """Builds that share one ``_Predicates`` equal fresh ``triangulate`` calls."""
+
+    @pytest.mark.parametrize("seed", [42, 1009])
+    def test_every_training_set_of_the_default_run(self, seed):
+        config = ExperimentConfig(random_seed=seed)
+        dataset = generate(noise=config.noise_spec())
+        tasks = [task for regime in ("noise-free", "noisy") for task in enumerate_slices(dataset, regime)]
+        plans = _plan_splits(tasks, config.repeats_per_slice, config.train_fraction, seed)
+        groups = {}
+        for task, (train, _) in zip(tasks, plans):
+            entry = groups.setdefault(task.points.tobytes(), (task.points, []))
+            entry[1].append(train)
+        assert len(groups) == 3
+        for points, trains in groups.values():
+            assert_shared_builds_match(points, np.unique(np.concatenate(trains), axis=0))
+
+    @given(shape=st.sampled_from([(4, 4), (10, 6)]), seed=st.integers(0, 2**32 - 1),
+           n_sets=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_subsets(self, shape, seed, n_sets):
+        rng = np.random.default_rng(seed)
+        points = lattice(*shape)
+        # any order: an error names a node by its position in the set
+        assert_shared_builds_match(points, [
+            rng.permutation(len(points))[:rng.integers(2, len(points) + 1)] for _ in range(n_sets)])
+
+    def test_cocircular_ring_of_a_lattice(self):
+        points = lattice(4, 4)  # node 4 * i + j
+        ring = [1, 2, 4, 7, 8, 11, 13, 14]  # the 8 nodes at distance sqrt(2.5) steps from the centre
+        center = points[[5, 6, 9, 10]].mean(axis=0)
+        radius = np.hypot(*(points[ring] - center).T)
+        np.testing.assert_allclose(radius, radius[0], rtol=1e-12)
+        assert_shared_builds_match(points, [ring, ring[::-1], ring + [5], ring + [5, 6, 9, 10],
+                                            list(range(16)), ring[:4] + [0, 15]])
+
+    @given(seed=st.integers(0, 2**32 - 1), log10_offset=st.floats(-12.0, -9.0))
+    @example(seed=4, log10_offset=-11.5)  # "point 3 could not be located"
+    @example(seed=13, log10_offset=-11.5)  # "point 3 is collinear with the hull within tolerance"
+    @settings(max_examples=80, deadline=None)
+    def test_near_collinear_sets_at_the_snap_band(self, seed, log10_offset):
+        # from the 1e-12 band, where builds fail, to 1e-10 ... 1e-9, where
+        # the snapped in-circle test is not transitive
+        rng = np.random.default_rng(seed)
+        points = near_collinear(rng, log10_offset)
+        assume(pair_distance_oracle(points).min() >= geometry.DUPLICATE_TOL)
+        n = len(points)
+        assert_shared_builds_match(points, [range(n)] + [
+            rng.permutation(n)[:rng.integers(3, n + 1)] for _ in range(4)])
+
+
 def reference_locate(tri, query):
     """Per-row oracle: the scalar point location that batched ``locate``
     must reproduce bit for bit (first triangle whose smallest barycentric
@@ -409,6 +490,82 @@ class TestLocate:
                 assert np.isnan(bary[i]).all()
             else:
                 assert bary[i].tobytes() == bary_ref.tobytes()
+
+
+def assert_matches_reference(tri, queries, t, bary):
+    """``(t, bary)`` is ``reference_locate`` row by row: equal triangles,
+    bitwise equal coordinates, NaN rows outside the hull."""
+    assert t.shape == (len(queries),) and bary.shape == (len(queries), 3)
+    for i, q in enumerate(queries):
+        t_ref, bary_ref = reference_locate(tri, q)
+        assert t[i] == t_ref
+        if t_ref < 0:
+            assert np.isnan(bary[i]).all()
+        else:
+            assert bary[i].tobytes() == bary_ref.tobytes()
+
+
+class TestLocateStack:
+    """``_locate_stack`` pads triangulations with different triangle counts
+    and query sets of different lengths into few kernel passes."""
+
+    @given(seed=st.integers(0, 10_000),
+           sizes=st.lists(st.sampled_from([0, 1, 4, 5, LOCATE_BLOCK - 1, LOCATE_BLOCK, LOCATE_BLOCK + 1]),
+                          min_size=1, max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scalar_reference(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        tris = []
+        for _ in sizes:
+            if rng.random() < 0.3 and tris:  # a triangulation drawn twice
+                tris.append(tris[rng.integers(len(tris))])
+            elif rng.random() < 0.5:  # cocircular cells: midpoints exactly on shared edges
+                tris.append(triangulate(lattice(int(rng.integers(2, 5)), int(rng.integers(2, 5)))))
+            else:
+                pts = min_separated(rng, int(rng.integers(4, 15)), 0.05)
+                tris.append(triangulate(pts if len(pts) >= 3 else UNIT_SQUARE))
+        queries = []
+        for tri, n in zip(tris, sizes):
+            probes = locate_probes(tri, rng)
+            queries.append(np.resize(probes[rng.permutation(len(probes))], (n, 2)))
+        for tri, q, (t, bary) in zip(tris, queries, geometry._locate_stack(tris, queries)):
+            assert_matches_reference(tri, q, t, bary)
+
+    @pytest.mark.parametrize("sizes, passes", [
+        ([5] * 120, 3),  # 51 sets of 5 rows per pass
+        ([5, 3] * 30, 2),  # 30 fives and 21 threes padded to 5 rows, then 9 threes
+        ([LOCATE_BLOCK + 1, 2], 2),  # a block of LOCATE_BLOCK rows alone, then 2 and 1
+        ([2 * LOCATE_BLOCK], 2),
+        ([600] + [5] * 60, 5),  # 256, 256, then 88 with one five, then the other fives
+    ])
+    def test_passes_are_bounded_by_the_element_budget(self, monkeypatch, sizes, passes):
+        rng = np.random.default_rng(len(sizes))
+        grids = [lattice(3, 3), lattice(4, 3), lattice(4, 4)]
+        tris = [triangulate(grids[i % 3]) for i in range(len(sizes))]
+        queries = [rng.uniform(0.4, 2.2, (n, 2)) for n in sizes]
+        shapes = []
+        kernel = geometry._locate_pass
+        monkeypatch.setattr(geometry, "_locate_pass",
+                            lambda maps, q: shapes.append(q.shape[:2] + maps.shape[2:]) or kernel(maps, q))
+        got = geometry._locate_stack(tris, queries)
+        assert len(shapes) == passes
+        assert all(s * k <= LOCATE_BLOCK for s, k, _ in shapes)
+        assert max(n for *_, n in shapes) == max(tri.n_triangles for tri in tris)
+        monkeypatch.undo()
+        for tri, q, (t, bary) in zip(tris, queries, got):
+            alone = locate(tri, q)
+            assert t.tobytes() == alone[0].tobytes() and bary.tobytes() == alone[1].tobytes()
+            assert_matches_reference(tri, q[:40], t[:40], bary[:40])
+
+    def test_surface_grid_keeps_its_blocks(self, monkeypatch):
+        tri = triangulate(lattice(4, 4))
+        assert tri.n_triangles == 18
+        shapes = []
+        kernel = geometry._locate_pass
+        monkeypatch.setattr(geometry, "_locate_pass",
+                            lambda maps, q: shapes.append(q.shape[:2] + maps.shape[2:]) or kernel(maps, q))
+        locate(tri, np.zeros((2500, 2)))
+        assert shapes == [(1, LOCATE_BLOCK, 18)] * 9 + [(1, 196, 18)]  # 2500 rows in 10 blocks
 
 
 class TestFillDistance:

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import inspect
+import sys
 import warnings
 from collections import Counter
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import order_probe_sets, run_split, stage, table_of
-from surfbench import cubic, protocol
+from surfbench import cubic, geometry, protocol
 from surfbench.config import ExperimentConfig
 from surfbench.geometry import HULL_TOL, convex_hull_polygon, hull_cover, locate, triangulate
 from surfbench.metrics import compute_metrics
@@ -260,15 +262,16 @@ class TestRunPair:
             plan, train_indices=np.array([0, 1, 2, 3, 6, 7]), test_indices=np.array([4, 5])
         )
         located = []
-        original_locate = cubic.locate
-        monkeypatch.setattr(cubic, "locate",
+        original_locate = cubic._locate_stack
+        monkeypatch.setattr(cubic, "_locate_stack",
                             lambda *args: located.append(args) or original_locate(*args))
         full, _ = run_split(task, covered, ExperimentConfig().rbf_config())
         assert full.valid and full.n_finite == 2
         assert len(calls) == 1
         points, _, values = calls[0]
         assert len(points) == len(values) == 6  # one call, holding one surface
-        assert len(located) == 1  # coverage and evaluation share one locate
+        # coverage and evaluation share one locate: one stacked call, one pair
+        assert [len(tris) for tris, _ in located] == [1]
 
     def test_collinear_training_subset_invalidates_both(self):
         pts = np.array([
@@ -648,8 +651,8 @@ class TestSharing:
         config = ExperimentConfig().rbf_config()
         built = []
         original = protocol._triangulate
-        monkeypatch.setattr(protocol, "_triangulate",
-                            lambda arr: built.append(arr.tobytes()) or original(arr))
+        monkeypatch.setattr(protocol, "_triangulate", lambda pred, nodes: built.append(
+            pred.points.tobytes()) or original(pred, nodes))
         same = [lattice_task(pts, 1), lattice_task(pts, 2, output_index=2)]
         differ = [lattice_task(pts, 1), lattice_task(other, 2, output_index=2)]
         _run_tasks(same, [plan, plan], config)
@@ -675,15 +678,44 @@ class TestSharing:
         counting("hull_cover", protocol.hull_cover, lambda points, train, test: len(train))
         counting("_saddle_systems", protocol._saddle_systems, lambda pts, config: len(pts))
         counting("as_points", protocol.as_points)
-        # once per (triangulation, queries) pair of the 402 covered surfaces
-        counting("locate", cubic.locate, module=cubic)
+        # once per (triangulation, queries) pair of the 402 covered surfaces,
+        # in one stacked call per group, LOCATE_BLOCK query rows per pass
+        counting("_locate_stack", cubic._locate_stack, lambda tris, queries: len(tris), module=cubic)
+        counting("_locate_pass", geometry._locate_pass, module=geometry)
+        counting("_score", protocol._score)  # once per group and method
         table = execute_experiment(default_dataset, default_config)
         assert counts == {"_triangulate": 249, "hull_cover": 1496, "_saddle_systems": 1496,
-                          "as_points": 3, "locate": 249}
+                          "as_points": 3, "_locate_stack": 249, "_locate_pass": 5, "_score": 6}
         assert Counter(zip(table.method.tolist(), table.reason.tolist())) == {
             ("cubic", "ok"): 402, ("cubic", "test_points_outside_support"): 2238,
             ("rbf", "ok"): 2640}
 
+    def test_predicates_are_evaluated_once_per_node_set_in_each_run(self, monkeypatch, default_dataset,
+                                                                   default_config):
+        # 17,440 evaluations when every build evaluates its own predicates;
+        # 2,127 distinct argument tuples over the three node sets. A second
+        # run evaluates them all again: the signs are not kept between runs,
+        # and no module-level dict grows.
+        evaluated = Counter()
+        for name in ("orient_sign", "incircle_sign"):
+            original = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name,
+                                lambda *args, f=original, name=name: evaluated.update([name]) or f(*args))
+
+        def module_dicts():
+            return {(module, name): len(value) for module, mod in list(sys.modules.items())
+                    if module.startswith("surfbench") for name, value in vars(mod).items()
+                    if isinstance(value, dict) and not name.startswith("__")}
+
+        runs = []
+        for _ in range(2):
+            execute_experiment(default_dataset, default_config)
+            runs.append((dict(evaluated), module_dicts()))
+            evaluated.clear()
+        assert runs[0] == runs[1]
+        assert runs[0][0] == {"orient_sign": 710, "incircle_sign": 1417}
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, geometry._Predicates)]
 
     def test_untrusted_training_sets_are_triangulated_once(self, monkeypatch):
         # two training sets the hull test cannot vouch for, each drawn by
@@ -702,7 +734,7 @@ class TestSharing:
         built = []
         for module, name in ((protocol, "_triangulate"), (cubic, "triangulate")):
             original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda nodes, f=original: built.append(1) or f(nodes))
+            monkeypatch.setattr(module, name, lambda *args, f=original: built.append(1) or f(*args))
         records = stage(task, plans, config)
         assert len(built) == 2
         assert [r.reason for r in records] == [
@@ -758,8 +790,8 @@ class TestScoring:
         train = np.tile(np.arange(3), (b, 1))
         repeats = np.arange(b)
         reasons = [None if m else "fit_failed:singular_system" for m in made]
-        got = RunTable(**_task_columns(task, train, test, repeats,
-                                       [("rbf", pred, reasons, n_finite, None)]))
+        got = RunTable(**_task_columns([task], [(train, test, repeats)],
+                                       [("rbf", pred, reasons, n_finite, None)])[0])
         expected = [
             reference_record(task, SplitPlan(train[i], test[i], i), "rbf",
                              *((pred[i],) if made[i] else (None, reasons[i], int(n_finite[i]))))
