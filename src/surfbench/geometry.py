@@ -436,16 +436,12 @@ def _locate_stack(tris, queries) -> list[tuple[np.ndarray, np.ndarray]]:
     while start < len(blocks):
         chunk = blocks[start:start + LOCATE_BLOCK // blocks[start][0]]
         start += len(chunk)
-        if len(chunk) == 1:  # a block alone needs no padding
-            rows, i, lo = chunk[0]
-            t, bary = _locate_pass(tris[i]._maps[None], qs[i][None, lo:lo + rows])
-        else:
-            maps = np.full((len(chunk), 6, max(tris[i].n_triangles for _, i, _ in chunk)), np.nan)
-            q = np.full((len(chunk), chunk[0][0], 2), np.nan)
-            for s, (rows, i, lo) in enumerate(chunk):
-                maps[s, :, :tris[i].n_triangles] = tris[i]._maps
-                q[s, :rows] = qs[i][lo:lo + rows]
-            t, bary = _locate_pass(maps, q)
+        maps = np.full((len(chunk), 6, max(tris[i].n_triangles for _, i, _ in chunk)), np.nan)
+        q = np.full((len(chunk), chunk[0][0], 2), np.nan)
+        for s, (rows, i, lo) in enumerate(chunk):
+            maps[s, :, :tris[i].n_triangles] = tris[i]._maps
+            q[s, :rows] = qs[i][lo:lo + rows]
+        t, bary = _locate_pass(maps, q)
         for s, (rows, i, lo) in enumerate(chunk):
             out[i][0][lo:lo + rows] = t[s, :rows]
             out[i][1][lo:lo + rows] = bary[s, :rows]

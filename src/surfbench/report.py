@@ -97,16 +97,12 @@ def _cells(values) -> tuple[list[str], np.ndarray | None]:
 
     A bool, integer, str or float64 array is formatted once per distinct
     value (a float64 once per bit pattern, so -0.0, 0.0 and each NaN
-    payload stay apart); any other column is formatted cell by cell. When
-    every distinct float64 is finite, each is ``"%.17g" % x``, which is
-    ``_fmt(x)`` without its per-cell type and finiteness tests.
+    payload stay apart); any other column is formatted cell by cell.
     """
     if isinstance(values, np.ndarray) and (values.dtype.kind in "biuU" or values.dtype == np.float64):
         floats = values.dtype == np.float64
         keys, inverse = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
-        keys = keys.view(np.float64) if floats else keys
-        fmt = "%.17g".__mod__ if floats and np.isfinite(keys).all() else _fmt
-        return list(map(fmt, keys.tolist())), inverse
+        return list(map(_fmt, (keys.view(np.float64) if floats else keys).tolist())), inverse
     return list(map(_fmt, values)), None
 
 

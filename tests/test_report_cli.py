@@ -282,23 +282,6 @@ class TestWriteCsv:
         assert path.read_bytes() == reference_csv(header, zip(*columns))
         assert path.read_bytes() == reference_csv(header, zip(*(c.tolist() for c in columns)))
 
-    @given(values=arrays(np.float64, st.integers(0, 40), elements=st.one_of(
-               st.floats(allow_subnormal=True),
-               st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072e-308, math.inf, -math.inf,
-                                np.uint64(0x7FF8000000000001).view(np.float64)]))),
-           finite=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_float_column_cells_match_fmt(self, values, finite):
-        # -0.0 and subnormals are finite: without NaN or inf the distinct
-        # values are formatted with "%.17g" alone, else by _fmt
-        if finite:
-            values = values[np.isfinite(values)]
-        calls = []
-        with mock.patch.object(report, "_fmt", side_effect=lambda x: calls.append(x) or _fmt(x)):
-            cells, inverse = report._cells(values)
-        assert [cells[i] for i in inverse] == list(map(_fmt, values.tolist()))
-        assert bool(calls) == (not np.isfinite(values).all())
-
     @pytest.mark.parametrize("rows", [[], (), np.empty((0, 3))], ids=["list", "tuple", "array"])
     def test_no_rows_writes_only_the_header(self, tmp_path, rows):
         path = tmp_path / "t.csv"
