@@ -20,7 +20,9 @@ of the node set once, by its exact argument tuple of node indices: the 249
 builds of the default experiment (seed 42) evaluate 2,127 predicates
 instead of 17,440. Point location of many (triangulation, queries) pairs
 runs as a few padded kernel passes (``_locate_stack``), each bit for bit
-``locate`` of its pair alone.
+``locate`` of its pair alone. ``hull_cover`` tests many training sets of
+one node set in one call, from direction and line tables of the nodes
+built once for the call.
 """
 
 from __future__ import annotations
@@ -501,9 +503,21 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
 
     Hull vertices are the training nodes that see the other training
     nodes within an angle below pi - SUPPORT_TOL; a node that turns the
-    hull by less lies within the slack of the line past it. Temporaries
-    grow as B * h^2 * max(m, k) for h hull vertices, taken HULL_CHUNK
-    elements at a time.
+    hull by less lies within the slack of the line past it.
+
+    What depends only on the nodes is computed once per call: the
+    direction from each node to each other, and, for each ordered pair of
+    nodes that is a hull vertex of some split, three bit masks over all n
+    nodes (``_line_tables``). A split gathers its directions to find its
+    hull vertices, then tests support, flatness and cover by AND and OR of
+    the mask words at its pairs of hull vertices. Each comparison is the
+    same float expression of the same coordinates whichever split makes
+    it, so a split's answer does not depend on the other splits of the
+    call. Besides (B, m), (B, n) and (n, n) arrays, each temporary holds
+    at most HULL_CHUNK elements, or one split's or one table row's when
+    that is more: (b, m, m) directions and (b, h, h, n / 64) words for b
+    splits with up to h hull vertices, and table slabs of (s, r, n) floats
+    for r table rows.
     """
     p = np.asarray(points, dtype=float)
     train = np.asarray(train, dtype=np.intp)
@@ -525,13 +539,19 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
 
     # Hull vertices: the largest gap between the directions to the other
     # training nodes exceeds pi.
-    d = sub[:, None, :, :] - sub[:, :, None, :]
-    ang = np.arctan2(d[..., 1], d[..., 0])
-    ang[:, np.arange(m), np.arange(m)] = np.inf
-    ang = np.sort(ang, axis=2)[:, :, : m - 1]
-    gap = np.maximum(np.diff(ang, axis=2).max(axis=2, initial=0.0),
-                     2.0 * np.pi - (ang[:, :, -1] - ang[:, :, 0]))
-    vertex = gap > np.pi + SUPPORT_TOL
+    d = p[None, :, :] - p[:, None, :]  # d[u, v] = p[v] - p[u]
+    direction = np.arctan2(d[..., 1], d[..., 0])
+    vertex = np.empty((n_sets, m), dtype=bool)
+    step = max(1, HULL_CHUNK // (m * m))
+    for lo in range(0, n_sets, step):
+        s = train[lo:lo + step]
+        ang = direction[s[:, :, None], s[:, None, :]]
+        ang[:, np.arange(m), np.arange(m)] = np.inf
+        ang.sort(axis=2)
+        ang = ang[:, :, : m - 1]
+        gap = np.maximum(np.diff(ang, axis=2).max(axis=2, initial=0.0),
+                         2.0 * np.pi - (ang[:, :, -1] - ang[:, :, 0]))
+        vertex[lo:lo + step] = gap > np.pi + SUPPORT_TOL
     n_vertex = vertex.sum(axis=1)
     h = int(n_vertex.max())
     slot = np.argsort(~vertex, axis=1, kind="stable")[:, :h]
@@ -540,30 +560,74 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
 
     covered = np.ones(test.shape, dtype=bool)
     untrusted = collinear | (n_vertex < 3)
-    step = max(1, HULL_CHUNK // max(1, h * h * max(m, test.shape[1])))
-    for lo in range(0, n_sets if h else 0, step):
+    if not h:
+        return covered, ~untrusted
+    rows = np.unique(corner[valid])
+    breaks, flat, beyond = _line_tables(p, rows, extent)
+    row = np.zeros(len(p), dtype=np.intp)
+    row[rows] = np.arange(len(rows))
+    corner = row[corner]  # table rows; an invalid slot's is never read
+    member = np.zeros((n_sets, len(p)), dtype=bool)
+    member[np.arange(n_sets)[:, None], train] = True
+    member = _pack_bits(member)  # (B, words)
+    step = max(1, HULL_CHUNK // (h * h * member.shape[1]))
+    for lo in range(0, n_sets, step):
         s = slice(lo, lo + step)
-        a = p[corner[s]]  # (b, h, 2)
-        e = a[:, None, :, :] - a[:, :, None, :]  # e[:, i, j] = a[:, j] - a[:, i]
-        sq = (e * e).sum(axis=3)[..., None]
-        tol = np.sqrt(sq) * extent
-
-        def left(q):
-            """Twice the signed area of (a_i, a_j, q_c), (b, h, h, c)."""
-            r = q[:, None, None, :, :] - a[:, :, None, None, :]
-            return e[..., 0, None] * r[..., 1] - e[..., 1, None] * r[..., 0]
-
-        o = left(sub[s])
-        support = (o >= -SUPPORT_TOL * tol).all(axis=3)
+        pair = (corner[s, :, None], corner[s, None, :])
+        words = member[s, None, None, :]
+        support = ~(breaks[pair] & words).any(axis=3)
         support &= valid[s, :, None] & valid[s, None, :]
-        support[:, np.arange(h), np.arange(h)] = False
-        ra = ((sub[s, None, :, :] - a[:, :, None, :]) ** 2).sum(axis=3)[:, :, None, :]
-        side = np.maximum(np.maximum(sq, ra), ra.transpose(0, 2, 1, 3))  # largest squared side
-        ao = np.abs(o)
-        untrusted[s] |= (support[..., None] & (ao > FLAT_BAND * side)
-                         & (ao <= FLAT_REL * side)).any(axis=(1, 2, 3))
-        covered[s] = ~(support[..., None] & (left(p[test[s]]) < -HULL_TOL * tol)).any(axis=(1, 2))
+        untrusted[s] |= (support & (flat[pair] & words).any(axis=3)).any(axis=(1, 2))
+        cut = np.bitwise_or.reduce(np.where(support[..., None], beyond[pair], 0), axis=(1, 2))
+        cut = np.unpackbits(cut.view(np.uint8), axis=1, count=len(p), bitorder="little")
+        covered[s] = ~np.take_along_axis(cut, test[s], axis=1).astype(bool)
     return covered, ~untrusted
+
+
+def _pack_bits(mask: np.ndarray) -> np.ndarray:
+    """A boolean array's last axis as bits of uint64 words: element c is bit
+    c % 8 of byte c // 8 of the words' bytes, whatever the byte order."""
+    n = mask.shape[-1]
+    packed = np.zeros((*mask.shape[:-1], -(-n // 64) * 8), dtype=np.uint8)
+    packed[..., : -(-n // 8)] = np.packbits(mask, axis=-1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _line_tables(p: np.ndarray, rows: np.ndarray, extent: float) -> np.ndarray:
+    """Three (r, r, words) bit tables, stacked, over the n nodes ``p`` (see
+    ``_pack_bits``) for the line from a_i to a_j through each ordered pair
+    of the r nodes ``rows``. With o twice the signed area of (a_i, a_j,
+    p_c) and side the largest squared side of that triangle, node c is
+    marked in
+
+    - the first when it lies right of the line by more than SUPPORT_TOL *
+      |a_j - a_i| * extent (a training node there breaks the support);
+    - the second when FLAT_BAND * side < |o| <= FLAT_REL * side (a training
+      node there is nearly on the line);
+    - the third when it lies right of the line by more than HULL_TOL *
+      |a_j - a_i| * extent (a test node there is not covered).
+
+    A pair (i, i) marks no node. The rows are built a slab at a time, with
+    HULL_CHUNK elements per float temporary, or one row's when that is
+    more."""
+    r, n = len(rows), len(p)
+    a = p[rows]
+    ra = ((p[None, :, :] - a[:, None, :]) ** 2).sum(axis=2)  # (r, n) squared distances
+    tables = np.zeros((3, r, r, -(-n // 64)), dtype=np.uint64)
+    step = max(1, HULL_CHUNK // (r * n))
+    for lo in range(0, r, step):
+        s = slice(lo, lo + step)
+        e = a[None, :, :] - a[s, None, :]  # e[i, j] = a_j - a_i
+        sq = (e * e).sum(axis=2)[..., None]
+        tol = np.sqrt(sq) * extent
+        q = (p[None, :, :] - a[s, None, :])[:, None, :, :]  # q[i, 0, c] = p_c - a_i
+        o = e[..., 0, None] * q[..., 1] - e[..., 1, None] * q[..., 0]
+        tables[0, s] = _pack_bits(~(o >= -SUPPORT_TOL * tol))
+        tables[2, s] = _pack_bits(o < -HULL_TOL * tol)
+        side = np.maximum(np.maximum(sq, ra[s, None, :]), ra[None, :, :])
+        o = np.abs(o)
+        tables[1, s] = _pack_bits((o > FLAT_BAND * side) & (o <= FLAT_REL * side))
+    return tables
 
 
 def convex_hull_polygon(points) -> np.ndarray:

@@ -32,8 +32,11 @@ have the same sizes form a group. Each group's nodes are checked once
 value-free work of each distinct (train, test) set of the group is done
 once, however many tasks and repeats draw it:
 
-1. One vectorized pass (``geometry.hull_cover``, PLAN_CHUNK sets per
-   call) tests every test point against its set's training hull. A split
+1. One ``geometry.hull_cover`` call per group tests every test point
+   against its set's training hull. The call computes the geometry of
+   lines once from the group's nodes (direction and bit-mask tables over
+   the nodes, each temporary within ``geometry.HULL_CHUNK`` elements) and
+   reads each set's answer from them. A split
    whose training values are finite and whose hull leaves a test point
    uncovered is recorded as ``test_points_outside_support`` without being
    triangulated; ``n_finite`` counts its hull-covered test points. The
@@ -67,14 +70,18 @@ authoritative: a surface that leaves a test point undefined is recorded as
 ``test_points_outside_support``, with ``n_finite`` counting its finite
 predictions. Each method's runs of a group are scored as one stack, its
 complete runs by ``metrics.metric_stack`` (which equals
-``compute_metrics`` row by row bit for bit), and the runs come back as
-one columnar ``RunTable``, whose rows are ``RunRecord``s. Each RBF run
+``compute_metrics`` row by row bit for bit), and each column of a group
+is built once for all its tasks (``_group_columns``). The runs come back
+as one columnar ``RunTable`` in task order, whose rows are
+``RunRecord``s: each run of consecutive tasks of one group is one slice
+of that group's columns. Each RBF run
 keeps its fit's condition estimate; ``rbf_condition_summary`` aggregates
 them per regime for ``meta.json``.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import Counter
@@ -432,58 +439,56 @@ def _score(y_true: np.ndarray, pred: np.ndarray, reasons: list,
     return valid, reason, n_finite, rmse, mae, r2, pred
 
 
-def _task_columns(tasks: list[SliceTask], plans: list[tuple],
-                  runs: list[tuple]) -> list[dict[str, np.ndarray]]:
-    """The RunTable columns of each of ``tasks``, whose splits ``plans[t]``
-    hold (B_t, m) train and (B_t, k) test node indices and (B_t,) repeats,
-    with m and k the same for every task: for each split, one run per
-    method in ``runs`` order. Each item of ``runs`` is ``(method, pred,
+def _group_columns(tasks: list[SliceTask], plans: list[tuple],
+                   runs: list[tuple]) -> dict[str, np.ndarray]:
+    """The RunTable columns of ``tasks``, whose splits ``plans[t]`` hold
+    (B_t, m) train and (B_t, k) test node indices and (B_t,) repeats, with
+    m and k the same for every task: for each split in task order, one run
+    per method in ``runs`` order. Each item of ``runs`` is ``(method, pred,
     reasons, n_finite, cond)`` over the splits of all the tasks in task
     order, as ``_score`` takes them, with the condition estimates ``cond``
-    (NaN where none) or None. Each method's runs are scored as one stack
-    (``_score`` works row by row), then sliced task by task."""
-    bounds = np.cumsum([0] + [len(plan[0]) for plan in plans])
+    (NaN where none) or None. Each column is built once for all the tasks,
+    and each method's runs are scored as one stack (``_score`` works row by
+    row)."""
+    train, test, repeats = (np.concatenate([plan[j] for plan in plans]) for j in range(3))
     y_true = np.concatenate([task.values[plan[1]] for task, plan in zip(tasks, plans)])
     scored = [_score(y_true, pred, reasons, n_finite)
               + (np.full(len(y_true), np.nan) if cond is None else cond,)
               for _, pred, reasons, n_finite, cond in runs]
-    methods = [method for method, *_ in runs]
+    counts = [len(plan[0]) for plan in plans]
+    size = len(test) * len(runs)
 
     def shared(column):  # a split's entries, once for each of its runs
         return np.repeat(column, len(runs), axis=0).ravel()
 
-    out = []
-    for task, (train, test, repeats), lo, hi in zip(tasks, plans, bounds, bounds[1:]):
-        size = len(test) * len(runs)
+    def each(i):  # the methods' entries of a split, one after the other
+        return np.stack([columns[i] for columns in scored], axis=1).ravel()
 
-        def each(i):  # the methods' entries of a split, one after the other
-            return np.stack([columns[i][lo:hi] for columns in scored], axis=1).ravel()
-
-        out.append(dict(
-            **{name: np.full(size, getattr(task, name)) for name in (
-                "regime", "output_index", "fixed_axis", "fixed_level", "level_index")},
-            repeat=shared(repeats),
-            method=np.tile(methods, len(test)),
-            **dict(zip(("valid", "reason", "n_finite", "rmse", "mae", "r2", "y_pred",
-                        "condition_estimate"), map(each, range(8)))),
-            n_test=np.full(size, test.shape[1]),
-            y_true=shared(y_true[lo:hi]),
-            train_indices=shared(train),
-            test_indices=shared(test),
-            n_train=np.full(size, train.shape[1]),
-        ))
-    return out
+    return dict(
+        **{name: shared(np.repeat([getattr(task, name) for task in tasks], counts)) for name in (
+            "regime", "output_index", "fixed_axis", "fixed_level", "level_index")},
+        repeat=shared(repeats),
+        method=np.tile([method for method, *_ in runs], len(test)),
+        **dict(zip(("valid", "reason", "n_finite", "rmse", "mae", "r2", "y_pred",
+                    "condition_estimate"), map(each, range(8)))),
+        n_test=np.full(size, test.shape[1]),
+        y_true=shared(y_true),
+        train_indices=shared(train),
+        test_indices=shared(test),
+        n_train=np.full(size, train.shape[1]),
+    )
 
 
 def _cubic_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: np.ndarray,
                 test: np.ndarray, y: np.ndarray) -> tuple:
     """The cubic runs of B splits of one node set, ``points``, as
-    ``_task_columns`` takes them, from (B, m) ``train`` and (B, k) ``test``
+    ``_group_columns`` takes them, from (B, m) ``train`` and (B, k) ``test``
     node indices and (B, m) training values ``y``. Split i's train and test
     node indices are ``sets[inverse[i]]``, m of them then the rest.
 
-    ``hull_cover`` tests each distinct set once, PLAN_CHUNK sets per call.
-    A trusted split with finite values and an uncovered test point is
+    ``hull_cover`` tests each distinct set once, all of them in one call,
+    which computes the lines of ``points`` once for the sets. A trusted
+    split with finite values and an uncovered test point is
     recorded as outside support unfitted. Every other split gets its set's
     triangulation, built once and shared by every split of the set, or that
     triangulation's failure as its reason; a split with non-finite values
@@ -492,9 +497,7 @@ def _cubic_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train
     test of the node set is evaluated once, and it goes with the call. The
     remaining surfaces are evaluated at their test points as one stack."""
     m = train.shape[1]
-    covered, trusted = (np.concatenate(part)[inverse] for part in zip(*(
-        hull_cover(points, sets[lo:lo + PLAN_CHUNK, :m], sets[lo:lo + PLAN_CHUNK, m:])
-        for lo in range(0, len(sets), PLAN_CHUNK))))
+    covered, trusted = (mask[inverse] for mask in hull_cover(points, sets[:, :m], sets[:, m:]))
     finite = np.isfinite(y).all(axis=1)
     outside = finite & trusted & ~covered.all(axis=1)
     reasons: list = [None] * len(train)
@@ -524,7 +527,7 @@ def _cubic_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train
 
 def _rbf_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: np.ndarray,
               test: np.ndarray, y: np.ndarray, rbf_config: RbfConfig, stacklevel: int) -> tuple:
-    """The RBF runs of splits of one node set, as ``_task_columns`` takes
+    """The RBF runs of splits of one node set, as ``_group_columns`` takes
     them (arguments as for ``_cubic_runs``; ``stacklevel`` as
     ``rbf._fit_systems`` takes it, for a warning raised here). The saddle
     system, rank test and condition estimate of each of ``sets`` are made
@@ -575,7 +578,7 @@ def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig
         groups.setdefault(key, []).append(t)
     for members in groups.values():
         as_points(tasks[members[0]].points)
-    parts: list = [None] * len(tasks)
+    parts = []
     for members in groups.values():
         points = tasks[members[0]].points
         train, test = (np.concatenate([plans[t][j] for t in members]) for j in (0, 1))
@@ -583,13 +586,26 @@ def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig
         sets, inverse = np.unique(np.hstack([train, test]), axis=0, return_inverse=True)
         runs = [_cubic_runs(points, sets, inverse, train, test, y),
                 _rbf_runs(points, sets, inverse, train, test, y, rbf_config, stacklevel + 1)]
-        for t, columns in zip(members, _task_columns([tasks[t] for t in members],
-                                                     [plans[t] for t in members], runs)):
-            parts[t] = columns
+        parts.append(_group_columns([tasks[t] for t in members], [plans[t] for t in members], runs))
+    # A group's columns hold its tasks' rows in task order, so each run of
+    # consecutive tasks of one group is one slice of them, rows ``lo`` to
+    # ``hi`` of group ``g`` (6 runs for the 66 default tasks). A flat
+    # column's rows have as many entries each as the group's first.
+    group = {t: g for g, members in enumerate(groups.values()) for t in members}
+    spans, taken = [], [0] * len(parts)
+    for g, run in itertools.groupby(range(len(tasks)), key=group.__getitem__):
+        hi = taken[g] + sum(len(plans[t][0]) for t in run) * len(METHODS)
+        spans.append((g, taken[g], hi))
+        taken[g] = hi
+    width = {name: [int(part[n][0]) for part in parts] for name, n in _FLAT.items()}
     # column by column, each dropping its parts, so the parts and the table
     # are not held whole at once
-    return RunTable(**{name: np.concatenate([part.pop(name) for part in parts])
-                       for name in list(parts[0])})
+    table = {}
+    for name in list(parts[0]):
+        columns = [part.pop(name) for part in parts]
+        w = width.get(name, [1] * len(parts))
+        table[name] = np.concatenate([columns[g][lo * w[g]:hi * w[g]] for g, lo, hi in spans])
+    return RunTable(**table)
 
 
 def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | None = None) -> RunTable:

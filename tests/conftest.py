@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from surfbench.config import ExperimentConfig
+from surfbench.geometry import HULL_TOL, convex_hull_polygon
 from surfbench.protocol import RunRecord, RunTable, _run_tasks, execute_experiment
 from surfbench.report import summarize
 from surfbench.synthdata import DesignSpec, generate
@@ -105,6 +106,30 @@ def order_probe_sets(draw):
     if kind == "near_collinear":
         return near_collinear(rng, rng.uniform(-9, -3))
     return min_separated(rng, int(rng.integers(3, 20)), 0.05)
+
+
+def hull_probes(nodes):
+    """Probes 0, +-0.5, +-2 and +-10 band widths (HULL_TOL times the extent)
+    off every hull edge, at its midpoint and a third of the way along, and
+    off every hull vertex along the bisector of its edge normals. Returns
+    the probes, the signed distance of each to the hull (positive outside,
+    the largest over the edge lines) and the band width."""
+    poly = convex_hull_polygon(nodes)
+    band = HULL_TOL * max(np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1]))
+    edge = np.roll(poly, -1, axis=0) - poly
+    length = np.hypot(edge[:, 0], edge[:, 1])[:, None]
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / length
+    bisector = normal + np.roll(normal, 1, axis=0)
+    bisector /= np.hypot(bisector[:, 0], bisector[:, 1])[:, None]
+    steps = np.array([0.0, 0.5, -0.5, 2.0, -2.0, 10.0, -10.0])[None, :, None] * band
+    probes = np.concatenate([
+        (base[:, None, :] + steps * direction[:, None, :]).reshape(-1, 2)
+        for base, direction in ((poly + 0.5 * edge, normal), (poly + edge / 3.0, normal),
+                                (poly, bisector))
+    ])
+    rel = probes[:, None, :] - poly[None, :, :]
+    outside = (edge[:, 1] * rel[..., 0] - edge[:, 0] * rel[..., 1]) / length[:, 0]
+    return probes, outside.max(axis=1), band
 
 
 def edges(tri):

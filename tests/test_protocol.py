@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import order_probe_sets, run_split, stage, table_of
+from conftest import hull_probes, order_probe_sets, run_split, stage, table_of
 from surfbench import cubic, geometry, protocol
 from surfbench.config import ExperimentConfig
-from surfbench.geometry import HULL_TOL, convex_hull_polygon, hull_cover, locate, triangulate
+from surfbench.geometry import convex_hull_polygon, hull_cover, locate, triangulate
 from surfbench.metrics import compute_metrics
 from surfbench.protocol import (
     AXES,
@@ -26,7 +26,7 @@ from surfbench.protocol import (
     SplitPlan,
     _plan_splits,
     _run_tasks,
-    _task_columns,
+    _group_columns,
     enumerate_slices,
     execute_experiment,
     find_slice,
@@ -344,30 +344,6 @@ class TestRunPair:
             assert rbf.valid
 
 
-def hull_probes(nodes):
-    """Probes 0, +-0.5, +-2 and +-10 band widths (HULL_TOL times the extent)
-    off every hull edge, at its midpoint and a third of the way along, and
-    off every hull vertex along the bisector of its edge normals. Returns
-    the probes, the signed distance of each to the hull (positive outside,
-    the largest over the edge lines) and the band width."""
-    poly = convex_hull_polygon(nodes)
-    band = HULL_TOL * max(np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1]))
-    edge = np.roll(poly, -1, axis=0) - poly
-    length = np.hypot(edge[:, 0], edge[:, 1])[:, None]
-    normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / length
-    bisector = normal + np.roll(normal, 1, axis=0)
-    bisector /= np.hypot(bisector[:, 0], bisector[:, 1])[:, None]
-    steps = np.array([0.0, 0.5, -0.5, 2.0, -2.0, 10.0, -10.0])[None, :, None] * band
-    probes = np.concatenate([
-        (base[:, None, :] + steps * direction[:, None, :]).reshape(-1, 2)
-        for base, direction in ((poly + 0.5 * edge, normal), (poly + edge / 3.0, normal),
-                                (poly, bisector))
-    ])
-    rel = probes[:, None, :] - poly[None, :, :]
-    outside = (edge[:, 1] * rel[..., 0] - edge[:, 0] * rel[..., 1]) / length[:, 0]
-    return probes, outside.max(axis=1), band
-
-
 class TestHullCover:
     @settings(max_examples=150, deadline=None)
     @given(nodes=order_probe_sets())
@@ -675,7 +651,9 @@ class TestSharing:
             monkeypatch.setattr(module, name, wrapper)
 
         counting("_triangulate", protocol._triangulate)
-        counting("hull_cover", protocol.hull_cover, lambda points, train, test: len(train))
+        hull_calls = []  # the distinct sets of each call
+        counting("hull_cover", protocol.hull_cover,
+                 lambda points, train, test: hull_calls.append(len(train)) or len(train))
         counting("_saddle_systems", protocol._saddle_systems, lambda pts, config: len(pts))
         counting("as_points", protocol.as_points)
         # once per (triangulation, queries) pair of the 402 covered surfaces,
@@ -686,6 +664,7 @@ class TestSharing:
         table = execute_experiment(default_dataset, default_config)
         assert counts == {"_triangulate": 249, "hull_cover": 1496, "_saddle_systems": 1496,
                           "as_points": 3, "_locate_stack": 249, "_locate_pass": 5, "_score": 6}
+        assert sorted(hull_calls) == [419, 423, 654]  # one call per node set
         assert Counter(zip(table.method.tolist(), table.reason.tolist())) == {
             ("cubic", "ok"): 402, ("cubic", "test_points_outside_support"): 2238,
             ("rbf", "ok"): 2640}
@@ -790,8 +769,8 @@ class TestScoring:
         train = np.tile(np.arange(3), (b, 1))
         repeats = np.arange(b)
         reasons = [None if m else "fit_failed:singular_system" for m in made]
-        got = RunTable(**_task_columns([task], [(train, test, repeats)],
-                                       [("rbf", pred, reasons, n_finite, None)])[0])
+        got = RunTable(**_group_columns([task], [(train, test, repeats)],
+                                        [("rbf", pred, reasons, n_finite, None)]))
         expected = [
             reference_record(task, SplitPlan(train[i], test[i], i), "rbf",
                              *((pred[i],) if made[i] else (None, reasons[i], int(n_finite[i]))))
