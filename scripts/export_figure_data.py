@@ -69,21 +69,15 @@ def main() -> int:
     # a representative noisy slice with failure behavior: most negative
     # jointly-valid r2 for the rbf method
     noisy_rbf = np.flatnonzero(runs.valid & (runs.regime == "noisy") & (runs.method == "rbf"))
-    worst = runs[int(noisy_rbf[np.argmin(runs.r2[noisy_rbf])])]
-    rows = export_pred_vs_true(
-        runs,
-        regime="noisy",
-        output_index=worst.output_index,
-        fixed_axis=worst.fixed_axis,
-        fixed_level=worst.fixed_level,
-        repeat=worst.repeat,
-    )
+    worst = int(noisy_rbf[np.argmin(runs.r2[noisy_rbf])])
+    output, axis, level, repeat, r2 = (getattr(runs, name)[worst].item() for name in (
+        "output_index", "fixed_axis", "fixed_level", "repeat", "r2"))
+    columns = export_pred_vs_true(runs, regime="noisy", output_index=output, fixed_axis=axis,
+                                  fixed_level=level, repeat=repeat)
     scatter_path = outdir / "scatter_failure_slice.csv"
-    write_scatter_csv(rows, scatter_path)
-    print(
-        f"wrote {scatter_path} (slice {worst.fixed_axis}={worst.fixed_level:g}, "
-        f"output {worst.output_index}, repeat {worst.repeat}, rbf r2 {worst.metrics.r2:.2f})"
-    )
+    write_scatter_csv(columns, scatter_path)
+    print(f"wrote {scatter_path} (slice {axis}={level:g}, output {output}, repeat {repeat}, "
+          f"rbf r2 {r2:.2f})")
 
     geometry_path = outdir / "geometry_reports.json"
     write_json(diagnose_slices(dataset), geometry_path)

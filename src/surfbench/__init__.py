@@ -29,7 +29,6 @@ from .geometry import (
 )
 from .metrics import BootstrapCI, MetricSet, bootstrap_ci, compute_metrics
 from .protocol import (
-    RunRecord,
     RunTable,
     SliceTask,
     SplitPlan,

@@ -124,12 +124,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_settings_csv(cls, path) -> "ExperimentConfig":
+        """Parse key,value rows. Raises ValueError, naming the path and the
+        line, for another header, a row without 2 fields or a repeated key;
+        a blank line is no row."""
+        mapping = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["key", "value"]:
                 raise ValueError(f"{path}: expected settings header 'key,value'")
-            return cls.from_mapping({k: v for k, v in reader})
+            for row in filter(None, reader):
+                if len(row) != 2:
+                    raise ValueError(f"{path}: line {reader.line_num} does not have 2 fields")
+                if row[0] in mapping:
+                    raise ValueError(f"{path}: line {reader.line_num} repeats key {row[0]!r}")
+                mapping[row[0]] = row[1]
+        return cls.from_mapping(mapping)
 
 
 def load_config(path) -> ExperimentConfig:

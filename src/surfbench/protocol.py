@@ -72,18 +72,16 @@ predictions. Each method's runs of a group are scored as one stack, its
 complete runs by ``metrics.metric_stack`` (which equals
 ``compute_metrics`` row by row bit for bit), and each column of a group
 is built once for all its tasks (``_group_columns``). The runs come back
-as one columnar ``RunTable`` in task order, whose rows are
-``RunRecord``s: each run of consecutive tasks of one group is one slice
-of that group's columns. Each RBF run
-keeps its fit's condition estimate; ``rbf_condition_summary`` aggregates
-them per regime for ``meta.json``.
+as one columnar ``RunTable`` in task order: each run of consecutive tasks
+of one group is one slice of that group's columns. Each RBF run keeps its
+fit's condition estimate; ``rbf_condition_summary`` aggregates them per
+regime for ``meta.json``.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -93,7 +91,7 @@ from .config import ExperimentConfig
 from .cubic import CubicSurface, evaluate_stack
 from .errors import InsufficientNodes, InterpolationError, reason_code
 from .geometry import _Predicates, _triangulate, as_points, hull_cover
-from .metrics import MetricSet, compute_metrics, metric_stack
+from .metrics import compute_metrics, metric_stack
 from .rbf import CONDITION_WARN_THRESHOLD, RbfConfig, _fit_systems, _saddle_systems, eval_stack
 from .streams import int_words, permutations
 from .synthdata import FactorialDataset
@@ -104,7 +102,6 @@ __all__ = [
     "METHODS",
     "SliceTask",
     "SplitPlan",
-    "RunRecord",
     "RunTable",
     "enumerate_slices",
     "find_slice",
@@ -166,31 +163,8 @@ class SplitPlan:
         self.test_indices.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One (regime, output, slice, repeat, method) run: a row of a RunTable."""
-
-    regime: str
-    output_index: int
-    fixed_axis: str
-    fixed_level: float
-    level_index: int
-    repeat: int
-    method: str
-    valid: bool
-    reason: str
-    n_test: int
-    n_finite: int
-    metrics: MetricSet | None
-    y_true: np.ndarray | None
-    y_pred: np.ndarray | None
-    train_indices: np.ndarray | None
-    test_indices: np.ndarray | None
-    condition_estimate: float | None = None  # of the RBF saddle system; None for cubic and failed runs
-
-
-# The RunTable columns that a RunRecord holds as they are, and the flat
-# ones with the column of their lengths.
+# The types of the RunTable's label and count columns (its metric columns
+# are float), and its flat columns with the column of their lengths.
 _SCALARS = {"regime": str, "output_index": int, "fixed_axis": str, "fixed_level": float,
             "level_index": int, "repeat": int, "method": str, "valid": bool, "reason": str,
             "n_test": int, "n_finite": int}
@@ -206,8 +180,6 @@ class RunTable:
     and ``test_indices`` (offsets from ``n_test``), its training node
     indices in ``train_indices`` (offsets from ``n_train``). A table read
     from runs.csv has none of these five and ``level_index`` -1.
-
-    Iterating or indexing yields the runs as RunRecords.
     """
 
     regime: np.ndarray
@@ -243,41 +215,6 @@ class RunTable:
 
     def __len__(self) -> int:
         return len(self.regime)
-
-    def __getitem__(self, index):
-        """The run at an int ``index`` (negative counts from the end), built
-        alone, IndexError past either end; a list of runs for a slice."""
-        if isinstance(index, slice):
-            return list(self)[index]
-        i = range(len(self))[index]
-        return next(self._records(i, i + 1))
-
-    def __iter__(self):
-        return self._records(0, len(self))
-
-    def _records(self, lo: int, hi: int):
-        """The runs ``lo`` to ``hi - 1`` as RunRecords."""
-        col = {name: getattr(self, name)[lo:hi].tolist()
-               for name in (*_SCALARS, "rmse", "mae", "r2", "condition_estimate")}
-        flat = {}
-        for name, n in _FLAT.items():
-            column = getattr(self, name)
-            if column is not None:
-                bounds = np.concatenate([[0], np.cumsum(getattr(self, n)[:hi])])
-                column = np.split(column[bounds[lo]:bounds[hi]], bounds[lo + 1:hi] - bounds[lo])
-            flat[name] = column
-        for i in range(hi - lo):
-            arrays = {name: None if a is None else a[i] for name, a in flat.items()}
-            # a valid run's predictions are all finite: it scored its finite targets
-            n_points = (col["n_finite"][i] if arrays["y_true"] is None
-                        else int(np.isfinite(arrays["y_true"]).sum()))
-            cond = col["condition_estimate"][i]
-            yield RunRecord(
-                **{name: col[name][i] for name in _SCALARS}, **arrays,
-                metrics=MetricSet(col["rmse"][i], col["mae"][i], col["r2"][i], n_points)
-                if col["valid"][i] else None,
-                condition_estimate=None if math.isnan(cond) else cond,
-            )
 
 
 def slice_nodes(dataset: FactorialDataset, fixed_axis: str, level_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -439,23 +376,22 @@ def _score(y_true: np.ndarray, pred: np.ndarray, reasons: list,
     return valid, reason, n_finite, rmse, mae, r2, pred
 
 
-def _group_columns(tasks: list[SliceTask], plans: list[tuple],
-                   runs: list[tuple]) -> dict[str, np.ndarray]:
-    """The RunTable columns of ``tasks``, whose splits ``plans[t]`` hold
-    (B_t, m) train and (B_t, k) test node indices and (B_t,) repeats, with
-    m and k the same for every task: for each split in task order, one run
-    per method in ``runs`` order. Each item of ``runs`` is ``(method, pred,
-    reasons, n_finite, cond)`` over the splits of all the tasks in task
-    order, as ``_score`` takes them, with the condition estimates ``cond``
-    (NaN where none) or None. Each column is built once for all the tasks,
-    and each method's runs are scored as one stack (``_score`` works row by
-    row)."""
-    train, test, repeats = (np.concatenate([plan[j] for plan in plans]) for j in range(3))
-    y_true = np.concatenate([task.values[plan[1]] for task, plan in zip(tasks, plans)])
+def _group_columns(tasks: list[SliceTask], counts: list[int], train: np.ndarray,
+                   test: np.ndarray, repeats: np.ndarray, runs: list[tuple]) -> dict[str, np.ndarray]:
+    """The RunTable columns of B splits of ``tasks``, with m and k the same
+    for every task: the splits are those of each task in turn, ``counts[t]``
+    of ``tasks[t]``, split i repeat ``repeats[i]`` with (B, m) ``train`` and
+    (B, k) ``test`` node indices. For each split, one run per method in
+    ``runs`` order. Each item of ``runs`` is ``(method, pred, reasons,
+    n_finite, cond)`` over the B splits, as ``_score`` takes them, with the
+    condition estimates ``cond`` (NaN where none) or None. Each column is
+    built once for all the tasks, and each method's runs are scored as one
+    stack (``_score`` works row by row)."""
+    y_true = np.concatenate([task.values[rows] for task, rows in
+                             zip(tasks, np.split(test, np.cumsum(counts)[:-1]))])
     scored = [_score(y_true, pred, reasons, n_finite)
               + (np.full(len(y_true), np.nan) if cond is None else cond,)
               for _, pred, reasons, n_finite, cond in runs]
-    counts = [len(plan[0]) for plan in plans]
     size = len(test) * len(runs)
 
     def shared(column):  # a split's entries, once for each of its runs
@@ -581,12 +517,13 @@ def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig
     parts = []
     for members in groups.values():
         points = tasks[members[0]].points
-        train, test = (np.concatenate([plans[t][j] for t in members]) for j in (0, 1))
+        train, test, repeats = (np.concatenate([plans[t][j] for t in members]) for j in range(3))
         y = np.concatenate([tasks[t].values[plans[t][0]] for t in members])
         sets, inverse = np.unique(np.hstack([train, test]), axis=0, return_inverse=True)
         runs = [_cubic_runs(points, sets, inverse, train, test, y),
                 _rbf_runs(points, sets, inverse, train, test, y, rbf_config, stacklevel + 1)]
-        parts.append(_group_columns([tasks[t] for t in members], [plans[t] for t in members], runs))
+        parts.append(_group_columns([tasks[t] for t in members], [len(plans[t][0]) for t in members],
+                                    train, test, repeats, runs))
     # A group's columns hold its tasks' rows in task order, so each run of
     # consecutive tasks of one group is one slice of them, rows ``lo`` to
     # ``hi`` of group ``g`` (6 runs for the 66 default tasks). A flat

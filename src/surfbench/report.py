@@ -5,9 +5,9 @@ surface grids with explicit ``NA`` markers for undefined cells, predicted
 versus true scatter rows, per-slice geometry reports, and the aggregated
 summary table with bootstrap confidence intervals.
 
-Every CSV table except settings.csv goes through ``write_columns``
-(``write_csv`` hands it its columns), whose cells are formatted by
-``_fmt`` alone. File formats are pinned:
+Every CSV table except settings.csv goes through ``write_columns`` as
+columns, whose cells are formatted by ``_fmt`` alone. File formats are
+pinned:
   dataset.csv  x1,x2,x3,y1_clean,y2_clean,y3_clean,y1_noisy,y2_noisy,y3_noisy
   runs.csv     regime,output,fixed_axis,fixed_level,repeat,method,valid,
                reason,n_test,n_finite,rmse,mae,r2
@@ -26,7 +26,6 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "SummaryRow",
     "SummaryTable",
     "summarize",
-    "write_csv",
     "write_columns",
     "write_dataset_csv",
     "write_runs_csv",
@@ -72,7 +70,7 @@ SUMMARY_CSV_HEADER = (
 SCATTER_CSV_HEADER = "regime,output,fixed_axis,fixed_level,repeat,method,y_true,y_pred"
 NA_TOKEN = "NA"
 
-# Row tuples formatted at a time by write_csv, so a long table such as
+# Rows formatted at a time by write_columns, so a long table such as
 # runs.csv never holds more than one block of formatted cells (blocks of
 # 1024 rows raised the peak RSS of a default run by 0.8 MB).
 CSV_BLOCK = 256
@@ -82,63 +80,52 @@ _BOOTSTRAP_STREAM_TAG = 3
 
 
 def _fmt(x) -> str:
-    """One CSV cell: floats with 17 significant digits, None and non-finite
-    floats as ``NA``, bools as ``true``/``false``, anything else as str."""
+    """One CSV cell of a ``.tolist()`` value: floats with 17 significant
+    digits, non-finite floats as ``NA``, bools as ``true``/``false``, ints
+    and strings as str."""
     if isinstance(x, float):  # most cells; a bool is never a float
         return "%.17g" % x if math.isfinite(x) else NA_TOKEN
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    return NA_TOKEN if x is None else str(x)
+    return str(x)
 
 
-def _cells(values) -> tuple[list[str], np.ndarray | None]:
-    """The cells of one column as ``_fmt`` writes them: the distinct cells
-    and each row's index among them, or every row's cell and None.
-
-    A bool, integer, str or float64 array is formatted once per distinct
-    value (a float64 once per bit pattern, so -0.0, 0.0 and each NaN
-    payload stay apart); any other column is formatted cell by cell.
-    """
-    if isinstance(values, np.ndarray) and (values.dtype.kind in "biuU" or values.dtype == np.float64):
-        floats = values.dtype == np.float64
-        keys, inverse = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
-        return list(map(_fmt, (keys.view(np.float64) if floats else keys).tolist())), inverse
-    return list(map(_fmt, values)), None
-
-
-def _write_rows(fh, columns) -> None:
-    """Write the rows of equal-length columns, CSV_BLOCK rows at a time."""
-    cells = [_cells(column) for column in columns]
-    for lo in range(0, len(columns[0]), CSV_BLOCK):
-        block = [cell[lo:lo + CSV_BLOCK] if inverse is None else
-                 map(cell.__getitem__, inverse[lo:lo + CSV_BLOCK].tolist()) for cell, inverse in cells]
-        fh.write("\n".join(map(",".join, zip(*block, strict=True))) + "\n")
+def _cells(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct cells of one column as ``_fmt`` writes them, and each
+    row's index among them. Each value is formatted once (a float64 once per
+    bit pattern, so -0.0, 0.0 and each NaN payload stay apart)."""
+    floats = values.dtype == np.float64
+    keys, inverse = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
+    return list(map(_fmt, (keys.view(np.float64) if floats else keys).tolist())), inverse
 
 
 def write_columns(path, header: str, columns) -> None:
     """Write ``header`` (comma-joined column names) and one line per row of
     the equal-length ``columns``, each formatted column by column (see
-    ``_cells``)."""
+    ``_cells``), CSV_BLOCK rows at a time.
+
+    Raises ValueError for a column that is not bool, int, uint, str or
+    float64 once passed through ``np.asarray`` (an object column holding
+    None is one), naming its index, or for columns of unequal length.
+    """
+    columns = [np.asarray(column) for column in columns]
+    for j, column in enumerate(columns):
+        if not (column.dtype.kind in "biuU" or column.dtype == np.float64):
+            raise ValueError(f"column {j} has dtype {column.dtype}; "
+                             "expected bool, int, uint, str or float64")
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        _write_rows(fh, columns)
-
-
-def write_csv(path, header: str, rows) -> None:
-    """Write ``header`` and one line per row: ``rows`` is a 2-D array or
-    an iterable of equal-length row tuples, taken CSV_BLOCK at a time."""
-    if isinstance(rows, np.ndarray):
-        return write_columns(path, header, rows.T)
-    it = iter(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for block in iter(lambda: list(islice(it, CSV_BLOCK)), []):
-            _write_rows(fh, list(zip(*block, strict=True)))
+        cells = [_cells(column) for column in columns]
+        for lo in range(0, len(columns[0]), CSV_BLOCK):
+            block = [map(cell.__getitem__, inverse[lo:lo + CSV_BLOCK].tolist()) for cell, inverse in cells]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_dataset_csv(dataset: FactorialDataset, path) -> None:
-    write_csv(path, DATASET_CSV_HEADER,
-              np.hstack([dataset.x, dataset.y_clean, dataset.y_noisy]))
+    write_columns(path, DATASET_CSV_HEADER,
+                  np.hstack([dataset.x, dataset.y_clean, dataset.y_noisy]).T)
 
 
 @dataclass(frozen=True)
@@ -273,13 +260,14 @@ def read_runs_csv(path) -> RunTable:
 
 
 def write_summary_csv(table: SummaryTable, path) -> None:
-    write_csv(path, SUMMARY_CSV_HEADER, (
-        (r.regime, r.output_index, r.method, r.valid_runs,
-         r.rmse_mean, *((r.rmse_ci.lower, r.rmse_ci.upper) if r.rmse_ci else (None,) * 2),
-         r.mae_mean,
-         r.r2_mean, *((r.r2_ci.lower, r.r2_ci.upper) if r.r2_ci else (None,) * 2))
-        for r in table.rows
-    ))
+    rows = table.rows
+    metrics = np.array([  # NaN where a row has no value
+        (r.rmse_mean, *((r.rmse_ci.lower, r.rmse_ci.upper) if r.rmse_ci else (None,) * 2),
+         r.mae_mean, r.r2_mean, *((r.r2_ci.lower, r.r2_ci.upper) if r.r2_ci else (None,) * 2))
+        for r in rows], dtype=float)
+    write_columns(path, SUMMARY_CSV_HEADER, [
+        np.array([getattr(r, name) for r in rows])
+        for name in ("regime", "output_index", "method", "valid_runs")] + list(metrics.T))
 
 
 def export_surface_grid(
@@ -320,15 +308,17 @@ def export_surface_grid(
 
 
 def write_grid_csv(header: str, grid: np.ndarray, path) -> None:
-    write_csv(path, header, grid)
+    write_columns(path, header, grid.T)
 
 
-def export_pred_vs_true(runs: RunTable, **filters) -> list[tuple]:
-    """Scatter rows (regime, output, axis, level, repeat, method, y_true, y_pred).
+def export_pred_vs_true(runs: RunTable, **filters) -> list[np.ndarray]:
+    """Scatter columns (regime, output, axis, level, repeat, method, y_true,
+    y_pred) in SCATTER_CSV_HEADER order, one entry per test point of the
+    selected valid runs.
 
     Keyword filters narrow the selection (regime=..., output_index=...,
     method=..., fixed_axis=..., fixed_level=..., repeat=...). Invalid runs
-    are excluded and logged. Returns rows for valid runs only.
+    are excluded and logged.
     """
     allowed = {"regime", "output_index", "method", "fixed_axis", "fixed_level", "repeat"}
     unknown = set(filters) - allowed
@@ -343,13 +333,13 @@ def export_pred_vs_true(runs: RunTable, **filters) -> list[tuple]:
     if skipped:
         log.info("export_pred_vs_true: skipped %d invalid records", skipped)
     point = np.repeat(keep & runs.valid, runs.n_test)  # over the flat arrays
-    return list(zip(*(np.repeat(getattr(runs, name), runs.n_test)[point].tolist() for name in (
-        "regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method")),
-        runs.y_true[point].tolist(), runs.y_pred[point].tolist()))
+    return [np.repeat(getattr(runs, name), runs.n_test)[point] for name in (
+        "regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method")] + [
+        runs.y_true[point], runs.y_pred[point]]
 
 
-def write_scatter_csv(rows, path) -> None:
-    write_csv(path, SCATTER_CSV_HEADER, rows)
+def write_scatter_csv(columns, path) -> None:
+    write_columns(path, SCATTER_CSV_HEADER, columns)
 
 
 def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from surfbench.config import ExperimentConfig
 from surfbench.geometry import HULL_TOL, convex_hull_polygon
-from surfbench.protocol import RunRecord, RunTable, _run_tasks, execute_experiment
-from surfbench.report import summarize
+from surfbench.protocol import _FLAT, RunTable, _run_tasks, execute_experiment
+from surfbench.report import _fmt, summarize
 from surfbench.synthdata import DesignSpec, generate
 
 
@@ -33,22 +33,43 @@ def summary(full_run, default_config):
     return summarize(full_run, default_config)
 
 
-def table_of(records):
-    """The RunTable whose rows are ``records`` (RunRecords that hold their
-    targets, predictions and node indices)."""
-    records = list(records)
-    flat = ("y_true", "y_pred", "train_indices", "test_indices")
-    columns = {f.name: np.array([getattr(r, f.name) for r in records])
-               for f in dataclasses.fields(RunRecord)
-               if f.name not in ("metrics", "condition_estimate", *flat)}
-    for name in ("rmse", "mae", "r2"):
-        columns[name] = np.array([getattr(r.metrics, name) if r.metrics else np.nan for r in records])
-    columns["condition_estimate"] = np.array(
-        [np.nan if r.condition_estimate is None else r.condition_estimate for r in records])
-    for name in flat:
-        columns[name] = np.concatenate([getattr(r, name) for r in records])
-    columns["n_train"] = np.array([len(r.train_indices) for r in records])
-    return RunTable(**columns)
+def concat(tables):
+    """One RunTable of the runs of ``tables``, in order; each holds every
+    column."""
+    tables = list(tables)
+    return RunTable(**{f.name: np.concatenate([getattr(t, f.name) for t in tables])
+                       for f in dataclasses.fields(RunTable)})
+
+
+def per_run(table, name):
+    """The entries of each run in flat column ``name`` of ``table``."""
+    return np.split(getattr(table, name), np.cumsum(getattr(table, _FLAT[name]))[:-1])
+
+
+def one_run(y_true, y_pred, train_indices, test_indices, **columns):
+    """The RunTable of one run: its node indices, targets and predictions,
+    and in ``columns`` its entry of every other column but ``n_train``."""
+    return RunTable(**{name: np.array([value]) for name, value in columns.items()},
+                    n_train=np.array([len(train_indices)]), y_true=y_true, y_pred=y_pred,
+                    train_indices=train_indices, test_indices=test_indices)
+
+
+def split_pairs(table):
+    """Slices of the cubic runs and of the RBF runs of ``table``, one run
+    per split in each, in split order. Asserts that each split's cubic run
+    comes right before its RBF run."""
+    cubic, rbf = slice(0, None, 2), slice(1, None, 2)
+    assert len(table) % 2 == 0
+    assert (table.method[cubic] == "cubic").all() and (table.method[rbf] == "rbf").all()
+    for name in ("regime", "output_index", "fixed_axis", "level_index", "repeat"):
+        np.testing.assert_array_equal(getattr(table, name)[cubic], getattr(table, name)[rbf])
+    return cubic, rbf
+
+
+def reference_csv(header, rows) -> bytes:
+    """A table written row by row, each cell by ``report._fmt`` alone."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def stage(task, plans, rbf_config):
@@ -60,10 +81,9 @@ def stage(task, plans, rbf_config):
 
 
 def run_split(task, plan, rbf_config):
-    """The cubic and the RBF run of one split of ``task``, by the stage on
-    that split alone."""
-    cubic, rbf = stage(task, [plan], rbf_config)
-    return cubic, rbf
+    """The run table of one split of ``task`` by the stage on that split
+    alone: its cubic run, then its RBF run."""
+    return stage(task, [plan], rbf_config)
 
 
 def min_separated(rng, n, minsep, box=1.0, max_tries=4000):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hull, min_separated, triangle_areas
+from conftest import hull, min_separated, per_run, split_pairs, triangle_areas
 from surfbench.cubic import fit_cubic
 from surfbench.errors import DegenerateGeometry
 from surfbench.geometry import (
@@ -109,12 +109,9 @@ class TestQualitativeReproduction:
         # supporting property: valid noise-free runs beat the mean predictor,
         # with at most 1% slack for near-degenerate splits
         for method in METHODS:
-            sel = [
-                r for r in full_run
-                if r.valid and r.regime == "noise-free" and r.method == method
-            ]
-            violations = sum(1 for r in sel if r.metrics.r2 <= 0)
-            assert violations <= 0.01 * len(sel), (method, violations, len(sel))
+            sel = full_run.valid & (full_run.regime == "noise-free") & (full_run.method == method)
+            n, violations = np.count_nonzero(sel), np.count_nonzero(full_run.r2[sel] <= 0)
+            assert violations <= 0.01 * n, (method, violations, n)
 
 
 class TestPropertySuites:
@@ -297,20 +294,17 @@ class TestPropertySuites:
         write_runs_csv(rerun, path_b)
         identical = path_a.read_bytes() == path_b.read_bytes()
 
-        by_key = {}
-        for r in full_run:
-            key = (r.regime, r.output_index, r.fixed_axis, r.level_index, r.repeat)
-            by_key.setdefault(key, {})[r.method] = r
+        cubic, rbf = split_pairs(full_run)
         paired = all(
-            np.array_equal(pair["cubic"].train_indices, pair["rbf"].train_indices)
-            and np.array_equal(pair["cubic"].test_indices, pair["rbf"].test_indices)
-            for pair in by_key.values()
+            np.array_equal(a, b)
+            for name in ("train_indices", "test_indices")
+            for a, b in zip(per_run(full_run, name)[cubic], per_run(full_run, name)[rbf])
         )
         ok = identical and paired
         report(
             "11 pairing and determinism",
             ok,
-            f"byte-identical runs.csv {identical}; {len(by_key)} paired splits",
+            f"byte-identical runs.csv {identical}; {len(full_run) // 2} paired splits",
         )
         assert ok
 

@@ -3,8 +3,9 @@
 The reason histogram is pinned exactly. Summary values are pinned within
 abs 1e-9 + rel 1e-6 rather than byte for byte, because their last digits
 depend on the platform's floating-point libraries. Only the sha256 digests
-of runs.csv, summary.csv, twelve surface grids and diagnose.json are pinned
-byte for byte, and only under the numpy version they were recorded with.
+of runs.csv, summary.csv, scatter.csv, dataset.csv, settings.csv, twelve
+surface grids and diagnose.json are pinned byte for byte, and only under
+the numpy version they were recorded with.
 """
 
 import dataclasses
@@ -15,7 +16,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import table_of
 from surfbench.cli import cli_main, run_experiment
 from surfbench.config import ExperimentConfig
 from surfbench.protocol import REGIMES, execute_experiment, rbf_condition_summary, reason_histogram
@@ -71,7 +71,7 @@ SUMMARY = (
 
 
 def test_reason_histogram(full_run):
-    assert Counter((r.method, r.reason) for r in full_run) == REASONS
+    assert Counter(zip(full_run.method.tolist(), full_run.reason.tolist())) == REASONS
 
 
 def test_reason_histogram_with_failing_rbf_fits(default_dataset):
@@ -111,8 +111,8 @@ def test_summary_values(summary):
 
 
 def test_condition_estimates_leave_runs_and_summary_unchanged(default_config, full_run, tmp_path):
-    assert all((r.condition_estimate is not None) == (r.method == "rbf") for r in full_run)
-    bare = table_of(dataclasses.replace(r, condition_estimate=None) for r in full_run)
+    np.testing.assert_array_equal(~np.isnan(full_run.condition_estimate), full_run.method == "rbf")
+    bare = dataclasses.replace(full_run, condition_estimate=np.full(len(full_run), np.nan))
     for name, records in (("with", full_run), ("without", bare)):
         write_runs_csv(records, tmp_path / f"runs_{name}.csv")
         write_summary_csv(summarize(records, default_config), tmp_path / f"summary_{name}.csv")
@@ -124,13 +124,16 @@ def test_condition_estimates_leave_runs_and_summary_unchanged(default_config, fu
                     reason="the digests were recorded with numpy 2.4.6; another numpy or "
                            "floating-point library may change the last digits of the artifacts")
 def test_default_artifact_digests(tmp_path, capsys):
-    assert cli_main(["run", "--outdir", str(tmp_path)]) == 0
+    assert cli_main(["run", "--outdir", str(tmp_path), "--scatter"]) == 0
     capsys.readouterr()
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("runs.csv", "summary.csv")}
+    names = ("runs.csv", "summary.csv", "scatter.csv", "dataset.csv", "settings.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
     assert digests == {
         "runs.csv": "37da04a8d8c51051872201109998ecaf633d90584ae53d2f64e4a9c69ddb844e",
         "summary.csv": "d42b74a993c37a074d5478146a36232dab2eef17a09f97781f3eab50332cb8e7",
+        "scatter.csv": "126f53d622806e4f9654dd99ecd96a91e101df9c8589cc587e7d5b4ba8e9484e",
+        "dataset.csv": "7ef2eff6d54900c8dcd2850417951247281d266162c873e338e8b838db5e9da2",
+        "settings.csv": "d378dc514dd6a23646a16c948967ed4a89250526c3a1d432d42b219bb2ef63a7",
     }
 
 

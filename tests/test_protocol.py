@@ -12,15 +12,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import hull_probes, order_probe_sets, run_split, stage, table_of
+from conftest import (
+    concat, hull_probes, one_run, order_probe_sets, per_run, reference_csv, run_split, split_pairs,
+    stage,
+)
 from surfbench import cubic, geometry, protocol
 from surfbench.config import ExperimentConfig
 from surfbench.geometry import convex_hull_polygon, hull_cover, locate, triangulate
 from surfbench.metrics import compute_metrics
 from surfbench.protocol import (
+    _FLAT,
     AXES,
     REGIMES,
-    RunRecord,
     RunTable,
     SliceTask,
     SplitPlan,
@@ -45,7 +48,7 @@ from surfbench.errors import (
 )
 from surfbench.rbf import eval_rbf, fit_rbf
 from surfbench.report import (
-    RUNS_CSV_HEADER, read_runs_csv, summarize, write_csv, write_runs_csv, write_summary_csv,
+    _RUNS_CSV_COLUMNS, RUNS_CSV_HEADER, summarize, write_runs_csv, write_summary_csv,
 )
 from surfbench.synthdata import DesignSpec, NoiseSpec, generate
 
@@ -182,37 +185,42 @@ class TestMakeSplits:
         # every train/test index array of the 2640 default splits (seed 42),
         # in run order, as little-endian int64
         digest = hashlib.sha256()
-        for rec in full_run[0::2]:
-            digest.update(rec.train_indices.astype("<i8").tobytes())
-            digest.update(rec.test_indices.astype("<i8").tobytes())
+        for train, test in zip(per_run(full_run, "train_indices")[0::2],
+                               per_run(full_run, "test_indices")[0::2]):
+            digest.update(train.astype("<i8").tobytes())
+            digest.update(test.astype("<i8").tobytes())
         assert len(full_run) == 2 * 2640
         assert digest.hexdigest() == "bafc9482ab92c7f184adf74691739c726766a978aefbcd93749d74ad8686655e"
 
     def test_make_splits_gives_the_rows_the_experiment_runs(self, default_dataset, default_config,
                                                             full_run):
-        records = iter(full_run)
+        names = ("regime", "output_index", "fixed_axis", "level_index", "repeat", "method")
+        keys, indices = [], {"train_indices": [], "test_indices": []}
         for regime in REGIMES:
             for task in enumerate_slices(default_dataset, regime):
                 for plan in make_splits(task, default_config.repeats_per_slice,
                                         default_config.train_fraction, default_config.random_seed):
                     for method in ("cubic", "rbf"):
-                        rec = next(records)
-                        assert (rec.regime, rec.output_index, rec.fixed_axis, rec.level_index,
-                                rec.repeat, rec.method) == (regime, task.output_index,
-                                                            task.fixed_axis, task.level_index,
-                                                            plan.repeat_index, method)
-                        np.testing.assert_array_equal(rec.train_indices, plan.train_indices)
-                        np.testing.assert_array_equal(rec.test_indices, plan.test_indices)
-        assert next(records, None) is None
+                        keys.append((regime, task.output_index, task.fixed_axis, task.level_index,
+                                     plan.repeat_index, method))
+                        indices["train_indices"].append(plan.train_indices)
+                        indices["test_indices"].append(plan.test_indices)
+        assert list(zip(*(getattr(full_run, name).tolist() for name in names))) == keys
+        for name, expected in indices.items():
+            got = per_run(full_run, name)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestRunPair:
     def test_pairing_shares_split_indices(self, default_dataset, default_config):
         task = enumerate_slices(default_dataset, "noise-free")[0]
         plan = make_splits(task, 1, 0.7, 42)[0]
-        cubic, rbf = run_split(task, plan, default_config.rbf_config())
-        np.testing.assert_array_equal(cubic.train_indices, rbf.train_indices)
-        np.testing.assert_array_equal(cubic.test_indices, rbf.test_indices)
+        runs = run_split(task, plan, default_config.rbf_config())
+        for name in ("train_indices", "test_indices"):
+            cubic, rbf = per_run(runs, name)
+            np.testing.assert_array_equal(cubic, rbf)
 
     def test_all_test_points_outside_hull(self):
         # train nodes form a small inner cluster; test nodes sit far outside
@@ -227,12 +235,13 @@ class TestRunPair:
             train_indices=np.arange(5),
             test_indices=np.arange(5, 8),
         )
-        cubic, rbf = run_split(task, plan, ExperimentConfig().rbf_config())
-        assert not cubic.valid
-        assert cubic.reason == "test_points_outside_support"
-        assert cubic.n_finite == 0
-        assert rbf.valid
-        assert rbf.n_finite == rbf.n_test == 3
+        runs = run_split(task, plan, ExperimentConfig().rbf_config())
+        assert runs.method.tolist() == ["cubic", "rbf"]
+        assert not runs.valid[0]
+        assert runs.reason[0] == "test_points_outside_support"
+        assert runs.n_finite[0] == 0
+        assert runs.valid[1]
+        assert runs.n_finite[1] == runs.n_test[1] == 3
 
     def test_partially_covered_split_skips_gradient_estimation(self, monkeypatch):
         # one of three test nodes inside the training hull; the cubic run
@@ -252,10 +261,10 @@ class TestRunPair:
             train_indices=np.arange(5),
             test_indices=np.arange(5, 8),
         )
-        partial, _ = run_split(task, plan, ExperimentConfig().rbf_config())
-        assert partial.reason == "test_points_outside_support"
-        assert partial.n_finite == 1
-        assert np.isnan(partial.y_pred).all()
+        partial = run_split(task, plan, ExperimentConfig().rbf_config())
+        assert partial.reason[0] == "test_points_outside_support"
+        assert partial.n_finite[0] == 1
+        assert np.isnan(per_run(partial, "y_pred")[0]).all()
         assert calls == []
 
         covered = dataclasses.replace(
@@ -265,8 +274,8 @@ class TestRunPair:
         original_locate = cubic._locate_stack
         monkeypatch.setattr(cubic, "_locate_stack",
                             lambda *args: located.append(args) or original_locate(*args))
-        full, _ = run_split(task, covered, ExperimentConfig().rbf_config())
-        assert full.valid and full.n_finite == 2
+        full = run_split(task, covered, ExperimentConfig().rbf_config())
+        assert full.valid[0] and full.n_finite[0] == 2
         assert len(calls) == 1
         points, _, values = calls[0]
         assert len(points) == len(values) == 6  # one call, holding one surface
@@ -285,9 +294,9 @@ class TestRunPair:
             train_indices=np.arange(5),   # all on one line
             test_indices=np.array([5, 6]),
         )
-        cubic, rbf = run_split(task, plan, ExperimentConfig().rbf_config())
-        assert not cubic.valid and cubic.reason == "fit_failed:degenerate_geometry"
-        assert not rbf.valid and rbf.reason == "fit_failed:singular_system"
+        runs = run_split(task, plan, ExperimentConfig().rbf_config())
+        assert not runs.valid.any()
+        assert runs.reason.tolist() == ["fit_failed:degenerate_geometry", "fit_failed:singular_system"]
 
     @pytest.mark.parametrize("bad", ["coordinate", "value"])
     def test_non_finite_training_input_invalidates_both(self, bad):
@@ -310,8 +319,8 @@ class TestRunPair:
             with pytest.raises(NonFiniteInput):
                 run_split(task, plan, ExperimentConfig().rbf_config())
             return
-        cubic, rbf = run_split(task, plan, ExperimentConfig().rbf_config())
-        assert cubic.reason == rbf.reason == "fit_failed:non_finite_input"
+        runs = run_split(task, plan, ExperimentConfig().rbf_config())
+        assert runs.reason.tolist() == ["fit_failed:non_finite_input"] * 2
 
     def test_duplicate_slice_nodes_raise(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.4],
@@ -328,9 +337,9 @@ class TestRunPair:
         plan = SplitPlan(np.arange(m), np.arange(m, 5), 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cubic, rbf = run_split(task, plan, ExperimentConfig().rbf_config())
-        assert cubic.reason == rbf.reason == "fit_failed:insufficient_nodes"
-        assert cubic.n_test == rbf.n_test == 5 - m
+            runs = run_split(task, plan, ExperimentConfig().rbf_config())
+        assert runs.reason.tolist() == ["fit_failed:insufficient_nodes"] * 2
+        assert runs.n_test.tolist() == [5 - m] * 2
 
     def test_valid_noise_free_run_has_high_r2(self, default_dataset, default_config):
         task = next(
@@ -338,10 +347,10 @@ class TestRunPair:
             if t.fixed_axis == "x3" and t.output_index == 1
         )
         for plan in make_splits(task, 10, 0.7, 42):
-            cubic, rbf = run_split(task, plan, default_config.rbf_config())
-            if cubic.valid:
-                assert cubic.metrics.r2 > 0.5
-            assert rbf.valid
+            runs = run_split(task, plan, default_config.rbf_config())
+            if runs.valid[0]:
+                assert runs.r2[0] > 0.5
+            assert runs.valid[1]
 
 
 class TestHullCover:
@@ -381,9 +390,10 @@ class TestHullCover:
             assert trusted[0] == expected
 
 
-def reference_record(task, plan, method, y_pred, reason=None, n_finite=0, condition_estimate=None):
-    """One run's record, scored alone by ``compute_metrics``; ``y_pred``
-    None marks a run that made no predictions."""
+def reference_record(task, plan, method, y_pred, reason=None, n_finite=0,
+                     condition_estimate=np.nan):
+    """One run as a one-run RunTable, scored alone by ``compute_metrics``;
+    ``y_pred`` None marks a run that made no predictions."""
     y_true = task.values[plan.test_indices]
     n_test = int(y_true.size)
     metrics = None
@@ -395,20 +405,21 @@ def reference_record(task, plan, method, y_pred, reason=None, n_finite=0, condit
             metrics = compute_metrics(y_true, y_pred)
             if metrics is None:
                 reason = "too_few_test_points" if n_test < 2 else "zero_target_variance"
-    return RunRecord(
+    return one_run(
+        y_true, np.full(n_test, np.nan) if y_pred is None else np.asarray(y_pred, dtype=float),
+        plan.train_indices, plan.test_indices,
         regime=task.regime, output_index=task.output_index, fixed_axis=task.fixed_axis,
         fixed_level=task.fixed_level, level_index=task.level_index, repeat=plan.repeat_index,
         method=method, valid=metrics is not None, reason="ok" if metrics is not None else reason,
-        n_test=n_test, n_finite=n_finite, metrics=metrics, y_true=y_true,
-        y_pred=np.full(n_test, np.nan) if y_pred is None else np.asarray(y_pred, dtype=float),
-        train_indices=plan.train_indices, test_indices=plan.test_indices,
-        condition_estimate=condition_estimate,
+        n_test=n_test, n_finite=n_finite, condition_estimate=condition_estimate,
+        **{name: np.nan if metrics is None else getattr(metrics, name) for name in ("rmse", "mae", "r2")},
     )
 
 
 def reference_records(task, plans, rbf_config):
-    """Each split alone through the public per-split API: ``fit_cubic`` and
-    ``evaluate``, ``fit_rbf`` and ``eval_rbf``, ``compute_metrics``."""
+    """The RunTable of each split run alone through the public per-split
+    API: ``fit_cubic`` and ``evaluate``, ``fit_rbf`` and ``eval_rbf``,
+    ``compute_metrics``."""
     records = []
     for plan in plans:
         train, test = task.points[plan.train_indices], task.points[plan.test_indices]
@@ -429,20 +440,32 @@ def reference_records(task, plans, rbf_config):
         except InterpolationError as exc:
             records.append(reference_record(task, plan, "rbf", None,
                                             reason=f"fit_failed:{reason_code(exc)}"))
-    return records
+    return concat(records)
 
 
 def assert_same_records(got, expected):
-    """Field by field, with arrays equal bit for bit; ``got`` may be a
-    RunTable, compared by its rows."""
+    """RunTables equal run by run: string columns by value, every other
+    column by dtype and bits."""
     assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        for field in dataclasses.fields(RunRecord):
-            a, b = getattr(g, field.name), getattr(e, field.name)
-            if isinstance(a, np.ndarray):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
-            else:
-                assert a == b, field.name
+    for field in dataclasses.fields(RunTable):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if a.dtype.kind == "U":
+            assert a.tolist() == b.tolist(), field.name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+
+def select(table, runs):
+    """The RunTable of the runs of ``table`` at the indices ``runs``, in
+    that order."""
+    columns = {}
+    for f in dataclasses.fields(RunTable):
+        if f.name in _FLAT:
+            pieces = per_run(table, f.name)
+            columns[f.name] = np.concatenate([pieces[i] for i in runs])
+        else:
+            columns[f.name] = getattr(table, f.name)[runs]
+    return RunTable(**columns)
 
 
 class TestStage:
@@ -454,18 +477,17 @@ class TestStage:
         for regime in REGIMES:
             for task in enumerate_slices(dataset, regime):
                 plans = make_splits(task, 3, config.train_fraction, seed)
-                for plan in plans:
-                    per_split.extend(run_split(task, plan, config.rbf_config()))
-                reference.extend(reference_records(task, plans, config.rbf_config()))
+                per_split.extend(run_split(task, plan, config.rbf_config()) for plan in plans)
+                reference.append(reference_records(task, plans, config.rbf_config()))
         staged = execute_experiment(dataset, config)
-        assert_same_records(staged, per_split)
-        assert_same_records(staged, reference)
+        assert_same_records(staged, concat(per_split))
+        assert_same_records(staged, concat(reference))
 
     @pytest.mark.parametrize("seed", [42, 1009])
     @pytest.mark.parametrize("train_fraction", [0.1, 0.95])
     def test_artifacts_equal_those_of_per_split_rows(self, tmp_path, seed, train_fraction):
         # runs.csv and summary.csv of the table, byte for byte against those
-        # of the per-split reference rows, each row written cell by cell
+        # of the per-split reference runs, runs.csv written cell by cell
         config = ExperimentConfig(random_seed=seed, train_fraction=train_fraction,
                                   repeats_per_slice=3)
         dataset = generate(noise=config.noise_spec())
@@ -473,16 +495,14 @@ class TestStage:
         for regime in REGIMES:
             for task in enumerate_slices(dataset, regime):
                 plans = make_splits(task, 3, train_fraction, seed)
-                reference.extend(reference_records(task, plans, config.rbf_config()))
+                reference.append(reference_records(task, plans, config.rbf_config()))
+        reference = concat(reference)
         table = execute_experiment(dataset, config)
         write_runs_csv(table, tmp_path / "runs.csv")
-        write_csv(tmp_path / "runs_reference.csv", RUNS_CSV_HEADER, [
-            (r.regime, r.output_index, r.fixed_axis, r.fixed_level, r.repeat, r.method, r.valid,
-             r.reason, r.n_test, r.n_finite,
-             *((r.metrics.rmse, r.metrics.mae, r.metrics.r2) if r.metrics else (None,) * 3))
-            for r in reference])
+        (tmp_path / "runs_reference.csv").write_bytes(reference_csv(RUNS_CSV_HEADER, zip(
+            *(getattr(reference, name).tolist() for name in _RUNS_CSV_COLUMNS))))
         write_summary_csv(summarize(table, config), tmp_path / "summary.csv")
-        write_summary_csv(summarize(table_of(reference), config), tmp_path / "summary_reference.csv")
+        write_summary_csv(summarize(reference, config), tmp_path / "summary_reference.csv")
         for name in ("runs", "summary"):
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (tmp_path / f"{name}_reference.csv").read_bytes()), name
@@ -506,14 +526,14 @@ class TestStage:
         task = make_task(pts, values)
         records = stage(task, plans, config)
         assert_same_records(records, reference_records(task, plans, config))
-        assert [r.reason for r in records] == [
+        assert records.reason.tolist() == [
             "ok", "ok",
             "fit_failed:non_finite_input", "fit_failed:non_finite_input",
             "test_points_outside_support", "ok",
             "fit_failed:degenerate_geometry", "fit_failed:singular_system",
         ]
         alone = stage(task, [covering, partial], config)
-        assert_same_records(records[0:2] + records[4:6], alone)
+        assert_same_records(select(records, [0, 1, 4, 5]), alone)
 
         bad_node = make_task(np.where(np.arange(15)[:, None] == 7, np.nan, pts), pts[:, 0])
         with pytest.raises(NonFiniteInput):
@@ -532,10 +552,9 @@ class TestStage:
         assert not trusted[0]
         config = ExperimentConfig().rbf_config()
         records = stage(task, plans, config)
-        cubic_record = records[0]
-        assert cubic_record.reason == "test_points_outside_support"
-        assert cubic_record.n_finite == 1
-        assert np.isnan(cubic_record.y_pred).all()
+        assert records.reason[0] == "test_points_outside_support"
+        assert records.n_finite[0] == 1
+        assert np.isnan(per_run(records, "y_pred")[0]).all()
         assert_same_records(records, reference_records(task, plans, config))
 
     def test_one_ill_conditioned_warning_per_flagged_fit(self, default_dataset):
@@ -607,9 +626,7 @@ class TestSharing:
         repeats = np.arange(12)
         alone = [_run_tasks([task], [(*plan, repeats)], config.rbf_config())
                  for task, plan in zip(tasks, plans)]
-        expected = RunTable(**{field.name: np.concatenate([getattr(t, field.name) for t in alone])
-                               for field in dataclasses.fields(RunTable)})
-        assert_same_columns(execute_experiment(dataset, config), expected)
+        assert_same_columns(execute_experiment(dataset, config), concat(alone))
 
     @pytest.mark.parametrize("perturb", ["nextafter", "negative_zero"])
     def test_nodes_differing_in_one_bit_are_not_merged(self, monkeypatch, perturb):
@@ -637,7 +654,7 @@ class TestSharing:
         shared = _run_tasks(differ, [plan, plan], config)
         assert len(built) == 2 and built[0] != built[1]
         expected = [_run_tasks([task], [plan], config) for task in differ]
-        assert_same_records(shared, [r for t in expected for r in t])
+        assert_same_records(shared, concat(expected))
         assert shared.valid.all()
 
     def test_default_run_builds_each_training_set_once(self, monkeypatch, default_dataset,
@@ -716,26 +733,12 @@ class TestSharing:
             monkeypatch.setattr(module, name, lambda *args, f=original: built.append(1) or f(*args))
         records = stage(task, plans, config)
         assert len(built) == 2
-        assert [r.reason for r in records] == [
+        assert records.reason.tolist() == [
             "fit_failed:non_finite_input", "fit_failed:non_finite_input",
             "fit_failed:degenerate_geometry", "fit_failed:singular_system",
         ] * 3
         monkeypatch.undo()
         assert_same_records(records, reference_records(task, plans, config))
-
-
-class TestRunTableRows:
-    def test_an_index_builds_the_row_iteration_gives(self, tmp_path, full_run):
-        write_runs_csv(full_run, tmp_path / "runs.csv")
-        for table in (full_run, read_runs_csv(tmp_path / "runs.csv")):
-            rows = list(table)
-            n = len(rows)
-            for i in (0, n // 2, n - 1, -1, -n, np.int64(7)):
-                assert_same_records([table[i]], [rows[i]])
-            for i in (n, -n - 1):
-                with pytest.raises(IndexError):
-                    table[i]
-            assert_same_records(table[1:9:3], rows[1:9:3])
 
 
 @st.composite
@@ -769,26 +772,27 @@ class TestScoring:
         train = np.tile(np.arange(3), (b, 1))
         repeats = np.arange(b)
         reasons = [None if m else "fit_failed:singular_system" for m in made]
-        got = RunTable(**_group_columns([task], [(train, test, repeats)],
+        got = RunTable(**_group_columns([task], [b], train, test, repeats,
                                         [("rbf", pred, reasons, n_finite, None)]))
-        expected = [
+        expected = concat(
             reference_record(task, SplitPlan(train[i], test[i], i), "rbf",
                              *((pred[i],) if made[i] else (None, reasons[i], int(n_finite[i]))))
             for i in range(b)
-        ]
+        )
         assert_same_records(got, expected)
         k = test.shape[1]
-        for rec, yp in zip(got, pred):
-            if rec.valid:
-                assert np.isfinite(rec.y_pred).all()
+        for i, (y_true, y_pred, yp) in enumerate(zip(per_run(got, "y_true"), per_run(got, "y_pred"),
+                                                      pred)):
+            if got.valid[i]:
+                assert np.isfinite(y_pred).all()
                 continue
-            assert rec.metrics is None
-            if rec.reason == "test_points_outside_support":
-                assert not np.isfinite(yp).all() and np.isnan(rec.y_pred).all()
-            elif rec.reason == "too_few_test_points":
+            assert np.isnan([got.rmse[i], got.mae[i], got.r2[i]]).all()
+            if got.reason[i] == "test_points_outside_support":
+                assert not np.isfinite(yp).all() and np.isnan(y_pred).all()
+            elif got.reason[i] == "too_few_test_points":
                 assert k < 2
-            elif rec.reason == "zero_target_variance":
-                yt = rec.y_true[np.isfinite(rec.y_true)]
+            elif got.reason[i] == "zero_target_variance":
+                yt = y_true[np.isfinite(y_true)]
                 assert k >= 2 and (yt.size < 2 or np.sum((yt - yt.mean()) ** 2) == 0.0)
 
 
@@ -814,33 +818,27 @@ class TestExecuteExperiment:
 
     def test_rbf_validity_dominance(self, small_run):
         records, _ = small_run
-        by_key = {}
-        for r in records:
-            key = (r.regime, r.output_index, r.fixed_axis, r.level_index, r.repeat)
-            by_key.setdefault(key, {})[r.method] = r
-        for pair in by_key.values():
-            assert not (pair["cubic"].valid and not pair["rbf"].valid)
+        cubic, rbf = split_pairs(records)
+        assert not (records.valid[cubic] & ~records.valid[rbf]).any()
 
     def test_determinism(self, default_dataset):
         config = ExperimentConfig(repeats_per_slice=2)
         a = execute_experiment(default_dataset, config)
         b = execute_experiment(default_dataset, config)
         assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert (ra.valid, ra.reason) == (rb.valid, rb.reason)
-            if ra.valid:
-                assert ra.metrics.rmse == rb.metrics.rmse
-                assert ra.metrics.r2 == rb.metrics.r2
+        np.testing.assert_array_equal(a.valid, b.valid)
+        assert a.reason.tolist() == b.reason.tolist()
+        for name in ("rmse", "r2"):
+            np.testing.assert_array_equal(getattr(a, name)[a.valid], getattr(b, name)[a.valid])
 
     def test_validity_accounting(self, small_run):
         records, _ = small_run
-        for r in records:
-            assert r.n_finite <= r.n_test
-            if r.valid:
-                assert r.n_finite == r.n_test
-                assert r.metrics is not None
-            else:
-                assert r.metrics is None
+        valid = records.valid
+        assert (records.n_finite <= records.n_test).all()
+        assert (records.n_finite[valid] == records.n_test[valid]).all()
+        for name in ("rmse", "mae", "r2"):
+            metric = getattr(records, name)
+            assert not np.isnan(metric[valid]).any() and np.isnan(metric[~valid]).all()
 
     def test_small_slice_skipped_with_log(self, caplog):
         spec = DesignSpec(x1_levels=2, x2_levels=2, x3_levels=2)
@@ -848,7 +846,7 @@ class TestExecuteExperiment:
         config = ExperimentConfig(repeats_per_slice=2)
         with caplog.at_level("WARNING"):
             records = execute_experiment(dataset, config)
-        assert list(records) == []
+        assert len(records) == 0
         assert "skipping slice" in caplog.text
 
     def test_small_slices_skipped_in_order_with_the_same_warning(self, caplog):
@@ -868,23 +866,18 @@ class TestExecuteExperiment:
                                    f"{task.output_index} ({regime}): slice has 4 points; need >= 5")
                     continue
                 for plan in make_splits(task, 2, config.train_fraction, config.random_seed):
-                    expected.extend(run_split(task, plan, config.rbf_config()))
+                    expected.append(run_split(task, plan, config.rbf_config()))
         assert len(records) == 96 and len(skipped) == 18
-        assert_same_records(records, expected)
+        assert_same_records(records, concat(expected))
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == skipped
 
     def test_mean_noisy_contrast_positive_for_every_output(self, full_run):
         # full-pipeline observation: on noisy data the exact RBF fit loses to
         # the cubic on paired splits, for every output channel
-        by_key = {}
-        for r in full_run:
-            key = (r.regime, r.output_index, r.fixed_axis, r.level_index, r.repeat)
-            by_key.setdefault(key, {})[r.method] = r
+        cubic, rbf = split_pairs(full_run)
+        joint = full_run.valid[cubic] & full_run.valid[rbf] & (full_run.regime[cubic] == "noisy")
+        deltas = full_run.rmse[rbf] - full_run.rmse[cubic]
         for output in (1, 2, 3):
-            deltas = [
-                pair["rbf"].metrics.rmse - pair["cubic"].metrics.rmse
-                for (regime, o, *_), pair in by_key.items()
-                if regime == "noisy" and o == output and pair["cubic"].valid and pair["rbf"].valid
-            ]
-            assert deltas
-            assert np.mean(deltas) > 0
+            keep = joint & (full_run.output_index[cubic] == output)
+            assert keep.any()
+            assert np.mean(deltas[keep]) > 0

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import table_of
+from conftest import concat, one_run, reference_csv
 from surfbench import cli, report
 from surfbench.cli import cli_main
 from surfbench.config import ExperimentConfig, load_config
-from surfbench.metrics import MetricSet
-from surfbench.protocol import METHODS, RunRecord, RunTable, execute_experiment, slice_nodes
+from surfbench.protocol import METHODS, RunTable, execute_experiment, slice_nodes
 from surfbench.report import (
     RUNS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -24,23 +23,24 @@ from surfbench.report import (
     read_runs_csv,
     summarize,
     write_columns,
-    write_csv,
     write_runs_csv,
     write_summary_csv,
 )
 from surfbench.synthdata import DesignSpec, FactorialDataset, NoiseSpec, generate
 
 
-def synthetic_record(regime="noisy", output_index=1, method="cubic",
-                     rmse=1.0, mae=0.8, r2=0.5, valid=True, repeat=0):
-    metrics = MetricSet(rmse=rmse, mae=mae, r2=r2, n_points=5) if valid else None
-    return RunRecord(
-        regime=regime, output_index=output_index, fixed_axis="x3",
-        fixed_level=2.0, level_index=0, repeat=repeat, method=method,
-        valid=valid, reason="ok" if valid else "test_points_outside_support",
-        n_test=5, n_finite=5 if valid else 2, metrics=metrics,
-        y_true=np.arange(5.0), y_pred=np.arange(5.0) + (0.0 if valid else math.nan),
-        train_indices=np.arange(11), test_indices=np.arange(5),
+def synthetic_run(regime="noisy", output_index=1, method="cubic",
+                  rmse=1.0, mae=0.8, r2=0.5, valid=True, repeat=0):
+    """A one-run RunTable on 11 training and 5 test nodes; an invalid run
+    has NaN metrics and predictions."""
+    missing = 0.0 if valid else math.nan  # added to what an invalid run lacks
+    return one_run(
+        np.arange(5.0), np.arange(5.0) + missing, np.arange(11), np.arange(5),
+        regime=regime, output_index=output_index, fixed_axis="x3", fixed_level=2.0,
+        level_index=0, repeat=repeat, method=method, valid=valid,
+        reason="ok" if valid else "test_points_outside_support", n_test=5,
+        n_finite=5 if valid else 2, rmse=rmse + missing, mae=mae + missing, r2=r2 + missing,
+        condition_estimate=math.nan,
     )
 
 
@@ -123,20 +123,20 @@ class TestConfig:
 
 class TestSummarize:
     def test_mean_of_known_values(self):
-        records = [synthetic_record(rmse=r, repeat=i) for i, r in enumerate((1.0, 2.0, 3.0))]
-        table = summarize(table_of(records), ExperimentConfig(bootstrap_resamples=50))
+        runs = concat(synthetic_run(rmse=r, repeat=i) for i, r in enumerate((1.0, 2.0, 3.0)))
+        table = summarize(runs, ExperimentConfig(bootstrap_resamples=50))
         row = table.row("noisy", 1, "cubic")
         assert row.rmse_mean == pytest.approx(2.0, rel=1e-15)
         assert row.valid_runs == 3
 
     def test_always_12_rows(self):
-        table = summarize(table_of([synthetic_record()]), ExperimentConfig(bootstrap_resamples=10))
+        table = summarize(synthetic_run(), ExperimentConfig(bootstrap_resamples=10))
         assert len(table.rows) == 12
         keys = {(r.regime, r.output_index, r.method) for r in table.rows}
         assert len(keys) == 12
 
     def test_zero_valid_rows_have_undefined_metrics(self):
-        table = summarize(table_of([synthetic_record()]), ExperimentConfig(bootstrap_resamples=10))
+        table = summarize(synthetic_run(), ExperimentConfig(bootstrap_resamples=10))
         empty = table.row("noise-free", 2, "rbf")
         assert empty.valid_runs == 0
         assert empty.rmse_mean is None
@@ -147,17 +147,11 @@ class TestSummarize:
             summarize(RunTable.empty(), ExperimentConfig())
 
     def test_deterministic_cis(self):
-        records = [synthetic_record(rmse=r, repeat=i) for i, r in enumerate((0.5, 1.5, 2.5, 3.0))]
+        runs = concat(synthetic_run(rmse=r, repeat=i) for i, r in enumerate((0.5, 1.5, 2.5, 3.0)))
         config = ExperimentConfig(bootstrap_resamples=200)
-        a = summarize(table_of(records), config).row("noisy", 1, "cubic")
-        b = summarize(table_of(records), config).row("noisy", 1, "cubic")
+        a = summarize(runs, config).row("noisy", 1, "cubic")
+        b = summarize(runs, config).row("noisy", 1, "cubic")
         assert (a.rmse_ci.lower, a.rmse_ci.upper) == (b.rmse_ci.lower, b.rmse_ci.upper)
-
-
-def reference_csv(header, rows) -> bytes:
-    """The per-row writer that ``write_csv`` must match byte for byte."""
-    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
-    return "".join(line + "\n" for line in lines).encode()
 
 
 # Bit patterns the column-wise writer must keep apart or format like _fmt:
@@ -182,17 +176,6 @@ def float_tables(draw):
     bits = draw(st.lists(st.one_of(st.sampled_from(pool), float_bits),
                          min_size=rows * cols, max_size=rows * cols))
     return np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
-
-
-cells = st.one_of(
-    st.text(alphabet="abcxyz-_ .0123456789", max_size=6),
-    st.integers(-(2**70), 2**70),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.booleans(),
-    st.none(),
-    float_bits.map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))),
-    float_bits.map(lambda b: np.array(b, dtype=np.uint64).view(np.float64)[()]),
-)
 
 
 @st.composite
@@ -220,12 +203,6 @@ def typed_columns(draw):
     return columns
 
 
-def mixed_rows():
-    """Lists of two-cell rows mixing str, int, np.int64, bool, None, float
-    and np.float64 cells."""
-    return st.lists(st.tuples(cells, cells), max_size=20)
-
-
 class TestWriteCsv:
     @pytest.mark.parametrize("value, text", [
         (0.1, "0.10000000000000001"),
@@ -234,22 +211,19 @@ class TestWriteCsv:
         (math.nan, "NA"),
         (math.inf, "NA"),
         (-math.inf, "NA"),
-        (None, "NA"),
+        ("noise-free", "noise-free"),
         (True, "true"),
         (False, "false"),
         (3, "3"),
         (np.int64(7), "7"),
-        ("noise-free", "noise-free"),
-        (np.True_, "true"),
-        (np.False_, "false"),
     ])
     def test_cell_format(self, value, text):
         assert _fmt(value) == text
 
     def test_one_line_per_row_with_lf_endings(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, "a,b,c", [("x", 1, 0.5), ("y", None, True)])
-        assert path.read_bytes() == b"a,b,c\nx,1,0.5\ny,NA,true\n"
+        write_columns(path, "a,b,c,d", [["x", "y"], [1, 2], [0.5, math.nan], [True, False]])
+        assert path.read_bytes() == b"a,b,c,d\nx,1,0.5,true\ny,2,NA,false\n"
 
     @given(table=float_tables(), block=st.sampled_from([1, 3, report.CSV_BLOCK]))
     @settings(max_examples=150, deadline=None)
@@ -257,19 +231,11 @@ class TestWriteCsv:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         header = ",".join(f"c{j}" for j in range(table.shape[1]))
         with mock.patch.object(report, "CSV_BLOCK", block):
-            write_csv(path, header, table)
+            write_columns(path, header, table.T)
             assert path.read_bytes() == reference_csv(header, table.tolist())
-            # Row by row, as numpy rows of float64 scalars, gives the same bytes.
-            write_csv(path, header, list(table))
+            # Plain lists of Python floats give the same bytes.
+            write_columns(path, header, [column.tolist() for column in table.T])
             assert path.read_bytes() == reference_csv(header, table.tolist())
-
-    @given(rows=mixed_rows(), block=st.sampled_from([1, 3, report.CSV_BLOCK]))
-    @settings(max_examples=150, deadline=None)
-    def test_mixed_rows_match_per_row_reference(self, tmp_path_factory, rows, block):
-        path = tmp_path_factory.mktemp("csv") / "t.csv"
-        with mock.patch.object(report, "CSV_BLOCK", block):
-            write_csv(path, "a,b", iter(rows))
-        assert path.read_bytes() == reference_csv("a,b", rows)
 
     @given(columns=typed_columns(), block=st.sampled_from([1, 3, report.CSV_BLOCK]))
     @settings(max_examples=150, deadline=None)
@@ -278,19 +244,32 @@ class TestWriteCsv:
         header = ",".join(f"c{j}" for j in range(len(columns)))
         with mock.patch.object(report, "CSV_BLOCK", block):
             write_columns(path, header, columns)
-        # numpy scalars and the Python values they hold give the same bytes
-        assert path.read_bytes() == reference_csv(header, zip(*columns))
         assert path.read_bytes() == reference_csv(header, zip(*(c.tolist() for c in columns)))
 
-    @pytest.mark.parametrize("rows", [[], (), np.empty((0, 3))], ids=["list", "tuple", "array"])
-    def test_no_rows_writes_only_the_header(self, tmp_path, rows):
+    @pytest.mark.parametrize("columns", [[[], [], []], ((), (), ()), np.empty((0, 3)).T],
+                             ids=["list", "tuple", "array"])
+    def test_no_rows_writes_only_the_header(self, tmp_path, columns):
         path = tmp_path / "t.csv"
-        write_csv(path, "u,v,value", rows)
+        write_columns(path, "u,v,value", columns)
         assert path.read_bytes() == b"u,v,value\n"
 
     def test_ragged_rows_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", "a,b", [(1, 2), (3,)])
+        with pytest.raises(ValueError, match="unequal length"):
+            write_columns(tmp_path / "t.csv", "a,b", [[1, 3], [2]])
+
+    def test_plain_float_list_writes_the_bytes_of_its_array(self, tmp_path):
+        values = [0.1, -0.0, math.nan, 2.0, -math.inf, 0.1]
+        write_columns(tmp_path / "list.csv", "x", [values])
+        write_columns(tmp_path / "array.csv", "x", [np.array(values)])
+        assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "array.csv").read_bytes() == (
+            b"x\n0.10000000000000001\n-0\nNA\n2\nNA\n0.10000000000000001\n")
+
+    @pytest.mark.parametrize("column", [[1.0, None], np.array([1.0, None], dtype=object),
+                                        np.ones(2, dtype=np.float32)],
+                             ids=["list_with_none", "object", "float32"])
+    def test_column_of_another_dtype_rejected_naming_its_index(self, tmp_path, column):
+        with pytest.raises(ValueError, match="column 1 has dtype"):
+            write_columns(tmp_path / "t.csv", "a,b", [[1.0, 2.0], column])
 
 
 class TestRunsCsv:
@@ -307,15 +286,10 @@ class TestRunsCsv:
         write_runs_csv(records, path)
         parsed = read_runs_csv(path)
         assert len(parsed) == len(records)
-        for orig, back in zip(records, parsed):
-            assert back.regime == orig.regime
-            assert back.output_index == orig.output_index
-            assert back.method == orig.method
-            assert back.valid == orig.valid
-            if orig.valid:
-                assert back.metrics == orig.metrics
-            else:
-                assert back.metrics is None
+        for name in ("regime", "output_index", "method", "valid"):
+            assert getattr(parsed, name).tolist() == getattr(records, name).tolist(), name
+        for name in ("rmse", "mae", "r2"):  # NaN where the run is invalid
+            np.testing.assert_array_equal(getattr(parsed, name), getattr(records, name), err_msg=name)
         table_a = summarize(records, config)
         table_b = summarize(parsed, config)
         for ra, rb in zip(table_a.rows, table_b.rows):
@@ -325,7 +299,7 @@ class TestRunsCsv:
 
 class TestSummaryCsv:
     def test_header_and_shape(self, tmp_path):
-        table = summarize(table_of([synthetic_record()]), ExperimentConfig(bootstrap_resamples=10))
+        table = summarize(synthetic_run(), ExperimentConfig(bootstrap_resamples=10))
         path = tmp_path / "summary.csv"
         write_summary_csv(table, path)
         lines = path.read_text().splitlines()
@@ -383,38 +357,38 @@ class TestSurfaceGrid:
 
 class TestPredVsTrue:
     def test_perfect_prediction_rows(self):
-        rows = export_pred_vs_true(table_of([synthetic_record()]))
-        assert len(rows) == 5
-        assert all(r[6] == r[7] for r in rows)
+        columns = export_pred_vs_true(synthetic_run())
+        assert [len(c) for c in columns] == [5] * 8
+        np.testing.assert_array_equal(columns[6], columns[7])
 
     def test_invalid_records_excluded(self):
-        rows = export_pred_vs_true(table_of([synthetic_record(valid=False)]))
-        assert rows == []
+        columns = export_pred_vs_true(synthetic_run(valid=False))
+        assert [len(c) for c in columns] == [0] * 8
 
     def test_filters(self):
-        records = [
-            synthetic_record(method="cubic"),
-            synthetic_record(method="rbf"),
-            synthetic_record(method="rbf", output_index=2),
-        ]
-        rows = export_pred_vs_true(table_of(records), method="rbf", output_index=2)
-        assert {r[5] for r in rows} == {"rbf"}
-        assert {r[1] for r in rows} == {2}
+        runs = concat([
+            synthetic_run(method="cubic"),
+            synthetic_run(method="rbf"),
+            synthetic_run(method="rbf", output_index=2),
+        ])
+        columns = export_pred_vs_true(runs, method="rbf", output_index=2)
+        assert set(columns[5].tolist()) == {"rbf"}
+        assert set(columns[1].tolist()) == {2}
 
     def test_unknown_filter_rejected(self):
         with pytest.raises(ValueError):
-            export_pred_vs_true(table_of([synthetic_record()]), color="red")
+            export_pred_vs_true(synthetic_run(), color="red")
 
     def test_table_read_from_runs_csv_rejected(self, tmp_path):
-        write_runs_csv(table_of([synthetic_record()]), tmp_path / "runs.csv")
+        write_runs_csv(synthetic_run(), tmp_path / "runs.csv")
         with pytest.raises(ValueError, match="no predictions"):
             export_pred_vs_true(read_runs_csv(tmp_path / "runs.csv"))
 
     def test_noisy_output3_rbf_residuals_have_both_heavy_tails(self, full_run):
         # the noisy high-sigma channel produces residuals beyond 2 sigma in
         # both directions for the exact RBF interpolant
-        rows = export_pred_vs_true(full_run, regime="noisy", output_index=3, method="rbf")
-        residuals = np.array([yp - yt for *_, yt, yp in rows])
+        columns = export_pred_vs_true(full_run, regime="noisy", output_index=3, method="rbf")
+        residuals = columns[7] - columns[6]
         sigma3 = 2.0
         assert (residuals > 2.0 * sigma3).any()
         assert (residuals < -2.0 * sigma3).any()
@@ -515,6 +489,31 @@ class TestCli:
         runs.write_text(RUNS_CSV_HEADER + "\n" + ok + "\n" + row + "\n")
         assert cli_main(["report", "--runs", str(runs)]) == 2
         assert f"{runs}: line 3: {cause}" in capsys.readouterr().err
+
+    @staticmethod
+    def report_beside(tmp_path, settings: str) -> int:
+        """``surfbench report`` on a one-run runs.csv with ``settings`` as
+        the settings.csv beside it."""
+        (tmp_path / "runs.csv").write_text(RUNS_CSV_HEADER + "\nnoisy,1,x3,2,0,rbf,true,ok,5,5,1,0.8,0.5\n")
+        (tmp_path / "settings.csv").write_text(settings)
+        return cli_main(["report", "--outdir", str(tmp_path)])
+
+    def test_report_reads_settings_with_blank_lines(self, tmp_path, capsys):
+        settings = "key,value\nbootstrap_resamples,20\n"
+        assert self.report_beside(tmp_path, settings) == 0
+        expected = capsys.readouterr().out
+        assert self.report_beside(tmp_path, settings.replace("\n", "\n\n")) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_report_settings_row_without_two_fields_fails_with_path_and_line(self, tmp_path, capsys):
+        assert self.report_beside(tmp_path, "key,value\nrandom_seed,42\nbootstrap_resamples,20,7\n") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'settings.csv'}: line 3 does not have 2 fields" in err
+
+    def test_report_settings_repeated_key_fails_naming_it(self, tmp_path, capsys):
+        assert self.report_beside(tmp_path, "key,value\nrandom_seed,42\nrandom_seed,7\n") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'settings.csv'}: line 3 repeats key 'random_seed'" in err
 
     def test_report_missing_file_fails(self, tmp_path, capsys):
         assert cli_main(["report", "--runs", str(tmp_path / "nope.csv")]) == 2

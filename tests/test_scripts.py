@@ -74,16 +74,19 @@ def test_run_full_experiment_matches_run_command(tmp_path, capsys):
 def paired_contrast_lines(runs_csv):
     """The contrast lines by the runs.csv rows themselves: each split's
     cubic and rbf rows paired by (regime, output, axis, level, repeat)."""
+    runs = read_runs_csv(runs_csv)
     by_key = {}
-    for r in read_runs_csv(runs_csv):
-        key = (r.regime, r.output_index, r.fixed_axis, r.fixed_level, r.repeat)
-        by_key.setdefault(key, {})[r.method] = r
+    keys = zip(*(getattr(runs, name).tolist()
+                 for name in ("regime", "output_index", "fixed_axis", "fixed_level", "repeat")))
+    for i, (key, method) in enumerate(zip(keys, runs.method.tolist())):
+        by_key.setdefault(key, {})[method] = i
     lines = []
     for regime in ("noise-free", "noisy"):
         for output in (1, 2, 3):
-            deltas = [pair["rbf"].metrics.rmse - pair["cubic"].metrics.rmse
+            deltas = [runs.rmse[pair["rbf"]] - runs.rmse[pair["cubic"]]
                       for (g, o, *_), pair in by_key.items()
-                      if g == regime and o == output and pair["cubic"].valid and pair["rbf"].valid]
+                      if g == regime and o == output and runs.valid[pair["cubic"]]
+                      and runs.valid[pair["rbf"]]]
             if deltas:
                 lines.append(f"  {regime:11s} output{output}: {np.mean(deltas):+.4f}  (n={len(deltas)})")
     assert lines
