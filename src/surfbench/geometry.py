@@ -10,15 +10,16 @@ is provably exact (the band sits far above the roundoff bound), so no
 configuration is ever mis-signed. The snap treats nearly collinear
 triples as collinear and nearly cocircular quadruples as cocircular, which
 keeps sliver triangles out of grid-structured inputs whose levels do not
-round to exactly even spacing. Cocircular quadrilaterals are canonicalized
-to the diagonal connecting the lexicographically smallest vertex pair, so
-the triangle set does not depend on the input order.
+round to exactly even spacing. Flipping settles a cocircular quadrilateral
+on the diagonal at its lexicographically smallest node, and the triangles
+come in canonical order, so the triangle array does not depend on the
+input order.
 
 Many triangulations of subsets of one node set can share a
 ``_Predicates`` object, which evaluates each orientation or in-circle test
 of the node set once, by its exact argument tuple of node indices: the 249
-builds of the default experiment (seed 42) evaluate 2,127 predicates
-instead of 17,440. Point location of many (triangulation, queries) pairs
+builds of the default experiment (seed 42) evaluate 1,934 predicates
+instead of 15,523. Point location of many (triangulation, queries) pairs
 runs as a few padded kernel passes (``_locate_stack``), each bit for bit
 ``locate`` of its pair alone. ``hull_cover`` tests many training sets of
 one node set in one call, from direction and line tables of the nodes
@@ -171,7 +172,9 @@ class Triangulation:
     Attributes
     ----------
     points : (n, 2) array of node coordinates.
-    triangles : (m, 3) int array, counterclockwise vertex indices.
+    triangles : (m, 3) int array, counterclockwise vertex indices; from
+        ``triangulate``, each row starts at its (x, y)-smallest vertex and
+        the rows are sorted by the (x, y)-ranks of their vertices.
     """
 
     def __init__(self, points: np.ndarray, triangles: np.ndarray):
@@ -206,11 +209,6 @@ class Triangulation:
         u = i00 * d0 + i01 * d1
         v = i10 * d0 + i11 * d1
         return np.stack([1.0 - u - v, u, v], axis=-1)
-
-
-def _pair_key(pts, i: int, j: int):
-    a, b = (pts[i][0], pts[i][1]), (pts[j][0], pts[j][1])
-    return (a, b) if a <= b else (b, a)
 
 
 class _Predicates:
@@ -272,7 +270,16 @@ class _Builder:
         self.tris[t] = None
 
     def legalize(self, t: int, p: int) -> None:
-        """Lawson flip propagation from the edge opposite ``p`` in triangle ``t``."""
+        """Lawson flip propagation from the edge opposite ``p`` in triangle ``t``.
+
+        Edge u-v becomes p-q when q lies inside the circumcircle of (p, u,
+        v), or on it and p-q holds the lexicographically smallest of the
+        four nodes (a symbolic perturbation lowering the lifted height of
+        smaller nodes; Edelsbrunner & Mücke 1990), and only when both new
+        triangles are counterclockwise. q strictly inside makes the quad
+        convex, so a nonconvex one then raises DegenerateGeometry. The mesh
+        stays planar and each flip adds an edge at p, so flipping ends."""
+        pts = self.pts
         stack = [(t, p)]
         while stack:
             t, p = stack.pop()
@@ -286,13 +293,21 @@ class _Builder:
                 continue
             tri2 = self.tris[t2]
             q = next(w for w in tri2 if w != u and w != v)
-            if self.incircle(p, u, v, q) > 0:
-                self.remove_tri(t)
-                self.remove_tri(t2)
-                t3 = self.add_tri(p, u, q)
-                t4 = self.add_tri(p, q, v)
-                stack.append((t3, p))
-                stack.append((t4, p))
+            sign = self.incircle(p, u, v, q)
+            if sign < 0 or (sign == 0 and min(pts[p], pts[q]) > min(pts[u], pts[v])):
+                continue
+            if self.orient(p, u, q) <= 0 or self.orient(p, q, v) <= 0:
+                if sign > 0:
+                    raise DegenerateGeometry(
+                        f"in-circle and orientation tests contradict each other at point "
+                        f"{self.nodes.index(p)}")
+                continue
+            self.remove_tri(t)
+            self.remove_tri(t2)
+            t3 = self.add_tri(p, u, q)
+            t4 = self.add_tri(p, q, v)
+            stack.append((t3, p))
+            stack.append((t4, p))
 
     def insert(self, p: int) -> None:
         """Insert node ``p``, which lies outside the current hull: join it to
@@ -310,48 +325,16 @@ class _Builder:
         for t_new in new:
             self.legalize(t_new, p)
 
-    def canonicalize_cocircular(self) -> None:
-        """Flip exactly-cocircular quads to the lexicographically preferred
-        diagonal. Preserves the Delaunay property (both diagonals share the
-        same circumcircle); each flip strictly lowers the edge-key multiset,
-        so the loop terminates.
-
-        Each edge is tested from its lexicographically smaller end, so the
-        result does not depend on node indices. A quad that is cocircular
-        only within the predicate band may be nonconvex; it is flipped only
-        when both new triangles are counterclockwise."""
-        changed = True
-        guard = 0
-        while changed:
-            changed = False
-            guard += 1
-            if guard > 4 * len(self.tris) + 16:
-                raise RuntimeError("cocircular canonicalization failed to settle")
-            for (u, v), t in list(self.edge.items()):
-                if self.pts[u] > self.pts[v] or self.tris[t] is None:
-                    continue
-                t2 = self.edge.get((v, u))
-                if t2 is None:
-                    continue
-                p = next(w for w in self.tris[t] if w != u and w != v)
-                q = next(w for w in self.tris[t2] if w != u and w != v)
-                if self.incircle(p, u, v, q) != 0:
-                    continue
-                if (_pair_key(self.pts, p, q) < _pair_key(self.pts, u, v)
-                        and self.orient(p, u, q) > 0 and self.orient(p, q, v) > 0):
-                    self.remove_tri(t)
-                    self.remove_tri(t2)
-                    self.add_tri(p, u, q)
-                    self.add_tri(p, q, v)
-                    changed = True
-
 
 def triangulate(points) -> Triangulation:
     """Delaunay triangulation by incremental insertion in lexicographic
     (x, y) order, so the triangle set does not depend on the input order.
 
     Each node is lexicographically larger than every node before it, so it
-    lies outside their hull and is joined to the hull edges it sees.
+    lies outside their hull and is joined to the hull edges it sees. A
+    cocircular polygon is the fan from its smallest node (see
+    ``_Builder.legalize``), and the rows are in canonical order (see
+    ``Triangulation``), so permuting the input only permutes the indices.
 
     Raises InsufficientNodes for fewer than 3 nodes, DegenerateGeometry when
     all nodes are collinear or a node is collinear with a hull edge within
@@ -359,9 +342,10 @@ def triangulate(points) -> Triangulation:
 
     Known limit: within about 100 times the 1e-12 snap band, the snapped
     in-circle test is not transitive, so Lawson flipping can stop with a
-    node strictly inside a circumcircle by the module's own predicate. A
-    search found 3 of 6000 near-collinear sets with offsets 1e-10 to 1e-9
-    of the extent (none at 1e-9 to 1e-8, none on lattices or random sets).
+    node strictly inside a circumcircle by the module's own predicate: 188,
+    49, 1 and 0 of 4000 near-collinear sets each with offsets from 1e-12,
+    1e-11, 1e-10 and 1e-9 to ten times that of the extent (none on
+    lattices, rings or random sets).
     """
     arr = as_points(points)
     return _triangulate(_Predicates(arr), range(arr.shape[0]))
@@ -396,10 +380,18 @@ def _triangulate(pred: _Predicates, nodes) -> Triangulation:
     # The collinear run s2..s(k-1) extends the edge s0-s1 beyond s1.
     for p in order[2:k] + order[k + 1:]:
         builder.insert(p)
-    builder.canonicalize_cocircular()
+    # Each row from its smallest vertex, rows sorted by vertex rank: the
+    # array then depends only on the triangle set.
+    rank = dict(zip(order, range(n)))
+    rows = []
+    for tri in filter(None, builder.tris):
+        r = [rank[v] for v in tri]
+        i = r.index(min(r))
+        rows.append(r[i:] + r[:i])
+    rows.sort()
     position = np.empty(len(pts), dtype=np.intp)
     position[nodes] = np.arange(n)
-    return Triangulation(pred.points[nodes], position[[t for t in builder.tris if t is not None]])
+    return Triangulation(pred.points[nodes], position[order][rows])
 
 
 def locate(tri: Triangulation, queries) -> tuple[np.ndarray, np.ndarray]:

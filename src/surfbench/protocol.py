@@ -47,7 +47,7 @@ once, however many tasks and repeats draw it:
    triangulation, built once on the already checked nodes and shared by
    the splits of the set, whether or not the hull test trusts it. The
    builds of a group share one ``geometry._Predicates``, so each
-   orientation or in-circle test of its nodes is evaluated once (2,127
+   orientation or in-circle test of its nodes is evaluated once (1,934
    evaluations for the 249 builds of the default run, seed 42). A set
    that cannot be triangulated gives its failure as the reason of each of
    its splits; a split with non-finite values is then recorded as

@@ -363,7 +363,9 @@ def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,
                 by_nodes[key] = geometry_report(nodes).to_dict()
             reports.append({"fixed_axis": axis, "fixed_level": float(level), **by_nodes[key]})
     if not reports:
-        raise ValueError(f"no slice matches {fixed_axis}={fixed_level}")
+        given = [f"{name}={value}" for name, value in (("axis", fixed_axis), ("level", fixed_level))
+                 if value is not None]
+        raise ValueError(f"no slice matches {' and '.join(given)}")
     return reports
 
 

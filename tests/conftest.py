@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from surfbench.config import ExperimentConfig
-from surfbench.geometry import HULL_TOL, convex_hull_polygon
+from surfbench.geometry import HULL_TOL, _Predicates, convex_hull_polygon
 from surfbench.protocol import _FLAT, RunTable, _run_tasks, execute_experiment
 from surfbench.report import _fmt, summarize
 from surfbench.synthdata import DesignSpec, generate
@@ -150,6 +150,14 @@ def hull_probes(nodes):
     rel = probes[:, None, :] - poly[None, :, :]
     outside = (edge[:, 1] * rel[..., 0] - edge[:, 0] * rel[..., 1]) / length[:, 0]
     return probes, outside.max(axis=1), band
+
+
+class InvertedInCircle(_Predicates):
+    """Signs whose in-circle answers are negated: a node outside a
+    circumcircle reads as inside, which no convex quad allows."""
+
+    def incircle(self, a, b, c, d):
+        return -super().incircle(a, b, c, d)
 
 
 def edges(tri):

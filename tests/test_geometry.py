@@ -8,7 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import edges, hull, min_separated, near_collinear, neighbors, order_probe_sets, triangle_areas
+from conftest import (
+    InvertedInCircle, edges, hull, min_separated, near_collinear, neighbors, order_probe_sets,
+    triangle_areas,
+)
 from surfbench import geometry
 from surfbench.cubic import fit_cubic
 from surfbench.errors import (
@@ -81,6 +84,22 @@ def assert_canonical_delaunay(tri):
         q = apex.get((v, u))
         if q is not None and incircle_sign(pts[p], pts[u], pts[v], pts[q]) == 0:
             assert sorted([pts[u], pts[v]]) < sorted([pts[p], pts[q]])
+
+
+def canonical_order(points, triangles):
+    """The rows of ``triangles`` counterclockwise, each from its (x, y)-
+    smallest vertex, sorted by the (x, y)-ranks of their vertices."""
+    rank = np.empty(len(points), dtype=np.intp)
+    rank[np.lexsort((points[:, 1], points[:, 0]))] = np.arange(len(points))
+    rows = []
+    for t in triangles.tolist():
+        (ax, ay), (bx, by), (cx, cy) = points[t]
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
+            t = [t[0], t[2], t[1]]
+        i = min(range(3), key=lambda k: rank[t[k]])
+        rows.append(t[i:] + t[:i])
+    rows.sort(key=lambda t: [rank[v] for v in t])
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
 
 
 def triangulation_outcome(pts, check_delaunay=True):
@@ -224,19 +243,72 @@ class TestTriangulate:
 
     def test_matches_scipy_delaunay_on_general_position_sets(self):
         # Random sets only: on cocircular grids Qhull breaks ties differently.
+        # Qhull's simplices, counterclockwise and in canonical order, are the
+        # triangle array.
         spatial = pytest.importorskip("scipy.spatial")
         rng = np.random.default_rng(31)
         for _ in range(200):
             pts = min_separated(rng, int(rng.integers(4, 25)), 0.05)
-            ours = {tuple(sorted(t)) for t in triangulate(pts).triangles.tolist()}
-            theirs = {tuple(sorted(t)) for t in spatial.Delaunay(pts).simplices.tolist()}
-            assert ours == theirs
+            np.testing.assert_array_equal(triangulate(pts).triangles,
+                                          canonical_order(pts, spatial.Delaunay(pts).simplices))
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_regular_polygon_is_the_fan_from_its_smallest_vertex(self, n):
+        # every quad of its nodes is cocircular, so the tie rule alone picks
+        # the diagonals: all at the lexicographically smallest node
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            radius = 10.0 ** rng.uniform(-3.0, 3.0)
+            angle = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n) / n
+            pts = radius * (rng.uniform(-10.0, 10.0, 2) + np.column_stack([np.cos(angle), np.sin(angle)]))
+            assert [incircle_sign(*pts[:3], p) for p in pts[3:]] == [0] * (n - 3)
+            tri = triangulate(pts)
+            assert tri.n_triangles == n - 2
+            assert (tri.triangles == np.lexsort((pts[:, 1], pts[:, 0]))[0]).any(axis=1).all()
+
+    @given(pts=order_probe_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_in_canonical_order(self, pts):
+        try:
+            tri = triangulate(pts)
+        except InterpolationError:
+            return
+        np.testing.assert_array_equal(tri.triangles, canonical_order(pts, tri.triangles))
 
     @given(pts=order_probe_sets(), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_input_order_does_not_change_the_triangulation(self, pts, data):
-        perm = list(data.draw(st.permutations(range(len(pts)))))
-        assert triangulation_outcome(pts) == triangulation_outcome(pts[perm])
+        perm = np.array(data.draw(st.permutations(range(len(pts)))), dtype=np.intp)
+        outcome = triangulation_outcome(pts)
+        assert outcome == triangulation_outcome(pts[perm])
+        if not isinstance(outcome, type):  # the same array, not only the same set
+            np.testing.assert_array_equal(perm[triangulate(pts[perm]).triangles], triangulate(pts).triangles)
+
+    def test_contradicting_in_circle_answers_raise(self):
+        pts = min_separated(np.random.default_rng(3), 12, 0.05)
+        with pytest.raises(DegenerateGeometry, match="^in-circle and orientation tests contradict"):
+            geometry._triangulate(InvertedInCircle(as_points(pts)), range(len(pts)))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_any_in_circle_answers_give_a_planar_mesh_or_degenerate_geometry(self, seed):
+        # flips are made only on convex quads, so whatever the in-circle
+        # answers, flipping ends on a triangulation of the hull or raises
+        rng = np.random.default_rng(seed)
+        pts = min_separated(rng, int(rng.integers(3, 25)), 0.05)
+
+        class Arbitrary(geometry._Predicates):
+            def incircle(self, a, b, c, d):
+                return int(rng.integers(-1, 2))
+
+        try:
+            tri = geometry._triangulate(Arbitrary(as_points(pts)), range(len(pts)))
+        except DegenerateGeometry:
+            return
+        areas = triangle_areas(tri)
+        assert (areas > 0).all()
+        assert areas.sum() == pytest.approx(polygon_area(convex_hull_polygon(pts)), rel=1e-9)
+        assert tri.n_triangles == 2 * len(pts) - len(hull(tri)) - 2
 
     @given(seed=st.integers(0, 2**32 - 1), log10_offset=st.floats(-12.0, -10.0))
     @settings(max_examples=60, deadline=None)
@@ -260,7 +332,7 @@ def assert_shared_builds_match(points, node_sets):
         nodes = [int(i) for i in nodes]
         try:
             expected = triangulate(points[nodes])
-        except (InterpolationError, RuntimeError) as exc:
+        except InterpolationError as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 geometry._triangulate(pred, nodes)
             continue

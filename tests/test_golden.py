@@ -129,9 +129,9 @@ def test_default_artifact_digests(tmp_path, capsys):
     names = ("runs.csv", "summary.csv", "scatter.csv", "dataset.csv", "settings.csv")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
     assert digests == {
-        "runs.csv": "37da04a8d8c51051872201109998ecaf633d90584ae53d2f64e4a9c69ddb844e",
-        "summary.csv": "d42b74a993c37a074d5478146a36232dab2eef17a09f97781f3eab50332cb8e7",
-        "scatter.csv": "126f53d622806e4f9654dd99ecd96a91e101df9c8589cc587e7d5b4ba8e9484e",
+        "runs.csv": "caee91258a86cba93a9a0f1e778f14542436d54b7db8b0fd90b2a3bec718567c",
+        "summary.csv": "41e3bc1f7bc7ad5b295a7ebb4f63ac660aaa8275df3117e8d72c82d05d7ac18d",
+        "scatter.csv": "26cb70559be9a85b5d3a343ea721447831b6ce62da476522ecf1ed013365193b",
         "dataset.csv": "7ef2eff6d54900c8dcd2850417951247281d266162c873e338e8b838db5e9da2",
         "settings.csv": "d378dc514dd6a23646a16c948967ed4a89250526c3a1d432d42b219bb2ef63a7",
     }
@@ -140,17 +140,17 @@ def test_default_artifact_digests(tmp_path, capsys):
 # sha256 of `surfbench surface` grids (seed 42), one (level, output) per
 # axis, for each regime and method, and of `surfbench diagnose`.
 SURFACE_DIGESTS = {
-    ("noise-free", "x1", 1, 1, "cubic"): "e09cc09c104cb4397448d9172bdb5cf0c37b497b0bbdba10844fbe16d4c6164a",
+    ("noise-free", "x1", 1, 1, "cubic"): "aaddf511e1e5d77974df536f8cfde59d45910e5819abdcf0c043d718793454ee",
     ("noise-free", "x1", 1, 1, "rbf"): "0a22ba86ce89919202645630ed704411c96d968a79ff22ab04941ee0072727ca",
-    ("noise-free", "x2", 2, 2, "cubic"): "86f0febffedf3d5e6dcae2c3ec3a4e0ba6674e285e45f64f52cce5da52f75940",
+    ("noise-free", "x2", 2, 2, "cubic"): "44d4564c3b4c02e750b7d90654bbcc90d504b8fc9a1b5b8e074f03b9f2db7c29",
     ("noise-free", "x2", 2, 2, "rbf"): "8168fafcb14d40a6478a68fb710c114d9fbe909dfdee5e6a4f3a3ac11c34b469",
-    ("noise-free", "x3", 1, 3, "cubic"): "2248dbb600589980a1156e9365cf4236c134f8fe9642b87232021e11df9a8bff",
+    ("noise-free", "x3", 1, 3, "cubic"): "96fed8eeef3362b3cdb181311fe59aed1c94824d9ce34894504ad531216a0473",
     ("noise-free", "x3", 1, 3, "rbf"): "27781df13e424a944112959ec7cd9510e921143fdf164f9ed3ae1342b5176f87",
-    ("noisy", "x1", 1, 1, "cubic"): "f43b0a35169f5e85e5a328a2e1834f9089847f5cf4481892cfff8ed769eaf1e9",
+    ("noisy", "x1", 1, 1, "cubic"): "46110421edba1174ea19b92819e21d39b8528d927ac97488daaaf728b6df723a",
     ("noisy", "x1", 1, 1, "rbf"): "c4cc09f08d9a11855d87b13eb1be75660eb76f74d8bc9a4c267c6cb96fb0e8e8",
-    ("noisy", "x2", 2, 2, "cubic"): "22b978ca01471921e3ac06c3216814415b5523463ddbc6f6c4446c91eb3ec658",
+    ("noisy", "x2", 2, 2, "cubic"): "98886fc7c19ecd9ab23c49fbb24d8e914cab22c339f279e35648172648f833d5",
     ("noisy", "x2", 2, 2, "rbf"): "db906e24d874592ac705efcbadaef42cceba0bd0e4c8c680881d9ca85615b00e",
-    ("noisy", "x3", 1, 3, "cubic"): "9778e9dbc83224546a8370260e94257946245fdf5129d4bface1ebb86969244f",
+    ("noisy", "x3", 1, 3, "cubic"): "d60e733afdd7c5b5d5ef8d0a19ace05499d89b23ef8de39c8aec469b4de74ac9",
     ("noisy", "x3", 1, 3, "rbf"): "b06f0631f048670ef0164d0d050cf7546880cf3b3b63acafb8ad65cbc0de59e2",
 }
 DIAGNOSE_DIGEST = "de508a20fa1e4768ad89015ef67f07a4b03e2dc05e74075dfb88c870ac68d843"

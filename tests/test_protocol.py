@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
-    concat, hull_probes, one_run, order_probe_sets, per_run, reference_csv, run_split, split_pairs,
-    stage,
+    InvertedInCircle, concat, hull_probes, one_run, order_probe_sets, per_run, reference_csv,
+    run_split, split_pairs, stage,
 )
 from surfbench import cubic, geometry, protocol
 from surfbench.config import ExperimentConfig
@@ -297,6 +297,17 @@ class TestRunPair:
         runs = run_split(task, plan, ExperimentConfig().rbf_config())
         assert not runs.valid.any()
         assert runs.reason.tolist() == ["fit_failed:degenerate_geometry", "fit_failed:singular_system"]
+
+    def test_contradicting_predicates_fail_only_the_cubic_fit(self, monkeypatch):
+        # a build whose in-circle and orientation answers contradict each
+        # other raises DegenerateGeometry, recorded as the split's reason
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5],
+                        [0.25, 0.5], [5.0, 5.0], [6.0, 5.0]])
+        task = make_task(pts, pts[:, 0] + pts[:, 1] ** 2)
+        plan = SplitPlan(np.array([0, 1, 2, 3, 6, 7]), np.array([4, 5]), 0)
+        monkeypatch.setattr(protocol, "_Predicates", InvertedInCircle)
+        runs = run_split(task, plan, ExperimentConfig().rbf_config())
+        assert runs.reason.tolist() == ["fit_failed:degenerate_geometry", "ok"]
 
     @pytest.mark.parametrize("bad", ["coordinate", "value"])
     def test_non_finite_training_input_invalidates_both(self, bad):
@@ -688,8 +699,8 @@ class TestSharing:
 
     def test_predicates_are_evaluated_once_per_node_set_in_each_run(self, monkeypatch, default_dataset,
                                                                    default_config):
-        # 17,440 evaluations when every build evaluates its own predicates;
-        # 2,127 distinct argument tuples over the three node sets. A second
+        # 15,523 evaluations when every build evaluates each test it makes;
+        # 1,934 distinct argument tuples over the three node sets. A second
         # run evaluates them all again: the signs are not kept between runs,
         # and no module-level dict grows.
         evaluated = Counter()
@@ -709,7 +720,7 @@ class TestSharing:
             runs.append((dict(evaluated), module_dicts()))
             evaluated.clear()
         assert runs[0] == runs[1]
-        assert runs[0][0] == {"orient_sign": 710, "incircle_sign": 1417}
+        assert runs[0][0] == {"orient_sign": 968, "incircle_sign": 966}
         gc.collect()
         assert not [obj for obj in gc.get_objects() if isinstance(obj, geometry._Predicates)]
 

@@ -547,6 +547,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["mesh_ratio"] >= 1.0 - 1e-3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--level", "99"], "no slice matches level=99.0"),
+        (["--axis", "x3", "--level", "9.9"], "no slice matches axis=x3 and level=9.9"),
+    ])
+    def test_diagnose_without_a_matching_slice_names_the_filters_given(self, capsys, argv, message):
+        assert cli_main(["diagnose", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_one_parser_serves_every_command(self, tmp_path, capsys):
         # surface, a malformed command, then diagnose in one process give
         # the outputs and exit codes of separate calls, each with a new parser.
