@@ -6,8 +6,8 @@ versus true scatter rows, per-slice geometry reports, and the aggregated
 summary table with bootstrap confidence intervals.
 
 Every CSV table except settings.csv goes through ``write_columns`` as
-columns, whose cells are formatted by ``_fmt`` alone. File formats are
-pinned:
+columns, whose cells are those ``_fmt`` writes (see ``_cells``). File
+formats are pinned:
   dataset.csv  x1,x2,x3,y1_clean,y2_clean,y3_clean,y1_noisy,y2_noisy,y3_noisy
   runs.csv     regime,output,fixed_axis,fixed_level,repeat,method,valid,
                reason,n_test,n_finite,rmse,mae,r2
@@ -25,7 +25,8 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,10 +94,18 @@ def _fmt(x) -> str:
 def _cells(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct cells of one column as ``_fmt`` writes them, and each
     row's index among them. Each value is formatted once (a float64 once per
-    bit pattern, so -0.0, 0.0 and each NaN payload stay apart)."""
-    floats = values.dtype == np.float64
-    keys, inverse = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
-    return list(map(_fmt, (keys.view(np.float64) if floats else keys).tolist())), inverse
+    bit pattern, so -0.0, 0.0 and each NaN payload stay apart); a float64
+    column's distinct values in one ``%.17g`` pass, then ``NA`` for the
+    non-finite ones."""
+    if values.dtype != np.float64:
+        keys, inverse = np.unique(values, return_inverse=True)
+        return list(map(_fmt, keys.tolist())), inverse
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    keys = keys.view(np.float64)
+    cells = ("%.17g\n" * len(keys) % tuple(keys.tolist())).split("\n")[:-1]
+    for k in np.flatnonzero(~np.isfinite(keys)).tolist():
+        cells[k] = NA_TOKEN
+    return cells, inverse
 
 
 def write_columns(path, header: str, columns) -> None:
@@ -130,6 +139,11 @@ def write_dataset_csv(dataset: FactorialDataset, path) -> None:
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """One (regime, output, method) row of the summary. Its bootstrap
+    intervals are drawn on first read, from ``ci_source``: the valid runs'
+    RMSE and R^2 values, the resample count and the seed base (None when
+    there is no valid run, and so no interval)."""
+
     regime: str
     output_index: int
     method: str
@@ -137,8 +151,22 @@ class SummaryRow:
     rmse_mean: float | None
     mae_mean: float | None
     r2_mean: float | None
-    rmse_ci: BootstrapCI | None
-    r2_ci: BootstrapCI | None
+    ci_source: tuple[np.ndarray, np.ndarray, int, tuple] | None = field(
+        default=None, compare=False, repr=False)
+
+    def _ci(self, which: int) -> BootstrapCI | None:
+        if self.ci_source is None:
+            return None
+        resamples, seed_base = self.ci_source[2:]
+        return bootstrap_ci(self.ci_source[which], resamples, seed=seed_base + (which,))
+
+    @cached_property
+    def rmse_ci(self) -> BootstrapCI | None:
+        return self._ci(0)
+
+    @cached_property
+    def r2_ci(self) -> BootstrapCI | None:
+        return self._ci(1)
 
 
 @dataclass(frozen=True)
@@ -168,8 +196,10 @@ def summarize(runs: RunTable, config: ExperimentConfig | None = None) -> Summary
     Only the regime, output_index, method, valid and metric columns of
     ``runs`` are read.
     Means are taken over valid runs; bootstrap percentile intervals cover the
-    mean of the run-level RMSE and R^2 values. Rows with zero valid runs are
-    emitted with undefined metrics.
+    mean of the run-level RMSE and R^2 values. They are drawn on first read
+    of a row's ``rmse_ci`` or ``r2_ci`` (``write_summary_csv`` reads them;
+    ``SummaryTable.to_text`` does not, so ``surfbench report`` draws none).
+    Rows with zero valid runs are emitted with undefined metrics.
     """
     config = config if config is not None else ExperimentConfig()
     if not len(runs):
@@ -181,8 +211,7 @@ def summarize(runs: RunTable, config: ExperimentConfig | None = None) -> Summary
                 sel = (runs.valid & (runs.regime == regime) & (runs.output_index == output_index)
                        & (runs.method == method))
                 if not sel.any():
-                    rows.append(SummaryRow(regime, output_index, method, 0,
-                                           None, None, None, None, None))
+                    rows.append(SummaryRow(regime, output_index, method, 0, None, None, None))
                     continue
                 rmse, mae, r2 = runs.rmse[sel], runs.mae[sel], runs.r2[sel]
                 seed_base = (
@@ -200,8 +229,7 @@ def summarize(runs: RunTable, config: ExperimentConfig | None = None) -> Summary
                     rmse_mean=float(rmse.mean()),
                     mae_mean=float(mae.mean()),
                     r2_mean=float(r2.mean()),
-                    rmse_ci=bootstrap_ci(rmse, config.bootstrap_resamples, seed=seed_base + (0,)),
-                    r2_ci=bootstrap_ci(r2, config.bootstrap_resamples, seed=seed_base + (1,)),
+                    ci_source=(rmse, r2, config.bootstrap_resamples, seed_base),
                 ))
     return SummaryTable(rows=tuple(rows))
 

@@ -3,19 +3,22 @@
 The reason histogram is pinned exactly. Summary values are pinned within
 abs 1e-9 + rel 1e-6 rather than byte for byte, because their last digits
 depend on the platform's floating-point libraries. Only the sha256 digests
-of runs.csv, summary.csv, scatter.csv, dataset.csv, settings.csv, twelve
-surface grids and diagnose.json are pinned byte for byte, and only under
-the numpy version they were recorded with.
+of runs.csv, summary.csv, scatter.csv, dataset.csv, settings.csv, the
+`surfbench report` printout, twelve surface grids and diagnose.json are
+pinned byte for byte, and only under the numpy version they were recorded
+with.
 """
 
 import dataclasses
 import hashlib
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from surfbench import report
 from surfbench.cli import cli_main, run_experiment
 from surfbench.config import ExperimentConfig
 from surfbench.protocol import REGIMES, execute_experiment, rbf_condition_summary, reason_histogram
@@ -120,6 +123,9 @@ def test_condition_estimates_leave_runs_and_summary_unchanged(default_config, fu
         assert (tmp_path / f"{table}_with.csv").read_bytes() == (tmp_path / f"{table}_without.csv").read_bytes()
 
 
+SUMMARY_CSV_DIGEST = "41e3bc1f7bc7ad5b295a7ebb4f63ac660aaa8275df3117e8d72c82d05d7ac18d"
+
+
 @pytest.mark.skipif(np.__version__ != "2.4.6",
                     reason="the digests were recorded with numpy 2.4.6; another numpy or "
                            "floating-point library may change the last digits of the artifacts")
@@ -128,13 +134,30 @@ def test_default_artifact_digests(tmp_path, capsys):
     capsys.readouterr()
     names = ("runs.csv", "summary.csv", "scatter.csv", "dataset.csv", "settings.csv")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+    assert cli_main(["report", "--outdir", str(tmp_path)]) == 0
+    digests["report"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == {
         "runs.csv": "caee91258a86cba93a9a0f1e778f14542436d54b7db8b0fd90b2a3bec718567c",
-        "summary.csv": "41e3bc1f7bc7ad5b295a7ebb4f63ac660aaa8275df3117e8d72c82d05d7ac18d",
+        "summary.csv": SUMMARY_CSV_DIGEST,
         "scatter.csv": "26cb70559be9a85b5d3a343ea721447831b6ce62da476522ecf1ed013365193b",
         "dataset.csv": "7ef2eff6d54900c8dcd2850417951247281d266162c873e338e8b838db5e9da2",
         "settings.csv": "d378dc514dd6a23646a16c948967ed4a89250526c3a1d432d42b219bb2ef63a7",
+        "report": "b326b3eaaa6826f1e7ec0f2d2aba01e0dfdf7087d437441add2ff961a97a4f40",
     }
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="the digests were recorded with numpy 2.4.6; another numpy or "
+                           "floating-point library may change the last digits of the artifacts")
+def test_summary_csv_draws_each_interval_once(full_run, default_config, tmp_path):
+    with mock.patch.object(report, "bootstrap_ci", wraps=report.bootstrap_ci) as draws:
+        table = summarize(full_run, default_config)
+        assert draws.call_count == 0
+        intervals = [(row.rmse_ci, row.r2_ci) for row in table.rows]
+        assert draws.call_count == 24 and None not in sum(intervals, ())
+        write_summary_csv(table, tmp_path / "summary.csv")
+        assert draws.call_count == 24
+    assert hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest() == SUMMARY_CSV_DIGEST
 
 
 # sha256 of `surfbench surface` grids (seed 42), one (level, output) per

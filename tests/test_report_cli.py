@@ -153,6 +153,30 @@ class TestSummarize:
         b = summarize(runs, config).row("noisy", 1, "cubic")
         assert (a.rmse_ci.lower, a.rmse_ci.upper) == (b.rmse_ci.lower, b.rmse_ci.upper)
 
+    def test_rows_are_hashable_and_equal_across_summaries_of_the_same_runs(self):
+        runs = concat(synthetic_run(rmse=r, repeat=i) for i, r in enumerate((0.5, 1.5, 2.5)))
+        config = ExperimentConfig(bootstrap_resamples=20)
+        a, b = summarize(runs, config), summarize(runs, config)
+        a.row("noisy", 1, "cubic").rmse_ci  # a drawn interval is no field
+        assert a == b
+        assert hash(a) == hash(b)
+        assert {hash(row) for row in a.rows} == {hash(row) for row in b.rows}
+
+    def test_intervals_are_drawn_on_first_read_only(self):
+        runs = concat(synthetic_run(rmse=r, repeat=i) for i, r in enumerate((0.5, 1.5, 2.5)))
+        with mock.patch.object(report, "bootstrap_ci", wraps=report.bootstrap_ci) as draws:
+            table = summarize(runs, ExperimentConfig(bootstrap_resamples=20))
+            table.to_text()
+            assert draws.call_count == 0
+            row = table.row("noisy", 1, "cubic")
+            assert row.rmse_ci is row.rmse_ci
+            assert draws.call_count == 1
+            assert row.r2_ci is not None and draws.call_count == 2
+            assert table.row("noisy", 2, "cubic").r2_ci is None and draws.call_count == 2
+        seed_base = (42, report._BOOTSTRAP_STREAM_TAG, 1, 1, 0)
+        assert row.rmse_ci == report.bootstrap_ci(runs.rmse, 20, seed=seed_base + (0,))
+        assert row.r2_ci == report.bootstrap_ci(runs.r2, 20, seed=seed_base + (1,))
+
 
 # Bit patterns the column-wise writer must keep apart or format like _fmt:
 # signed zeros, quiet NaN, -nan, NaN payloads (one signalling), infinities,
@@ -236,6 +260,24 @@ class TestWriteCsv:
             # Plain lists of Python floats give the same bytes.
             write_columns(path, header, [column.tolist() for column in table.T])
             assert path.read_bytes() == reference_csv(header, table.tolist())
+
+    @pytest.mark.parametrize("rows", [2500, report.CSV_BLOCK - 1, report.CSV_BLOCK + 1])
+    def test_grid_sized_float_table_matches_per_row_reference(self, tmp_path, rows):
+        # A surface grid's shape: u and v repeat 50 levels each, the values
+        # are mostly distinct, with every special bit pattern (NaN payloads,
+        # -nan, +-inf, -0.0) scattered through all three columns. A fourth
+        # column holds one NaN payload throughout.
+        rng = np.random.default_rng(rows)
+        levels = np.linspace(-1.0, 2.0, 50)
+        table = np.column_stack([np.repeat(levels, 50)[:rows], np.tile(levels, 50)[:rows],
+                                 rng.normal(size=rows), np.zeros(rows)])
+        bits = table.view(np.uint64)
+        for j in range(3):
+            bits[rng.choice(rows, len(SPECIAL_BITS), replace=False), j] = SPECIAL_BITS
+        bits[:, 3] = 0x7FF800000000BEEF
+        header = "u,v,value,nan"
+        write_columns(tmp_path / "grid.csv", header, table.T)
+        assert (tmp_path / "grid.csv").read_bytes() == reference_csv(header, table.tolist())
 
     @given(columns=typed_columns(), block=st.sampled_from([1, 3, report.CSV_BLOCK]))
     @settings(max_examples=150, deadline=None)
@@ -458,10 +500,11 @@ class TestCli:
     def test_report_round_trips_run_artifacts(self, tmp_path, small_config_file, capsys):
         outdir = tmp_path / "art"
         cli_main(["run", "--config", str(small_config_file), "--outdir", str(outdir)])
-        run_output = capsys.readouterr().out
-        assert cli_main(["report", "--outdir", str(outdir)]) == 0
-        report_output = capsys.readouterr().out
-        assert report_output.strip() in run_output
+        run_table = capsys.readouterr().out.split("\n\nartifacts in")[0]
+        # The report prints means only, so it draws no bootstrap interval.
+        with mock.patch.object(report, "bootstrap_ci", side_effect=AssertionError("drew an interval")):
+            assert cli_main(["report", "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out.splitlines() == run_table.splitlines()
 
     def test_report_empty_runs_fails(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
