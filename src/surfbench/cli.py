@@ -2,7 +2,8 @@
 
 Subcommands:
   generate   write the factorial dataset as CSV
-  run        execute the full experiment and write artifacts to --outdir
+  run        execute the full experiment, write artifacts to --outdir and
+             print the summary table and the paired RMSE contrast
   report     aggregate an existing runs.csv into the summary table
   surface    export an interpolated grid for one slice
   diagnose   per-slice geometry reports (fill/separation/mesh ratio)
@@ -24,11 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
+from .errors import InterpolationError
 from .protocol import RunTable, execute_experiment, rbf_condition_summary, reason_histogram
 from .report import (
     diagnose_slices,
     export_pred_vs_true,
     export_surface_grid,
+    paired_contrast,
     read_runs_csv,
     summarize,
     write_dataset_csv,
@@ -107,8 +110,10 @@ def _cmd_generate(args, config: ExperimentConfig) -> int:
 
 
 def run_experiment(config: ExperimentConfig, outdir: Path, scatter: bool = False) -> RunTable:
-    """Run the full experiment, write its artifacts into ``outdir`` and print
-    the summary table; return the run table (what ``surfbench run`` does)."""
+    """Run the full experiment, write its artifacts into ``outdir``, print
+    the summary table, the written files and the paired RMSE contrast of
+    the methods (``report.paired_contrast``), and return the run table
+    (what ``surfbench run`` does)."""
     started = time.perf_counter()
     outdir.mkdir(parents=True, exist_ok=True)
     dataset = generate(noise=config.noise_spec())
@@ -139,6 +144,9 @@ def run_experiment(config: ExperimentConfig, outdir: Path, scatter: bool = False
     write_json(meta, outdir / "meta.json")
     print(table.to_text())
     print(f"\nartifacts in {outdir}: {', '.join(written + ['meta.json'])}")
+    print("\npaired rmse contrast (rbf - cubic), mean over jointly valid runs:")
+    for regime, output_index, mean, n in paired_contrast(runs):
+        print(f"  {regime:11s} output{output_index}: {mean:+.4f}  (n={n})")
     return runs
 
 
@@ -207,7 +215,7 @@ def cli_main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return _COMMANDS[args.command](args, config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, InterpolationError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

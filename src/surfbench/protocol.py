@@ -166,8 +166,8 @@ class SplitPlan:
 # The types of the RunTable's label and count columns (its metric columns
 # are float), and its flat columns with the column of their lengths.
 _SCALARS = {"regime": str, "output_index": int, "fixed_axis": str, "fixed_level": float,
-            "level_index": int, "repeat": int, "method": str, "valid": bool, "reason": str,
-            "n_test": int, "n_finite": int}
+            "repeat": int, "method": str, "valid": bool, "reason": str, "n_test": int,
+            "n_finite": int}
 _FLAT = {"y_true": "n_test", "y_pred": "n_test", "train_indices": "n_train", "test_indices": "n_test"}
 
 
@@ -179,14 +179,13 @@ class RunTable:
     predictions and test node indices lie flat in ``y_true``, ``y_pred``
     and ``test_indices`` (offsets from ``n_test``), its training node
     indices in ``train_indices`` (offsets from ``n_train``). A table read
-    from runs.csv has none of these five and ``level_index`` -1.
+    from runs.csv has none of these five.
     """
 
     regime: np.ndarray
     output_index: np.ndarray
     fixed_axis: np.ndarray
     fixed_level: np.ndarray
-    level_index: np.ndarray
     repeat: np.ndarray
     method: np.ndarray
     valid: np.ndarray
@@ -402,7 +401,7 @@ def _group_columns(tasks: list[SliceTask], counts: list[int], train: np.ndarray,
 
     return dict(
         **{name: shared(np.repeat([getattr(task, name) for task in tasks], counts)) for name in (
-            "regime", "output_index", "fixed_axis", "fixed_level", "level_index")},
+            "regime", "output_index", "fixed_axis", "fixed_level")},
         repeat=shared(repeats),
         method=np.tile([method for method, *_ in runs], len(test)),
         **dict(zip(("valid", "reason", "n_finite", "rmse", "mae", "r2", "y_pred",

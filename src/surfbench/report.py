@@ -1,4 +1,5 @@
-"""Aggregation and artifact export: summary tables, CSV/JSON files, grids.
+"""Aggregation and artifact export: summary tables, the paired method
+contrast, CSV/JSON files, grids.
 
 Everything written here is plot-ready data rather than rendered figures:
 surface grids with explicit ``NA`` markers for undefined cells, predicted
@@ -43,6 +44,7 @@ __all__ = [
     "SummaryRow",
     "SummaryTable",
     "summarize",
+    "paired_contrast",
     "write_columns",
     "write_dataset_csv",
     "write_runs_csv",
@@ -234,6 +236,30 @@ def summarize(runs: RunTable, config: ExperimentConfig | None = None) -> Summary
     return SummaryTable(rows=tuple(rows))
 
 
+def paired_contrast(runs: RunTable) -> list[tuple[str, int, float, int]]:
+    """The paired RMSE contrast of the methods: for each (regime, output)
+    with a split where both runs are valid, ``(regime, output_index, mean,
+    n)`` with ``mean`` the mean of RBF minus cubic RMSE over those n splits.
+
+    Each split's cubic run is row 2i of ``runs`` and its RBF run row
+    2i + 1, as ``execute_experiment`` returns them and runs.csv holds them;
+    a table in another order raises ValueError.
+    """
+    cubic, rbf = slice(0, None, 2), slice(1, None, 2)
+    if len(runs) % 2 or (runs.method[cubic] != "cubic").any() or (runs.method[rbf] != "rbf").any():
+        raise ValueError("runs are not in split pairs (each cubic run followed by its rbf run)")
+    joint = runs.valid[cubic] & runs.valid[rbf]
+    deltas = runs.rmse[rbf] - runs.rmse[cubic]
+    contrast = []
+    for regime in REGIMES:
+        for output_index in (1, 2, 3):
+            keep = joint & (runs.regime[cubic] == regime) & (runs.output_index[cubic] == output_index)
+            if keep.any():
+                contrast.append((regime, output_index, float(np.mean(deltas[keep])),
+                                 int(np.count_nonzero(keep))))
+    return contrast
+
+
 # The RunTable column of each runs.csv column.
 _RUNS_CSV_COLUMNS = ("regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method",
                      "valid", "reason", "n_test", "n_finite", "rmse", "mae", "r2")
@@ -283,7 +309,6 @@ def read_runs_csv(path) -> RunTable:
     if not columns[0]:
         return RunTable.empty()
     return RunTable(**dict(zip(_RUNS_CSV_COLUMNS, map(np.array, columns))),
-                    level_index=np.full(len(columns[0]), -1),
                     condition_estimate=np.full(len(columns[0]), np.nan))
 
 

@@ -61,7 +61,7 @@ def split_pairs(table):
     cubic, rbf = slice(0, None, 2), slice(1, None, 2)
     assert len(table) % 2 == 0
     assert (table.method[cubic] == "cubic").all() and (table.method[rbf] == "rbf").all()
-    for name in ("regime", "output_index", "fixed_axis", "level_index", "repeat"):
+    for name in ("regime", "output_index", "fixed_axis", "fixed_level", "repeat"):
         np.testing.assert_array_equal(getattr(table, name)[cubic], getattr(table, name)[rbf])
     return cubic, rbf
 

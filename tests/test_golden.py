@@ -6,7 +6,8 @@ depend on the platform's floating-point libraries. Only the sha256 digests
 of runs.csv, summary.csv, scatter.csv, dataset.csv, settings.csv, the
 `surfbench report` printout, twelve surface grids and diagnose.json are
 pinned byte for byte, and only under the numpy version they were recorded
-with.
+with. The paired contrast that `surfbench run` prints is pinned as text,
+to the four decimals it prints.
 """
 
 import dataclasses
@@ -102,6 +103,25 @@ def test_meta_reason_histogram(default_config, full_run, tmp_path, capsys):
         for method, counts in by_method.items():
             totals.update({(method, reason): n for reason, n in counts.items()})
     assert totals == REASONS
+
+
+# The block `surfbench run` prints last: the mean of RBF minus cubic RMSE
+# over the splits where both runs are valid, per (regime, output).
+PAIRED_CONTRAST = """
+paired rmse contrast (rbf - cubic), mean over jointly valid runs:
+  noise-free  output1: -0.0324  (n=65)
+  noise-free  output2: -0.1508  (n=74)
+  noise-free  output3: +0.0048  (n=66)
+  noisy       output1: +0.0090  (n=64)
+  noisy       output2: +0.1974  (n=63)
+  noisy       output3: +0.6092  (n=70)
+"""
+
+
+def test_run_ends_with_the_paired_contrast(default_config, tmp_path, capsys):
+    run_experiment(default_config, tmp_path)
+    out = capsys.readouterr().out
+    assert out.endswith(f"meta.json\n{PAIRED_CONTRAST}")
 
 
 def test_summary_values(summary):

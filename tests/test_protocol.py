@@ -194,14 +194,14 @@ class TestMakeSplits:
 
     def test_make_splits_gives_the_rows_the_experiment_runs(self, default_dataset, default_config,
                                                             full_run):
-        names = ("regime", "output_index", "fixed_axis", "level_index", "repeat", "method")
+        names = ("regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method")
         keys, indices = [], {"train_indices": [], "test_indices": []}
         for regime in REGIMES:
             for task in enumerate_slices(default_dataset, regime):
                 for plan in make_splits(task, default_config.repeats_per_slice,
                                         default_config.train_fraction, default_config.random_seed):
                     for method in ("cubic", "rbf"):
-                        keys.append((regime, task.output_index, task.fixed_axis, task.level_index,
+                        keys.append((regime, task.output_index, task.fixed_axis, task.fixed_level,
                                      plan.repeat_index, method))
                         indices["train_indices"].append(plan.train_indices)
                         indices["test_indices"].append(plan.test_indices)
@@ -400,6 +400,27 @@ class TestHullCover:
             _, trusted = hull_cover(nodes, np.arange(m)[None], np.arange(m - 1, m)[None])
             assert trusted[0] == expected
 
+    def test_a_sliver_along_the_hull_is_not_trusted_because_locate_overreaches(self):
+        # A node 1e-12 inside the bottom edge of the rotated unit square
+        # makes a sliver there. locate finds probes on the edge's line up to
+        # about 5.6e-5 past a bottom corner, far beyond hull_cover's band:
+        # at the sliver's acute corner both edge tests fall below roundoff,
+        # so no per-edge tolerance bounds the cover. The flat-band case of
+        # hull_cover keeps such a set untrusted, so it is triangulated and
+        # locate decides its splits.
+        turn = np.array([[np.cos(0.85), -np.sin(0.85)], [np.sin(0.85), np.cos(0.85)]])
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5],
+                          [0.5, 1e-12]]) @ turn.T
+        past = np.logspace(-9, -2.25, 28)
+        probes = np.vstack([np.column_stack([-past, 0 * past]),
+                            np.column_stack([1 + past, 0 * past])]) @ turn.T
+        m = len(nodes)
+        covered, trusted = hull_cover(np.vstack([nodes, probes]), np.arange(m)[None],
+                                      np.arange(m, m + len(probes))[None])
+        located = locate(triangulate(nodes), probes)[0] >= 0
+        assert (located & ~covered[0]).any()
+        assert not trusted[0]
+
 
 def reference_record(task, plan, method, y_pred, reason=None, n_finite=0,
                      condition_estimate=np.nan):
@@ -420,7 +441,7 @@ def reference_record(task, plan, method, y_pred, reason=None, n_finite=0,
         y_true, np.full(n_test, np.nan) if y_pred is None else np.asarray(y_pred, dtype=float),
         plan.train_indices, plan.test_indices,
         regime=task.regime, output_index=task.output_index, fixed_axis=task.fixed_axis,
-        fixed_level=task.fixed_level, level_index=task.level_index, repeat=plan.repeat_index,
+        fixed_level=task.fixed_level, repeat=plan.repeat_index,
         method=method, valid=metrics is not None, reason="ok" if metrics is not None else reason,
         n_test=n_test, n_finite=n_finite, condition_estimate=condition_estimate,
         **{name: np.nan if metrics is None else getattr(metrics, name) for name in ("rmse", "mae", "r2")},

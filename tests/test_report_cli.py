@@ -20,6 +20,7 @@ from surfbench.report import (
     diagnose_slices,
     export_pred_vs_true,
     export_surface_grid,
+    paired_contrast,
     read_runs_csv,
     summarize,
     write_columns,
@@ -37,7 +38,7 @@ def synthetic_run(regime="noisy", output_index=1, method="cubic",
     return one_run(
         np.arange(5.0), np.arange(5.0) + missing, np.arange(11), np.arange(5),
         regime=regime, output_index=output_index, fixed_axis="x3", fixed_level=2.0,
-        level_index=0, repeat=repeat, method=method, valid=valid,
+        repeat=repeat, method=method, valid=valid,
         reason="ok" if valid else "test_points_outside_support", n_test=5,
         n_finite=5 if valid else 2, rmse=rmse + missing, mae=mae + missing, r2=r2 + missing,
         condition_estimate=math.nan,
@@ -176,6 +177,46 @@ class TestSummarize:
         seed_base = (42, report._BOOTSTRAP_STREAM_TAG, 1, 1, 0)
         assert row.rmse_ci == report.bootstrap_ci(runs.rmse, 20, seed=seed_base + (0,))
         assert row.r2_ci == report.bootstrap_ci(runs.r2, 20, seed=seed_base + (1,))
+
+
+class TestPairedContrast:
+    def test_means_over_jointly_valid_splits_only(self):
+        runs = concat([
+            synthetic_run(method="cubic", rmse=1.0), synthetic_run(method="rbf", rmse=1.5),
+            synthetic_run(method="cubic", rmse=2.0), synthetic_run(method="rbf", rmse=1.0),
+            synthetic_run(method="cubic", valid=False), synthetic_run(method="rbf", rmse=9.0),
+            synthetic_run(regime="noise-free", output_index=2, method="cubic"),
+            synthetic_run(regime="noise-free", output_index=2, method="rbf", valid=False),
+        ])
+        assert paired_contrast(runs) == [("noisy", 1, -0.25, 2)]
+
+    def test_runs_out_of_split_pairs_rejected(self):
+        cubic, rbf = synthetic_run(method="cubic"), synthetic_run(method="rbf")
+        for tables in ([rbf, cubic], [cubic], [cubic, cubic, rbf, rbf]):
+            with pytest.raises(ValueError, match="split pairs"):
+                paired_contrast(concat(tables))
+
+
+def paired_contrast_lines(runs_csv):
+    """The contrast lines by the runs.csv rows themselves: each split's
+    cubic and rbf rows paired by (regime, output, axis, level, repeat)."""
+    runs = read_runs_csv(runs_csv)
+    by_key = {}
+    keys = zip(*(getattr(runs, name).tolist()
+                 for name in ("regime", "output_index", "fixed_axis", "fixed_level", "repeat")))
+    for i, (key, method) in enumerate(zip(keys, runs.method.tolist())):
+        by_key.setdefault(key, {})[method] = i
+    lines = []
+    for regime in ("noise-free", "noisy"):
+        for output in (1, 2, 3):
+            deltas = [runs.rmse[pair["rbf"]] - runs.rmse[pair["cubic"]]
+                      for (g, o, *_), pair in by_key.items()
+                      if g == regime and o == output and runs.valid[pair["cubic"]]
+                      and runs.valid[pair["rbf"]]]
+            if deltas:
+                lines.append(f"  {regime:11s} output{output}: {np.mean(deltas):+.4f}  (n={len(deltas)})")
+    assert lines
+    return lines
 
 
 # Bit patterns the column-wise writer must keep apart or format like _fmt:
@@ -506,6 +547,20 @@ class TestCli:
             assert cli_main(["report", "--outdir", str(outdir)]) == 0
         assert capsys.readouterr().out.splitlines() == run_table.splitlines()
 
+    def test_run_prints_the_paired_contrast_after_the_report_table(self, tmp_path,
+                                                                   small_config_file, capsys):
+        outdir = tmp_path / "art"
+        assert cli_main(["run", "--config", str(small_config_file), "--outdir", str(outdir),
+                         "--scatter"]) == 0
+        table, rest = capsys.readouterr().out.split("\n\nartifacts in")
+        assert cli_main(["report", "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out == table + "\n"
+        files, block = rest.split(
+            "\n\npaired rmse contrast (rbf - cubic), mean over jointly valid runs:\n")
+        assert "\n" not in files
+        assert block.endswith("\n")
+        assert block.splitlines() == paired_contrast_lines(outdir / "runs.csv")
+
     def test_report_empty_runs_fails(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
         runs.write_text(RUNS_CSV_HEADER + "\n")
@@ -584,6 +639,13 @@ class TestCli:
         assert code == 0
         assert out.read_text().splitlines()[1:] == ["1,0.5,0.10000000000000001", "2,0.5,NA", "3,0.5,-2"]
         assert "(2/3 cells defined)" in capsys.readouterr().out
+
+    def test_surface_fit_failure_fails_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "tiny_epsilon.json"
+        config.write_text(json.dumps({"rbf_epsilon": 1e-300}))
+        assert cli_main(["surface", "--config", str(config), "--axis", "x3", "--level", "2",
+                         "--output", "2", "--method", "rbf", "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: saddle system is singular")
 
     def test_diagnose_prints_json(self, capsys):
         assert cli_main(["diagnose", "--axis", "x3", "--level", "2"]) == 0
