@@ -27,7 +27,8 @@ surface's queries are located on its own triangulation (once for surfaces
 that share a triangulation and their queries), then the
 gradients of all their vertices come from one stacked solve on the joined
 mesh (``_vertex_gradients``: vertices grouped by neighbour count, each
-group solved by one batched SVD with ``lstsq``'s rank cutoff), their
+group solved by one batched SVD with ``lstsq``'s rank cutoff, taken once per
+distinct design matrix), their
 control nets from one ``_control_nets`` call and their values from one
 ``_eval_located`` call. Every step works per vertex, triangle or query, so
 each surface gets bit for bit its batch-of-one result;
@@ -59,12 +60,19 @@ def _lstsq_head(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     k >= c, by one batched SVD: the first two solution coefficients (G, 2)
     and the rank (G,).
 
-    As in ``lstsq``, singular values at most ``eps * max(k, c) * s_max``
-    count as zero, which gives the minimum-norm solution. The products are
-    elementwise and summed along a fixed axis, so item ``i`` does not depend
-    on the other items (a matmul kernel may change with the batch shape).
+    The SVD is taken once per distinct matrix of the stack (equal bytes)
+    and gathered back to each item: vertices with the same neighbourhood,
+    in one mesh or in the same node set's other meshes, share one. As in
+    ``lstsq``, singular values at most ``eps * max(k, c) * s_max`` count as
+    zero, which gives the minimum-norm solution. LAPACK factors each matrix
+    of a batch on its own, and the products are elementwise and summed
+    along a fixed axis, so item ``i`` does not depend on the other items (a
+    matmul kernel may change with the batch shape).
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    flat = a.reshape(len(a), -1)
+    _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0],
+                                  return_index=True, return_inverse=True)
+    u, s, vt = (f[inverse] for f in np.linalg.svd(a[first], full_matrices=False))
     keep = s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
     proj = np.divide((u * rhs[:, :, None]).sum(axis=1), s, out=np.zeros_like(s), where=keep)
     return (vt[:, :, :2] * proj[:, :, None]).sum(axis=1), keep.sum(axis=1)

@@ -12,6 +12,7 @@ from surfbench.cubic import (
     CubicSurface,
     _control_nets,
     _eval_located,
+    _lstsq_head,
     _vertex_gradients,
     estimate_gradients,
     evaluate_stack,
@@ -106,6 +107,15 @@ def lattice_fits():
                 yield tri, rng.normal(size=len(nodes))
 
 
+def svd_head(a, rhs):
+    """``_lstsq_head`` of one (k, c) matrix by its own SVD, as the stacked
+    solve was before it factored each distinct matrix once."""
+    u, s, vt = np.linalg.svd(a[None], full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape) * s[:, :1]
+    proj = np.divide((u * rhs[None, :, None]).sum(axis=1), s, out=np.zeros_like(s), where=keep)
+    return (vt[:, :, :2] * proj[:, :, None]).sum(axis=1)[0], keep.sum(axis=1)[0]
+
+
 class TestGradients:
     def test_affine_data_gives_exact_gradients(self):
         tri = triangulate(UNIT_SQUARE)
@@ -131,6 +141,41 @@ class TestGradients:
             assert np.abs(grads[v] - expected).max() <= 0.05 * max(
                 1.0, abs(expected[0])
             )
+
+    @pytest.mark.parametrize("shape", ["quadratic", "rank_deficient", "affine"])
+    def test_repeated_matrices_are_factored_once_bit_for_bit(self, monkeypatch, shape):
+        rng = np.random.default_rng(5)
+        k, c = (3, 2) if shape == "affine" else (7, 5)
+        distinct = rng.normal(size=(4, k, c))
+        if shape == "rank_deficient":
+            distinct[..., 4] = distinct[..., 3]  # rank 4 of 5
+        distinct[3] = -0.0 * distinct[3]  # equal to the zero matrix, but not in its bytes
+        which = rng.permutation(np.repeat(np.arange(4), [5, 1, 3, 2]))
+        a = np.concatenate([distinct[which], np.zeros((1, k, c))])
+        rhs = rng.normal(size=(len(a), k))
+        factored = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: factored.append(len(m)) or original(m, **kw))
+        coef, rank = _lstsq_head(a, rhs)
+        monkeypatch.undo()
+        assert factored == [5]
+        for i in range(len(a)):
+            expected_coef, expected_rank = svd_head(a[i], rhs[i])
+            assert coef[i].tobytes() == expected_coef.tobytes()
+            assert rank[i] == expected_rank
+        assert set(rank.tolist()) == ({0, 2} if shape == "affine" else {0, 4 if shape == "rank_deficient" else 5})
+
+    def test_a_mesh_joined_to_copies_of_itself_keeps_its_gradients(self):
+        # every neighbourhood appears three times, and is factored once
+        tri = triangulate(min_separated(np.random.default_rng(9), 14, 0.1))
+        values = np.random.default_rng(10).normal(size=tri.n_vertices)
+        n = tri.n_vertices
+        grads, kept = _vertex_gradients(tri.points, tri.triangles, values)
+        joined, joined_kept = _vertex_gradients(
+            np.tile(tri.points, (3, 1)), np.concatenate([tri.triangles + off for off in (0, n, 2 * n)]),
+            np.tile(values, 3))
+        assert joined.tobytes() == np.tile(grads, (3, 1)).tobytes()
+        assert joined_kept.tolist() == kept.tolist() * 3
 
     def test_value_length_mismatch(self):
         tri = triangulate(UNIT_SQUARE)

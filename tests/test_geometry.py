@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -84,6 +85,29 @@ def assert_canonical_delaunay(tri):
         q = apex.get((v, u))
         if q is not None and incircle_sign(pts[p], pts[u], pts[v], pts[q]) == 0:
             assert sorted([pts[u], pts[v]]) < sorted([pts[p], pts[q]])
+
+
+def exact_incircle(a, b, c, d):
+    """The in-circle determinant of four points in exact rational arithmetic
+    on their float coordinates: positive when d lies strictly inside the
+    circumcircle of counterclockwise (a, b, c)."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = ((Fraction(x), Fraction(y)) for x, y in (a, b, c, d))
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    return ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+            + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+
+
+def assert_exact_delaunay(tri):
+    """Exact oracle: every node lies on or outside every circumcircle by
+    exact arithmetic, or the snapped in-circle test reads the four points
+    as cocircular."""
+    pts = [tuple(p) for p in tri.points.tolist()]
+    for a, b, c in tri.triangles.tolist():
+        for m in range(len(pts)):
+            if m not in (a, b, c) and exact_incircle(pts[a], pts[b], pts[c], pts[m]) > 0:
+                assert incircle_sign(pts[a], pts[b], pts[c], pts[m]) == 0, (
+                    f"node {m} strictly inside the circumcircle of ({a}, {b}, {c})")
 
 
 def canonical_order(points, triangles):
@@ -321,6 +345,80 @@ class TestTriangulate:
         perm = rng.permutation(len(pts))
         assert (triangulation_outcome(pts, check_delaunay=False)
                 == triangulation_outcome(pts[perm], check_delaunay=False))
+
+
+class TestBuilder:
+    """Inputs that take each branch of the hull chain, pinned."""
+
+    @pytest.mark.parametrize("pts, expected", [
+        # the collinear run (1, 0), (2, 0) extends the seed edge before (3.5, 1) ...
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [3.5, 1.0], [4.0, -0.5]],
+         [[0, 1, 4], [0, 5, 1], [1, 2, 4], [1, 5, 2], [2, 3, 4], [2, 5, 3], [3, 5, 4]]),
+        # ... also on a vertical line (equal x, sorted by y)
+        ([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [1.0, -1.0], [2.0, 1.5]],
+         [[0, 4, 5], [0, 5, 1], [1, 5, 2], [2, 5, 3]]),
+        # nodes on a vertical line after the seed, each seeing one hull edge
+        ([[0.0, 1.0], [2.0, 0.0], [2.0, 1.0], [2.0, 2.0], [2.0, 3.0], [3.0, 1.5]],
+         [[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 5, 2], [2, 5, 3], [3, 5, 4]]),
+    ])
+    def test_collinear_runs_and_vertical_lines(self, pts, expected):
+        pts = np.array(pts)
+        tri = triangulate(pts)
+        assert tri.triangles.tolist() == expected
+        assert_exact_delaunay(tri)
+
+    @pytest.mark.parametrize("seed, message", [
+        (4, "point 3 could not be located"),  # sees no hull edge
+        (13, "point 3 is collinear with the hull within tolerance"),  # sees two chains
+    ])
+    def test_insert_errors(self, seed, message):
+        pts = near_collinear(np.random.default_rng(seed), -11.5)
+        with pytest.raises(DegenerateGeometry, match=f"^{re.escape(message)}$"):
+            triangulate(pts)
+
+    def test_lone_builds_keep_no_memo(self, monkeypatch):
+        # a lone build evaluates each sign it asks for: no _Predicates
+        pts = lattice(4, 4)
+        expected = triangulate(pts).triangles
+        monkeypatch.setattr(geometry._Predicates, "__init__", None)
+        np.testing.assert_array_equal(triangulate(pts).triangles, expected)
+
+
+class TestExactOracle:
+    """No node lies strictly inside a circumcircle by exact arithmetic,
+    unless the snapped in-circle test calls the four nodes cocircular."""
+
+    @pytest.mark.parametrize("axes", [("x1", "x2"), ("x1", "x3")])
+    def test_default_design_lattices_and_their_subsets(self, axes):
+        # 4 x 4 and 4 x 3 levels such as 4/3 and 5/6: not dyadic, so the
+        # lattice's cocircular quads are not cocircular in floats
+        spec = DesignSpec()
+        points = np.array([[u, v] for u in spec.axis_levels(axes[0]) for v in spec.axis_levels(axes[1])])
+        rng = np.random.default_rng(len(points))
+        for nodes in [points] + [points[rng.random(len(points)) < 0.6] for _ in range(40)]:
+            try:
+                tri = triangulate(nodes)
+            except InterpolationError:
+                continue
+            assert_exact_delaunay(tri)
+
+    @given(pts=order_probe_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_near_collinear_and_random_sets(self, pts):
+        try:
+            tri = triangulate(pts)
+        except InterpolationError:
+            return
+        assert_exact_delaunay(tri)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
+    def test_rings(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            angle = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n) / n
+            ring = rng.uniform(-10.0, 10.0, 2) + np.column_stack([np.cos(angle), np.sin(angle)])
+            for pts in (ring, np.vstack([ring, ring.mean(axis=0)])):
+                assert_exact_delaunay(triangulate(10.0 ** rng.uniform(-3.0, 3.0) * pts))
 
 
 def assert_shared_builds_match(points, node_sets):

@@ -745,6 +745,18 @@ class TestSharing:
         gc.collect()
         assert not [obj for obj in gc.get_objects() if isinstance(obj, geometry._Predicates)]
 
+    def test_each_distinct_gradient_design_is_factored_once(self, monkeypatch, default_dataset,
+                                                           default_config):
+        # the 3674 least-squares fits of the default run (3642 vertex fits,
+        # and the affine refits of rank-deficient quadratic ones) share 897
+        # distinct design matrices
+        fits, factored = [], []
+        original_head, original_svd = cubic._lstsq_head, np.linalg.svd
+        monkeypatch.setattr(cubic, "_lstsq_head", lambda a, rhs: fits.append(len(a)) or original_head(a, rhs))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: factored.append(len(a)) or original_svd(a, **kw))
+        execute_experiment(default_dataset, default_config)
+        assert (sum(fits), sum(factored), len(factored)) == (3674, 897, len(fits))
+
     def test_untrusted_training_sets_are_triangulated_once(self, monkeypatch):
         # two training sets the hull test cannot vouch for, each drawn by
         # three splits: one holds a NaN value, one lies on a lattice row
