@@ -5,6 +5,9 @@ The same key set appears in three places and must stay aligned: the
 ``settings.csv`` key/value rows), and the ``settings.csv`` artifact written
 next to experiment results. ``settings.csv`` round-trips: parsing it back
 yields a config equal to the one used.
+
+``RbfConfig``, the RBF part of a config, lives here too (``surfbench.rbf``
+re-exports it), so building a config imports no fitting code.
 """
 
 from __future__ import annotations
@@ -17,13 +20,26 @@ import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .rbf import RbfConfig
 from .synthdata import NoiseSpec
 
-__all__ = ["ExperimentConfig", "load_config"]
+__all__ = ["ExperimentConfig", "RbfConfig", "load_config"]
 
 CUBIC_METHOD = "clough_tocher"
 RBF_KERNEL = "multiquadric"
+
+
+@dataclass(frozen=True)
+class RbfConfig:
+    """Kernel shape parameter and smoothing strength of an RBF fit."""
+
+    epsilon: float = 1.0
+    smoothing: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0.0 <= self.smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
 
 
 @dataclass(frozen=True)

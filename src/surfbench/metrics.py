@@ -19,7 +19,9 @@ __all__ = ["MetricSet", "BootstrapCI", "metric_stack", "compute_metrics", "boots
 
 DEFAULT_RESAMPLES = 1000
 DEFAULT_LEVEL = 0.95
-RESAMPLE_CHUNK = 64  # resample rows per draw: a block of indices and values stays in cache
+# Index elements per draw, max(1, RESAMPLE_ELEMENTS // n) resample rows of
+# n: a block of indices and values stays in cache (64 rows at n = 440).
+RESAMPLE_ELEMENTS = 64 * 440
 
 
 @dataclass(frozen=True)
@@ -86,14 +88,15 @@ class BootstrapCI:
 def _resample_means(samples: np.ndarray, resamples: int, seed) -> np.ndarray:
     """Means of ``resamples`` with-replacement resamples (seeded, counter-based).
 
-    Indices are drawn ``RESAMPLE_CHUNK`` rows at a time from one generator,
-    which gives the same draws as one ``(resamples, n)`` call without
-    allocating it.
+    Indices are drawn about ``RESAMPLE_ELEMENTS`` at a time, in whole rows,
+    from one generator, which gives the same draws as one ``(resamples, n)``
+    call without allocating it.
     """
     rng = Generator(Philox(SeedSequence(seed)))
     means = np.empty(resamples)
-    for start in range(0, resamples, RESAMPLE_CHUNK):
-        rows = min(RESAMPLE_CHUNK, resamples - start)
+    chunk = max(1, RESAMPLE_ELEMENTS // samples.size)
+    for start in range(0, resamples, chunk):
+        rows = min(chunk, resamples - start)
         idx = rng.integers(0, samples.size, size=(rows, samples.size))
         means[start:start + rows] = samples[idx].mean(axis=1)
     return means

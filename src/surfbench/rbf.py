@@ -24,12 +24,12 @@ fit; lambda = 0 interpolates the data.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RbfConfig
 from .errors import (
     DuplicateNodes,
     IllConditionedWarning,
@@ -50,20 +50,6 @@ def kernel_mq(r, epsilon: float = 1.0):
     r = np.asarray(r, dtype=float)
     out = np.sqrt(1.0 + (epsilon * r) ** 2)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class RbfConfig:
-    """Kernel shape parameter and smoothing strength of an RBF fit."""
-
-    epsilon: float = 1.0
-    smoothing: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0.0 <= self.smoothing < math.inf:
-            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
 
 
 def _tail_matrix(pts: np.ndarray) -> np.ndarray:

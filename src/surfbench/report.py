@@ -22,10 +22,10 @@ formats are pinned:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,9 +73,11 @@ SUMMARY_CSV_HEADER = (
 SCATTER_CSV_HEADER = "regime,output,fixed_axis,fixed_level,repeat,method,y_true,y_pred"
 NA_TOKEN = "NA"
 
-# Rows formatted at a time by write_columns, so a long table such as
-# runs.csv never holds more than one block of formatted cells (blocks of
-# 1024 rows raised the peak RSS of a default run by 0.8 MB).
+# Rows formatted at a time by write_columns and parsed at a time by
+# read_runs_csv, so a long table such as runs.csv never holds more than one
+# block of cells as strings (blocks of 1024 rows raised the peak RSS of a
+# default run by 0.8 MB; parsing the 5280 rows of its runs.csv at once
+# raised that of a process by about 4 MB).
 CSV_BLOCK = 256
 
 # Domain tag separating bootstrap seeding from noise (1) and splits (2).
@@ -269,46 +271,71 @@ def write_runs_csv(runs: RunTable, path) -> None:
     write_columns(path, RUNS_CSV_HEADER, [getattr(runs, name) for name in _RUNS_CSV_COLUMNS])
 
 
-def _parse_row(row: list[str]) -> list:
-    """The values of one runs.csv row; its metrics NaN unless valid, and
-    its strings interned, so the rows share them."""
-    if row[6] not in ("true", "false"):
-        raise ValueError(f"valid must be true or false, got {row[6]!r}")
-    valid = row[6] == "true"
-    metrics = [float(cell) if valid else math.nan for cell in row[10:]]
-    n_finite = int(row[9])
-    return [sys.intern(row[0]), int(row[1]), sys.intern(row[2]), float(row[3]), int(row[4]),
-            sys.intern(row[5]), valid, sys.intern(row[7]), int(row[8]), n_finite, *metrics]
+def _run_columns(rows: list[list[str]]) -> list[np.ndarray]:
+    """The RunTable columns of runs.csv rows of 13 fields, in runs.csv
+    order; the metrics NaN where a run is not valid. The cells are checked
+    column by column in the order a row's would be read alone: valid, the
+    metrics of a valid row, n_finite, then the other numbers left to right,
+    so for a single row the first ValueError is that row's first bad cell."""
+    cells = list(zip(*rows))
+    if not {"true", "false"}.issuperset(cells[6]):
+        bad = next(cell for cell in cells[6] if cell not in ("true", "false"))
+        raise ValueError(f"valid must be true or false, got {bad!r}")
+    valid = np.array(cells[6]) == "true"
+    keep = valid.tolist()
+    metrics = [np.full(len(rows), math.nan) for _ in cells[10:]]
+    for values, column in zip(metrics, cells[10:]):
+        values[valid] = list(map(float, itertools.compress(column, keep)))
+    n_finite, output, level, repeat, n_test = (
+        np.array(list(map(kind, cells[j]))) for j, kind in ((9, int), (1, int), (3, float), (4, int), (8, int)))
+    return [np.array(cells[0]), output, np.array(cells[2]), level, repeat, np.array(cells[5]),
+            valid, np.array(cells[7]), n_test, n_finite, *metrics]
+
+
+def _raise_at_first_bad_line(path) -> None:
+    """Raise the ValueError, naming the path and the line, of the first
+    runs.csv row without 13 fields or with a cell that does not parse."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in filter(None, reader):
+            if len(row) != len(_RUNS_CSV_COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num} does not have "
+                                 f"{len(_RUNS_CSV_COLUMNS)} fields")
+            try:
+                _run_columns([row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def read_runs_csv(path) -> RunTable:
     """Parse a runs.csv back into a RunTable (see its docstring for what
-    runs.csv does not hold).
+    runs.csv does not hold), CSV_BLOCK rows at a time, column by column.
 
     Raises ValueError, naming the path and the line, for a header other
     than RUNS_CSV_HEADER, a row without 13 fields, a valid cell other than
     true or false, or a number that does not parse (a metric only on a
     valid row).
     """
-    columns: list[list] = [[] for _ in _RUNS_CSV_COLUMNS]
+    blocks = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RUNS_CSV_HEADER.split(","):
             raise ValueError(f"{path}: unexpected runs.csv header {header}")
-        for row in filter(None, reader):  # a blank line is no row
-            if len(row) != len(_RUNS_CSV_COLUMNS):
-                raise ValueError(f"{path}: line {reader.line_num} does not have "
-                                 f"{len(_RUNS_CSV_COLUMNS)} fields")
+        rows = filter(None, reader)  # a blank line is no row
+        while block := list(itertools.islice(rows, CSV_BLOCK)):
             try:
-                values = _parse_row(row)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            for column, value in zip(columns, values):
-                column.append(value)
-    if not columns[0]:
+                if any(len(row) != len(_RUNS_CSV_COLUMNS) for row in block):
+                    raise ValueError  # found and named below
+                blocks.append(_run_columns(block))
+            except ValueError:
+                _raise_at_first_bad_line(path)
+                raise
+    if not blocks:
         return RunTable.empty()
-    return RunTable(**dict(zip(_RUNS_CSV_COLUMNS, map(np.array, columns))),
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    return RunTable(**dict(zip(_RUNS_CSV_COLUMNS, columns)),
                     condition_estimate=np.full(len(columns[0]), np.nan))
 
 

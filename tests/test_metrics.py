@@ -10,7 +10,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from surfbench import metrics
 from surfbench.metrics import (
     DEFAULT_RESAMPLES,
-    RESAMPLE_CHUNK,
+    RESAMPLE_ELEMENTS,
     _resample_means,
     bootstrap_ci,
     compute_metrics,
@@ -200,14 +200,25 @@ class TestBootstrap:
         assert ci.resamples == 100
         assert ci.level == 0.95
 
-    @pytest.mark.parametrize("resamples", [DEFAULT_RESAMPLES, 2 * RESAMPLE_CHUNK + 37, 5])
-    @pytest.mark.parametrize("n", [2, 7, 65, 440])
-    def test_chunked_draws_match_one_shot_draw(self, n, resamples):
+    @staticmethod
+    def assert_chunked_draws_match_one_shot_draw(n, resamples):
         samples = np.random.default_rng(n).normal(0.0, 1.0, n)
         seed = (42, 3, 1, 2, 0, 1)
         idx = Generator(Philox(SeedSequence(seed))).integers(0, n, size=(resamples, n))
         expected = samples[idx].mean(axis=1)
         assert _resample_means(samples, resamples, seed).tobytes() == expected.tobytes()
+
+    # 165 resamples are three draws at n = 440 (64 rows each), 1000 are
+    # three at n = 65 (433 rows each).
+    @pytest.mark.parametrize("resamples", [DEFAULT_RESAMPLES, 165, 5])
+    @pytest.mark.parametrize("n", [2, 7, 65, 440])
+    def test_chunked_draws_match_one_shot_draw(self, n, resamples):
+        self.assert_chunked_draws_match_one_shot_draw(n, resamples)
+
+    @pytest.mark.parametrize("n", [2, 7, 65, 440, RESAMPLE_ELEMENTS + 1])
+    def test_draws_cross_a_chunk_boundary_at_every_size(self, n):
+        # At least two chunk boundaries, whatever the rows per draw.
+        self.assert_chunked_draws_match_one_shot_draw(n, 2 * max(1, RESAMPLE_ELEMENTS // n) + 37)
 
     def test_index_draws_never_exceed_the_chunk(self, monkeypatch):
         shapes = []
@@ -221,7 +232,8 @@ class TestBootstrap:
                 return self.rng.integers(low, high, size=size)
 
         monkeypatch.setattr(metrics, "Generator", Recording)
-        resamples = 4 * RESAMPLE_CHUNK + 1
+        chunk = RESAMPLE_ELEMENTS // 30
+        resamples = 4 * chunk + 1
         _resample_means(np.arange(30.0), resamples, 0)
         assert sum(rows for rows, _ in shapes) == resamples
-        assert max(rows for rows, _ in shapes) == RESAMPLE_CHUNK
+        assert max(rows for rows, _ in shapes) == chunk

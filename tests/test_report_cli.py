@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from unittest import mock
@@ -14,6 +15,7 @@ from surfbench.cli import cli_main
 from surfbench.config import ExperimentConfig, load_config
 from surfbench.protocol import METHODS, RunTable, execute_experiment, slice_nodes
 from surfbench.report import (
+    CSV_BLOCK,
     RUNS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
     _fmt,
@@ -355,6 +357,26 @@ class TestWriteCsv:
             write_columns(tmp_path / "t.csv", "a,b", [[1.0, 2.0], column])
 
 
+def reference_read_runs_csv(path) -> RunTable:
+    """runs.csv parsed row by row: the reader before it went column-wise."""
+    columns = [[] for _ in range(13)]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == RUNS_CSV_HEADER.split(",")
+        for row in filter(None, reader):
+            assert len(row) == 13 and row[6] in ("true", "false")
+            valid = row[6] == "true"
+            metrics = [float(cell) if valid else math.nan for cell in row[10:]]
+            values = [row[0], int(row[1]), row[2], float(row[3]), int(row[4]), row[5], valid,
+                      row[7], int(row[8]), int(row[9]), *metrics]
+            for column, value in zip(columns, values):
+                column.append(value)
+    names = ("regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method",
+             "valid", "reason", "n_test", "n_finite", "rmse", "mae", "r2")
+    return RunTable(**dict(zip(names, map(np.array, columns))),
+                    condition_estimate=np.full(len(columns[0]), np.nan))
+
+
 class TestRunsCsv:
     def test_header_is_pinned(self):
         assert RUNS_CSV_HEADER == (
@@ -378,6 +400,48 @@ class TestRunsCsv:
         for ra, rb in zip(table_a.rows, table_b.rows):
             assert ra.rmse_mean == rb.rmse_mean
             assert ra.valid_runs == rb.valid_runs
+
+    @pytest.mark.parametrize("seed", [42, 1009])
+    def test_columns_equal_those_of_the_row_parser(self, tmp_path, full_run, seed):
+        runs = full_run if seed == 42 else execute_experiment(
+            generate(noise=ExperimentConfig(random_seed=seed).noise_spec()), ExperimentConfig(random_seed=seed))
+        path = tmp_path / "runs.csv"
+        write_runs_csv(runs, path)
+        parsed, reference = read_runs_csv(path), reference_read_runs_csv(path)
+        for name, column in vars(reference).items():
+            if column is None:
+                assert getattr(parsed, name) is None, name
+            else:  # dtype and bits: -0.0, each NaN and the string width too
+                assert getattr(parsed, name).dtype == column.dtype, name
+                assert getattr(parsed, name).tobytes() == column.tobytes(), name
+
+    @pytest.mark.parametrize("skip, message", [
+        ((), "line 5: invalid literal for int() with base 10: 'x'"),
+        ((3,), "line 5 does not have 13 fields"),
+        ((3, 4), "line 5: could not convert string to float: 'NA'"),
+    ], ids=["bad_int", "short_row", "bad_metric"])
+    def test_first_bad_line_is_named_whatever_follows(self, tmp_path, skip, message):
+        # The column-wise parse meets the bad valid cell first; the error
+        # still names the first bad line, and a blank line counts as a line.
+        lines = ["noisy,1,x3,2,0,rbf,true,ok,5,5,1,0.8,0.5",
+                 "noisy,1,x3,2,0,rbf,false,singular_system,5,0,NA,NA,NA", "",
+                 "noisy,1,x3,2,0,rbf,true,ok,5,x,1,0.8,0.5",
+                 "noisy,1,x3,2,0,rbf,maybe,ok,5,5,1",
+                 "noisy,1,x3,2,0,rbf,true,ok,5,5,1,NA,0.5"]
+        path = tmp_path / "runs.csv"
+        path.write_text("\n".join([RUNS_CSV_HEADER, *(line for i, line in enumerate(lines)
+                                                      if i not in skip)]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_runs_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_bad_line_in_a_later_block_is_named(self, tmp_path):
+        ok = "noisy,1,x3,2,0,rbf,true,ok,5,5,1,0.8,0.5"
+        path = tmp_path / "runs.csv"
+        path.write_text("\n".join([RUNS_CSV_HEADER, *[ok] * CSV_BLOCK, ok.replace(",5,5,", ",5,x,")]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_runs_csv(path)
+        assert str(exc.value) == f"{path}: line {CSV_BLOCK + 2}: invalid literal for int() with base 10: 'x'"
 
 
 class TestSummaryCsv:
