@@ -28,7 +28,7 @@ that share a triangulation and their queries), then the
 gradients of all their vertices come from one stacked solve on the joined
 mesh (``_vertex_gradients``: vertices grouped by neighbour count, each
 group solved by one batched SVD with ``lstsq``'s rank cutoff, taken once per
-distinct design matrix), their
+distinct design matrix when several surfaces are joined), their
 control nets from one ``_control_nets`` call and their values from one
 ``_eval_located`` call. Every step works per vertex, triangle or query, so
 each surface gets bit for bit its batch-of-one result;
@@ -55,32 +55,40 @@ __all__ = ["CubicSurface", "estimate_gradients", "evaluate_stack", "fit_cubic"]
 _SUBS = ((0, 1), (1, 2), (2, 0))
 
 
-def _lstsq_head(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lstsq_head(a: np.ndarray, rhs: np.ndarray, repeats: bool) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.lstsq(a[i], rhs[i], rcond=None)`` for a (G, k, c) stack with
     k >= c, by one batched SVD: the first two solution coefficients (G, 2)
     and the rank (G,).
 
-    The SVD is taken once per distinct matrix of the stack (equal bytes)
-    and gathered back to each item: vertices with the same neighbourhood,
-    in one mesh or in the same node set's other meshes, share one. As in
+    With ``repeats``, the SVD is taken once per distinct matrix of the
+    stack (equal bytes) and gathered back to each item: vertices with the
+    same neighbourhood in the same node set's meshes share one. As in
     ``lstsq``, singular values at most ``eps * max(k, c) * s_max`` count as
     zero, which gives the minimum-norm solution. LAPACK factors each matrix
     of a batch on its own, and the products are elementwise and summed
     along a fixed axis, so item ``i`` does not depend on the other items (a
-    matmul kernel may change with the batch shape).
+    matmul kernel may change with the batch shape), with or without the
+    search.
     """
-    flat = a.reshape(len(a), -1)
-    _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0],
-                                  return_index=True, return_inverse=True)
-    u, s, vt = (f[inverse] for f in np.linalg.svd(a[first], full_matrices=False))
+    if repeats:
+        flat = a.reshape(len(a), -1)
+        _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0],
+                                      return_index=True, return_inverse=True)
+        u, s, vt = (f[inverse] for f in np.linalg.svd(a[first], full_matrices=False))
+    else:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
     proj = np.divide((u * rhs[:, :, None]).sum(axis=1), s, out=np.zeros_like(s), where=keep)
     return (vt[:, :, :2] * proj[:, :, None]).sum(axis=1), keep.sum(axis=1)
 
 
-def _vertex_gradients(points: np.ndarray, triangles: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_gradients(points: np.ndarray, triangles: np.ndarray, z: np.ndarray,
+                      joined: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of every vertex of a mesh, (n, 2), and whether its quadratic
-    fit was kept, (n,).
+    fit was kept, (n,). ``joined`` marks a mesh joined from several
+    surfaces, whose meshes can repeat each other's neighbourhoods, so each
+    stack looks for repeated designs (``_lstsq_head``); a lone mesh of the
+    default slices has none.
 
     Each vertex fits z - z_v = g . u + 0.5 u^T H u over its edge-connected
     neighbours in ascending index order, with ``u = dx / mean dist`` and
@@ -113,16 +121,16 @@ def _vertex_gradients(points: np.ndarray, triangles: np.ndarray, z: np.ndarray) 
         u = dx[rows] / scale[:, None, None]
         wk = w[rows, None]
         if k < 5:
-            coef = _lstsq_head(u * wk, rhs[rows])[0]
+            coef = _lstsq_head(u * wk, rhs[rows], joined)[0]
         else:
             u0, u1 = u[..., 0], u[..., 1]
             design = np.stack([u0, u1, 0.5 * u0 ** 2, u0 * u1, 0.5 * u1 ** 2], axis=-1)
-            coef, rank = _lstsq_head(design * wk, rhs[rows])
+            coef, rank = _lstsq_head(design * wk, rhs[rows], joined)
             kept = rank == 5
             quadratic[verts] = kept
             if not kept.all():
                 affine = ~kept
-                coef[affine] = _lstsq_head(u[affine] * wk[affine], rhs[rows[affine]])[0]
+                coef[affine] = _lstsq_head(u[affine] * wk[affine], rhs[rows[affine]], joined)[0]
         grads[verts] = coef / scale[:, None]
     return grads, quadratic
 
@@ -284,7 +292,7 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     points = np.concatenate([s.tri.points for s in surfaces])
     triangles = np.concatenate([s.tri.triangles + off for s, off in zip(surfaces, vert_off)])
     z = np.concatenate([s.values for s in surfaces])
-    grads = _vertex_gradients(points, triangles, z)[0]
+    grads = _vertex_gradients(points, triangles, z, len(surfaces) > 1)[0]
     for s, lo, hi in zip(surfaces, vert_off, vert_off[1:]):
         if s.gradients is not None:
             grads[lo:hi] = s.gradients

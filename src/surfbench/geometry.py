@@ -23,10 +23,10 @@ object, which evaluates each orientation or in-circle test of the node set
 once, by its exact argument tuple of node indices: the 249 builds of the
 default experiment (seed 42) evaluate 1,934 predicates instead of 15,523.
 Point location of many (triangulation, queries) pairs
-runs as a few padded kernel passes (``_locate_stack``), each bit for bit
-``locate`` of its pair alone. ``hull_cover`` tests many training sets of
-one node set in one call, from direction and line tables of the nodes
-built once for the call.
+runs as a few padded kernel passes (``_locate_stack``), a large query set
+by bounding box, each bit for bit ``locate`` of its pair alone.
+``hull_cover`` tests many training sets of one node set in one call, from
+direction and line tables of the nodes built once for the call.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
 
 DUPLICATE_TOL = 1e-12
 LOCATE_TOL = 1e-9
-LOCATE_BLOCK = 256  # query rows per locate kernel pass (each row against every triangle)
+LOCATE_BLOCK = 256  # query rows per locate kernel pass; larger sets are located by bounding box
 FILL_GRID_RESOLUTION = 200
 FILL_MARGIN = 1e-12  # relative band of squared distance kept for the exact fill scan
 
@@ -437,44 +437,120 @@ def locate(tri: Triangulation, queries) -> tuple[np.ndarray, np.ndarray]:
     (k, 3) its barycentric coordinates in that triangle, each in
     [-LOCATE_TOL, 1 + LOCATE_TOL] (NaN rows outside the hull). Queries on
     shared edges resolve to the lowest-index triangle. This is
-    ``_locate_stack`` on a batch of one: queries are taken ``LOCATE_BLOCK``
-    rows at a time, whose coordinates against every triangle are computed
-    as ``Triangulation.barycentric`` does, so memory stays
-    O(LOCATE_BLOCK x m).
+    ``_locate_stack`` on a batch of one: up to LOCATE_BLOCK queries are
+    tested against every triangle at once, as ``Triangulation.barycentric``
+    computes them (memory O(LOCATE_BLOCK x m)); a larger set is tested
+    triangle by triangle on the queries in each one's widened bounding box
+    (memory O(k)), with the same coordinates bit for bit.
     """
     return _locate_stack([tri], [queries])[0]
 
 
 def _locate_stack(tris, queries) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``locate(tris[i], queries[i])`` for every i, in few kernel passes.
+    """``locate(tris[i], queries[i])`` for every i.
 
-    Each query set is cut into blocks of at most LOCATE_BLOCK rows, taken
-    longest first. A pass takes ``LOCATE_BLOCK // k`` blocks, k the rows of
-    its longest, pads them to k rows and their triangulations' maps with
-    NaN to the most triangles T among them, and runs ``_locate_pass``: at
-    most LOCATE_BLOCK x T elements per temporary. A NaN map or query
-    contains nothing, and each coordinate is the same expression of the
-    same operands as in ``locate`` alone, so every item is that of
-    ``locate`` alone bit for bit.
+    A query set of more than LOCATE_BLOCK rows is located by bounding box
+    (``_locate_boxed``). The other sets are taken longest first, and a
+    kernel pass takes ``LOCATE_BLOCK // k`` of them, k the rows of its
+    longest, pads them to k rows and their triangulations' maps with NaN to
+    the most triangles T among them, and runs ``_locate_pass``: at most
+    LOCATE_BLOCK x T elements per temporary. A NaN map or query contains
+    nothing, and each coordinate is the same expression of the same
+    operands as in ``locate`` alone, so every item is that of ``locate``
+    alone bit for bit.
     """
     qs = [as_queries(q) for q in queries]
-    out = [(np.full(q.shape[0], -1, dtype=np.intp), np.full((q.shape[0], 3), np.nan)) for q in qs]
-    blocks = sorted(((min(LOCATE_BLOCK, q.shape[0] - lo), i, lo) for i, q in enumerate(qs)
-                     for lo in range(0, q.shape[0], LOCATE_BLOCK)), key=lambda block: -block[0])
+    out = [_locate_boxed(tri, q) if q.shape[0] > LOCATE_BLOCK
+           else (np.full(q.shape[0], -1, dtype=np.intp), np.full((q.shape[0], 3), np.nan))
+           for tri, q in zip(tris, qs)]
+    small = sorted((i for i, q in enumerate(qs) if 0 < q.shape[0] <= LOCATE_BLOCK),
+                   key=lambda i: -qs[i].shape[0])
     start = 0
-    while start < len(blocks):
-        chunk = blocks[start:start + LOCATE_BLOCK // blocks[start][0]]
+    while start < len(small):
+        chunk = small[start:start + LOCATE_BLOCK // qs[small[start]].shape[0]]
         start += len(chunk)
-        maps = np.full((len(chunk), 6, max(tris[i].n_triangles for _, i, _ in chunk)), np.nan)
-        q = np.full((len(chunk), chunk[0][0], 2), np.nan)
-        for s, (rows, i, lo) in enumerate(chunk):
+        maps = np.full((len(chunk), 6, max(tris[i].n_triangles for i in chunk)), np.nan)
+        q = np.full((len(chunk), qs[chunk[0]].shape[0], 2), np.nan)
+        for s, i in enumerate(chunk):
             maps[s, :, :tris[i].n_triangles] = tris[i]._maps
-            q[s, :rows] = qs[i][lo:lo + rows]
+            q[s, :qs[i].shape[0]] = qs[i]
         t, bary = _locate_pass(maps, q)
-        for s, (rows, i, lo) in enumerate(chunk):
-            out[i][0][lo:lo + rows] = t[s, :rows]
-            out[i][1][lo:lo + rows] = bary[s, :rows]
+        for s, i in enumerate(chunk):
+            rows = qs[i].shape[0]
+            out[i][0][:] = t[s, :rows]
+            out[i][1][:] = bary[s, :rows]
     return out
+
+
+def _locate_boxed(tri: Triangulation, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``locate(tri, q)`` of (k, 2) queries, triangle by triangle in index
+    order, each testing only the queries not yet located that lie in its
+    widened bounding box: the queries are sorted by x once, a triangle takes
+    its box's x-window by ``searchsorted`` and keeps the candidates within
+    its y-range. On them it computes ``_locate_pass``'s expressions, so the
+    lowest-index rule and every coordinate are those of the dense test.
+
+    The widening. Let W and H be the box's width and height, D the
+    determinant of the triangle's float edge vectors (as in
+    ``Triangulation``), u = 2**-53 and G = W * H / |D| its flatness (at
+    least 1 up to rounding). The float barycentrics of a query differ from
+    the exact ones (in the triangle spanned by the float edge vectors) by
+    at most about 12 u G times the sum of their magnitudes, and that sum
+    is at most 2 when all three float coordinates are at least -LOCATE_TOL
+    (while 12 u G <= 1/4). The exact coordinates are then at least -t with
+    t = LOCATE_TOL + r, where the map's rounding r = 128 * eps * G
+    (eps = 2u) covers 48 u G plus the rounding of the edge vectors, with
+    room to spare. A point whose three barycentrics are at least -t lies
+    within 2 t W of the box on x and 2 t H on y, so every query the dense
+    test accepts is in the box widened by that much, its bounds rounded
+    outward. The bound is used while r <= 1/8 and D is a normal float with
+    finite maps; a triangle too flat for it (only a ``Triangulation`` built
+    from collinear or nearly collinear vertices; ``triangulate``'s
+    predicate band keeps r below 0.03) tests every query not yet located.
+    NaN and infinite queries fall in no box; the dense test accepts none
+    of them either.
+    """
+    k = q.shape[0]
+    t = np.full(k, -1, dtype=np.intp)
+    bary = np.full((k, 3), np.nan)
+    order = np.argsort(q[:, 0], kind="stable")
+    xs, ys = q[order, 0], q[order, 1]
+    corners = tri.points[tri.triangles]  # (m, 3, 2)
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    size = hi - lo
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    with np.errstate(all="ignore"):
+        r = 128 * np.finfo(float).eps * (size[:, 0] * size[:, 1] / det)
+        pad = 2.0 * (LOCATE_TOL + r)[:, None] * size
+        lo = np.nextafter(lo - pad, -np.inf)
+        hi = np.nextafter(hi + pad, np.inf)
+    flat = ~((r <= 0.125) & (det >= np.finfo(float).tiny) & np.isfinite(tri._maps).all(axis=0))
+    first = np.searchsorted(xs, lo[:, 0], side="left").tolist()
+    last = np.searchsorted(xs, hi[:, 0], side="right").tolist()
+    open_ = np.ones(k, dtype=bool)  # not yet located, in x order
+    for j, (x0, y0, i00, i01, i10, i11) in enumerate(tri._maps.T.tolist()):
+        if flat[j]:
+            cand = np.flatnonzero(open_)
+        else:
+            a, b = first[j], last[j]
+            y = ys[a:b]
+            cand = a + np.flatnonzero(open_[a:b] & (y >= lo[j, 1]) & (y <= hi[j, 1]))
+        if not cand.size:
+            continue
+        d0 = xs[cand] - x0
+        d1 = ys[cand] - y0
+        u = i00 * d0 + i01 * d1
+        v = i10 * d0 + i11 * d1
+        w = 1.0 - u - v
+        inside = (w >= -LOCATE_TOL) & (u >= -LOCATE_TOL) & (v >= -LOCATE_TOL)
+        hit = cand[inside]
+        open_[hit] = False
+        rows = order[hit]
+        t[rows] = j
+        bary[rows, 0], bary[rows, 1], bary[rows, 2] = w[inside], u[inside], v[inside]
+    return t, bary
 
 
 def _locate_pass(maps: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -73,12 +73,13 @@ SUMMARY_CSV_HEADER = (
 SCATTER_CSV_HEADER = "regime,output,fixed_axis,fixed_level,repeat,method,y_true,y_pred"
 NA_TOKEN = "NA"
 
-# Rows formatted at a time by write_columns and parsed at a time by
-# read_runs_csv, so a long table such as runs.csv never holds more than one
-# block of cells as strings (blocks of 1024 rows raised the peak RSS of a
-# default run by 0.8 MB; parsing the 5280 rows of its runs.csv at once
-# raised that of a process by about 4 MB).
-CSV_BLOCK = 256
+# Cells formatted at a time by write_columns and parsed at a time by
+# read_runs_csv, as whole rows, so a long table such as runs.csv never holds
+# more than one block of cells as strings: 256 rows of runs.csv's 13 columns
+# (blocks of 1024 rows raised the peak RSS of a default run by 0.8 MB;
+# parsing the 5280 rows of its runs.csv at once raised that of a process by
+# about 4 MB). A narrower table takes more rows per block.
+CSV_BLOCK = 256 * 13
 
 # Domain tag separating bootstrap seeding from noise (1) and splits (2).
 _BOOTSTRAP_STREAM_TAG = 3
@@ -115,7 +116,8 @@ def _cells(values: np.ndarray) -> tuple[list[str], np.ndarray]:
 def write_columns(path, header: str, columns) -> None:
     """Write ``header`` (comma-joined column names) and one line per row of
     the equal-length ``columns``, each formatted column by column (see
-    ``_cells``), CSV_BLOCK rows at a time.
+    ``_cells``), as many rows at a time as fit in CSV_BLOCK cells (one row
+    at least).
 
     Raises ValueError for a column that is not bool, int, uint, str or
     float64 once passed through ``np.asarray`` (an object column holding
@@ -131,8 +133,9 @@ def write_columns(path, header: str, columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         cells = [_cells(column) for column in columns]
-        for lo in range(0, len(columns[0]), CSV_BLOCK):
-            block = [map(cell.__getitem__, inverse[lo:lo + CSV_BLOCK].tolist()) for cell, inverse in cells]
+        rows = max(1, CSV_BLOCK // len(columns))
+        for lo in range(0, len(columns[0]), rows):
+            block = [map(cell.__getitem__, inverse[lo:lo + rows].tolist()) for cell, inverse in cells]
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
@@ -310,7 +313,8 @@ def _raise_at_first_bad_line(path) -> None:
 
 def read_runs_csv(path) -> RunTable:
     """Parse a runs.csv back into a RunTable (see its docstring for what
-    runs.csv does not hold), CSV_BLOCK rows at a time, column by column.
+    runs.csv does not hold), CSV_BLOCK cells (256 rows) at a time, column
+    by column.
 
     Raises ValueError, naming the path and the line, for a header other
     than RUNS_CSV_HEADER, a row without 13 fields, a valid cell other than
@@ -324,7 +328,7 @@ def read_runs_csv(path) -> RunTable:
         if header != RUNS_CSV_HEADER.split(","):
             raise ValueError(f"{path}: unexpected runs.csv header {header}")
         rows = filter(None, reader)  # a blank line is no row
-        while block := list(itertools.islice(rows, CSV_BLOCK)):
+        while block := list(itertools.islice(rows, max(1, CSV_BLOCK // len(_RUNS_CSV_COLUMNS)))):
             try:
                 if any(len(row) != len(_RUNS_CSV_COLUMNS) for row in block):
                     raise ValueError  # found and named below

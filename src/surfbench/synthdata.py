@@ -11,7 +11,9 @@ and independent of the order in which rows are produced. Draw (row, k) is
 the inverse normal CDF of the top 53 bits of the first word of
 ``Philox(SeedSequence((master_seed, 1, row, k)))``; ``streams`` computes
 those words for every key of a dataset in one vectorized call, and numpy's
-own ``SeedSequence``/``Philox`` remain the test oracle.
+own ``SeedSequence``/``Philox`` remain the test oracle. A dataset draws its
+noise when its noisy channel is first read, so work that reads only the
+clean channel draws none.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -31,7 +34,6 @@ __all__ = [
     "FactorialDataset",
     "build_design",
     "eval_truth",
-    "add_noise",
     "generate",
 ]
 
@@ -146,29 +148,31 @@ def _noise_draws(noise: NoiseSpec, rows) -> np.ndarray:
     return draws
 
 
-def add_noise(clean, noise: NoiseSpec, row_index: int) -> tuple[float, float, float]:
-    """Noisy outputs for one design row: clean values plus seeded draws."""
-    draws = _noise_draws(noise, [row_index])[0].tolist()
-    return tuple(clean[k] + draws[k] for k in range(3))
-
-
 @dataclass(frozen=True)
 class FactorialDataset:
     """The factorial design with clean and noisy output channels.
 
+    The noisy channel is not stored: ``y_noisy`` is derived from ``y_clean``
+    and ``noise``, row i keyed by its index i, and drawn on first read.
     Arrays are frozen (non-writeable) so a dataset can be shared across
     concurrent readers.
     """
 
     x: np.ndarray  # (n, 3) input triples
     y_clean: np.ndarray  # (n, 3)
-    y_noisy: np.ndarray  # (n, 3)
     spec: DesignSpec = field(default_factory=DesignSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        for arr in (self.x, self.y_clean, self.y_noisy):
+        for arr in (self.x, self.y_clean):
             arr.setflags(write=False)
+
+    @cached_property
+    def y_noisy(self) -> np.ndarray:
+        """(n, 3) ``y_clean + _noise_draws(noise, arange(n))``, read-only."""
+        y = self.y_clean + _noise_draws(self.noise, np.arange(self.n_rows))
+        y.setflags(write=False)
+        return y
 
     @property
     def n_rows(self) -> int:
@@ -184,7 +188,8 @@ class FactorialDataset:
 
 
 def generate(spec: DesignSpec | None = None, noise: NoiseSpec | None = None) -> FactorialDataset:
-    """Build the dataset: design points, clean outputs, seeded noisy outputs.
+    """Build the dataset: design points and clean outputs; the seeded noisy
+    outputs are drawn when first read (``FactorialDataset.y_noisy``).
 
     Pure function of (spec, noise): repeated calls return identical values.
     """
@@ -192,5 +197,4 @@ def generate(spec: DesignSpec | None = None, noise: NoiseSpec | None = None) -> 
     noise = noise if noise is not None else NoiseSpec()
     x = build_design(spec)
     y_clean = np.array([eval_truth(*row) for row in x.tolist()])
-    y_noisy = y_clean + _noise_draws(noise, np.arange(len(x)))
-    return FactorialDataset(x=x, y_clean=y_clean, y_noisy=y_noisy, spec=spec, noise=noise)
+    return FactorialDataset(x=x, y_clean=y_clean, spec=spec, noise=noise)

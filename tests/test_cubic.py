@@ -156,13 +156,14 @@ class TestGradients:
         factored = []
         original = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: factored.append(len(m)) or original(m, **kw))
-        coef, rank = _lstsq_head(a, rhs)
+        searched, alone = _lstsq_head(a, rhs, True), _lstsq_head(a, rhs, False)
         monkeypatch.undo()
-        assert factored == [5]
+        assert factored == [5, len(a)]  # without the search, every matrix
+        coef, rank = searched
         for i in range(len(a)):
             expected_coef, expected_rank = svd_head(a[i], rhs[i])
-            assert coef[i].tobytes() == expected_coef.tobytes()
-            assert rank[i] == expected_rank
+            assert coef[i].tobytes() == expected_coef.tobytes() == alone[0][i].tobytes()
+            assert rank[i] == expected_rank == alone[1][i]
         assert set(rank.tolist()) == ({0, 2} if shape == "affine" else {0, 4 if shape == "rank_deficient" else 5})
 
     def test_a_mesh_joined_to_copies_of_itself_keeps_its_gradients(self):
@@ -173,7 +174,7 @@ class TestGradients:
         grads, kept = _vertex_gradients(tri.points, tri.triangles, values)
         joined, joined_kept = _vertex_gradients(
             np.tile(tri.points, (3, 1)), np.concatenate([tri.triangles + off for off in (0, n, 2 * n)]),
-            np.tile(values, 3))
+            np.tile(values, 3), joined=True)
         assert joined.tobytes() == np.tile(grads, (3, 1)).tobytes()
         assert joined_kept.tolist() == kept.tolist() * 3
 
@@ -236,8 +237,9 @@ class TestGradients:
         solves = []
         original = cubic._vertex_gradients
 
-        def capture(points, triangles, z):
-            solved = original(points, triangles, z)
+        def capture(points, triangles, z, joined):
+            assert joined  # a stack of several surfaces looks for repeated designs
+            solved = original(points, triangles, z, joined)
             solves.append(solved[0].copy())  # before supplied rows replace theirs
             return solved
 

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hull_probes, min_separated, near_collinear
+from conftest import hull_probes, min_separated, near_collinear, nearly_flat
 from surfbench import protocol
 from surfbench.geometry import (
     FLAT_BAND,
@@ -110,24 +110,6 @@ def assert_same_cover(points, train, test):
 def lattice(size):
     spec = DesignSpec(x1_levels=size, x2_levels=size)
     return np.array([[u, v] for u in spec.axis_levels("x1") for v in spec.axis_levels("x2")])
-
-
-def nearly_flat(rng):
-    """A rotated unit square and its centre, with one to three nodes moved
-    off its edges (inward or outward) by 1e-12.5 to 1e-5.5 of the edge
-    length: across the collinear band (2e-12 relative to the squared side),
-    FLAT_BAND and FLAT_REL."""
-    turn = rng.uniform(0.0, 2.0 * np.pi)
-    rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    extra = []
-    for _ in range(int(rng.integers(1, 4))):
-        k = int(rng.integers(4))
-        a, b = square[k], square[(k + 1) % 4]
-        inward = np.array([a[1] - b[1], b[0] - a[0]])  # left of a -> b, the square's side
-        offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.5, -5.5)
-        extra.append(a + rng.uniform(0.1, 0.9) * (b - a) + offset * inward)
-    return np.vstack([square, [[0.5, 0.5]], extra]) @ rot.T
 
 
 @st.composite

@@ -277,8 +277,8 @@ class TestRunPair:
         full = run_split(task, covered, ExperimentConfig().rbf_config())
         assert full.valid[0] and full.n_finite[0] == 2
         assert len(calls) == 1
-        points, _, values = calls[0]
-        assert len(points) == len(values) == 6  # one call, holding one surface
+        points, _, values, joined = calls[0]
+        assert len(points) == len(values) == 6 and not joined  # one call, holding one surface
         # coverage and evaluation share one locate: one stacked call, one pair
         assert [len(tris) for tris, _ in located] == [1]
 
@@ -752,7 +752,8 @@ class TestSharing:
         # distinct design matrices
         fits, factored = [], []
         original_head, original_svd = cubic._lstsq_head, np.linalg.svd
-        monkeypatch.setattr(cubic, "_lstsq_head", lambda a, rhs: fits.append(len(a)) or original_head(a, rhs))
+        monkeypatch.setattr(cubic, "_lstsq_head",
+                            lambda a, rhs, repeats: fits.append(len(a)) or original_head(a, rhs, repeats))
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: factored.append(len(a)) or original_svd(a, **kw))
         execute_experiment(default_dataset, default_config)
         assert (sum(fits), sum(factored), len(factored)) == (3674, 897, len(fits))

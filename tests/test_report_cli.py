@@ -304,7 +304,7 @@ class TestWriteCsv:
             write_columns(path, header, [column.tolist() for column in table.T])
             assert path.read_bytes() == reference_csv(header, table.tolist())
 
-    @pytest.mark.parametrize("rows", [2500, report.CSV_BLOCK - 1, report.CSV_BLOCK + 1])
+    @pytest.mark.parametrize("rows", [2500, report.CSV_BLOCK // 4 - 1, report.CSV_BLOCK // 4 + 1])
     def test_grid_sized_float_table_matches_per_row_reference(self, tmp_path, rows):
         # A surface grid's shape: u and v repeat 50 levels each, the values
         # are mostly distinct, with every special bit pattern (NaN payloads,
@@ -330,6 +330,29 @@ class TestWriteCsv:
         with mock.patch.object(report, "CSV_BLOCK", block):
             write_columns(path, header, columns)
         assert path.read_bytes() == reference_csv(header, zip(*(c.tolist() for c in columns)))
+
+    @pytest.mark.parametrize("width, rows, lines", [
+        (3, 2500, [1, 1109, 1109, 282]),  # a surface grid: 3 blocks, not 10 of 256 rows
+        (13, 600, [1, 256, 256, 88]),  # runs.csv's width keeps blocks of 256 rows
+        (CSV_BLOCK + 1, 2, [1, 1, 1]),  # a row wider than the budget is a block alone
+    ])
+    def test_blocks_hold_whole_rows_within_the_cell_budget(self, tmp_path, monkeypatch, width, rows, lines):
+        writes = []
+        real_open = open
+
+        def counting_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(text.count("\n")) or write(text)
+            return fh
+
+        table = np.arange(float(width * rows)).reshape(rows, width)
+        header = ",".join(f"c{j}" for j in range(width))
+        monkeypatch.setattr(report, "open", counting_open, raising=False)
+        write_columns(tmp_path / "t.csv", header, table.T)
+        monkeypatch.undo()
+        assert writes == lines
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, table.tolist())
 
     @pytest.mark.parametrize("columns", [[[], [], []], ((), (), ()), np.empty((0, 3)).T],
                              ids=["list", "tuple", "array"])
@@ -463,7 +486,7 @@ def linear_truth_dataset():
     x = ds.x
     linear = 0.5 + 2.0 * x[:, 0] - 1.0 * x[:, 1] + 0.25 * x[:, 2]
     y = np.column_stack([linear, linear, linear])
-    return FactorialDataset(x=x.copy(), y_clean=y, y_noisy=y.copy(), spec=spec, noise=noise)
+    return FactorialDataset(x=x.copy(), y_clean=y, spec=spec, noise=noise)
 
 
 class TestSurfaceGrid:
@@ -481,8 +504,7 @@ class TestSurfaceGrid:
         ds = generate()
         keep = ~((ds.x[:, 0] == 2.0) & (ds.x[:, 1] == 1.5) & (ds.x[:, 2] == 2.0))
         pruned = FactorialDataset(
-            x=ds.x[keep].copy(), y_clean=ds.y_clean[keep].copy(),
-            y_noisy=ds.y_noisy[keep].copy(), spec=ds.spec, noise=ds.noise,
+            x=ds.x[keep].copy(), y_clean=ds.y_clean[keep].copy(), spec=ds.spec, noise=ds.noise,
         )
         _, grid = export_surface_grid(pruned, "x3", 2.0, 1, "cubic", "noise-free", default_config)
         assert np.isfinite(grid[:, :2]).all()

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
+from surfbench import synthdata
+from surfbench.cli import cli_main
 from surfbench.report import DATASET_CSV_HEADER, write_dataset_csv
 from surfbench.synthdata import (
     DesignSpec,
+    FactorialDataset,
     NoiseSpec,
     _noise_draws,
-    add_noise,
     build_design,
     eval_truth,
     generate,
@@ -93,15 +95,14 @@ class TestTruth:
 class TestNoise:
     def test_zero_sigma_is_identity(self):
         noise = NoiseSpec(sigma1=0.0, sigma2=0.0, sigma3=0.0)
-        clean = (1.25, -3.5, 0.0)
-        assert add_noise(clean, noise, row_index=7) == clean
+        clean = np.array([1.25, -3.5, 0.0])
+        assert (clean + _noise_draws(noise, [7])[0]).tolist() == clean.tolist()
 
     def test_draws_are_pure_functions_of_identity(self):
         noise = NoiseSpec()
-        a = add_noise((0.0, 0.0, 0.0), noise, 3)
-        b = add_noise((0.0, 0.0, 0.0), noise, 3)
-        assert a == b
-        assert add_noise((0.0, 0.0, 0.0), noise, 4) != a
+        a = _noise_draws(noise, [3])
+        assert a.tobytes() == _noise_draws(noise, [3]).tobytes()
+        assert (_noise_draws(noise, [4]) != a).all()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -119,7 +120,7 @@ class TestNoise:
     def test_row_index_outside_uint32_rejected(self):
         for row in (-1, 2**32):
             with pytest.raises(ValueError, match="row"):
-                add_noise((0.0, 0.0, 0.0), NoiseSpec(), row)
+                _noise_draws(NoiseSpec(), [row])
 
     def test_sample_mean_of_output1_draws(self):
         # Statistical oracle: the mean of n draws has standard error sigma/sqrt(n).
@@ -172,12 +173,57 @@ class TestGenerate:
     def test_noise_is_keyed_by_row_not_order(self):
         ds = generate()
         for i in (0, 17, 47):
-            assert tuple(ds.y_noisy[i]) == add_noise(ds.y_clean[i], ds.noise, i)
+            assert ds.y_noisy[i].tobytes() == (ds.y_clean[i] + _noise_draws(ds.noise, [i])[0]).tobytes()
 
     def test_dataset_arrays_are_frozen(self):
         ds = generate()
         with pytest.raises(ValueError):
             ds.y_noisy[0, 0] = 0.0
+
+
+class TestNoiseDrawnWhenRead:
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        """The row counts of every ``_noise_draws`` call."""
+        calls = []
+        original = synthdata._noise_draws
+        monkeypatch.setattr(synthdata, "_noise_draws",
+                            lambda noise, rows: calls.append(len(rows)) or original(noise, rows))
+        return calls
+
+    @pytest.mark.parametrize("read", [lambda ds: ds.y_noisy, lambda ds: ds.outputs("noisy")])
+    def test_drawn_once_on_first_read(self, draws, read):
+        ds = generate()
+        assert draws == []
+        ds.outputs("noise-free")
+        assert draws == []
+        first = read(ds)
+        assert draws == [48]
+        assert read(ds) is first and ds.y_noisy is first and ds.outputs("noisy") is first
+        assert draws == [48]
+
+    def test_noisy_channel_is_derived_bit_for_bit_and_read_only(self):
+        spec = DesignSpec(x1_levels=3, x2_levels=5, x3_levels=2)
+        ds = generate(spec, NoiseSpec(master_seed=1009))
+        expected = ds.y_clean + _noise_draws(ds.noise, np.arange(ds.n_rows))
+        assert ds.y_noisy.tobytes() == expected.tobytes()
+        assert not ds.y_noisy.flags.writeable
+        with pytest.raises(AttributeError):
+            ds.y_noisy = expected
+        # a dataset built directly derives its noisy channel the same way
+        direct = FactorialDataset(x=ds.x, y_clean=ds.y_clean, spec=spec, noise=ds.noise)
+        assert direct.y_noisy.tobytes() == expected.tobytes()
+
+    def test_commands_on_the_clean_channel_draw_nothing(self, draws, tmp_path, capsys):
+        assert cli_main(["surface", "--axis", "x3", "--level", "2", "--output", "1",
+                         "--method", "cubic", "--regime", "noise-free",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert cli_main(["diagnose"]) == 0
+        assert draws == []
+        assert cli_main(["surface", "--axis", "x3", "--level", "2", "--output", "1",
+                         "--method", "cubic", "--regime", "noisy",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert draws == [48]
 
 
 class TestCsvExport:
