@@ -316,8 +316,8 @@ def fit_cubic(points, values, gradients=None) -> CubicSurface:
     ``gradients`` overrides the per-vertex gradient estimate (one (du, dv)
     row per node); by default gradients are estimated from the data when the
     surface is evaluated. Raises NonFiniteInput for a NaN or infinite
-    coordinate or value, and propagates triangulation failures
-    (InsufficientNodes, DegenerateGeometry, DuplicateNodes).
+    coordinate, value or supplied gradient, and propagates triangulation
+    failures (InsufficientNodes, DegenerateGeometry, DuplicateNodes).
     """
     tri = triangulate(points)  # validates the nodes once, via as_points
     pts = tri.points
@@ -330,4 +330,6 @@ def fit_cubic(points, values, gradients=None) -> CubicSurface:
         gradients = np.asarray(gradients, dtype=float)
         if gradients.shape != (pts.shape[0], 2):
             raise ValueError(f"expected gradient shape ({pts.shape[0]}, 2), got {gradients.shape}")
+        if not np.isfinite(gradients).all():
+            raise NonFiniteInput("cubic fit gradients must be finite")
     return CubicSurface(tri, z, gradients)

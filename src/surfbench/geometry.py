@@ -41,7 +41,6 @@ __all__ = [
     "as_points",
     "as_queries",
     "Triangulation",
-    "GeometryReport",
     "triangulate",
     "locate",
     "hull_cover",
@@ -867,28 +866,10 @@ def mesh_ratio(points) -> float:
     return fill_distance(points) / separation_distance(points)
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    """Node-distribution descriptors for one slice domain."""
-
-    fill_distance: float
-    separation_distance: float
-    mesh_ratio: float
-    n_nodes: int
-    n_hull: int
-
-    def to_dict(self) -> dict:
-        return {
-            "fill_distance": self.fill_distance,
-            "separation_distance": self.separation_distance,
-            "mesh_ratio": self.mesh_ratio,
-            "n_nodes": self.n_nodes,
-            "n_hull": self.n_hull,
-        }
-
-
-def geometry_report(points, grid_resolution: int = FILL_GRID_RESOLUTION) -> GeometryReport:
-    """Descriptors of a node set over its convex hull.
+def geometry_report(points, grid_resolution: int = FILL_GRID_RESOLUTION) -> dict:
+    """Descriptors of a node set over its convex hull: a dict of
+    ``fill_distance``, ``separation_distance``, ``mesh_ratio`` (the first
+    over the second), ``n_nodes`` and ``n_hull``.
 
     ``n_hull`` counts nodes lying on the hull boundary, including nodes
     interior to a hull edge. The nodes are validated once and the hull is
@@ -910,10 +891,10 @@ def geometry_report(points, grid_resolution: int = FILL_GRID_RESOLUTION) -> Geom
                   out=np.zeros(d.shape[:2]), where=seg_len2 > 0.0)
     gap = arr[:, None, :] - (poly + np.clip(t, 0.0, 1.0)[..., None] * ab)
     n_hull = int(np.count_nonzero((np.hypot(gap[..., 0], gap[..., 1]) <= tol).any(axis=1)))
-    return GeometryReport(
-        fill_distance=h,
-        separation_distance=q,
-        mesh_ratio=h / q,
-        n_nodes=arr.shape[0],
-        n_hull=n_hull,
-    )
+    return {
+        "fill_distance": h,
+        "separation_distance": q,
+        "mesh_ratio": h / q,
+        "n_nodes": arr.shape[0],
+        "n_hull": n_hull,
+    }

@@ -75,7 +75,9 @@ is built once for all its tasks (``_group_columns``). The runs come back
 as one columnar ``RunTable`` in task order: each run of consecutive tasks
 of one group is one slice of that group's columns. Each RBF run keeps its
 fit's condition estimate; ``rbf_condition_summary`` aggregates them per
-regime for ``meta.json``.
+regime for ``meta.json``, and ``reason_histogram`` counts the runs per
+regime, method and reason code (the valid runs per output are
+``report.summarize``'s ``valid_runs``).
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ __all__ = [
     "slice_nodes",
     "make_splits",
     "execute_experiment",
-    "valid_run_counts",
     "reason_histogram",
     "rbf_condition_summary",
 ]
@@ -129,7 +130,8 @@ _SPLIT_STREAM_TAG = 2
 
 @dataclass(frozen=True)
 class SliceTask:
-    """One 2D interpolation problem cut from the factorial dataset."""
+    """One 2D interpolation problem cut from the factorial dataset. Its
+    dataset rows are ``slice_nodes(dataset, fixed_axis, level_index)[0]``."""
 
     regime: str
     output_index: int  # 1-based, matching the output naming
@@ -139,10 +141,9 @@ class SliceTask:
     free_axes: tuple[str, str]
     points: np.ndarray  # (n, 2) free-axis coordinates
     values: np.ndarray  # (n,) targets from the regime's channel
-    row_ids: np.ndarray  # (n,) row indices into the source dataset
 
     def __post_init__(self):
-        for arr in (self.points, self.values, self.row_ids):
+        for arr in (self.points, self.values):
             arr.setflags(write=False)
 
     @property
@@ -237,7 +238,6 @@ def _slice_task(dataset: FactorialDataset, regime: str, fixed_axis: str, level_i
         free_axes=tuple(a for a in AXES if a != fixed_axis),
         points=points,
         values=dataset.outputs(regime)[rows, output_index - 1],
-        row_ids=rows,
     )
 
 
@@ -566,14 +566,6 @@ def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | Non
     if not kept:
         return RunTable.empty()
     return _run_tasks(*map(list, zip(*kept)), config.rbf_config(), stacklevel=3)
-
-
-def valid_run_counts(table: RunTable) -> dict[tuple[str, int, str], int]:
-    """Valid-run count per (regime, output_index, method)."""
-    return {(regime, output_index, method): int(np.count_nonzero(
-                table.valid & (table.regime == regime) & (table.output_index == output_index)
-                & (table.method == method)))
-            for regime in REGIMES for output_index in (1, 2, 3) for method in METHODS}
 
 
 def reason_histogram(table: RunTable) -> dict[str, dict[str, dict[str, int]]]:

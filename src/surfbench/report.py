@@ -4,7 +4,9 @@ contrast, CSV/JSON files, grids.
 Everything written here is plot-ready data rather than rendered figures:
 surface grids with explicit ``NA`` markers for undefined cells, predicted
 versus true scatter rows, per-slice geometry reports, and the aggregated
-summary table with bootstrap confidence intervals.
+summary table with bootstrap confidence intervals. The CLI writes each of
+them; a figure of a subset (one slice, the valid runs) selects rows of
+those files.
 
 Every CSV table except settings.csv goes through ``write_columns`` as
 columns, whose cells are those ``_fmt`` writes (see ``_cells``). File
@@ -14,6 +16,7 @@ formats are pinned:
                reason,n_test,n_finite,rmse,mae,r2
   summary.csv  regime,output,method,runs,rmse_mean,rmse_ci_lo,rmse_ci_hi,
                mae_mean,r2_mean,r2_ci_lo,r2_ci_hi
+  scatter.csv  regime,output,fixed_axis,fixed_level,repeat,method,y_true,y_pred
   settings.csv key,value rows that round-trip into an ExperimentConfig
   meta.json    every written file, the config hash, the total runtime, the
                record count and run counts per regime, method and reason
@@ -395,28 +398,18 @@ def write_grid_csv(header: str, grid: np.ndarray, path) -> None:
     write_columns(path, header, grid.T)
 
 
-def export_pred_vs_true(runs: RunTable, **filters) -> list[np.ndarray]:
+def export_pred_vs_true(runs: RunTable) -> list[np.ndarray]:
     """Scatter columns (regime, output, axis, level, repeat, method, y_true,
-    y_pred) in SCATTER_CSV_HEADER order, one entry per test point of the
-    selected valid runs.
-
-    Keyword filters narrow the selection (regime=..., output_index=...,
-    method=..., fixed_axis=..., fixed_level=..., repeat=...). Invalid runs
-    are excluded and logged.
+    y_pred) in SCATTER_CSV_HEADER order, one entry per test point of every
+    valid run. Invalid runs are excluded and logged; a table read from
+    runs.csv holds no predictions and raises ValueError.
     """
-    allowed = {"regime", "output_index", "method", "fixed_axis", "fixed_level", "repeat"}
-    unknown = set(filters) - allowed
-    if unknown:
-        raise ValueError(f"unknown filters: {sorted(unknown)}")
     if runs.y_true is None:
         raise ValueError("the run table holds no predictions (read from runs.csv)")
-    keep = np.ones(len(runs), dtype=bool)
-    for key, val in filters.items():
-        keep &= getattr(runs, key) == val
-    skipped = int(np.count_nonzero(keep & ~runs.valid))
+    skipped = int(np.count_nonzero(~runs.valid))
     if skipped:
         log.info("export_pred_vs_true: skipped %d invalid records", skipped)
-    point = np.repeat(keep & runs.valid, runs.n_test)  # over the flat arrays
+    point = np.repeat(runs.valid, runs.n_test)  # over the flat arrays
     return [np.repeat(getattr(runs, name), runs.n_test)[point] for name in (
         "regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method")] + [
         runs.y_true[point], runs.y_pred[point]]
@@ -444,7 +437,7 @@ def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,
             nodes = slice_nodes(dataset, axis, level_index)[1]
             key = (nodes.shape, nodes.tobytes())
             if key not in by_nodes:
-                by_nodes[key] = geometry_report(nodes).to_dict()
+                by_nodes[key] = geometry_report(nodes)
             reports.append({"fixed_axis": axis, "fixed_level": float(level), **by_nodes[key]})
     if not reports:
         given = [f"{name}={value}" for name, value in (("axis", fixed_axis), ("level", fixed_level))

@@ -6,6 +6,7 @@ criteria 6-12 are standalone property suites with independent oracles.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from surfbench.geometry import (
     triangulate,
 )
 from surfbench.metrics import _resample_means, bootstrap_ci, compute_metrics
-from surfbench.protocol import METHODS, REGIMES, execute_experiment, valid_run_counts
+from surfbench.protocol import METHODS, REGIMES, execute_experiment, reason_histogram
 from surfbench.rbf import eval_rbf, fit_rbf
 from surfbench.report import write_runs_csv
 from test_geometry import assert_delaunay
@@ -84,14 +85,16 @@ class TestQualitativeReproduction:
         )
         assert ok
 
-    def test_criterion_04_run_count_asymmetry(self, full_run):
-        counts = valid_run_counts(full_run)
-        rbf_ok = all(counts[(g, o, "rbf")] == 440 for g in REGIMES for o in (1, 2, 3))
+    def test_criterion_04_run_count_asymmetry(self, summary):
+        def valid_runs(regime, output, method):
+            return summary.row(regime, output, method).valid_runs
+
+        rbf_ok = all(valid_runs(g, o, "rbf") == 440 for g in REGIMES for o in (1, 2, 3))
         cubic_ok = all(
-            counts[(g, o, "cubic")] < counts[(g, o, "rbf")] for g in REGIMES for o in (1, 2, 3)
+            valid_runs(g, o, "cubic") < valid_runs(g, o, "rbf") for g in REGIMES for o in (1, 2, 3)
         )
         ok = rbf_ok and cubic_ok
-        cubic_counts = [counts[(g, o, "cubic")] for g in REGIMES for o in (1, 2, 3)]
+        cubic_counts = [valid_runs(g, o, "cubic") for g in REGIMES for o in (1, 2, 3)]
         report("04 run-count asymmetry", ok, f"rbf all 440, cubic {cubic_counts}")
         assert ok
 
@@ -112,6 +115,18 @@ class TestQualitativeReproduction:
             sel = full_run.valid & (full_run.regime == "noise-free") & (full_run.method == method)
             n, violations = np.count_nonzero(sel), np.count_nonzero(full_run.r2[sel] <= 0)
             assert violations <= 0.01 * n, (method, violations, n)
+
+    def test_summary_valid_runs_agree_with_the_reason_histogram(self, full_run, summary):
+        # two independent aggregations of validity: the valid column per
+        # summary row, and the reason codes per regime and method
+        hist = reason_histogram(full_run)
+        totals = Counter()
+        for regime in REGIMES:
+            for method in METHODS:
+                valid = sum(summary.row(regime, o, method).valid_runs for o in (1, 2, 3))
+                assert valid == hist[regime][method]["ok"], (regime, method)
+                totals[method] += valid
+        assert totals == {"cubic": 402, "rbf": 2640}
 
 
 class TestPropertySuites:

@@ -18,7 +18,9 @@ from surfbench.cubic import (
     evaluate_stack,
     fit_cubic,
 )
-from surfbench.errors import DegenerateGeometry, InsufficientNodes, InterpolationError
+from surfbench.errors import (
+    DegenerateGeometry, InsufficientNodes, InterpolationError, NonFiniteInput,
+)
 from surfbench.geometry import locate, triangulate
 from surfbench.protocol import enumerate_slices, execute_experiment, make_splits
 from surfbench.synthdata import DesignSpec, generate
@@ -352,6 +354,16 @@ class TestFitCubic:
             monkeypatch.setattr(module, "as_points", counting, raising=False)
         fit_cubic(UNIT_SQUARE, np.arange(4.0))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_supplied_gradient_rejected(self, bad):
+        # one bad gradient row would make the surface NaN inside the hull,
+        # which the protocol reads as outside support
+        pts = np.vstack([UNIT_SQUARE, [[0.5, 0.4]]])
+        gradients = np.zeros((5, 2))
+        gradients[4, 0] = bad
+        with pytest.raises(NonFiniteInput, match="gradients"):
+            fit_cubic(pts, np.arange(5.0), gradients=gradients)
 
     def test_error_propagation(self):
         with pytest.raises(InsufficientNodes):

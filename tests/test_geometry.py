@@ -25,7 +25,6 @@ from surfbench.errors import (
 from surfbench.geometry import (
     LOCATE_BLOCK,
     LOCATE_TOL,
-    GeometryReport,
     Triangulation,
     as_points,
     as_queries,
@@ -985,8 +984,8 @@ class TestDistanceKernels:
         assert same_float(fill_distance(arr, "hull" if domain is None else domain, res), expected)
         if domain is None and len(arr) > 1:
             report = geometry_report(arr, res)
-            assert same_float(report.fill_distance, expected)
-            assert same_float(report.mesh_ratio, expected / separation_distance(arr))
+            assert same_float(report["fill_distance"], expected)
+            assert same_float(report["mesh_ratio"], expected / separation_distance(arr))
 
     @pytest.mark.parametrize("scale, seed", [(1e-161, 6), (1e-170, 3), (1e-300, 3), (1e155, 3), (1e300, 3)])
     def test_fill_distance_outside_the_normal_square_range(self, scale, seed):
@@ -1105,8 +1104,7 @@ class TestMeshRatio:
 
 class TestGeometryReport:
     def test_report_keys_and_values(self):
-        report = geometry_report(UNIT_SQUARE)
-        payload = report.to_dict()
+        payload = geometry_report(UNIT_SQUARE)
         assert set(payload) == {
             "fill_distance",
             "separation_distance",
@@ -1116,7 +1114,6 @@ class TestGeometryReport:
         }
         assert payload["n_nodes"] == 4
         assert payload["n_hull"] == 4
-        assert isinstance(report, GeometryReport)
 
     def test_nodes_validated_once_and_hull_built_once(self, monkeypatch):
         calls = {"as_points": 0, "_hull": 0}
@@ -1134,8 +1131,8 @@ class TestGeometryReport:
         grid = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
         report = geometry_report(grid, grid_resolution=30)
         assert calls == {"as_points": 1, "_hull": 1}
-        assert report.fill_distance == fill_distance(grid, grid_resolution=30)
-        assert report.separation_distance == separation_distance(grid)
+        assert report["fill_distance"] == fill_distance(grid, grid_resolution=30)
+        assert report["separation_distance"] == separation_distance(grid)
 
     def test_n_hull_matches_per_point_reference(self):
         def reference_n_hull(arr):
@@ -1159,9 +1156,9 @@ class TestGeometryReport:
                  np.column_stack([xs, 2.0 * xs])]  # collinear: the hull is a segment
         cases += [min_separated(rng, int(rng.integers(3, 20)), 0.05) for _ in range(30)]
         for pts in cases:
-            assert geometry_report(pts, grid_resolution=20).n_hull == reference_n_hull(pts)
+            assert geometry_report(pts, grid_resolution=20)["n_hull"] == reference_n_hull(pts)
 
     def test_grid_hull_counts_collinear_boundary_nodes(self):
         xs = np.linspace(0.0, 1.0, 4)
         grid = np.array([[x, y] for x in xs for y in xs])
-        assert geometry_report(grid).n_hull == 12
+        assert geometry_report(grid)["n_hull"] == 12

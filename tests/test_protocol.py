@@ -35,7 +35,7 @@ from surfbench.protocol import (
     find_slice,
     make_splits,
     rbf_condition_summary,
-    valid_run_counts,
+    slice_nodes,
 )
 from surfbench.errors import (
     DegenerateGeometry,
@@ -63,7 +63,6 @@ def make_task(points, values, **overrides):
         free_axes=("x1", "x2"),
         points=np.asarray(points, dtype=float),
         values=np.asarray(values, dtype=float),
-        row_ids=np.arange(len(points)),
     )
     defaults.update(overrides)
     return SliceTask(**defaults)
@@ -96,18 +95,16 @@ class TestEnumerateSlices:
         for task in enumerate_slices(default_dataset, "noisy"):
             axis_col = AXES.index(task.fixed_axis)
             expected = np.nonzero(default_dataset.x[:, axis_col] == task.fixed_level)[0]
-            np.testing.assert_array_equal(task.row_ids, expected)
+            np.testing.assert_array_equal(
+                slice_nodes(default_dataset, task.fixed_axis, task.level_index)[0], expected)
             assert task.n in (12, 16)
 
     def test_regime_selects_channel(self, default_dataset):
         clean = enumerate_slices(default_dataset, "noise-free")[0]
         noisy = enumerate_slices(default_dataset, "noisy")[0]
-        np.testing.assert_array_equal(
-            clean.values, default_dataset.y_clean[clean.row_ids, 0]
-        )
-        np.testing.assert_array_equal(
-            noisy.values, default_dataset.y_noisy[noisy.row_ids, 0]
-        )
+        for task, channel in ((clean, default_dataset.y_clean), (noisy, default_dataset.y_noisy)):
+            rows = slice_nodes(default_dataset, task.fixed_axis, task.level_index)[0]
+            np.testing.assert_array_equal(task.values, channel[rows, 0])
 
 
     def test_find_slice_equals_the_enumerated_task(self, default_dataset):
@@ -855,11 +852,11 @@ class TestExecuteExperiment:
 
     def test_rbf_always_valid_on_default_design(self, small_run):
         records, config = small_run
-        counts = valid_run_counts(records)
+        table = summarize(records, config)
         expected = 11 * config.repeats_per_slice
         for regime in REGIMES:
             for output in (1, 2, 3):
-                assert counts[(regime, output, "rbf")] == expected
+                assert table.row(regime, output, "rbf").valid_runs == expected
 
     def test_rbf_validity_dominance(self, small_run):
         records, _ = small_run

@@ -535,18 +535,17 @@ class TestPredVsTrue:
         assert [len(c) for c in columns] == [0] * 8
 
     def test_filters(self):
+        # a subset of the scatter is a mask over its columns, one entry per
+        # test point of each run, in run order
         runs = concat([
             synthetic_run(method="cubic"),
             synthetic_run(method="rbf"),
             synthetic_run(method="rbf", output_index=2),
         ])
-        columns = export_pred_vs_true(runs, method="rbf", output_index=2)
-        assert set(columns[5].tolist()) == {"rbf"}
-        assert set(columns[1].tolist()) == {2}
-
-    def test_unknown_filter_rejected(self):
-        with pytest.raises(ValueError):
-            export_pred_vs_true(synthetic_run(), color="red")
+        columns = export_pred_vs_true(runs)
+        assert [len(c) for c in columns] == [15] * 8
+        keep = (columns[5] == "rbf") & (columns[1] == 2)
+        np.testing.assert_array_equal(np.flatnonzero(keep), np.arange(10, 15))
 
     def test_table_read_from_runs_csv_rejected(self, tmp_path):
         write_runs_csv(synthetic_run(), tmp_path / "runs.csv")
@@ -556,8 +555,9 @@ class TestPredVsTrue:
     def test_noisy_output3_rbf_residuals_have_both_heavy_tails(self, full_run):
         # the noisy high-sigma channel produces residuals beyond 2 sigma in
         # both directions for the exact RBF interpolant
-        columns = export_pred_vs_true(full_run, regime="noisy", output_index=3, method="rbf")
-        residuals = columns[7] - columns[6]
+        columns = export_pred_vs_true(full_run)
+        keep = (columns[0] == "noisy") & (columns[1] == 3) & (columns[5] == "rbf")
+        residuals = columns[7][keep] - columns[6][keep]
         sigma3 = 2.0
         assert (residuals > 2.0 * sigma3).any()
         assert (residuals < -2.0 * sigma3).any()
@@ -591,7 +591,7 @@ class TestDiagnose:
                 entry["fixed_level"])
             points = slice_nodes(default_dataset, entry["fixed_axis"], level_index)[1]
             assert entry == {"fixed_axis": entry["fixed_axis"], "fixed_level": entry["fixed_level"],
-                             **original(points).to_dict()}
+                             **original(points)}
 
 
 class TestCli:
