@@ -159,12 +159,23 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Load a config from a JSON object file or a settings.csv file."""
+    """Load a config from a JSON object file or a settings.csv file. A key
+    repeated in one JSON object raises ValueError naming the path and the
+    key, as a repeated settings.csv key does."""
     p = Path(path)
     if p.suffix == ".csv":
         return ExperimentConfig.from_settings_csv(p)
+
+    def unique(pairs):
+        mapping = {}
+        for key, value in pairs:
+            if key in mapping:
+                raise ValueError(f"{path}: repeats key {key!r}")
+            mapping[key] = value
+        return mapping
+
     with open(p) as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=unique)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold a flat JSON object")
     return ExperimentConfig.from_mapping(data)

@@ -17,11 +17,11 @@ on the diagonal at its lexicographically smallest node, and the triangles
 come in canonical order, so the triangle array does not depend on the
 input order.
 
-A lone ``triangulate`` evaluates each sign it asks for. Many
-triangulations of subsets of one node set can share a ``_Predicates``
-object, which evaluates each orientation or in-circle test of the node set
-once, by its exact argument tuple of node indices: the 249 builds of the
-default experiment (seed 42) evaluate 1,934 predicates instead of 15,523.
+Every triangulation takes its signs from a ``_Predicates`` object, which
+evaluates each orientation or in-circle test of its node set once, by its
+exact argument tuple of node indices. Many triangulations of subsets of one
+node set can share one: the 249 builds of the default experiment (seed 42)
+evaluate 1,934 predicates instead of 15,523.
 Point location of many (triangulation, queries) pairs
 runs as a few padded kernel passes (``_locate_stack``), a large query set
 by bounding box, each bit for bit ``locate`` of its pair alone.
@@ -67,12 +67,9 @@ PREDICATE_EPS_REL = 1e-12
 
 # hull_cover: the coverage band and the slack of a supporting line (relative
 # to the extent of the points; the slack is also the angle in radians by
-# which a hull vertex must turn), and the flatness range of a triple
-# (relative to its largest squared side) over which locate is not trusted.
+# which a hull vertex must turn).
 HULL_TOL = 1e-8
 SUPPORT_TOL = 1e-10
-FLAT_BAND = 0.5 * PREDICATE_EPS_REL
-FLAT_REL = 1e-6
 HULL_CHUNK = 1 << 20  # elements per hull_cover temporary
 
 
@@ -213,29 +210,9 @@ class Triangulation:
         return np.stack([1.0 - u - v, u, v], axis=-1)
 
 
-class _Signs:
+class _Predicates:
     """The orientation and in-circle signs of the (n, 2) nodes ``points``
-    (validated by ``as_points``), by node index, each evaluated when asked.
-
-    A lone ``triangulate`` takes its signs from here: one build repeats few
-    of its tests, so a memo would cost more than it saves.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.pts = list(map(tuple, points.tolist()))  # (x, y) tuples
-
-    def orient(self, a: int, b: int, c: int) -> int:
-        pts = self.pts
-        return orient_sign(pts[a], pts[b], pts[c])
-
-    def incircle(self, a: int, b: int, c: int, d: int) -> int:
-        pts = self.pts
-        return incircle_sign(pts[a], pts[b], pts[c], pts[d])
-
-
-class _Predicates(_Signs):
-    """``_Signs`` that evaluate each test once.
+    (validated by ``as_points``), by node index, each evaluated once.
 
     A sign is kept under its exact argument tuple: the snapped predicates
     are symmetric only up to roundoff, so a permuted tuple is another key.
@@ -244,7 +221,8 @@ class _Predicates(_Signs):
     """
 
     def __init__(self, points: np.ndarray):
-        super().__init__(points)
+        self.points = points
+        self.pts = list(map(tuple, points.tolist()))  # (x, y) tuples
         self.memo: dict = {}
 
     def orient(self, a: int, b: int, c: int) -> int:
@@ -275,7 +253,7 @@ class _Builder:
     ``nxt[a]`` the hull vertex after ``a`` counterclockwise.
     """
 
-    def __init__(self, signs: _Signs, nodes, seed):
+    def __init__(self, signs: _Predicates, nodes, seed):
         self.pts = signs.pts
         self.orient, self.incircle = signs.orient, signs.incircle
         self.nodes = nodes  # in the caller's order, for error messages
@@ -367,7 +345,7 @@ def triangulate(points) -> Triangulation:
     cocircular polygon is the fan from its smallest node (see
     ``_Builder.legalize``), and the rows are in canonical order (see
     ``Triangulation``), so permuting the input only permutes the indices.
-    The signs are evaluated as asked (``_Signs``), without a memo.
+    The signs come from a ``_Predicates`` of the nodes.
 
     Raises InsufficientNodes for fewer than 3 nodes, DegenerateGeometry when
     all nodes are collinear or a node is collinear with a hull edge within
@@ -385,12 +363,12 @@ def triangulate(points) -> Triangulation:
     rule settles.
     """
     arr = as_points(points)
-    return _triangulate(_Signs(arr), range(arr.shape[0]))
+    return _triangulate(_Predicates(arr), range(arr.shape[0]))
 
 
-def _triangulate(signs: _Signs, nodes) -> Triangulation:
+def _triangulate(signs: _Predicates, nodes) -> Triangulation:
     """``triangulate`` of the nodes ``signs.points[nodes]``, with the signs
-    of ``signs`` (a shared ``_Predicates`` evaluates each once); an error
+    of ``signs`` (which may be shared with other builds); an error
     names a node by its position in ``nodes``, as ``triangulate`` of those
     nodes alone does.
 
@@ -583,25 +561,16 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
     inner side of every supporting line of the training hull, where extent
     is the larger coordinate range of ``points``. A supporting line runs
     through two hull vertices, and no training node lies right of it by
-    more than SUPPORT_TOL * extent. ``locate`` widens each triangle by
-    LOCATE_TOL in barycentric coordinates, which moves its cover at most
-    2 * sqrt(2) * LOCATE_TOL * extent past the hull. On a trusted split,
-    every test node that ``locate(triangulate(training nodes), ...)``
-    covers is therefore ``covered``. The two masks differ only in the band
-    just outside the hull that lies within HULL_TOL * extent of every
-    supporting line.
+    more than SUPPORT_TOL * extent.
 
-    ``trusted`` (B,) is False in two cases. The first is a training set
-    with fewer than three hull vertices (fewer than three nodes cover
-    nothing), or that ``triangulate`` may find collinear: within twice its
-    band of the line through the first two nodes in (x, y) order, as it
-    tests. The second is a training node nearly on a supporting line,
-    where |orientation determinant| lies between FLAT_BAND and FLAT_REL of
-    the largest squared side. A Delaunay triangle that flat can only lie
-    along the hull, and ``locate`` resolves its barycentric coordinates
-    only to about 1e-16 / FLAT_REL, so its cover is not bounded by the
-    band. Nodes collinear within the predicate band (lattice lines) keep a
-    split trusted, because no triangle is built on them.
+    ``trusted`` (B,) marks the training sets with a proper hull: at least
+    three hull vertices (fewer than three nodes cover nothing), and not
+    collinear as ``triangulate`` tests it, within twice its band of the
+    line through the first two nodes in (x, y) order. On a trusted split
+    ``covered`` alone rules a test node out of the support, however far
+    ``locate`` reaches past the hull on a sliver triangle. An untrusted set
+    is left to ``triangulate``, which gives its failure, or, when it builds,
+    to ``locate``.
 
     Hull vertices are the training nodes that see the other training
     nodes within an angle below pi - SUPPORT_TOL; a node that turns the
@@ -609,10 +578,10 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
 
     What depends only on the nodes is computed once per call: the
     direction from each node to each other, and, for each ordered pair of
-    nodes that is a hull vertex of some split, three bit masks over all n
+    nodes that is a hull vertex of some split, two bit masks over all n
     nodes (``_line_tables``). A split gathers its directions to find its
-    hull vertices, then tests support, flatness and cover by AND and OR of
-    the mask words at its pairs of hull vertices. Each comparison is the
+    hull vertices, then tests support and cover by AND and OR of the mask
+    words at its pairs of hull vertices. Each comparison is the
     same float expression of the same coordinates whichever split makes
     it, so a split's answer does not depend on the other splits of the
     call. Besides (B, m), (B, n) and (n, n) arrays, each temporary holds
@@ -661,11 +630,11 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
     corner = np.take_along_axis(train, slot, axis=1)  # (B, h) node indices
 
     covered = np.ones(test.shape, dtype=bool)
-    untrusted = collinear | (n_vertex < 3)
+    trusted = ~collinear & (n_vertex >= 3)
     if not h:
-        return covered, ~untrusted
+        return covered, trusted
     rows = np.unique(corner[valid])
-    breaks, flat, beyond = _line_tables(p, rows, extent)
+    breaks, beyond = _line_tables(p, rows, extent)
     row = np.zeros(len(p), dtype=np.intp)
     row[rows] = np.arange(len(rows))
     corner = row[corner]  # table rows; an invalid slot's is never read
@@ -679,11 +648,10 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
         words = member[s, None, None, :]
         support = ~(breaks[pair] & words).any(axis=3)
         support &= valid[s, :, None] & valid[s, None, :]
-        untrusted[s] |= (support & (flat[pair] & words).any(axis=3)).any(axis=(1, 2))
         cut = np.bitwise_or.reduce(np.where(support[..., None], beyond[pair], 0), axis=(1, 2))
         cut = np.unpackbits(cut.view(np.uint8), axis=1, count=len(p), bitorder="little")
         covered[s] = ~np.take_along_axis(cut, test[s], axis=1).astype(bool)
-    return covered, ~untrusted
+    return covered, trusted
 
 
 def _pack_bits(mask: np.ndarray) -> np.ndarray:
@@ -696,17 +664,14 @@ def _pack_bits(mask: np.ndarray) -> np.ndarray:
 
 
 def _line_tables(p: np.ndarray, rows: np.ndarray, extent: float) -> np.ndarray:
-    """Three (r, r, words) bit tables, stacked, over the n nodes ``p`` (see
+    """Two (r, r, words) bit tables, stacked, over the n nodes ``p`` (see
     ``_pack_bits``) for the line from a_i to a_j through each ordered pair
     of the r nodes ``rows``. With o twice the signed area of (a_i, a_j,
-    p_c) and side the largest squared side of that triangle, node c is
-    marked in
+    p_c), node c is marked in
 
     - the first when it lies right of the line by more than SUPPORT_TOL *
       |a_j - a_i| * extent (a training node there breaks the support);
-    - the second when FLAT_BAND * side < |o| <= FLAT_REL * side (a training
-      node there is nearly on the line);
-    - the third when it lies right of the line by more than HULL_TOL *
+    - the second when it lies right of the line by more than HULL_TOL *
       |a_j - a_i| * extent (a test node there is not covered).
 
     A pair (i, i) marks no node. The rows are built a slab at a time, with
@@ -714,21 +679,16 @@ def _line_tables(p: np.ndarray, rows: np.ndarray, extent: float) -> np.ndarray:
     more."""
     r, n = len(rows), len(p)
     a = p[rows]
-    ra = ((p[None, :, :] - a[:, None, :]) ** 2).sum(axis=2)  # (r, n) squared distances
-    tables = np.zeros((3, r, r, -(-n // 64)), dtype=np.uint64)
+    tables = np.zeros((2, r, r, -(-n // 64)), dtype=np.uint64)
     step = max(1, HULL_CHUNK // (r * n))
     for lo in range(0, r, step):
         s = slice(lo, lo + step)
         e = a[None, :, :] - a[s, None, :]  # e[i, j] = a_j - a_i
-        sq = (e * e).sum(axis=2)[..., None]
-        tol = np.sqrt(sq) * extent
+        tol = np.sqrt((e * e).sum(axis=2))[..., None] * extent
         q = (p[None, :, :] - a[s, None, :])[:, None, :, :]  # q[i, 0, c] = p_c - a_i
         o = e[..., 0, None] * q[..., 1] - e[..., 1, None] * q[..., 0]
         tables[0, s] = _pack_bits(~(o >= -SUPPORT_TOL * tol))
-        tables[2, s] = _pack_bits(o < -HULL_TOL * tol)
-        side = np.maximum(np.maximum(sq, ra[s, None, :]), ra[None, :, :])
-        o = np.abs(o)
-        tables[1, s] = _pack_bits((o > FLAT_BAND * side) & (o <= FLAT_REL * side))
+        tables[1, s] = _pack_bits(o < -HULL_TOL * tol)
     return tables
 
 
@@ -823,7 +783,7 @@ def _fill_distance(arr: np.ndarray, poly: np.ndarray, grid_resolution: int) -> f
         ))
         if polygon_area(poly) < 0:
             poly = poly[::-1]
-        tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+        tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1]) ** 2  # the cross products are length^2
         inside = np.ones(gx.shape[0], dtype=bool)
         for k in range(poly.shape[0]):
             a, b = poly[k], poly[(k + 1) % poly.shape[0]]
@@ -881,7 +841,7 @@ def geometry_report(points, grid_resolution: int = FILL_GRID_RESOLUTION) -> dict
     poly = _hull(arr)
     h = _fill_distance(arr, poly, grid_resolution)
     q = _separation_distance(arr)
-    tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]), 1.0)
+    tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]))
     # Distance from every node to every hull edge (a, b); a lone hull point
     # is the zero-length edge (a, a).
     ab = np.roll(poly, -1, axis=0) - poly

@@ -36,16 +36,15 @@ once, however many tasks and repeats draw it:
    against its set's training hull. The call computes the geometry of
    lines once from the group's nodes (direction and bit-mask tables over
    the nodes, each temporary within ``geometry.HULL_CHUNK`` elements) and
-   reads each set's answer from them. A split
-   whose training values are finite and whose hull leaves a test point
-   uncovered is recorded as ``test_points_outside_support`` without being
-   triangulated; ``n_finite`` counts its hull-covered test points. The
-   cover is one-sided: every test point that ``locate`` would find is
-   hull-covered, so the reason code is always right, and the count can
-   differ from ``locate``'s only for a point in the band within 1e-8 of
-   the slice extent outside the hull. Every other split needs its set's
-   triangulation, built once on the already checked nodes and shared by
-   the splits of the set, whether or not the hull test trusts it. The
+   reads each set's answer from them. The training hull is the one rule
+   that rules a test point out: on a split whose training set has a
+   proper hull (at least three hull vertices, and not collinear as
+   ``triangulate`` tests it) and whose training values are finite, a test
+   point more than 1e-8 of the slice extent outside the hull makes the
+   run ``test_points_outside_support`` without a triangulation;
+   ``n_finite`` counts its hull-covered test points. Every other split
+   needs its set's triangulation, built once on the already checked nodes
+   and shared by the splits of the set. The
    builds of a group share one ``geometry._Predicates``, so each
    orientation or in-circle test of its nodes is evaluated once (1,934
    evaluations for the 249 builds of the default run, seed 42). A set
@@ -65,8 +64,9 @@ treats each set or split on its own, so the table equals, bit for bit,
 that of each task run alone.
 
 The fitted cubic surfaces of a group are then evaluated at their test
-points as one stack (``cubic.evaluate_stack``). ``locate`` is
-authoritative: a surface that leaves a test point undefined is recorded as
+points as one stack (``cubic.evaluate_stack``). ``locate`` decides among
+the hull-covered points (and on a set without a proper hull): a surface
+that leaves a test point undefined is recorded as
 ``test_points_outside_support``, with ``n_finite`` counting its finite
 predictions. Each method's runs of a group are scored as one stack, its
 complete runs by ``metrics.metric_stack`` (which equals
@@ -422,9 +422,10 @@ def _cubic_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train
     node indices are ``sets[inverse[i]]``, m of them then the rest.
 
     ``hull_cover`` tests each distinct set once, all of them in one call,
-    which computes the lines of ``points`` once for the sets. A trusted
-    split with finite values and an uncovered test point is
-    recorded as outside support unfitted. Every other split gets its set's
+    which computes the lines of ``points`` once for the sets. A split with
+    a proper training hull (``trusted``), finite values and an uncovered
+    test point is recorded as outside support unfitted, whatever
+    ``locate`` would find. Every other split gets its set's
     triangulation, built once and shared by every split of the set, or that
     triangulation's failure as its reason; a split with non-finite values
     is then ``fit_failed:non_finite_input``. The builds share one

@@ -110,7 +110,7 @@ def nearly_flat(rng):
     """A rotated unit square and its centre, with one to three nodes moved
     off its edges (inward or outward) by 1e-12.5 to 1e-5.5 of the edge
     length: across the collinear band (2e-12 relative to the squared side),
-    FLAT_BAND and FLAT_REL."""
+    so some make sliver triangles along the hull."""
     turn = rng.uniform(0.0, 2.0 * np.pi)
     rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -146,12 +146,22 @@ def order_probe_sets(draw):
     return min_separated(rng, int(rng.integers(3, 20)), 0.05)
 
 
+def hull_distance(nodes, queries):
+    """The signed distance of each of the (k, 2) ``queries`` to the hull of
+    ``nodes`` (``convex_hull_polygon``, at least three vertices): the
+    largest over the hull's edge lines, positive outside."""
+    poly = convex_hull_polygon(nodes)
+    edge = np.roll(poly, -1, axis=0) - poly
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    rel = np.asarray(queries, dtype=float)[:, None, :] - poly[None, :, :]
+    return ((edge[:, 1] * rel[..., 0] - edge[:, 0] * rel[..., 1]) / length).max(axis=1)
+
+
 def hull_probes(nodes):
     """Probes 0, +-0.5, +-2 and +-10 band widths (HULL_TOL times the extent)
     off every hull edge, at its midpoint and a third of the way along, and
     off every hull vertex along the bisector of its edge normals. Returns
-    the probes, the signed distance of each to the hull (positive outside,
-    the largest over the edge lines) and the band width."""
+    the probes, their ``hull_distance`` and the band width."""
     poly = convex_hull_polygon(nodes)
     band = HULL_TOL * max(np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1]))
     edge = np.roll(poly, -1, axis=0) - poly
@@ -165,9 +175,7 @@ def hull_probes(nodes):
         for base, direction in ((poly + 0.5 * edge, normal), (poly + edge / 3.0, normal),
                                 (poly, bisector))
     ])
-    rel = probes[:, None, :] - poly[None, :, :]
-    outside = (edge[:, 1] * rel[..., 0] - edge[:, 0] * rel[..., 1]) / length[:, 0]
-    return probes, outside.max(axis=1), band
+    return probes, hull_distance(nodes, probes), band
 
 
 class InvertedInCircle(_Predicates):

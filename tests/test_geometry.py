@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 import tracemalloc
 import warnings
@@ -376,12 +377,17 @@ class TestBuilder:
         with pytest.raises(DegenerateGeometry, match=f"^{re.escape(message)}$"):
             triangulate(pts)
 
-    def test_lone_builds_keep_no_memo(self, monkeypatch):
-        # a lone build evaluates each sign it asks for: no _Predicates
+    def test_lone_builds_evaluate_each_sign_once(self, monkeypatch):
+        # a lone build takes its signs from its own _Predicates, so a test
+        # it asks for twice is evaluated once
         pts = lattice(4, 4)
         expected = triangulate(pts).triangles
-        monkeypatch.setattr(geometry._Predicates, "__init__", None)
+        calls = Counter()
+        for name in ("orient_sign", "incircle_sign"):
+            monkeypatch.setattr(geometry, name, lambda *args, f=getattr(geometry, name):
+                                calls.update([args]) or f(*args))
         np.testing.assert_array_equal(triangulate(pts).triangles, expected)
+        assert calls and max(calls.values()) == 1
 
 
 class TestExactOracle:
@@ -898,6 +904,15 @@ class TestFillDistance:
         augmented = np.vstack([pts, centroid])
         assert fill_distance(augmented, domain=domain) <= base + 1e-12
 
+    @pytest.mark.parametrize("scale", [1e3, 1e-3, 1e-6, 1e-9])
+    def test_fill_distance_and_mesh_ratio_do_not_depend_on_the_scale(self, scale):
+        # the grid is clipped to the hull with a tolerance scaled like the
+        # cross products it bounds (length^2); one in length units took in
+        # grid points outside the hull below unit scale
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.3], [0.1, 0.5]])
+        assert fill_distance(nodes * scale) / scale == pytest.approx(fill_distance(nodes), rel=1e-12)
+        assert mesh_ratio(nodes * scale) == pytest.approx(mesh_ratio(nodes), rel=1e-12)
+
 
 def fill_distance_oracle(arr, poly, grid_resolution):
     """The dense fill-distance scan: every candidate against every node in
@@ -914,7 +929,7 @@ def fill_distance_oracle(arr, poly, grid_resolution):
         grid = np.column_stack([gx.ravel(), gy.ravel()])
         if polygon_area(poly) < 0:
             poly = poly[::-1]
-        tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+        tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1]) ** 2
         inside = np.ones(grid.shape[0], dtype=bool)
         for k in range(poly.shape[0]):
             a, b = poly[k], poly[(k + 1) % poly.shape[0]]
@@ -1138,7 +1153,7 @@ class TestGeometryReport:
         def reference_n_hull(arr):
             """Per-node, per-edge loop that the vectorized count must match."""
             poly = convex_hull_polygon(arr)
-            tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]), 1.0)
+            tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]))
             count = 0
             for p in arr:
                 for k in range(poly.shape[0]):
@@ -1157,6 +1172,12 @@ class TestGeometryReport:
         cases += [min_separated(rng, int(rng.integers(3, 20)), 0.05) for _ in range(30)]
         for pts in cases:
             assert geometry_report(pts, grid_resolution=20)["n_hull"] == reference_n_hull(pts)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3, 1e-9, 1e-10])
+    def test_n_hull_does_not_depend_on_the_scale(self, scale):
+        # the boundary tolerance is relative to the extent alone
+        grid = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
+        assert geometry_report(grid * scale)["n_hull"] == 12
 
     def test_grid_hull_counts_collinear_boundary_nodes(self):
         xs = np.linspace(0.0, 1.0, 4)

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
-    InvertedInCircle, concat, hull_probes, one_run, order_probe_sets, per_run, reference_csv,
-    run_split, split_pairs, stage,
+    InvertedInCircle, concat, hull_distance, hull_probes, nearly_flat, one_run, order_probe_sets,
+    per_run, reference_csv, run_split, split_pairs, stage,
 )
 from surfbench import cubic, geometry, protocol
 from surfbench.config import ExperimentConfig
-from surfbench.geometry import convex_hull_polygon, hull_cover, locate, triangulate
+from surfbench.geometry import HULL_TOL, convex_hull_polygon, hull_cover, locate, triangulate
 from surfbench.metrics import compute_metrics
 from surfbench.protocol import (
     _FLAT,
@@ -363,28 +363,25 @@ class TestRunPair:
 
 class TestHullCover:
     @settings(max_examples=150, deadline=None)
-    @given(nodes=order_probe_sets())
-    def test_cover_contains_locate_and_equals_it_outside_the_band(self, nodes):
+    @given(nodes=st.one_of(order_probe_sets(), st.integers(0, 2**32 - 1).map(
+        lambda seed: nearly_flat(np.random.default_rng(seed)))))
+    def test_cover_equals_the_hull_outside_the_band(self, nodes):
+        # every set with a proper hull, those with sliver triangles along
+        # the hull included: beyond the band, covered is inside the hull
         assume(len(nodes) >= 3 and len(convex_hull_polygon(nodes)) >= 3)
         probes, outside, band = hull_probes(nodes)
         m = len(nodes)
         covered, trusted = hull_cover(np.vstack([nodes, probes]), np.arange(m)[None],
                                       np.arange(m, m + len(probes))[None])
         assume(trusted[0])
-        try:
-            tri = triangulate(nodes)
-        except InterpolationError:
-            return  # a node within the predicate band of a hull edge
-        located = locate(tri, probes)[0] >= 0
-        assert not (located & ~covered[0]).any()
         far = np.abs(outside) > 1.01 * band
-        np.testing.assert_array_equal(covered[0][far], located[far])
+        np.testing.assert_array_equal(covered[0][far], outside[far] < 0)
 
     def test_collinear_and_nearly_flat_training_sets_are_not_trusted(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
         row = np.column_stack([np.arange(5.0) / 3.0, np.full(5, 4.0 / 3.0)])
         # a node 1e-10 inside the bottom edge makes a flat Delaunay triangle
-        # there, on which locate resolves coordinates only to about 1e-6
+        # there, yet the set has a proper hull
         turn = np.array([[0.8, -0.6], [0.6, 0.8]])
         flat = np.vstack([square, [[0.37, 1e-10]]]) @ turn.T
         # three hull vertices, yet collinear within triangulate's band
@@ -392,31 +389,39 @@ class TestHullCover:
         sliver = np.array([[0.0, 0.0], [1e-3, 0.0], [1.0, 4e-10]])
         with pytest.raises(DegenerateGeometry):
             triangulate(sliver)
-        for nodes, expected in ((square, True), (row, False), (flat, False), (sliver, False)):
+        # a triangle 1e-11 high, which triangulate builds, turns the hull by
+        # less than the support slack at its apex: two hull vertices
+        thin = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-11]]) @ turn.T
+        triangulate(thin)
+        for nodes, expected in ((square, True), (row, False), (flat, True), (sliver, False),
+                                (thin, False)):
             m = len(nodes)
             _, trusted = hull_cover(nodes, np.arange(m)[None], np.arange(m - 1, m)[None])
             assert trusted[0] == expected
 
-    def test_a_sliver_along_the_hull_is_not_trusted_because_locate_overreaches(self):
+    def test_a_sliver_along_the_hull_rules_out_what_locate_finds_past_it(self):
         # A node 1e-12 inside the bottom edge of the rotated unit square
         # makes a sliver there. locate finds probes on the edge's line up to
         # about 5.6e-5 past a bottom corner, far beyond hull_cover's band:
-        # at the sliver's acute corner both edge tests fall below roundoff,
-        # so no per-edge tolerance bounds the cover. The flat-band case of
-        # hull_cover keeps such a set untrusted, so it is triangulated and
-        # locate decides its splits.
+        # at the sliver's acute corner both edge tests fall below roundoff.
+        # The set has a proper hull, and the hull alone rules such a probe
+        # out of the support.
         turn = np.array([[np.cos(0.85), -np.sin(0.85)], [np.sin(0.85), np.cos(0.85)]])
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5],
-                          [0.5, 1e-12]]) @ turn.T
-        past = np.logspace(-9, -2.25, 28)
-        probes = np.vstack([np.column_stack([-past, 0 * past]),
-                            np.column_stack([1 + past, 0 * past])]) @ turn.T
-        m = len(nodes)
-        covered, trusted = hull_cover(np.vstack([nodes, probes]), np.arange(m)[None],
-                                      np.arange(m, m + len(probes))[None])
-        located = locate(triangulate(nodes), probes)[0] >= 0
-        assert (located & ~covered[0]).any()
-        assert not trusted[0]
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5],
+                        [0.5, 1e-12], [0.3, 0.6], [1.0 + 10 ** -4.25, 0.0]]) @ turn.T
+        nodes, probes = pts[:6], pts[6:]
+        assert (locate(triangulate(nodes), probes)[0] >= 0).all()
+        assert hull_distance(nodes, probes[1:])[0] > 3900 * HULL_TOL * np.ptp(pts, axis=0).max()
+        covered, trusted = hull_cover(pts, np.arange(6)[None], np.array([[6, 7]]))
+        assert covered.tolist() == [[True, False]] and trusted[0]
+        task = make_task(pts, pts[:, 0] + pts[:, 1] ** 2)
+        plans = [SplitPlan(np.arange(6), np.array([6, 7]), 0)]
+        config = ExperimentConfig().rbf_config()
+        records = stage(task, plans, config)
+        assert records.reason.tolist() == ["test_points_outside_support", "ok"]
+        assert records.n_finite.tolist() == [1, 2]
+        assert np.isnan(per_run(records, "y_pred")[0]).all()
+        assert_same_records(records, reference_records(task, plans, config))
 
 
 def reference_record(task, plan, method, y_pred, reason=None, n_finite=0,
@@ -448,28 +453,47 @@ def reference_record(task, plan, method, y_pred, reason=None, n_finite=0,
 def reference_records(task, plans, rbf_config):
     """The RunTable of each split run alone through the public per-split
     API: ``fit_cubic`` and ``evaluate``, ``fit_rbf`` and ``eval_rbf``,
-    ``compute_metrics``."""
+    ``compute_metrics``, with the hull rule of ``cubic_record``."""
+    band = HULL_TOL * max(np.ptp(task.points[:, 0]), np.ptp(task.points[:, 1]))
     records = []
     for plan in plans:
         train, test = task.points[plan.train_indices], task.points[plan.test_indices]
         values = task.values[plan.train_indices]
-        try:
-            pred = cubic.fit_cubic(train, values).evaluate(test)
-            found = np.isfinite(pred)
-            records.append(reference_record(task, plan, "cubic", pred) if found.all() else
-                           reference_record(task, plan, "cubic", None, "test_points_outside_support",
-                                            int(np.count_nonzero(found))))
-        except InterpolationError as exc:
-            records.append(reference_record(task, plan, "cubic", None,
-                                            reason=f"fit_failed:{reason_code(exc)}"))
-        try:
-            surface = fit_rbf(train, values, rbf_config)
-            records.append(reference_record(task, plan, "rbf", eval_rbf(surface, test),
-                                            condition_estimate=surface.condition_estimate))
-        except InterpolationError as exc:
-            records.append(reference_record(task, plan, "rbf", None,
-                                            reason=f"fit_failed:{reason_code(exc)}"))
+        records.append(cubic_record(task, plan, train, values, test, band))
+        records.append(rbf_record(task, plan, train, values, test, rbf_config))
     return concat(records)
+
+
+def cubic_record(task, plan, train, values, test, band):
+    """The cubic run of one split. With finite training values and a
+    ``convex_hull_polygon`` of three vertices or more, a test point farther
+    than ``band`` outside that hull makes the run outside support unfitted,
+    ``n_finite`` counting the other test points. Otherwise the run is that
+    of ``fit_cubic`` and ``evaluate``."""
+    if len(train) >= 3 and len(convex_hull_polygon(train)) >= 3 and np.isfinite(values).all():
+        inside = hull_distance(train, test) <= band
+        if not inside.all():
+            return reference_record(task, plan, "cubic", None, "test_points_outside_support",
+                                    int(np.count_nonzero(inside)))
+    try:
+        pred = cubic.fit_cubic(train, values).evaluate(test)
+    except InterpolationError as exc:
+        return reference_record(task, plan, "cubic", None, reason=f"fit_failed:{reason_code(exc)}")
+    found = np.isfinite(pred)
+    if found.all():
+        return reference_record(task, plan, "cubic", pred)
+    return reference_record(task, plan, "cubic", None, "test_points_outside_support",
+                            int(np.count_nonzero(found)))
+
+
+def rbf_record(task, plan, train, values, test, rbf_config):
+    """The RBF run of one split, by ``fit_rbf`` and ``eval_rbf``."""
+    try:
+        surface = fit_rbf(train, values, rbf_config)
+        return reference_record(task, plan, "rbf", eval_rbf(surface, test),
+                                condition_estimate=surface.condition_estimate)
+    except InterpolationError as exc:
+        return reference_record(task, plan, "rbf", None, reason=f"fit_failed:{reason_code(exc)}")
 
 
 def assert_same_records(got, expected):
@@ -569,22 +593,24 @@ class TestStage:
             stage(bad_node, [covering, non_finite], config)
 
     def test_untrusted_split_with_a_test_point_outside_drops_its_predictions(self):
-        # the rotated square with a node 1e-10 inside its bottom edge, which
-        # hull_cover cannot vouch for: the fitted surface is located, finds
+        # a triangle 1e-11 high, which has two hull vertices to hull_cover
+        # but which triangulate builds: the fitted surface is located, finds
         # the inside test node only, and the run keeps no prediction
         turn = np.array([[0.8, -0.6], [0.6, 0.8]])
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5],
-                        [0.37, 1e-10], [0.25, 0.6], [1.5, 0.5]]) @ turn.T
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-11], [0.5, 5e-12], [1.5, 0.5]]) @ turn.T
         task = make_task(pts, pts[:, 0] + pts[:, 1] ** 2)
-        plans = [SplitPlan(np.arange(6), np.array([6, 7]), 0)]
+        plans = [SplitPlan(np.arange(3), np.array([3, 4]), 0)]
         _, trusted = hull_cover(pts, plans[0].train_indices[None], plans[0].test_indices[None])
         assert not trusted[0]
         config = ExperimentConfig().rbf_config()
-        records = stage(task, plans, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)  # the RBF on a flat set
+            records = stage(task, plans, config)
+            reference = reference_records(task, plans, config)
         assert records.reason[0] == "test_points_outside_support"
         assert records.n_finite[0] == 1
         assert np.isnan(per_run(records, "y_pred")[0]).all()
-        assert_same_records(records, reference_records(task, plans, config))
+        assert_same_records(records, reference)
 
     def test_one_ill_conditioned_warning_per_flagged_fit(self, default_dataset):
         config = ExperimentConfig(repeats_per_slice=3, rbf_epsilon=0.04)

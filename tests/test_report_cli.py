@@ -699,6 +699,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'settings.csv'}: line 3 repeats key 'random_seed'" in err
 
+    def test_json_config_repeated_key_fails_naming_it(self, tmp_path, capsys):
+        # json.load alone keeps the last of the two values (seed 7)
+        config = tmp_path / "config.json"
+        config.write_text('{"random_seed": 1, "random_seed": 7}')
+        with pytest.raises(ValueError, match="repeats key 'random_seed'"):
+            load_config(config)
+        assert cli_main(["run", "--config", str(config), "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: repeats key 'random_seed'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_report_missing_file_fails(self, tmp_path, capsys):
         assert cli_main(["report", "--runs", str(tmp_path / "nope.csv")]) == 2
         assert "error" in capsys.readouterr().err
