@@ -26,7 +26,9 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .errors import InterpolationError
-from .protocol import RunTable, execute_experiment, rbf_condition_summary, reason_histogram
+from .protocol import (
+    AXES, METHODS, REGIMES, RunTable, execute_experiment, rbf_condition_summary, reason_histogram,
+)
 from .report import (
     diagnose_slices,
     export_pred_vs_true,
@@ -54,8 +56,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outdir", default=DEFAULT_OUTDIR, help="artifact directory (default: %(default)s)")
 
 
+def _runs_path(args) -> Path:
+    return Path(args.runs) if args.runs else Path(args.outdir) / "runs.csv"
+
+
 def _resolve_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    """The ``--config`` file, else for ``report`` the settings.csv next to
+    its runs.csv if there is one, else the defaults; ``--seed`` overrides
+    the seed of any of them."""
+    path = args.config
+    if path is None and args.command == "report":
+        settings = _runs_path(args).parent / "settings.csv"
+        path = settings if settings.exists() else None
+    config = load_config(path) if path else ExperimentConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, random_seed=args.seed)
     return config
@@ -84,16 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="export an interpolated grid for one slice")
     _add_common(p)
-    p.add_argument("--axis", required=True, choices=("x1", "x2", "x3"))
+    p.add_argument("--axis", required=True, choices=AXES)
     p.add_argument("--level", required=True, type=float, help="the fixed level of the sliced axis")
     p.add_argument("--output", required=True, type=int, choices=(1, 2, 3))
-    p.add_argument("--method", required=True, choices=("cubic", "rbf"))
-    p.add_argument("--regime", default="noise-free", choices=("noise-free", "noisy"))
+    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--regime", default="noise-free", choices=REGIMES)
     p.add_argument("--out", metavar="PATH", help="output CSV (default: <outdir>/surface.csv)")
 
     p = sub.add_parser("diagnose", help="geometry reports per slice")
     _add_common(p)
-    p.add_argument("--axis", choices=("x1", "x2", "x3"), help="restrict to one sliced axis")
+    p.add_argument("--axis", choices=AXES, help="restrict to one sliced axis")
     p.add_argument("--level", type=float, help="restrict to one fixed level")
     p.add_argument("--out", metavar="PATH", help="output JSON (default: print to stdout)")
     return parser
@@ -156,16 +169,11 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_report(args, config: ExperimentConfig) -> int:
-    runs_path = Path(args.runs) if args.runs else Path(args.outdir) / "runs.csv"
+    runs_path = _runs_path(args)
     runs = read_runs_csv(runs_path)
     if not len(runs):
         print(f"error: no runs in {runs_path}", file=sys.stderr)
         return 1
-    settings = runs_path.parent / "settings.csv"
-    if args.config is None and settings.exists():
-        config = ExperimentConfig.from_settings_csv(settings)
-        if args.seed is not None:
-            config = dataclasses.replace(config, random_seed=args.seed)
     table = summarize(runs, config)
     print(table.to_text())
     return 0

@@ -9,18 +9,20 @@ Two neighboring macro triangles share their edge curve (same endpoint values
 and gradients) and both impose the linear-normal-derivative rule, so the
 composite surface is C1 across macro edges as well.
 
-Vertex gradients default to a weighted least-squares fit of a quadratic over
-each vertex's edge-connected neighbors (inverse-distance weights), dropping
-to an affine fit when fewer than 5 neighbors are available or the quadratic
-design is rank-deficient. Affine data is therefore reproduced exactly, and
-so is any quadratic when exact gradients are supplied.
+Vertex gradients are always estimated, by a weighted least-squares fit of
+a quadratic over each vertex's edge-connected neighbors (inverse-distance
+weights), dropping to an affine fit when fewer than 5 neighbors are
+available or the quadratic design is rank-deficient. Affine data is
+therefore reproduced exactly. The element itself is exact on quadratics:
+its patches, built from a quadratic's values and exact gradients, equal
+that quadratic everywhere in the hull.
 
 Evaluation outside the convex hull is undefined and returns NaN; the
 benchmark protocol treats such predictions as missing rather than errors.
-A fitted surface holds its triangulation, its vertex values and any
-supplied gradients; the estimated gradients and the control nets are built
-when it is evaluated. Evaluation locates all queries in one batched pass
-and sums the Bernstein form over arrays.
+A fitted surface holds its triangulation and its vertex values; the
+gradients and the control nets are built when it is evaluated. Evaluation
+locates all queries in one batched pass and sums the Bernstein form over
+arrays.
 
 Several surfaces are evaluated as one stage (``evaluate_stack``): each
 surface's queries are located on its own triangulation (once for surfaces
@@ -250,12 +252,11 @@ def _eval_located(nets: np.ndarray, t: np.ndarray, bary: np.ndarray) -> np.ndarr
 @dataclass(frozen=True, eq=False)
 class CubicSurface:
     """A fitted C1 cubic surface over the node set's convex hull: its
-    triangulation, vertex values and supplied vertex gradients (None when
-    they are estimated from the values, as ``estimate_gradients`` does)."""
+    triangulation and vertex values. Its vertex gradients are estimated
+    from the values when it is evaluated, as ``estimate_gradients`` does."""
 
     tri: Triangulation
     values: np.ndarray
-    gradients: np.ndarray | None = None
 
     def evaluate(self, queries) -> np.ndarray:
         """Values at (k, 2) queries; NaN for queries outside the hull. This
@@ -273,9 +274,8 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     and their queries share one result. On the joined
     mesh of all surfaces (each piece's vertex indices offset past the
     previous pieces' vertices), one ``_vertex_gradients`` call estimates
-    every gradient, supplied gradients replace their surface's rows, one
-    ``_control_nets`` call builds every net and one ``_eval_located`` call
-    evaluates every located query. Item ``i`` equals
+    every gradient, one ``_control_nets`` call builds every net and one
+    ``_eval_located`` call evaluates every located query. Item ``i`` equals
     ``surfaces[i].evaluate(queries[i])`` bit for bit.
     """
     if not surfaces:
@@ -293,9 +293,6 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     triangles = np.concatenate([s.tri.triangles + off for s, off in zip(surfaces, vert_off)])
     z = np.concatenate([s.values for s in surfaces])
     grads = _vertex_gradients(points, triangles, z, len(surfaces) > 1)[0]
-    for s, lo, hi in zip(surfaces, vert_off, vert_off[1:]):
-        if s.gradients is not None:
-            grads[lo:hi] = s.gradients
     hits = [t >= 0 for t, _ in located]
     values = _eval_located(
         _control_nets(points, triangles, z, grads),
@@ -310,14 +307,13 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     return out
 
 
-def fit_cubic(points, values, gradients=None) -> CubicSurface:
+def fit_cubic(points, values) -> CubicSurface:
     """Fit the C1 cubic interpolant through (points, values).
 
-    ``gradients`` overrides the per-vertex gradient estimate (one (du, dv)
-    row per node); by default gradients are estimated from the data when the
+    The vertex gradients are always estimated from the values, when the
     surface is evaluated. Raises NonFiniteInput for a NaN or infinite
-    coordinate, value or supplied gradient, and propagates triangulation
-    failures (InsufficientNodes, DegenerateGeometry, DuplicateNodes).
+    coordinate or value, and propagates triangulation failures
+    (InsufficientNodes, DegenerateGeometry, DuplicateNodes).
     """
     tri = triangulate(points)  # validates the nodes once, via as_points
     pts = tri.points
@@ -326,10 +322,4 @@ def fit_cubic(points, values, gradients=None) -> CubicSurface:
         raise ValueError(f"expected {pts.shape[0]} values, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise NonFiniteInput("cubic fit values must be finite")
-    if gradients is not None:
-        gradients = np.asarray(gradients, dtype=float)
-        if gradients.shape != (pts.shape[0], 2):
-            raise ValueError(f"expected gradient shape ({pts.shape[0]}, 2), got {gradients.shape}")
-        if not np.isfinite(gradients).all():
-            raise NonFiniteInput("cubic fit gradients must be finite")
-    return CubicSurface(tri, z, gradients)
+    return CubicSurface(tri, z)

@@ -165,22 +165,20 @@ class SplitPlan:
 
 
 # The types of the RunTable's label and count columns (its metric columns
-# are float), and its flat columns with the column of their lengths.
+# are float), and its flat columns, ``n_test`` entries per run.
 _SCALARS = {"regime": str, "output_index": int, "fixed_axis": str, "fixed_level": float,
             "repeat": int, "method": str, "valid": bool, "reason": str, "n_test": int,
             "n_finite": int}
-_FLAT = {"y_true": "n_test", "y_pred": "n_test", "train_indices": "n_train", "test_indices": "n_test"}
+_FLAT = ("y_true", "y_pred")
 
 
 @dataclass(frozen=True, eq=False)
 class RunTable:
     """Every run of an experiment as read-only columns, one entry per run in
     runs.csv order; a metric is NaN where the run is invalid, and so is
-    ``condition_estimate`` where it has none. Each run's targets, kept
-    predictions and test node indices lie flat in ``y_true``, ``y_pred``
-    and ``test_indices`` (offsets from ``n_test``), its training node
-    indices in ``train_indices`` (offsets from ``n_train``). A table read
-    from runs.csv has none of these five.
+    ``condition_estimate`` where it has none. Each run's targets and kept
+    predictions lie flat in ``y_true`` and ``y_pred`` (offsets from
+    ``n_test``). A table read from runs.csv has neither.
     """
 
     regime: np.ndarray
@@ -199,9 +197,6 @@ class RunTable:
     condition_estimate: np.ndarray
     y_true: np.ndarray | None = None
     y_pred: np.ndarray | None = None
-    train_indices: np.ndarray | None = None
-    test_indices: np.ndarray | None = None
-    n_train: np.ndarray | None = None
 
     def __post_init__(self):
         for column in vars(self).values():
@@ -375,23 +370,22 @@ def _score(y_true: np.ndarray, pred: np.ndarray, reasons: list,
     return valid, reason, n_finite, rmse, mae, r2, pred
 
 
-def _group_columns(tasks: list[SliceTask], counts: list[int], train: np.ndarray,
-                   test: np.ndarray, repeats: np.ndarray, runs: list[tuple]) -> dict[str, np.ndarray]:
-    """The RunTable columns of B splits of ``tasks``, with m and k the same
-    for every task: the splits are those of each task in turn, ``counts[t]``
-    of ``tasks[t]``, split i repeat ``repeats[i]`` with (B, m) ``train`` and
-    (B, k) ``test`` node indices. For each split, one run per method in
-    ``runs`` order. Each item of ``runs`` is ``(method, pred, reasons,
-    n_finite, cond)`` over the B splits, as ``_score`` takes them, with the
-    condition estimates ``cond`` (NaN where none) or None. Each column is
-    built once for all the tasks, and each method's runs are scored as one
-    stack (``_score`` works row by row)."""
+def _group_columns(tasks: list[SliceTask], counts: list[int], test: np.ndarray,
+                   repeats: np.ndarray, runs: list[tuple]) -> dict[str, np.ndarray]:
+    """The RunTable columns of B splits of ``tasks``, with k the same for
+    every task: the splits are those of each task in turn, ``counts[t]`` of
+    ``tasks[t]``, split i repeat ``repeats[i]`` with (B, k) ``test`` node
+    indices. For each split, one run per method in ``runs`` order, each
+    scored on the split's one row of targets. Each item of ``runs`` is
+    ``(method, pred, reasons, n_finite, cond)`` over the B splits, as
+    ``_score`` takes them, with the condition estimates ``cond`` (NaN where
+    none) or None. Each column is built once for all the tasks, and each
+    method's runs are scored as one stack (``_score`` works row by row)."""
     y_true = np.concatenate([task.values[rows] for task, rows in
                              zip(tasks, np.split(test, np.cumsum(counts)[:-1]))])
     scored = [_score(y_true, pred, reasons, n_finite)
               + (np.full(len(y_true), np.nan) if cond is None else cond,)
               for _, pred, reasons, n_finite, cond in runs]
-    size = len(test) * len(runs)
 
     def shared(column):  # a split's entries, once for each of its runs
         return np.repeat(column, len(runs), axis=0).ravel()
@@ -406,11 +400,8 @@ def _group_columns(tasks: list[SliceTask], counts: list[int], train: np.ndarray,
         method=np.tile([method for method, *_ in runs], len(test)),
         **dict(zip(("valid", "reason", "n_finite", "rmse", "mae", "r2", "y_pred",
                     "condition_estimate"), map(each, range(8)))),
-        n_test=np.full(size, test.shape[1]),
+        n_test=np.full(len(test) * len(runs), test.shape[1]),
         y_true=shared(y_true),
-        train_indices=shared(train),
-        test_indices=shared(test),
-        n_train=np.full(size, train.shape[1]),
     )
 
 
@@ -523,24 +514,24 @@ def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig
         runs = [_cubic_runs(points, sets, inverse, train, test, y),
                 _rbf_runs(points, sets, inverse, train, test, y, rbf_config, stacklevel + 1)]
         parts.append(_group_columns([tasks[t] for t in members], [len(plans[t][0]) for t in members],
-                                    train, test, repeats, runs))
+                                    test, repeats, runs))
     # A group's columns hold its tasks' rows in task order, so each run of
     # consecutive tasks of one group is one slice of them, rows ``lo`` to
     # ``hi`` of group ``g`` (6 runs for the 66 default tasks). A flat
-    # column's rows have as many entries each as the group's first.
+    # column's rows have the group's ``n_test`` entries each.
     group = {t: g for g, members in enumerate(groups.values()) for t in members}
     spans, taken = [], [0] * len(parts)
     for g, run in itertools.groupby(range(len(tasks)), key=group.__getitem__):
         hi = taken[g] + sum(len(plans[t][0]) for t in run) * len(METHODS)
         spans.append((g, taken[g], hi))
         taken[g] = hi
-    width = {name: [int(part[n][0]) for part in parts] for name, n in _FLAT.items()}
+    width = [int(part["n_test"][0]) for part in parts]
     # column by column, each dropping its parts, so the parts and the table
     # are not held whole at once
     table = {}
     for name in list(parts[0]):
         columns = [part.pop(name) for part in parts]
-        w = width.get(name, [1] * len(parts))
+        w = width if name in _FLAT else [1] * len(parts)
         table[name] = np.concatenate([columns[g][lo * w[g]:hi * w[g]] for g, lo, hi in spans])
     return RunTable(**table)
 

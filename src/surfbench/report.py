@@ -281,8 +281,10 @@ def _run_columns(rows: list[list[str]]) -> list[np.ndarray]:
     """The RunTable columns of runs.csv rows of 13 fields, in runs.csv
     order; the metrics NaN where a run is not valid. The cells are checked
     column by column in the order a row's would be read alone: valid, the
-    metrics of a valid row, n_finite, then the other numbers left to right,
-    so for a single row the first ValueError is that row's first bad cell."""
+    metrics of a valid row, n_finite, the other numbers left to right, then
+    the labels left to right (regime, output, fixed_axis, method: each one
+    that ``summarize`` counts), so for a single row the first ValueError is
+    that row's first bad cell."""
     cells = list(zip(*rows))
     if not {"true", "false"}.issuperset(cells[6]):
         bad = next(cell for cell in cells[6] if cell not in ("true", "false"))
@@ -294,6 +296,11 @@ def _run_columns(rows: list[list[str]]) -> list[np.ndarray]:
         values[valid] = list(map(float, itertools.compress(column, keep)))
     n_finite, output, level, repeat, n_test = (
         np.array(list(map(kind, cells[j]))) for j, kind in ((9, int), (1, int), (3, float), (4, int), (8, int)))
+    for name, column, allowed in (("regime", cells[0], REGIMES), ("output", output.tolist(), (1, 2, 3)),
+                                  ("fixed_axis", cells[2], AXES), ("method", cells[5], METHODS)):
+        if not set(allowed).issuperset(column):
+            bad = next(cell for cell in column if cell not in allowed)
+            raise ValueError(f"{name} must be one of {', '.join(map(str, allowed))}, got {bad!r}")
     return [np.array(cells[0]), output, np.array(cells[2]), level, repeat, np.array(cells[5]),
             valid, np.array(cells[7]), n_test, n_finite, *metrics]
 
@@ -321,8 +328,9 @@ def read_runs_csv(path) -> RunTable:
 
     Raises ValueError, naming the path and the line, for a header other
     than RUNS_CSV_HEADER, a row without 13 fields, a valid cell other than
-    true or false, or a number that does not parse (a metric only on a
-    valid row).
+    true or false, a number that does not parse (a metric only on a valid
+    row), or a regime, output, fixed axis or method that is not one of the
+    protocol's.
     """
     blocks = []
     with open(path, newline="") as fh:

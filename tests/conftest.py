@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from surfbench.config import ExperimentConfig
 from surfbench.geometry import HULL_TOL, _Predicates, convex_hull_polygon
-from surfbench.protocol import _FLAT, RunTable, _run_tasks, execute_experiment
+from surfbench.protocol import RunTable, _run_tasks, execute_experiment
 from surfbench.report import _fmt, summarize
 from surfbench.synthdata import DesignSpec, generate
 
@@ -43,15 +43,14 @@ def concat(tables):
 
 def per_run(table, name):
     """The entries of each run in flat column ``name`` of ``table``."""
-    return np.split(getattr(table, name), np.cumsum(getattr(table, _FLAT[name]))[:-1])
+    return np.split(getattr(table, name), np.cumsum(table.n_test)[:-1])
 
 
-def one_run(y_true, y_pred, train_indices, test_indices, **columns):
-    """The RunTable of one run: its node indices, targets and predictions,
-    and in ``columns`` its entry of every other column but ``n_train``."""
+def one_run(y_true, y_pred, **columns):
+    """The RunTable of one run: its targets and predictions, and in
+    ``columns`` its entry of every other column."""
     return RunTable(**{name: np.array([value]) for name, value in columns.items()},
-                    n_train=np.array([len(train_indices)]), y_true=y_true, y_pred=y_pred,
-                    train_indices=train_indices, test_indices=test_indices)
+                    y_true=y_true, y_pred=y_pred)
 
 
 def split_pairs(table):

@@ -23,7 +23,9 @@ from surfbench.geometry import (
     triangulate,
 )
 from surfbench.metrics import _resample_means, bootstrap_ci, compute_metrics
-from surfbench.protocol import METHODS, REGIMES, execute_experiment, reason_histogram
+from surfbench.protocol import (
+    METHODS, REGIMES, enumerate_slices, execute_experiment, make_splits, reason_histogram,
+)
 from surfbench.rbf import eval_rbf, fit_rbf
 from surfbench.report import write_runs_csv
 from test_geometry import assert_delaunay
@@ -309,11 +311,18 @@ class TestPropertySuites:
         write_runs_csv(rerun, path_b)
         identical = path_a.read_bytes() == path_b.read_bytes()
 
+        # each split's cubic and RBF runs are scored on the targets of the
+        # test nodes of its make_splits plan
         cubic, rbf = split_pairs(full_run)
+        targets = [
+            task.values[plan.test_indices].tobytes()
+            for regime in REGIMES for task in enumerate_slices(default_dataset, regime)
+            for plan in make_splits(task, default_config.repeats_per_slice,
+                                    default_config.train_fraction, default_config.random_seed)
+        ]
+        y_true = per_run(full_run, "y_true")
         paired = all(
-            np.array_equal(a, b)
-            for name in ("train_indices", "test_indices")
-            for a, b in zip(per_run(full_run, name)[cubic], per_run(full_run, name)[rbf])
+            [a.tobytes() for a in y_true[part]] == targets for part in (cubic, rbf)
         )
         ok = identical and paired
         report(

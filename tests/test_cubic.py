@@ -19,7 +19,7 @@ from surfbench.cubic import (
     fit_cubic,
 )
 from surfbench.errors import (
-    DegenerateGeometry, InsufficientNodes, InterpolationError, NonFiniteInput,
+    DegenerateGeometry, InsufficientNodes, InterpolationError,
 )
 from surfbench.geometry import locate, triangulate
 from surfbench.protocol import enumerate_slices, execute_experiment, make_splits
@@ -212,7 +212,7 @@ class TestGradients:
            data=st.data())
     def test_mixed_stack_gives_each_surface_its_batch_of_one(self, seed, sizes, data):
         # a three-node surface (every vertex has 2 neighbours) among random
-        # and lattice sets of 4 to 30 nodes, one with supplied gradients
+        # and lattice sets of 4 to 30 nodes
         rng = np.random.default_rng(seed)
         sets = [(UNIT_SQUARE[:3], rng.normal(size=3))]
         for n in sizes:
@@ -229,12 +229,9 @@ class TestGradients:
         if len(sets) < 2:
             return
         rng.shuffle(sets)
-        supplied = data.draw(st.integers(0, len(sets) - 1))
-        given_grads = rng.normal(size=(len(sets[supplied][0]), 2))
-        grads = [given_grads if i == supplied else None for i in range(len(sets))]
         queries = [rng.uniform(-0.2, 1.9, (int(rng.integers(0, 40)), 2)) for _ in sets]
 
-        surfaces = [fit_cubic(nodes, values, g) for (nodes, values), g in zip(sets, grads)]
+        surfaces = [fit_cubic(nodes, values) for nodes, values in sets]
         assert len({len(nb) for s in surfaces for nb in neighbor_sets(s.tri)}) > 1
         solves = []
         original = cubic._vertex_gradients
@@ -242,18 +239,17 @@ class TestGradients:
         def capture(points, triangles, z, joined):
             assert joined  # a stack of several surfaces looks for repeated designs
             solved = original(points, triangles, z, joined)
-            solves.append(solved[0].copy())  # before supplied rows replace theirs
+            solves.append(solved[0])
             return solved
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cubic, "_vertex_gradients", capture)
             stacked = evaluate_stack(surfaces, queries)
         assert len(solves) == 1  # one gradient solve for the whole stack
-        assert surfaces[supplied].gradients is given_grads
 
         offsets = np.cumsum([0] + [s.tri.n_vertices for s in surfaces])
-        for i, ((nodes, values), g, q) in enumerate(zip(sets, grads, queries)):
-            alone = fit_cubic(nodes, values, g)
+        for i, ((nodes, values), q) in enumerate(zip(sets, queries)):
+            alone = fit_cubic(nodes, values)
             assert stacked[i].tobytes() == alone.evaluate(q).tobytes()
             rows = solves[0][offsets[i]:offsets[i + 1]]
             assert rows.tobytes() == estimate_gradients(alone.tri, values).tobytes()
@@ -328,11 +324,16 @@ class TestFitCubic:
                 axis=-1,
             )
 
-        surface = fit_cubic(pts, f(pts), gradients=grad(pts))
+        # the element built from exact vertex gradients, at the located
+        # queries
+        tri = triangulate(pts)
         queries = rng.uniform(0.0, 1.0, (200, 2))
-        predictions = surface.evaluate(queries)
-        inside = np.isfinite(predictions)
-        assert np.abs(predictions[inside] - f(queries[inside])).max() <= 1e-9
+        t, bary = locate(tri, queries)
+        inside = t >= 0
+        assert inside.any()
+        nets = _control_nets(tri.points, tri.triangles, f(tri.points), grad(tri.points))
+        predictions = _eval_located(nets, t[inside], bary[inside])
+        assert np.abs(predictions - f(queries[inside])).max() <= 1e-9
 
     def test_caller_points_stay_writeable(self):
         pts = UNIT_SQUARE.copy()
@@ -354,16 +355,6 @@ class TestFitCubic:
             monkeypatch.setattr(module, "as_points", counting, raising=False)
         fit_cubic(UNIT_SQUARE, np.arange(4.0))
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_supplied_gradient_rejected(self, bad):
-        # one bad gradient row would make the surface NaN inside the hull,
-        # which the protocol reads as outside support
-        pts = np.vstack([UNIT_SQUARE, [[0.5, 0.4]]])
-        gradients = np.zeros((5, 2))
-        gradients[4, 0] = bad
-        with pytest.raises(NonFiniteInput, match="gradients"):
-            fit_cubic(pts, np.arange(5.0), gradients=gradients)
 
     def test_error_propagation(self):
         with pytest.raises(InsufficientNodes):

@@ -178,46 +178,50 @@ class TestMakeSplits:
             make_splits(task, repeats=1, alpha=0.7, master_seed=42)
 
 
-    def test_default_plan_is_pinned(self, full_run):
+    @staticmethod
+    def default_plan(dataset, config):
+        """The tasks of both regimes and the plan ``execute_experiment``
+        draws for them."""
+        tasks = [task for regime in REGIMES for task in enumerate_slices(dataset, regime)]
+        return tasks, _plan_splits(tasks, config.repeats_per_slice, config.train_fraction,
+                                   config.random_seed)
+
+    def test_default_plan_is_pinned(self, default_dataset, default_config):
         # every train/test index array of the 2640 default splits (seed 42),
         # in run order, as little-endian int64
         digest = hashlib.sha256()
-        for train, test in zip(per_run(full_run, "train_indices")[0::2],
-                               per_run(full_run, "test_indices")[0::2]):
-            digest.update(train.astype("<i8").tobytes())
-            digest.update(test.astype("<i8").tobytes())
-        assert len(full_run) == 2 * 2640
+        splits = 0
+        for train, test in self.default_plan(default_dataset, default_config)[1]:
+            for split in zip(train, test):
+                digest.update(b"".join(a.astype("<i8").tobytes() for a in split))
+                splits += 1
+        assert splits == 2640
         assert digest.hexdigest() == "bafc9482ab92c7f184adf74691739c726766a978aefbcd93749d74ad8686655e"
 
     def test_make_splits_gives_the_rows_the_experiment_runs(self, default_dataset, default_config,
                                                             full_run):
         names = ("regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method")
-        keys, indices = [], {"train_indices": [], "test_indices": []}
-        for regime in REGIMES:
-            for task in enumerate_slices(default_dataset, regime):
-                for plan in make_splits(task, default_config.repeats_per_slice,
-                                        default_config.train_fraction, default_config.random_seed):
-                    for method in ("cubic", "rbf"):
-                        keys.append((regime, task.output_index, task.fixed_axis, task.fixed_level,
-                                     plan.repeat_index, method))
-                        indices["train_indices"].append(plan.train_indices)
-                        indices["test_indices"].append(plan.test_indices)
+        keys = []
+        for task, (train, test) in zip(*self.default_plan(default_dataset, default_config)):
+            plans = make_splits(task, default_config.repeats_per_slice,
+                                default_config.train_fraction, default_config.random_seed)
+            assert [plan.repeat_index for plan in plans] == list(range(len(train)))
+            for plan, plan_train, plan_test in zip(plans, train, test):
+                np.testing.assert_array_equal(plan.train_indices, plan_train)
+                np.testing.assert_array_equal(plan.test_indices, plan_test)
+                keys += [(task.regime, task.output_index, task.fixed_axis, task.fixed_level,
+                          plan.repeat_index, method) for method in ("cubic", "rbf")]
         assert list(zip(*(getattr(full_run, name).tolist() for name in names))) == keys
-        for name, expected in indices.items():
-            got = per_run(full_run, name)
-            assert len(got) == len(expected)
-            for a, b in zip(got, expected):
-                np.testing.assert_array_equal(a, b)
 
 
 class TestRunPair:
     def test_pairing_shares_split_indices(self, default_dataset, default_config):
+        # both runs of the split are scored on the targets of its test nodes
         task = enumerate_slices(default_dataset, "noise-free")[0]
         plan = make_splits(task, 1, 0.7, 42)[0]
         runs = run_split(task, plan, default_config.rbf_config())
-        for name in ("train_indices", "test_indices"):
-            cubic, rbf = per_run(runs, name)
-            np.testing.assert_array_equal(cubic, rbf)
+        expected = task.values[plan.test_indices]
+        assert [y_true.tobytes() for y_true in per_run(runs, "y_true")] == [expected.tobytes()] * 2
 
     def test_all_test_points_outside_hull(self):
         # train nodes form a small inner cluster; test nodes sit far outside
@@ -441,7 +445,6 @@ def reference_record(task, plan, method, y_pred, reason=None, n_finite=0,
                 reason = "too_few_test_points" if n_test < 2 else "zero_target_variance"
     return one_run(
         y_true, np.full(n_test, np.nan) if y_pred is None else np.asarray(y_pred, dtype=float),
-        plan.train_indices, plan.test_indices,
         regime=task.regime, output_index=task.output_index, fixed_axis=task.fixed_axis,
         fixed_level=task.fixed_level, repeat=plan.repeat_index,
         method=method, valid=metrics is not None, reason="ok" if metrics is not None else reason,
@@ -837,13 +840,12 @@ class TestScoring:
     def test_stacked_scoring_equals_each_run_scored_alone(self, case):
         task, test, pred, made, n_finite = case
         b = len(test)
-        train = np.tile(np.arange(3), (b, 1))
         repeats = np.arange(b)
         reasons = [None if m else "fit_failed:singular_system" for m in made]
-        got = RunTable(**_group_columns([task], [b], train, test, repeats,
+        got = RunTable(**_group_columns([task], [b], test, repeats,
                                         [("rbf", pred, reasons, n_finite, None)]))
         expected = concat(
-            reference_record(task, SplitPlan(train[i], test[i], i), "rbf",
+            reference_record(task, SplitPlan(np.arange(3), test[i], i), "rbf",
                              *((pred[i],) if made[i] else (None, reasons[i], int(n_finite[i]))))
             for i in range(b)
         )

@@ -1,7 +1,8 @@
 """README.md names only what exists: the commands in its ``bash`` blocks
 still work as written (every ``surfbench`` line parses with the CLI's
 parser, and every script or test path it names exists), and every
-backticked ``module.name`` of a ``surfbench`` module resolves."""
+backticked ``module.name`` of a ``surfbench`` module resolves, in README.md
+and in the double-backticked names of the package's docstrings."""
 
 import importlib
 import pkgutil
@@ -43,21 +44,30 @@ def test_scripts_and_test_paths_exist():
         assert (ROOT / path).exists(), path
 
 
-def code_names():
-    """The distinct backticked dotted names of README.md whose first part,
-    after an optional ``surfbench.``, is a module of the package."""
-    spans = re.findall(r"`((?:surfbench\.)?\w+(?:\.\w+)+)`", (ROOT / "README.md").read_text())
-    return sorted({span for span in spans
-                   if span.removeprefix("surfbench.").split(".")[0] in MODULES})
+def code_names(text, ticks):
+    """The distinct dotted names of ``text`` between ``ticks`` whose first
+    part, after an optional ``surfbench.``, is a module of the package."""
+    spans = re.findall(rf"{ticks}((?:surfbench\.)?\w+(?:\.\w+)+){ticks}", text)
+    return {span for span in spans if span.removeprefix("surfbench.").split(".")[0] in MODULES}
 
 
-NAMES = code_names()
+README_NAMES = code_names((ROOT / "README.md").read_text(), "`")
+DOCSTRING_NAMES = code_names("".join(path.read_text() for path in sorted(
+    (ROOT / "src" / "surfbench").glob("*.py"))), "``")
+NAMES = sorted(README_NAMES | DOCSTRING_NAMES)
+
+
+def attributes(names):
+    return [name for name in names if "." in name.removeprefix("surfbench.")]
 
 
 def test_readme_names_package_code():
     # the pattern still finds what README.md names, not an empty list
-    attributes = [name for name in NAMES if "." in name.removeprefix("surfbench.")]
-    assert len(attributes) >= 20
+    assert len(attributes(README_NAMES)) >= 20
+
+
+def test_docstrings_name_package_code():
+    assert len(attributes(DOCSTRING_NAMES)) >= 10
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -34,11 +34,11 @@ from surfbench.synthdata import DesignSpec, FactorialDataset, NoiseSpec, generat
 
 def synthetic_run(regime="noisy", output_index=1, method="cubic",
                   rmse=1.0, mae=0.8, r2=0.5, valid=True, repeat=0):
-    """A one-run RunTable on 11 training and 5 test nodes; an invalid run
-    has NaN metrics and predictions."""
+    """A one-run RunTable on 5 test nodes; an invalid run has NaN metrics
+    and predictions."""
     missing = 0.0 if valid else math.nan  # added to what an invalid run lacks
     return one_run(
-        np.arange(5.0), np.arange(5.0) + missing, np.arange(11), np.arange(5),
+        np.arange(5.0), np.arange(5.0) + missing,
         regime=regime, output_index=output_index, fixed_axis="x3", fixed_level=2.0,
         repeat=repeat, method=method, valid=valid,
         reason="ok" if valid else "test_points_outside_support", n_test=5,
@@ -688,6 +688,44 @@ class TestCli:
         expected = capsys.readouterr().out
         assert self.report_beside(tmp_path, settings.replace("\n", "\n\n")) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("row, cause", [
+        ("noisx,1,x3,2,0,cubic,true,ok,5,5,1,0.8,0.5", "regime must be one of noise-free, noisy, got 'noisx'"),
+        ("noisy,7,x3,2,0,cubic,true,ok,5,5,1,0.8,0.5", "output must be one of 1, 2, 3, got 7"),
+        ("noisy,1,x4,2,0,cubic,true,ok,5,5,1,0.8,0.5", "fixed_axis must be one of x1, x2, x3, got 'x4'"),
+        ("noisy,1,x3,2,0,cubicc,true,ok,5,5,1,0.8,0.5", "method must be one of cubic, rbf, got 'cubicc'"),
+    ], ids=["regime", "output", "fixed_axis", "method"])
+    def test_report_unknown_label_fails_with_path_and_line(self, tmp_path, capsys, row, cause):
+        # summarize counts only the known labels, so such a run would be
+        # dropped from the report without a word
+        runs = tmp_path / "runs.csv"
+        ok = "noisy,1,x3,2,0,rbf,true,ok,5,5,1,0.8,0.5"
+        runs.write_text(RUNS_CSV_HEADER + "\n" + ok + "\n" + row + "\n")
+        assert cli_main(["report", "--runs", str(runs)]) == 2
+        assert capsys.readouterr().err == f"error: {runs}: line 3: {cause}\n"
+
+    @pytest.mark.parametrize("argv, settings, expected", [
+        (["--seed", "7"], True, dict(bootstrap_resamples=20, random_seed=7)),
+        ([], True, dict(bootstrap_resamples=20, random_seed=5)),
+        (["--seed", "7"], False, dict(random_seed=7)),
+        (["--seed", "7", "--config", "small.json"], True, dict(repeats_per_slice=2, random_seed=7)),
+    ], ids=["settings_then_seed", "settings", "seed", "config_over_settings"])
+    def test_report_config_is_settings_beside_runs_then_seed(self, tmp_path, monkeypatch, argv,
+                                                             settings, expected):
+        # the settings.csv next to runs.csv (named by --runs, here in
+        # another directory than --outdir), unless --config names a file
+        runs_dir = tmp_path / "elsewhere"
+        runs_dir.mkdir()
+        (runs_dir / "runs.csv").write_text(RUNS_CSV_HEADER + "\nnoisy,1,x3,2,0,rbf,true,ok,5,5,1,0.8,0.5\n")
+        if settings:
+            ExperimentConfig(random_seed=5, bootstrap_resamples=20).write_settings_csv(
+                runs_dir / "settings.csv")
+        (tmp_path / "small.json").write_text(json.dumps({"repeats_per_slice": 2}))
+        argv = [str(tmp_path / a) if a == "small.json" else a for a in argv]
+        used = []
+        monkeypatch.setattr(cli, "summarize", lambda runs, config: used.append(config) or summarize(runs, config))
+        assert cli_main(["report", "--outdir", str(tmp_path), "--runs", str(runs_dir / "runs.csv"), *argv]) == 0
+        assert used == [ExperimentConfig(**expected)]
 
     def test_report_settings_row_without_two_fields_fails_with_path_and_line(self, tmp_path, capsys):
         assert self.report_beside(tmp_path, "key,value\nrandom_seed,42\nbootstrap_resamples,20,7\n") == 2
