@@ -169,12 +169,7 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_report(args, config: ExperimentConfig) -> int:
-    runs_path = _runs_path(args)
-    runs = read_runs_csv(runs_path)
-    if not len(runs):
-        print(f"error: no runs in {runs_path}", file=sys.stderr)
-        return 1
-    table = summarize(runs, config)
+    table = summarize(read_runs_csv(_runs_path(args)), config)
     print(table.to_text())
     return 0
 
@@ -223,7 +218,7 @@ def cli_main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return _COMMANDS[args.command](args, config)
-    except (OSError, ValueError, InterpolationError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, InterpolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -159,9 +159,9 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Load a config from a JSON object file or a settings.csv file. A key
-    repeated in one JSON object raises ValueError naming the path and the
-    key, as a repeated settings.csv key does."""
+    """Load a config from a JSON object file or a settings.csv file. A file
+    that is not JSON, or a key repeated in one JSON object, raises
+    ValueError naming the path, as a repeated settings.csv key does."""
     p = Path(path)
     if p.suffix == ".csv":
         return ExperimentConfig.from_settings_csv(p)
@@ -175,7 +175,10 @@ def load_config(path) -> ExperimentConfig:
         return mapping
 
     with open(p) as fh:
-        data = json.load(fh, object_pairs_hook=unique)
+        try:
+            data = json.load(fh, object_pairs_hook=unique)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold a flat JSON object")
     return ExperimentConfig.from_mapping(data)

@@ -45,12 +45,13 @@ import numpy as np
 
 from .errors import NonFiniteInput
 from .geometry import Triangulation, _locate_stack, as_queries, triangulate
-# Temporary shim: bench/run.py traces point location as cubic.locate, which
-# evaluate_stack no longer calls (it calls _locate_stack), so that span reads
-# 0 calls until the benchmark traces _locate_stack instead.
+# Temporary shim: bench/run.py traces point location as cubic.locate, and
+# bench/test_bench.py patches it there. evaluate_stack no longer calls it (it
+# calls _locate_stack), so that span reads 0 calls until the benchmark traces
+# _locate_stack instead.
 from .geometry import locate  # noqa: F401
 
-__all__ = ["CubicSurface", "estimate_gradients", "evaluate_stack", "fit_cubic"]
+__all__ = ["CubicSurface", "evaluate_stack", "fit_cubic"]
 
 # Vertex order of the three subtriangles, as (outer_start, outer_end) pairs of
 # macro-vertex slots; the split point is vertex 0 of every subtriangle.
@@ -135,22 +136,6 @@ def _vertex_gradients(points: np.ndarray, triangles: np.ndarray, z: np.ndarray,
                 coef[affine] = _lstsq_head(u[affine] * wk[affine], rhs[rows[affine]], joined)[0]
         grads[verts] = coef / scale[:, None]
     return grads, quadratic
-
-
-def estimate_gradients(tri: Triangulation, values) -> np.ndarray:
-    """Per-vertex surface gradients estimated from triangulation neighbors.
-
-    Fits z - z_v = g . dx + 0.5 dx^T H dx by weighted least squares over the
-    vertex's neighbors (affine model when fewer than 5 neighbors, or when the
-    quadratic design is rank-deficient). Exact for data from any affine
-    function; exact for quadratics at vertices with a well-posed 5-neighbor
-    fit. These are the gradients ``CubicSurface.evaluate`` estimates.
-    """
-    z = np.asarray(values, dtype=float)
-    n = tri.n_vertices
-    if z.shape != (n,):
-        raise ValueError(f"expected {n} vertex values, got shape {z.shape}")
-    return _vertex_gradients(tri.points, tri.triangles, z)[0]
 
 
 def _control_nets(points: np.ndarray, triangles: np.ndarray, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -253,7 +238,7 @@ def _eval_located(nets: np.ndarray, t: np.ndarray, bary: np.ndarray) -> np.ndarr
 class CubicSurface:
     """A fitted C1 cubic surface over the node set's convex hull: its
     triangulation and vertex values. Its vertex gradients are estimated
-    from the values when it is evaluated, as ``estimate_gradients`` does."""
+    from the values when it is evaluated (``_vertex_gradients``)."""
 
     tri: Triangulation
     values: np.ndarray

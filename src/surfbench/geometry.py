@@ -1,5 +1,6 @@
 """Planar geometry substrate: Delaunay triangulation, point location, and
-node-distribution descriptors (fill distance, separation distance, mesh ratio).
+node-distribution descriptors (``geometry_report``: fill distance,
+separation distance, mesh ratio).
 
 The triangulation is built by incremental insertion in lexicographic (x, y)
 order with Lawson edge flips; each new node lies outside the hull of the
@@ -31,8 +32,6 @@ direction and line tables of the nodes built once for the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateGeometry, DuplicateNodes, InsufficientNodes, NonFiniteInput
@@ -45,10 +44,6 @@ __all__ = [
     "locate",
     "hull_cover",
     "convex_hull_polygon",
-    "polygon_area",
-    "fill_distance",
-    "separation_distance",
-    "mesh_ratio",
     "geometry_report",
     "orient_sign",
     "incircle_sign",
@@ -724,39 +719,15 @@ def _hull(arr: np.ndarray) -> np.ndarray:
     return np.array(poly)
 
 
-def polygon_area(poly) -> float:
-    """Shoelace area of a simple polygon (positive when counterclockwise)."""
-    p = np.asarray(poly, dtype=float)
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _domain_polygon(arr: np.ndarray, domain) -> np.ndarray:
-    if isinstance(domain, str):
-        if domain == "hull":
-            return convex_hull_polygon(arr)
-        raise ValueError(f"unknown domain {domain!r}")
-    return np.atleast_2d(np.asarray(domain, dtype=float))
-
-
-def fill_distance(points, domain="hull", grid_resolution: int = FILL_GRID_RESOLUTION) -> float:
-    """Largest distance from any domain point to its nearest node.
-
-    The supremum over the domain is approximated by a uniform
-    ``grid_resolution x grid_resolution`` grid clipped to the (convex) domain
-    polygon; the approximation error is at most one grid-cell diagonal.
-    ``domain`` is a polygon vertex array, or 'hull' for the node set's hull.
-    """
-    arr = as_points(points)
-    if arr.shape[0] == 0:
-        raise InsufficientNodes("fill distance of an empty node set")
-    return _fill_distance(arr, _domain_polygon(arr, domain), grid_resolution)
-
-
 def _fill_distance(arr: np.ndarray, poly: np.ndarray, grid_resolution: int) -> float:
-    """``fill_distance`` of validated, non-empty nodes over the domain
-    polygon ``poly``: the largest over the candidate points of
-    ``np.hypot(dx, dy)`` to the nearest node.
+    """Largest distance from a point of the convex polygon ``poly`` to its
+    nearest node of the validated, non-empty ``arr``: of the candidate
+    points, the largest ``np.hypot(dx, dy)`` to the nearest node.
+
+    ``poly`` is counterclockwise, as ``_hull`` builds it, or one point or
+    a segment. The candidates are a ``grid_resolution x grid_resolution``
+    grid over its box clipped to it (points along a segment), so the result
+    is the supremum within one grid-cell diagonal.
 
     A running minimum of squared distances, taken one node at a time,
     ranks the candidates. Its relative error is a few ulps for squares in
@@ -781,8 +752,6 @@ def _fill_distance(arr: np.ndarray, poly: np.ndarray, grid_resolution: int) -> f
             np.linspace(lo[1], hi[1], grid_resolution),
             indexing="ij",
         ))
-        if polygon_area(poly) < 0:
-            poly = poly[::-1]
         tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1]) ** 2  # the cross products are length^2
         inside = np.ones(gx.shape[0], dtype=bool)
         for k in range(poly.shape[0]):
@@ -808,28 +777,20 @@ def _fill_distance(arr: np.ndarray, poly: np.ndarray, grid_resolution: int) -> f
     return float(nearest.max())
 
 
-def separation_distance(points) -> float:
-    """Half the minimum pairwise node distance."""
-    return _separation_distance(as_points(points))
-
-
 def _separation_distance(arr: np.ndarray) -> float:
+    """Half the minimum pairwise distance of validated nodes."""
     n = arr.shape[0]
     if n < 2:
         raise InsufficientNodes(f"separation distance needs >= 2 nodes, got {n}")
     return 0.5 * float(_pair_distances(arr).min())
 
 
-def mesh_ratio(points) -> float:
-    """Fill distance over the node set's hull, over separation distance; near
-    1 means quasi-uniform."""
-    return fill_distance(points) / separation_distance(points)
-
-
-def geometry_report(points, grid_resolution: int = FILL_GRID_RESOLUTION) -> dict:
+def geometry_report(points) -> dict:
     """Descriptors of a node set over its convex hull: a dict of
-    ``fill_distance``, ``separation_distance``, ``mesh_ratio`` (the first
-    over the second), ``n_nodes`` and ``n_hull``.
+    ``fill_distance`` (``_fill_distance`` over the hull on a
+    FILL_GRID_RESOLUTION grid), ``separation_distance``, ``mesh_ratio``
+    (the first over the second; near 1 means quasi-uniform), ``n_nodes``
+    and ``n_hull``.
 
     ``n_hull`` counts nodes lying on the hull boundary, including nodes
     interior to a hull edge. The nodes are validated once and the hull is
@@ -839,7 +800,7 @@ def geometry_report(points, grid_resolution: int = FILL_GRID_RESOLUTION) -> dict
     if arr.shape[0] == 0:
         raise InsufficientNodes("fill distance of an empty node set")
     poly = _hull(arr)
-    h = _fill_distance(arr, poly, grid_resolution)
+    h = _fill_distance(arr, poly, FILL_GRID_RESOLUTION)
     q = _separation_distance(arr)
     tol = 1e-9 * max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]))
     # Distance from every node to every hull edge (a, b); a lone hull point

@@ -18,7 +18,7 @@ from numpy.random import Generator, Philox, SeedSequence
 __all__ = ["MetricSet", "BootstrapCI", "metric_stack", "compute_metrics", "bootstrap_ci"]
 
 DEFAULT_RESAMPLES = 1000
-DEFAULT_LEVEL = 0.95
+LEVEL = 0.95
 # Index elements per draw, max(1, RESAMPLE_ELEMENTS // n) resample rows of
 # n: a block of indices and values stays in cache (64 rows at n = 440).
 RESAMPLE_ELEMENTS = 64 * 440
@@ -76,13 +76,11 @@ def compute_metrics(y_true, y_pred) -> MetricSet | None:
 
 @dataclass(frozen=True)
 class BootstrapCI:
-    """Percentile bootstrap interval for the mean of a sample."""
+    """Percentile bootstrap interval, at LEVEL, for the mean of a sample."""
 
-    point_estimate: float
     lower: float
     upper: float
     resamples: int
-    level: float
 
 
 def _resample_means(samples: np.ndarray, resamples: int, seed) -> np.ndarray:
@@ -102,13 +100,8 @@ def _resample_means(samples: np.ndarray, resamples: int, seed) -> np.ndarray:
     return means
 
 
-def bootstrap_ci(
-    samples,
-    resamples: int = DEFAULT_RESAMPLES,
-    level: float = DEFAULT_LEVEL,
-    seed=0,
-) -> BootstrapCI | None:
-    """Percentile CI for the mean from with-replacement resampling.
+def bootstrap_ci(samples, resamples: int = DEFAULT_RESAMPLES, seed=0) -> BootstrapCI | None:
+    """Percentile CI, at LEVEL, for the mean from with-replacement resampling.
 
     Returns None for an empty sample. Deterministic for a fixed seed; the
     seed may be an int or a tuple of ints.
@@ -118,15 +111,7 @@ def bootstrap_ci(
         return None
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
     means = _resample_means(arr, resamples, seed)
-    alpha = 1.0 - level
+    alpha = 1.0 - LEVEL
     lower, upper = np.percentile(means, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
-    return BootstrapCI(
-        point_estimate=float(arr.mean()),
-        lower=float(lower),
-        upper=float(upper),
-        resamples=int(resamples),
-        level=float(level),
-    )
+    return BootstrapCI(lower=float(lower), upper=float(upper), resamples=int(resamples))

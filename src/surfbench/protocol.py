@@ -252,18 +252,25 @@ def enumerate_slices(dataset: FactorialDataset, regime: str) -> list[SliceTask]:
     ]
 
 
+def _level_match(levels, fixed_level: float):
+    """Which design ``levels`` a requested ``fixed_level`` names: those
+    within 1e-12 of it, relative and absolute. ``find_slice`` and
+    ``report.diagnose_slices`` both match levels by it."""
+    return np.isclose(levels, fixed_level, rtol=1e-12, atol=1e-12)
+
+
 def find_slice(dataset: FactorialDataset, regime: str, fixed_axis: str, fixed_level: float,
                output_index: int) -> SliceTask:
     """The task of ``enumerate_slices(dataset, regime)`` with this axis,
-    output and a design level within 1e-12 of ``fixed_level`` (relative and
-    absolute), built alone. Its ``fixed_level`` is the design level.
+    output and the first design level that ``fixed_level`` names
+    (``_level_match``), built alone. Its ``fixed_level`` is the design level.
 
     Raises ValueError for an unknown regime or when no task matches.
     """
     dataset.outputs(regime)  # rejects an unknown regime before any match
     if fixed_axis in AXES and output_index in (1, 2, 3):
         levels = dataset.spec.axis_levels(fixed_axis)
-        match = np.nonzero(np.isclose(levels, fixed_level, rtol=1e-12, atol=1e-12))[0]
+        match = np.nonzero(_level_match(levels, fixed_level))[0]
         if match.size:
             return _slice_task(dataset, regime, fixed_axis, int(match[0]), int(output_index))
     raise ValueError(f"no slice with {fixed_axis}={fixed_level:g} and output {output_index}")

@@ -36,10 +36,9 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cubic import fit_cubic
-from .errors import InterpolationError
 from .geometry import geometry_report
 from .metrics import BootstrapCI, bootstrap_ci
-from .protocol import AXES, METHODS, REGIMES, RunTable, find_slice, slice_nodes
+from .protocol import AXES, METHODS, REGIMES, RunTable, _level_match, find_slice, slice_nodes
 from .rbf import eval_rbf, fit_rbf
 from .synthdata import FactorialDataset
 
@@ -330,7 +329,7 @@ def read_runs_csv(path) -> RunTable:
     than RUNS_CSV_HEADER, a row without 13 fields, a valid cell other than
     true or false, a number that does not parse (a metric only on a valid
     row), or a regime, output, fixed axis or method that is not one of the
-    protocol's.
+    protocol's; and naming the path for a file with no row.
     """
     blocks = []
     with open(path, newline="") as fh:
@@ -348,7 +347,7 @@ def read_runs_csv(path) -> RunTable:
                 _raise_at_first_bad_line(path)
                 raise
     if not blocks:
-        return RunTable.empty()
+        raise ValueError(f"{path}: no runs")
     columns = [np.concatenate(column) for column in zip(*blocks)]
     return RunTable(**dict(zip(_RUNS_CSV_COLUMNS, columns)),
                     condition_estimate=np.full(len(columns[0]), np.nan))
@@ -432,15 +431,16 @@ def diagnose_slices(dataset: FactorialDataset, fixed_axis: str | None = None,
     """Geometry report per slice: fill distance, separation, mesh ratio.
 
     Slice geometry does not depend on output or regime, so reports are
-    emitted once per (axis, level). Slices whose nodes are equal bit for
-    bit share one ``geometry_report``.
+    emitted once per (axis, level). ``fixed_level`` names design levels as
+    in ``find_slice`` (``protocol._level_match``). Slices whose nodes are
+    equal bit for bit share one ``geometry_report``.
     """
     reports, by_nodes = [], {}
     for axis in AXES:
         if fixed_axis is not None and axis != fixed_axis:
             continue
         for level_index, level in enumerate(dataset.spec.axis_levels(axis)):
-            if fixed_level is not None and not np.isclose(level, fixed_level, rtol=1e-12, atol=1e-12):
+            if fixed_level is not None and not _level_match(level, fixed_level):
                 continue
             nodes = slice_nodes(dataset, axis, level_index)[1]
             key = (nodes.shape, nodes.tobytes())

@@ -236,3 +236,9 @@ def triangle_areas(tri):
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
         - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
     )
+
+
+def hull_area(points):
+    """Shoelace area of the convex hull of ``points``."""
+    p = convex_hull_polygon(points)
+    return 0.5 * float(np.dot(p[:, 0], np.roll(p[:, 1], -1)) - np.dot(p[:, 1], np.roll(p[:, 0], -1)))

@@ -11,17 +11,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import hull, min_separated, per_run, split_pairs, triangle_areas
+from conftest import hull, hull_area, min_separated, per_run, split_pairs, triangle_areas
 from surfbench.cubic import fit_cubic
 from surfbench.errors import DegenerateGeometry
-from surfbench.geometry import (
-    convex_hull_polygon,
-    fill_distance,
-    mesh_ratio,
-    polygon_area,
-    separation_distance,
-    triangulate,
-)
+from surfbench.geometry import _fill_distance, as_points, convex_hull_polygon, geometry_report, triangulate
 from surfbench.metrics import _resample_means, bootstrap_ci, compute_metrics
 from surfbench.protocol import (
     METHODS, REGIMES, enumerate_slices, execute_experiment, make_splits, reason_histogram,
@@ -261,8 +254,7 @@ class TestPropertySuites:
             assert_delaunay(tri)
             assert tri.n_triangles == 2 * tri.n_vertices - len(hull(tri)) - 2
             assert (triangle_areas(tri) > 0).all()
-            hull_area = polygon_area(convex_hull_polygon(pts))
-            assert triangle_areas(tri).sum() == pytest.approx(hull_area, rel=1e-9)
+            assert triangle_areas(tri).sum() == pytest.approx(hull_area(pts), rel=1e-9)
 
         ratio_ok = True
         for _ in range(100):
@@ -271,16 +263,17 @@ class TestPropertySuites:
                 continue
             poly = convex_hull_polygon(pts)
             slack = math.hypot(np.ptp(poly[:, 0]) / 199.0, np.ptp(poly[:, 1]) / 199.0)
-            if mesh_ratio(pts) < 1.0 - slack / separation_distance(pts):
+            desc = geometry_report(pts)
+            if desc["mesh_ratio"] < 1.0 - slack / desc["separation_distance"]:
                 ratio_ok = False
                 break
 
-        # brute-force fill distance over an explicit square domain
+        # brute-force fill distance over an explicit (counterclockwise) square domain
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         fill_ok = True
         for _ in range(10):
             pts = min_separated(rng, 8, 0.1)
-            mine = fill_distance(pts, domain=square, grid_resolution=150)
+            mine = _fill_distance(as_points(pts), square, 150)
             brute = 0.0
             k = 97
             for i in range(k):

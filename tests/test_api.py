@@ -1,6 +1,7 @@
-"""The package's export lists agree with what its modules define, and
-set-up loads only the modules it uses."""
+"""The package's export lists agree with what its modules define, every
+import is used, and set-up loads only the modules it uses."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -23,6 +24,26 @@ SRC = Path(surfbench.__file__).resolve().parent.parent
 def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    # as pyflakes' F401: a name a module imports is referenced in its code
+    # (a docstring does not count), exported in its __all__, or marked as a
+    # deliberate re-export with "# noqa: F401"
+    module = importlib.import_module(name)
+    source = Path(module.__file__).read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        and not lines[node.lineno - 1].endswith("# noqa: F401")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
 
 
 def test_package_root_defines_only_its_version():

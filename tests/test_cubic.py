@@ -14,7 +14,6 @@ from surfbench.cubic import (
     _eval_located,
     _lstsq_head,
     _vertex_gradients,
-    estimate_gradients,
     evaluate_stack,
     fit_cubic,
 )
@@ -122,19 +121,19 @@ class TestGradients:
     def test_affine_data_gives_exact_gradients(self):
         tri = triangulate(UNIT_SQUARE)
         values = 2.0 * UNIT_SQUARE[:, 0] + 3.0 * UNIT_SQUARE[:, 1] + 1.0
-        grads = estimate_gradients(tri, values)
+        grads = _vertex_gradients(tri.points, tri.triangles, values)[0]
         np.testing.assert_allclose(grads, np.tile([2.0, 3.0], (4, 1)), atol=1e-9)
 
     def test_constant_data_gives_zero_gradients(self):
         tri = triangulate(UNIT_SQUARE)
-        grads = estimate_gradients(tri, np.full(4, 7.5))
+        grads = _vertex_gradients(tri.points, tri.triangles, np.full(4, 7.5))[0]
         np.testing.assert_allclose(grads, 0.0, atol=1e-12)
 
     def test_parabola_on_regular_grid_interior(self):
         xs = np.linspace(0.0, 1.0, 8)
         grid = np.array([[x, y] for x in xs for y in xs])
         tri = triangulate(grid)
-        grads = estimate_gradients(tri, grid[:, 0] ** 2)
+        grads = _vertex_gradients(tri.points, tri.triangles, grid[:, 0] ** 2)[0]
         boundary = set(hull(tri).tolist())
         for v in range(len(grid)):
             if v in boundary:
@@ -181,9 +180,9 @@ class TestGradients:
         assert joined_kept.tolist() == kept.tolist() * 3
 
     def test_value_length_mismatch(self):
-        tri = triangulate(UNIT_SQUARE)
-        with pytest.raises(ValueError):
-            estimate_gradients(tri, np.zeros(5))
+        # the fit checks the values the gradients are estimated from
+        with pytest.raises(ValueError, match="expected 4 values"):
+            fit_cubic(UNIT_SQUARE, np.zeros(5))
 
     @pytest.mark.parametrize("source", [42, 1009, 7, "lattice"])
     def test_stacked_solve_matches_the_lstsq_loop(self, source):
@@ -252,7 +251,8 @@ class TestGradients:
             alone = fit_cubic(nodes, values)
             assert stacked[i].tobytes() == alone.evaluate(q).tobytes()
             rows = solves[0][offsets[i]:offsets[i + 1]]
-            assert rows.tobytes() == estimate_gradients(alone.tri, values).tobytes()
+            assert rows.tobytes() == _vertex_gradients(alone.tri.points, alone.tri.triangles,
+                                                       alone.values)[0].tobytes()
 
 
 def test_surfaces_sharing_a_triangulation_and_queries_share_one_locate(monkeypatch):
@@ -378,7 +378,8 @@ class TestEvalCubic:
         pts = random_nodes(rng, 10)
         values = np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
         tri = fit_cubic(pts, values).tri
-        nets = _control_nets(tri.points, tri.triangles, values, estimate_gradients(tri, values))
+        grads = _vertex_gradients(tri.points, tri.triangles, values)[0]
+        nets = _control_nets(tri.points, tri.triangles, values, grads)
         nbrs = neighbors(tri)
         scale = max(1.0, np.abs(values).max())
         for t in range(tri.n_triangles):

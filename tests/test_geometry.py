@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    InvertedInCircle, edges, hull, hull_probes, min_separated, near_collinear, nearly_flat, neighbors,
-    order_probe_sets, triangle_areas,
+    InvertedInCircle, edges, hull, hull_area, hull_probes, min_separated, near_collinear, nearly_flat,
+    neighbors, order_probe_sets, triangle_areas,
 )
 from surfbench import geometry
 from surfbench.cubic import fit_cubic
@@ -30,14 +30,10 @@ from surfbench.geometry import (
     as_points,
     as_queries,
     convex_hull_polygon,
-    fill_distance,
     geometry_report,
     incircle_sign,
     locate,
-    mesh_ratio,
     orient_sign,
-    polygon_area,
-    separation_distance,
     triangulate,
 )
 from surfbench.config import ExperimentConfig
@@ -46,6 +42,17 @@ from surfbench.rbf import eval_rbf, fit_rbf
 from surfbench.synthdata import DesignSpec, generate
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def fill(pts, grid_resolution=geometry.FILL_GRID_RESOLUTION):
+    """Fill distance of ``pts`` over their hull, as ``geometry_report``
+    measures it (at any grid resolution)."""
+    arr = as_points(pts)
+    return geometry._fill_distance(arr, geometry._hull(arr), grid_resolution)
+
+
+def separation(pts):
+    return geometry._separation_distance(as_points(pts))
 
 
 def circumcircle(a, b, c):
@@ -177,7 +184,7 @@ class TestPointSet:
             as_points(np.array([[0.0, 0.0], [1.0, 1.0], [bad, 0.0]]))
 
     @pytest.mark.parametrize("consume", [
-        triangulate, convex_hull_polygon, fill_distance, separation_distance,
+        triangulate, convex_hull_polygon, geometry_report, separation,
         lambda nodes: fit_cubic(nodes, []), lambda nodes: fit_rbf(nodes, []),
     ], ids=["triangulate", "convex_hull_polygon", "fill_distance", "separation_distance",
             "fit_cubic", "fit_rbf"])
@@ -240,8 +247,7 @@ class TestTriangulate:
             tri = triangulate(pts)
             areas = triangle_areas(tri)
             assert (areas > 0).all()
-            hull_area = polygon_area(convex_hull_polygon(pts))
-            assert areas.sum() == pytest.approx(hull_area, rel=1e-9)
+            assert areas.sum() == pytest.approx(hull_area(pts), rel=1e-9)
 
     def test_neighbors_are_mutual(self):
         tri = triangulate(min_separated(np.random.default_rng(2), 15, 0.05))
@@ -332,7 +338,7 @@ class TestTriangulate:
             return
         areas = triangle_areas(tri)
         assert (areas > 0).all()
-        assert areas.sum() == pytest.approx(polygon_area(convex_hull_polygon(pts)), rel=1e-9)
+        assert areas.sum() == pytest.approx(hull_area(pts), rel=1e-9)
         assert tri.n_triangles == 2 * len(pts) - len(hull(tri)) - 2
 
     @given(seed=st.integers(0, 2**32 - 1), log10_offset=st.floats(-12.0, -10.0))
@@ -867,29 +873,27 @@ class TestFillDistance:
     def test_unit_square_corners(self):
         # farthest domain point is the center at distance sqrt(2)/2
         cell_diag = math.sqrt(2.0) / 199.0
-        assert fill_distance(UNIT_SQUARE) == pytest.approx(
-            math.sqrt(2.0) / 2.0, abs=cell_diag
-        )
+        assert fill(UNIT_SQUARE) == pytest.approx(math.sqrt(2.0) / 2.0, abs=cell_diag)
 
     def test_single_point_degenerate_domain(self):
-        assert fill_distance(np.array([[2.0, 3.0]])) == 0.0
+        assert fill(np.array([[2.0, 3.0]])) == 0.0
 
     def test_regular_grid_is_half_diagonal(self):
         s = 0.25
         pts = np.array([[i * s, j * s] for i in range(5) for j in range(5)])
         cell_diag = math.hypot(1.0, 1.0) / 199.0
-        assert fill_distance(pts) == pytest.approx(s / math.sqrt(2.0), abs=cell_diag)
+        assert fill(pts) == pytest.approx(s / math.sqrt(2.0), abs=cell_diag)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(InsufficientNodes):
-            fill_distance(np.empty((0, 2)))
+        with pytest.raises(InsufficientNodes, match="fill distance of an empty node set"):
+            geometry_report(np.empty((0, 2)))
 
     def test_refinement_is_monotone_up_to_cell_diagonal(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             pts = min_separated(rng, 12, 0.05)
-            coarse = fill_distance(pts, grid_resolution=50)
-            fine = fill_distance(pts, grid_resolution=100)
+            coarse = fill(pts, grid_resolution=50)
+            fine = fill(pts, grid_resolution=100)
             poly = convex_hull_polygon(pts)
             w, h = np.ptp(poly[:, 0]), np.ptp(poly[:, 1])
             diag = math.hypot(w / 49.0, h / 49.0)
@@ -899,10 +903,9 @@ class TestFillDistance:
         rng = np.random.default_rng(22)
         pts = min_separated(rng, 10, 0.08)
         domain = convex_hull_polygon(pts)
-        base = fill_distance(pts, domain=domain)
-        centroid = pts.mean(axis=0)
-        augmented = np.vstack([pts, centroid])
-        assert fill_distance(augmented, domain=domain) <= base + 1e-12
+        base = geometry._fill_distance(as_points(pts), domain, geometry.FILL_GRID_RESOLUTION)
+        augmented = as_points(np.vstack([pts, pts.mean(axis=0)]))
+        assert geometry._fill_distance(augmented, domain, geometry.FILL_GRID_RESOLUTION) <= base + 1e-12
 
     @pytest.mark.parametrize("scale", [1e3, 1e-3, 1e-6, 1e-9])
     def test_fill_distance_and_mesh_ratio_do_not_depend_on_the_scale(self, scale):
@@ -910,13 +913,15 @@ class TestFillDistance:
         # cross products it bounds (length^2); one in length units took in
         # grid points outside the hull below unit scale
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.3], [0.1, 0.5]])
-        assert fill_distance(nodes * scale) / scale == pytest.approx(fill_distance(nodes), rel=1e-12)
-        assert mesh_ratio(nodes * scale) == pytest.approx(mesh_ratio(nodes), rel=1e-12)
+        scaled, unit = geometry_report(nodes * scale), geometry_report(nodes)
+        assert scaled["fill_distance"] / scale == pytest.approx(unit["fill_distance"], rel=1e-12)
+        assert scaled["mesh_ratio"] == pytest.approx(unit["mesh_ratio"], rel=1e-12)
 
 
 def fill_distance_oracle(arr, poly, grid_resolution):
-    """The dense fill-distance scan: every candidate against every node in
-    one (candidates, nodes) ``np.hypot`` array."""
+    """The dense fill-distance scan over the counterclockwise ``poly``: every
+    candidate against every node in one (candidates, nodes) ``np.hypot``
+    array."""
     if poly.shape[0] == 1:
         candidates = poly
     elif poly.shape[0] == 2:
@@ -927,8 +932,6 @@ def fill_distance_oracle(arr, poly, grid_resolution):
         gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], grid_resolution),
                              np.linspace(lo[1], hi[1], grid_resolution), indexing="ij")
         grid = np.column_stack([gx.ravel(), gy.ravel()])
-        if polygon_area(poly) < 0:
-            poly = poly[::-1]
         tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1]) ** 2
         inside = np.ones(grid.shape[0], dtype=bool)
         for k in range(poly.shape[0]):
@@ -973,13 +976,14 @@ def node_sets(draw):
 
 @st.composite
 def fill_cases(draw):
-    """Valid nodes, a domain (None for their hull, or a user polygon of 1
-    to 6 vertices in any order around them) and a grid resolution 2 ... 200."""
+    """Valid nodes, a domain (None for their hull, or the counterclockwise
+    hull of 1 to 6 random points around them) and a grid resolution 2 ... 200."""
     arr, rng, scale = draw(node_sets())
     assume(len(arr) < 2 or pair_distance_oracle(arr).min() >= geometry.DUPLICATE_TOL)
     domain = None
     if draw(st.booleans()):
-        domain = arr.mean(axis=0) + (rng.random((draw(st.integers(1, 6)), 2)) - 0.5) * 3.0 * scale
+        corners = arr.mean(axis=0) + (rng.random((draw(st.integers(1, 6)), 2)) - 0.5) * 3.0 * scale
+        domain = geometry._hull(corners)
     return arr, domain, draw(st.integers(2, 200))
 
 
@@ -995,12 +999,14 @@ class TestDistanceKernels:
     @given(fill_cases())
     def test_fill_distance_matches_the_dense_scan(self, case):
         arr, domain, res = case
-        expected = fill_distance_oracle(arr, convex_hull_polygon(arr) if domain is None else domain, res)
-        assert same_float(fill_distance(arr, "hull" if domain is None else domain, res), expected)
+        poly = geometry._hull(arr) if domain is None else domain
+        expected = fill_distance_oracle(arr, poly, res)
+        assert same_float(geometry._fill_distance(arr, poly, res), expected)
         if domain is None and len(arr) > 1:
-            report = geometry_report(arr, res)
+            report = geometry_report(arr)
+            expected = fill_distance_oracle(arr, poly, geometry.FILL_GRID_RESOLUTION)
             assert same_float(report["fill_distance"], expected)
-            assert same_float(report["mesh_ratio"], expected / separation_distance(arr))
+            assert same_float(report["mesh_ratio"], expected / separation(arr))
 
     @pytest.mark.parametrize("scale, seed", [(1e-161, 6), (1e-170, 3), (1e-300, 3), (1e155, 3), (1e300, 3)])
     def test_fill_distance_outside_the_normal_square_range(self, scale, seed):
@@ -1021,7 +1027,7 @@ class TestDistanceKernels:
         domain = np.array([[0.8841738299371694, 0.4671580444070693],
                            [0.53324228931928, 0.8459625647045697]])
         origin = np.zeros((1, 2))
-        assert fill_distance(origin, domain, grid_resolution=2) == 1.0
+        assert geometry._fill_distance(origin, domain, 2) == 1.0
         assert fill_distance_oracle(origin, domain, 2) == 1.0
 
     def test_fill_distance_with_a_non_finite_domain(self):
@@ -1035,7 +1041,7 @@ class TestDistanceKernels:
         for task in enumerate_slices(default_dataset, "noise-free")[::4]:
             arr = as_points(task.points)
             expected = fill_distance_oracle(arr, geometry._hull(arr), 200)
-            assert same_float(mesh_ratio(arr), expected / separation_distance(arr))
+            assert same_float(geometry_report(arr)["mesh_ratio"], expected / separation(arr))
 
     @settings(max_examples=150, deadline=None)
     @given(node_sets(), st.booleans())
@@ -1054,29 +1060,28 @@ class TestDistanceKernels:
                 as_points(pts)
         else:
             assert as_points(pts).tobytes() == pts.tobytes()
-            assert same_float(separation_distance(pts), 0.5 * float(dist.min()))
+            assert same_float(separation(pts), 0.5 * float(dist.min()))
 
     def test_fill_scan_memory_is_bounded(self):
         # three (40000, 100) candidate-by-node arrays would take about 96 MB
         xs = np.arange(10.0)
         pts = np.array([[x, y] for x in xs for y in xs])
+        assert geometry.FILL_GRID_RESOLUTION == 200
         tracemalloc.start()
         try:
-            for report in (fill_distance, geometry_report):
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                report(pts, grid_resolution=200)
-                assert tracemalloc.get_traced_memory()[1] - base < 5e6, report.__name__
+            base = tracemalloc.get_traced_memory()[0]
+            geometry_report(pts)
+            assert tracemalloc.get_traced_memory()[1] - base < 5e6
         finally:
             tracemalloc.stop()
 
 
 class TestSeparation:
     def test_unit_square(self):
-        assert separation_distance(UNIT_SQUARE) == 0.5
+        assert separation(UNIT_SQUARE) == 0.5
 
     def test_two_points(self):
-        assert separation_distance(np.array([[0.0, 0.0], [3.0, 0.0]])) == 1.5
+        assert separation(np.array([[0.0, 0.0], [3.0, 0.0]])) == 1.5
 
     def test_slice_grid_matches_brute_force(self, default_dataset):
         # the x3=2 slice projected to (x1, x2): separation is half the minimum spacing
@@ -1087,23 +1092,23 @@ class TestSeparation:
             for i in range(len(pts))
             for j in range(i + 1, len(pts))
         )
-        assert separation_distance(pts) == pytest.approx(0.5 * brute, rel=1e-12)
-        assert separation_distance(pts) == pytest.approx(0.5 * (1.0 / 3.0), rel=1e-9)
+        assert separation(pts) == pytest.approx(0.5 * brute, rel=1e-12)
+        assert separation(pts) == pytest.approx(0.5 * (1.0 / 3.0), rel=1e-9)
 
     def test_single_point_rejected(self):
         with pytest.raises(InsufficientNodes):
-            separation_distance(np.array([[0.0, 0.0]]))
+            separation(np.array([[0.0, 0.0]]))
 
 
 class TestMeshRatio:
     def test_unit_square(self):
-        assert mesh_ratio(UNIT_SQUARE) == pytest.approx(math.sqrt(2.0), abs=0.02)
+        assert geometry_report(UNIT_SQUARE)["mesh_ratio"] == pytest.approx(math.sqrt(2.0), abs=0.02)
 
     def test_two_point_segment(self):
         # exact ratio is 1 (midpoint argument); allow the segment-sampling slack
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         sampling_slack = 2.0 / 199.0 / 2.0
-        assert mesh_ratio(pts) >= 1.0 - sampling_slack / separation_distance(pts)
+        assert geometry_report(pts)["mesh_ratio"] >= 1.0 - sampling_slack / separation(pts)
 
     def test_ratio_at_least_one(self):
         rng = np.random.default_rng(31)
@@ -1114,7 +1119,7 @@ class TestMeshRatio:
             poly = convex_hull_polygon(pts)
             w, h = np.ptp(poly[:, 0]), np.ptp(poly[:, 1])
             slack = math.hypot(w / 199.0, h / 199.0)
-            assert mesh_ratio(pts) >= 1.0 - slack / separation_distance(pts)
+            assert geometry_report(pts)["mesh_ratio"] >= 1.0 - slack / separation(pts)
 
 
 class TestGeometryReport:
@@ -1144,10 +1149,10 @@ class TestGeometryReport:
         for name in calls:
             monkeypatch.setattr(geometry, name, counted(name))
         grid = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
-        report = geometry_report(grid, grid_resolution=30)
+        report = geometry_report(grid)
         assert calls == {"as_points": 1, "_hull": 1}
-        assert report["fill_distance"] == fill_distance(grid, grid_resolution=30)
-        assert report["separation_distance"] == separation_distance(grid)
+        assert report["fill_distance"] == fill(grid)
+        assert report["separation_distance"] == separation(grid)
 
     def test_n_hull_matches_per_point_reference(self):
         def reference_n_hull(arr):
@@ -1171,7 +1176,7 @@ class TestGeometryReport:
                  np.column_stack([xs, 2.0 * xs])]  # collinear: the hull is a segment
         cases += [min_separated(rng, int(rng.integers(3, 20)), 0.05) for _ in range(30)]
         for pts in cases:
-            assert geometry_report(pts, grid_resolution=20)["n_hull"] == reference_n_hull(pts)
+            assert geometry_report(pts)["n_hull"] == reference_n_hull(pts)
 
     @pytest.mark.parametrize("scale", [1e3, 1e-3, 1e-9, 1e-10])
     def test_n_hull_does_not_depend_on_the_scale(self, scale):

@@ -154,11 +154,9 @@ class TestBootstrap:
         ci = bootstrap_ci([4.2] * 10, resamples=200, seed=1)
         assert ci.lower == ci.upper
         assert ci.lower == pytest.approx(4.2, rel=1e-15)
-        assert ci.point_estimate == pytest.approx(4.2, rel=1e-15)
 
     def test_two_point_sample(self):
         ci = bootstrap_ci([0.0, 1.0], resamples=500, seed=2)
-        assert ci.point_estimate == 0.5
         assert 0.0 <= ci.lower <= ci.upper <= 1.0
 
     def test_empty_is_undefined(self):
@@ -167,8 +165,6 @@ class TestBootstrap:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             bootstrap_ci([1.0], resamples=0)
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], level=1.5)
 
     def test_deterministic_for_fixed_seed(self):
         samples = list(np.random.default_rng(3).normal(0, 1, 40))
@@ -184,6 +180,7 @@ class TestBootstrap:
         ci = bootstrap_ci(samples, resamples=300, seed=9)
         means = _resample_means(samples, 300, 9)
         assert means.min() <= ci.lower <= ci.upper <= means.max()
+        assert ci.resamples == 300
 
     def test_normal_sample_ci_width_matches_clt(self):
         # 95% CI for the mean of 100 standard normals: width about 2*1.96/10
@@ -192,13 +189,6 @@ class TestBootstrap:
         ci = bootstrap_ci(samples, resamples=2000, seed=11)
         expected = 2.0 * 1.96 / 10.0
         assert (ci.upper - ci.lower) == pytest.approx(expected, rel=0.30)
-
-    def test_point_estimate_is_sample_mean(self):
-        samples = [1.0, 2.0, 4.0]
-        ci = bootstrap_ci(samples, resamples=100, seed=0)
-        assert ci.point_estimate == pytest.approx(np.mean(samples), rel=1e-15)
-        assert ci.resamples == 100
-        assert ci.level == 0.95
 
     @staticmethod
     def assert_chunked_draws_match_one_shot_draw(n, resamples):

@@ -650,8 +650,10 @@ class TestCli:
     def test_report_empty_runs_fails(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
         runs.write_text(RUNS_CSV_HEADER + "\n")
-        assert cli_main(["report", "--runs", str(runs)]) == 1
-        assert "no runs" in capsys.readouterr().err
+        assert cli_main(["report", "--runs", str(runs)]) == 2
+        assert capsys.readouterr().err == f"error: {runs}: no runs\n"
+        with pytest.raises(ValueError, match="no runs"):
+            read_runs_csv(runs)
 
     @pytest.mark.parametrize("row", [
         "noisy,1,x3,2,0,cubic,true,ok,5,5,1",  # truncated after rmse
@@ -794,6 +796,19 @@ class TestCli:
         assert cli_main(["diagnose", *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("level, matches", [
+        (2.0, True), (2.0 * (1 + 4e-13), True), (2.0 - 2e-12, True),
+        (2.0 * (1 + 1e-11), False), (2.0 + 1e-9, False), (2.5, False),
+    ])
+    def test_surface_and_diagnose_match_the_same_levels(self, tmp_path, capsys, level, matches):
+        # both commands name a design level by protocol._level_match
+        surface = cli_main(["surface", "--axis", "x3", "--level", repr(level), "--output", "1",
+                            "--method", "rbf", "--out", str(tmp_path / "s.csv")])
+        diagnose = cli_main(["diagnose", "--axis", "x3", "--level", repr(level)])
+        assert (surface, diagnose) == ((0, 0) if matches else (2, 2))
+        if matches:
+            assert json.loads(capsys.readouterr().out.split("\n", 1)[1])[0]["fixed_level"] == 2.0
+
     def test_one_parser_serves_every_command(self, tmp_path, capsys):
         # surface, a malformed command, then diagnose in one process give
         # the outputs and exit codes of separate calls, each with a new parser.
@@ -850,6 +865,13 @@ class TestCli:
         assert f"error: {next(iter(entry))} must be" in capsys.readouterr().err
 
     def test_unreadable_config_fails(self, tmp_path, capsys):
+        # the decoder's message alone does not say which file it read
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert cli_main(["run", "--config", str(bad), "--outdir", str(tmp_path)]) == 2
+        for content in (b"", b"{not json", b"\xff\xfe"):
+            bad.write_bytes(content)
+            with pytest.raises(ValueError, match=f"^{bad}: "):
+                load_config(bad)
+            assert cli_main(["run", "--config", str(bad), "--outdir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
