@@ -21,12 +21,12 @@ Evaluation outside the convex hull is undefined and returns NaN; the
 benchmark protocol treats such predictions as missing rather than errors.
 A fitted surface holds its triangulation and its vertex values; the
 gradients and the control nets are built when it is evaluated. Evaluation
-locates all queries in one batched pass and sums the Bernstein form over
-arrays.
+locates all queries in batched kernel passes and sums the Bernstein form
+over arrays.
 
 Several surfaces are evaluated as one stage (``evaluate_stack``): each
-surface's queries are located on its own triangulation (once for surfaces
-that share a triangulation and their queries), then the
+surface's queries are located on its own triangulation, all in one
+``geometry._locate_stack`` call, then the
 gradients of all their vertices come from one stacked solve on the joined
 mesh (``_vertex_gradients``: vertices grouped by neighbour count, each
 group solved by one batched SVD with ``lstsq``'s rank cutoff, taken once per
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInput
-from .geometry import Triangulation, _locate_stack, as_queries, triangulate
+from .geometry import Triangulation, _locate_stack, triangulate
 # Temporary shim: bench/run.py traces point location as cubic.locate, and
 # bench/test_bench.py patches it there. evaluate_stack no longer calls it (it
 # calls _locate_stack), so that span reads 0 calls until the benchmark traces
@@ -253,10 +253,8 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     """Values of several surfaces, each at its own (k_i, 2) ``queries[i]``;
     NaN outside the hull.
 
-    Each surface's queries are located on its triangulation, once per
-    distinct (triangulation object, query bytes) pair, and all the pairs in
-    one ``geometry._locate_stack`` call: surfaces sharing a triangulation
-    and their queries share one result. On the joined
+    Each surface's queries are located on its triangulation, all of them
+    in one ``geometry._locate_stack`` call. On the joined
     mesh of all surfaces (each piece's vertex indices offset past the
     previous pieces' vertices), one ``_vertex_gradients`` call estimates
     every gradient, one ``_control_nets`` call builds every net and one
@@ -265,13 +263,7 @@ def evaluate_stack(surfaces, queries) -> list[np.ndarray]:
     """
     if not surfaces:
         return []
-    pairs: dict = {}  # (triangulation, query bytes) -> (position, triangulation, queries)
-    which = []
-    for s, q in zip(surfaces, queries):
-        q = as_queries(q)
-        which.append(pairs.setdefault((id(s.tri), q.shape, q.tobytes()), (len(pairs), s.tri, q))[0])
-    found = _locate_stack(*zip(*((tri, q) for _, tri, q in pairs.values())))
-    located = [found[j] for j in which]
+    located = _locate_stack([s.tri for s in surfaces], queries)
     vert_off = np.cumsum([0] + [s.tri.n_vertices for s in surfaces])
     tri_off = np.cumsum([0] + [s.tri.n_triangles for s in surfaces])
     points = np.concatenate([s.tri.points for s in surfaces])

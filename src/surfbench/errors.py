@@ -6,7 +6,7 @@ than letting them abort an experiment.
 """
 
 __all__ = ["InterpolationError", "InsufficientNodes", "DegenerateGeometry", "DuplicateNodes",
-           "SingularSystem", "NonFiniteInput", "IllConditionedWarning", "reason_code"]
+           "SingularSystem", "NonFiniteInput", "IllConditionedWarning", "REASON_CODES", "reason_code"]
 
 
 class InterpolationError(Exception):
@@ -37,12 +37,17 @@ class IllConditionedWarning(UserWarning):
     """Fit succeeded but the system condition estimate is alarming."""
 
 
-def reason_code(exc: Exception) -> str:
-    """Stable snake_case reason code for an expected fit failure."""
-    return {
-        InsufficientNodes: "insufficient_nodes",
-        DegenerateGeometry: "degenerate_geometry",
-        DuplicateNodes: "duplicate_nodes",
-        SingularSystem: "singular_system",
-        NonFiniteInput: "non_finite_input",
-    }.get(type(exc), "error")
+# The snake_case reason code of each expected fit failure.
+REASON_CODES = {
+    InsufficientNodes: "insufficient_nodes",
+    DegenerateGeometry: "degenerate_geometry",
+    DuplicateNodes: "duplicate_nodes",
+    SingularSystem: "singular_system",
+    NonFiniteInput: "non_finite_input",
+}
+
+
+def reason_code(exc: InterpolationError) -> str:
+    """Stable snake_case reason code for an expected fit failure (one of
+    the subclasses above; runs.csv holds no other code)."""
+    return REASON_CODES[type(exc)]

@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -91,10 +92,11 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cubic import CubicSurface, evaluate_stack
-from .errors import InsufficientNodes, InterpolationError, reason_code
+from .errors import IllConditionedWarning, InsufficientNodes, InterpolationError, reason_code
 from .geometry import _Predicates, _triangulate, as_points, hull_cover
 from .metrics import compute_metrics, metric_stack
-from .rbf import CONDITION_WARN_THRESHOLD, RbfConfig, _fit_systems, _saddle_systems, eval_stack
+from .rbf import (CONDITION_WARN_THRESHOLD, ILL_CONDITIONED_MESSAGE, RbfConfig, _fit_systems,
+                  _saddle_systems, eval_stack)
 from .streams import int_words, permutations
 from .synthdata import FactorialDataset
 
@@ -460,10 +462,9 @@ def _cubic_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train
 
 
 def _rbf_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: np.ndarray,
-              test: np.ndarray, y: np.ndarray, rbf_config: RbfConfig, stacklevel: int) -> tuple:
+              test: np.ndarray, y: np.ndarray, rbf_config: RbfConfig) -> tuple:
     """The RBF runs of splits of one node set, as ``_group_columns`` takes
-    them (arguments as for ``_cubic_runs``; ``stacklevel`` as
-    ``rbf._fit_systems`` takes it, for a warning raised here). The saddle
+    them (arguments as for ``_cubic_runs``). The saddle
     system, rank test and condition estimate of each of ``sets`` are made
     once, PLAN_CHUNK sets at a time, and the splits of those sets are then
     solved and evaluated PLAN_CHUNK at a time, each on its own copy of its
@@ -480,7 +481,7 @@ def _rbf_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: 
             rows = order[start:min(start + PLAN_CHUNK, last)]
             s = inverse[rows] - lo
             coeffs, chunk_cond, errors = _fit_systems(a[s], tail[s], cond[s], y[rows],
-                                                      np.isfinite(y[rows]).all(axis=1), stacklevel + 1)
+                                                      np.isfinite(y[rows]).all(axis=1))
             ok = np.array([e is None for e in errors])
             fit_cond[rows] = np.where(ok, chunk_cond, np.nan)
             pred[rows[ok]] = eval_stack(points[train[rows[ok]]], coeffs[ok],
@@ -490,13 +491,10 @@ def _rbf_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train: 
     return "rbf", pred, reasons, np.zeros(len(train), dtype=int), fit_cond
 
 
-def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig,
-               stacklevel: int = 2) -> RunTable:
+def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig) -> RunTable:
     """Both runs of every split of the tasks (see the module docstring), in
     task order, cubic then RBF for each split; ``plans[t]`` holds the (B, m)
     train and (B, k) test node indices and (B,) repeats of ``tasks[t]``.
-    An IllConditionedWarning names the line ``stacklevel`` frames up, as
-    ``warnings.warn`` called here would: by default this function's caller.
 
     The tasks are grouped by node set: the exact bytes of their points and
     their split sizes. Each group's nodes are validated once, in order of
@@ -519,7 +517,7 @@ def _run_tasks(tasks: list[SliceTask], plans: list[tuple], rbf_config: RbfConfig
         y = np.concatenate([tasks[t].values[plans[t][0]] for t in members])
         sets, inverse = np.unique(np.hstack([train, test]), axis=0, return_inverse=True)
         runs = [_cubic_runs(points, sets, inverse, train, test, y),
-                _rbf_runs(points, sets, inverse, train, test, y, rbf_config, stacklevel + 1)]
+                _rbf_runs(points, sets, inverse, train, test, y, rbf_config)]
         parts.append(_group_columns([tasks[t] for t in members], [len(plans[t][0]) for t in members],
                                     test, repeats, runs))
     # A group's columns hold its tasks' rows in task order, so each run of
@@ -547,7 +545,10 @@ def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | Non
     """The full run table: regimes x tasks x repeats x methods.
 
     A pure function of (dataset, config); rerunning yields an identical
-    table. Slices too small to split are skipped with a log message.
+    table. Slices too small to split are skipped with a log message. Emits
+    one IllConditionedWarning, naming the caller's line, per RBF run whose
+    condition estimate exceeds 1e12; they share one text, so Python's
+    default filter shows one per call site.
     """
     config = config if config is not None else ExperimentConfig()
     tasks = [task for regime in REGIMES for task in enumerate_slices(dataset, regime)]
@@ -564,7 +565,10 @@ def execute_experiment(dataset: FactorialDataset, config: ExperimentConfig | Non
             kept.append((task, (*plan, repeats)))
     if not kept:
         return RunTable.empty()
-    return _run_tasks(*map(list, zip(*kept)), config.rbf_config(), stacklevel=3)
+    table = _run_tasks(*map(list, zip(*kept)), config.rbf_config())
+    for _ in range(np.count_nonzero(table.condition_estimate > CONDITION_WARN_THRESHOLD)):
+        warnings.warn(ILL_CONDITIONED_MESSAGE, IllConditionedWarning, stacklevel=2)
+    return table
 
 
 def reason_histogram(table: RunTable) -> dict[str, dict[str, dict[str, int]]]:

@@ -101,7 +101,7 @@ def _saddle_systems(pts: np.ndarray, config: RbfConfig) -> tuple[np.ndarray, np.
 
 
 def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarray,
-                 finite: np.ndarray, stacklevel: int) -> tuple[np.ndarray, np.ndarray, list]:
+                 finite: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Fit B surfaces from the value-free part of each, as
     ``_saddle_systems`` gives it (``a``, ``tail`` and ``cond``, one entry
     per item), their values ``y`` (B, n) and whether their values are all
@@ -117,11 +117,9 @@ def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarra
 
     Each item's system is solved on its own matrix, all those of the fitted
     items as one stack, so each item equals its batch of one bit for bit;
-    when one item is singular, the stack is solved item by item. Emits one
-    IllConditionedWarning per fitted item whose estimate exceeds 1e12, all
-    with the same text (``ILL_CONDITIONED_MESSAGE``), so Python's default
-    filter prints one per call site; ``stacklevel`` is the level that
-    ``warnings.warn`` called here takes to name that call site.
+    when one item is singular, the stack is solved item by item. Warns of
+    nothing: the entry points (``fit_rbf``, ``protocol.execute_experiment``)
+    warn of the estimates above CONDITION_WARN_THRESHOLD.
     """
     n_sets, n = y.shape
     errors: list = [None if ok else NonFiniteInput("rbf fit values must be finite")
@@ -143,7 +141,7 @@ def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarra
             cond = np.where(ok, cond, np.nan)
             for i in np.nonzero(ok)[0]:
                 one = slice(i, i + 1)
-                c, k, err = _fit_systems(a[one], tail[one], cond[one], y[one], ok[one], stacklevel + 1)
+                c, k, err = _fit_systems(a[one], tail[one], cond[one], y[one], ok[one])
                 coeffs[i], cond[i], errors[i] = c[0], k[0], err[0]
             return coeffs, cond, errors
         errors[int(np.argmax(ok))] = SingularSystem(f"saddle system is singular: {exc}")
@@ -151,11 +149,7 @@ def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarra
     coeffs[ok, :n] = -coeffs[ok, :n]  # back to the positive kernel convention
     for i in np.nonzero(ok & ~np.isfinite(coeffs).all(axis=1))[0]:
         errors[i] = SingularSystem("saddle system solve produced non-finite coefficients")
-    cond = np.where(ok, cond, np.nan)
-    for i, c in enumerate(cond):
-        if errors[i] is None and c > CONDITION_WARN_THRESHOLD:
-            warnings.warn(ILL_CONDITIONED_MESSAGE, IllConditionedWarning, stacklevel=stacklevel)
-    return coeffs, cond, errors
+    return coeffs, np.where(ok, cond, np.nan), errors
 
 
 def eval_stack(centers: np.ndarray, coeffs: np.ndarray, queries: np.ndarray, epsilon: float) -> np.ndarray:
@@ -186,9 +180,11 @@ def fit_rbf(points, values, config: RbfConfig | None = None) -> RbfSurface:
     if y.shape != (n,):
         raise ValueError(f"expected {n} values, got shape {y.shape}")
     (coeffs,), (cond,), (error,) = _fit_systems(*_saddle_systems(pts[None], config), y[None],
-                                                np.isfinite(y).all(keepdims=True), stacklevel=3)
+                                                np.isfinite(y).all(keepdims=True))
     if error is not None:
         raise error
+    if cond > CONDITION_WARN_THRESHOLD:
+        warnings.warn(ILL_CONDITIONED_MESSAGE, IllConditionedWarning, stacklevel=2)
     return RbfSurface(
         centers=pts,
         weights=coeffs[:n],

@@ -36,6 +36,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cubic import fit_cubic
+from .errors import REASON_CODES
 from .geometry import geometry_report
 from .metrics import BootstrapCI, bootstrap_ci
 from .protocol import AXES, METHODS, REGIMES, RunTable, _level_match, find_slice, slice_nodes
@@ -270,6 +271,9 @@ def paired_contrast(runs: RunTable) -> list[tuple[str, int, float, int]]:
 # The RunTable column of each runs.csv column.
 _RUNS_CSV_COLUMNS = ("regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method",
                      "valid", "reason", "n_test", "n_finite", "rmse", "mae", "r2")
+# The reason of a run: ok when it is valid, else why it is not.
+_REASONS = ("ok", "test_points_outside_support", "too_few_test_points", "zero_target_variance",
+            *(f"fit_failed:{code}" for code in REASON_CODES.values()))
 
 
 def write_runs_csv(runs: RunTable, path) -> None:
@@ -280,10 +284,13 @@ def _run_columns(rows: list[list[str]]) -> list[np.ndarray]:
     """The RunTable columns of runs.csv rows of 13 fields, in runs.csv
     order; the metrics NaN where a run is not valid. The cells are checked
     column by column in the order a row's would be read alone: valid, the
-    metrics of a valid row, n_finite, the other numbers left to right, then
-    the labels left to right (regime, output, fixed_axis, method: each one
-    that ``summarize`` counts), so for a single row the first ValueError is
-    that row's first bad cell."""
+    metrics of a valid row, n_finite, the other numbers left to right, the
+    labels left to right (regime, output, fixed_axis, method: each one
+    that ``summarize`` counts), then the rules a row must keep: reason is
+    one of _REASONS, valid is true exactly when reason is ok, n_finite is
+    within 0 and n_test, and a valid row has finite rmse >= 0, mae >= 0
+    and r2 <= 1. So for a single row the first ValueError is that row's
+    first bad cell in this order, and it names the column and the cell."""
     cells = list(zip(*rows))
     if not {"true", "false"}.issuperset(cells[6]):
         bad = next(cell for cell in cells[6] if cell not in ("true", "false"))
@@ -300,13 +307,26 @@ def _run_columns(rows: list[list[str]]) -> list[np.ndarray]:
         if not set(allowed).issuperset(column):
             bad = next(cell for cell in column if cell not in allowed)
             raise ValueError(f"{name} must be one of {', '.join(map(str, allowed))}, got {bad!r}")
+    reason = np.array(cells[7])
+    finite = [np.isfinite(values) for values in metrics]
+    for name, bad, rule in (
+            ("reason", ~np.isin(reason, _REASONS), f"must be one of {', '.join(_REASONS)}"),
+            ("valid", valid != (reason == "ok"), "must be true exactly when reason is ok"),
+            ("n_finite", (n_finite < 0) | (n_finite > n_test), "must be within 0 and n_test"),
+            ("rmse", valid & ~(finite[0] & (metrics[0] >= 0)), "must be finite and >= 0 on a valid row"),
+            ("mae", valid & ~(finite[1] & (metrics[1] >= 0)), "must be finite and >= 0 on a valid row"),
+            ("r2", valid & ~(finite[2] & (metrics[2] <= 1)), "must be finite and <= 1 on a valid row")):
+        if bad.any():
+            cell = cells[_RUNS_CSV_COLUMNS.index(name)][int(np.argmax(bad))]
+            raise ValueError(f"{name} {rule}, got {cell!r}")
     return [np.array(cells[0]), output, np.array(cells[2]), level, repeat, np.array(cells[5]),
-            valid, np.array(cells[7]), n_test, n_finite, *metrics]
+            valid, reason, n_test, n_finite, *metrics]
 
 
 def _raise_at_first_bad_line(path) -> None:
     """Raise the ValueError, naming the path and the line, of the first
-    runs.csv row without 13 fields or with a cell that does not parse."""
+    runs.csv row without 13 fields or with a cell that ``_run_columns``
+    rejects."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -328,8 +348,11 @@ def read_runs_csv(path) -> RunTable:
     Raises ValueError, naming the path and the line, for a header other
     than RUNS_CSV_HEADER, a row without 13 fields, a valid cell other than
     true or false, a number that does not parse (a metric only on a valid
-    row), or a regime, output, fixed axis or method that is not one of the
-    protocol's; and naming the path for a file with no row.
+    row), a regime, output, fixed axis or method that is not one of the
+    protocol's, or a row that contradicts itself (see ``_run_columns``: a
+    reason that is not a run reason code, valid and reason that disagree,
+    n_finite outside 0 to n_test, a valid row's metric out of range); and
+    naming the path for a file with no row.
     """
     blocks = []
     with open(path, newline="") as fh:

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to stream the lines.
 Criteria 1-5 exercise the full default experiment (the session fixture);
-criteria 6-12 are standalone property suites with independent oracles.
+criteria 6-12 are standalone property suites with independent oracles;
+criterion 13 checks the claims' signs on seeds 1-20.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import hull, hull_area, min_separated, per_run, split_pairs, triangle_areas
+from surfbench.config import ExperimentConfig
 from surfbench.cubic import fit_cubic
 from surfbench.errors import DegenerateGeometry
 from surfbench.geometry import _fill_distance, as_points, convex_hull_polygon, geometry_report, triangulate
@@ -20,7 +22,8 @@ from surfbench.protocol import (
     METHODS, REGIMES, enumerate_slices, execute_experiment, make_splits, reason_histogram,
 )
 from surfbench.rbf import eval_rbf, fit_rbf
-from surfbench.report import write_runs_csv
+from surfbench.report import paired_contrast, write_runs_csv
+from surfbench.synthdata import generate
 from test_geometry import assert_delaunay
 from test_rbf import naive_saddle_solve
 
@@ -122,6 +125,27 @@ class TestQualitativeReproduction:
                 assert valid == hist[regime][method]["ok"], (regime, method)
                 totals[method] += valid
         assert totals == {"cubic": 402, "rbf": 2640}
+
+
+# The sign of the paired RMSE contrast (RBF minus cubic, over jointly valid
+# runs) the paper's claims give: the RBF is more accurate on noise-free
+# outputs 1 and 2, the cubic on noise-free output 3 and on every noisy output.
+CONTRAST_SIGNS = {("noise-free", 1): -1, ("noise-free", 2): -1, ("noise-free", 3): 1,
+                  ("noisy", 1): 1, ("noisy", 2): 1, ("noisy", 3): 1}
+
+
+def test_criterion_13_claims_hold_on_seeds_1_to_20():
+    # Every sign holds on every seed. The narrowest case is seed 17, noisy
+    # output 1: +4.1e-5 over 66 jointly valid runs.
+    flipped = []
+    for seed in range(1, 21):
+        config = ExperimentConfig(random_seed=seed)
+        runs = execute_experiment(generate(noise=config.noise_spec()), config)
+        signs = {(regime, output): int(np.sign(mean)) for regime, output, mean, _ in paired_contrast(runs)}
+        flipped += [(seed, key) for key, sign in CONTRAST_SIGNS.items() if signs.get(key) != sign]
+    ok = not flipped
+    report("13 paired rmse contrast signs on seeds 1-20", ok, f"flipped: {flipped or 'none'}")
+    assert ok
 
 
 class TestPropertySuites:

@@ -9,7 +9,6 @@ from conftest import edges, hull, min_separated, neighbors
 from surfbench import cubic, geometry, protocol
 from surfbench.config import ExperimentConfig
 from surfbench.cubic import (
-    CubicSurface,
     _control_nets,
     _eval_located,
     _lstsq_head,
@@ -253,26 +252,6 @@ class TestGradients:
             rows = solves[0][offsets[i]:offsets[i + 1]]
             assert rows.tobytes() == _vertex_gradients(alone.tri.points, alone.tri.triangles,
                                                        alone.values)[0].tobytes()
-
-
-def test_surfaces_sharing_a_triangulation_and_queries_share_one_locate(monkeypatch):
-    rng = np.random.default_rng(17)
-    tri = triangulate(random_nodes(rng, 9))
-    q = rng.uniform(-0.2, 1.2, (30, 2))
-    other = q[::-1].copy()
-    surfaces = [CubicSurface(tri, rng.normal(size=9)) for _ in range(4)]
-    surfaces.append(CubicSurface(triangulate(tri.points.copy()), rng.normal(size=9)))
-    queries = [q, q.copy(), other, q, q]  # equal bytes share; another tri does not
-    calls, passes = [], []
-    original, kernel = cubic._locate_stack, geometry._locate_pass
-    monkeypatch.setattr(cubic, "_locate_stack", lambda t, x: calls.append(t) or original(t, x))
-    monkeypatch.setattr(geometry, "_locate_pass", lambda *args: passes.append(1) or kernel(*args))
-    stacked = evaluate_stack(surfaces, queries)
-    assert [len(tris) for tris in calls] == [3]  # three pairs, located in one call
-    assert len(passes) == 1
-    monkeypatch.undo()
-    for s, x, got in zip(surfaces, queries, stacked):
-        assert got.tobytes() == s.evaluate(x).tobytes()
 
 
 class TestFitCubic:

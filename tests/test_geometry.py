@@ -688,8 +688,9 @@ def assert_matches_reference(tri, queries, t, bary):
 
 
 class TestLocateStack:
-    """``_locate_stack`` pads triangulations with different triangle counts
-    and query sets of different lengths into few kernel passes."""
+    """``_locate_stack`` cuts query sets into blocks of at most LOCATE_BLOCK
+    rows and pads triangulations with different triangle counts and blocks
+    of different lengths into few kernel passes."""
 
     @given(seed=st.integers(0, 10_000),
            sizes=st.lists(st.sampled_from([0, 1, 4, 5, LOCATE_BLOCK - 1, LOCATE_BLOCK, LOCATE_BLOCK + 1]),
@@ -714,14 +715,13 @@ class TestLocateStack:
             assert_matches_reference(tri, q, t, bary)
 
     @pytest.mark.parametrize("sizes, passes", [
-        ([5] * 120, 3),  # 51 sets of 5 rows per pass
-        ([5, 3] * 30, 2),  # 30 fives and 21 threes padded to 5 rows, then 9 threes
-        ([LOCATE_BLOCK + 1, 2] + [5] * 60, 2),  # the big set by box; 51 small sets, then 10
-        ([2 * LOCATE_BLOCK, 1, 1, 200], 2),  # 200 rows alone, then 1 and 1
-        ([600, 200] + [100] * 3 + [5] * 60, 5),  # 200; 100 and 100; 100 and a five; 51, 8 fives
+        ([5] * 250, 3),  # 102 sets of 5 rows per pass
+        ([5, 3] * 60, 2),  # 60 fives and 42 threes padded to 5 rows, then 18 threes
+        ([LOCATE_BLOCK + 1, 2] + [5] * 60, 2),  # a full block alone; 60 fives, the 2 and the last row
+        ([LOCATE_BLOCK + 100, 100, 100, 1], 2),  # a full block alone; its last 100 rows with the rest
+        ([1200, 200] + [100] * 3 + [5] * 60, 5),  # 512; 512; 200 and 176; 100s and two fives; 58 fives
     ])
     def test_passes_are_bounded_by_the_element_budget(self, monkeypatch, sizes, passes):
-        # sets of more than LOCATE_BLOCK rows take no kernel pass
         rng = np.random.default_rng(len(sizes))
         grids = [lattice(3, 3), lattice(4, 3), lattice(4, 4)]
         tris = [triangulate(grids[i % 3]) for i in range(len(sizes))]
@@ -733,41 +733,41 @@ class TestLocateStack:
         got = geometry._locate_stack(tris, queries)
         assert len(shapes) == passes
         assert all(s * k <= LOCATE_BLOCK for s, k, _ in shapes)
-        assert max(n for *_, n in shapes) == max(tri.n_triangles for tri, n in zip(tris, sizes)
-                                                 if n <= LOCATE_BLOCK)
+        assert max(n for *_, n in shapes) == max(tri.n_triangles for tri in tris)
         monkeypatch.undo()
         for tri, q, (t, bary) in zip(tris, queries, got):
             alone = locate(tri, q)
             assert t.tobytes() == alone[0].tobytes() and bary.tobytes() == alone[1].tobytes()
             assert_matches_reference(tri, q[:40], t[:40], bary[:40])
 
-    def test_surface_grid_is_located_by_bounding_box(self, monkeypatch):
+    def test_surface_grid_takes_five_block_passes(self, monkeypatch):
         tri = triangulate(lattice(4, 4))
         assert tri.n_triangles == 18
         gu, gv = np.meshgrid(np.linspace(1.0, 2.0, 50), np.linspace(0.5, 1.5, 50), indexing="ij")
         grid = np.column_stack([gu.ravel(), gv.ravel()])
         passes = []
         kernel = geometry._locate_pass
-        monkeypatch.setattr(geometry, "_locate_pass", lambda maps, q: passes.append(q.shape) or kernel(maps, q))
+        monkeypatch.setattr(geometry, "_locate_pass",
+                            lambda maps, q: passes.append(q.shape[:2] + maps.shape[2:]) or kernel(maps, q))
         t, bary = locate(tri, grid)
-        assert passes == []  # 2500 rows: no dense kernel pass
+        # 2500 rows: four full blocks, then the last 452 rows
+        assert passes == [(1, LOCATE_BLOCK, 18)] * 4 + [(1, 2500 - 4 * LOCATE_BLOCK, 18)]
         monkeypatch.undo()
-        assert_boxed_matches_dense(tri, grid)
+        assert_blocks_match_dense(tri, grid)
         assert (t >= 0).all()
         assert_matches_reference(tri, grid[::50], t[::50], bary[::50])
 
 
-def assert_boxed_matches_dense(tri, queries):
-    """``locate`` of more than LOCATE_BLOCK queries (by bounding box) is
-    ``dense_locate`` and the dense kernel on blocks of LOCATE_BLOCK rows,
-    bit for bit. Returns its result."""
+def assert_blocks_match_dense(tri, queries):
+    """``locate`` of more than LOCATE_BLOCK queries (cut into blocks) is
+    ``dense_locate`` and ``locate`` of each block of LOCATE_BLOCK rows
+    alone, bit for bit. Returns its result."""
     queries = np.asarray(queries, dtype=float)
     assert len(queries) > LOCATE_BLOCK
     t, bary = locate(tri, queries)
-    blocks = [queries[lo:lo + LOCATE_BLOCK] for lo in range(0, len(queries), LOCATE_BLOCK)]
-    dense = geometry._locate_stack([tri] * len(blocks), blocks)
-    for got, expected in ((t, np.concatenate([b[0] for b in dense])),
-                          (bary, np.concatenate([b[1] for b in dense])), (t, dense_locate(tri, queries)[0]),
+    blocks = [locate(tri, queries[lo:lo + LOCATE_BLOCK]) for lo in range(0, len(queries), LOCATE_BLOCK)]
+    for got, expected in ((t, np.concatenate([b[0] for b in blocks])),
+                          (bary, np.concatenate([b[1] for b in blocks])), (t, dense_locate(tri, queries)[0]),
                           (bary, dense_locate(tri, queries)[1])):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     return t, bary
@@ -779,8 +779,10 @@ def rotated(points, turn):
 
 
 class TestLocateByBoundingBox:
-    """Query sets of more than LOCATE_BLOCK rows are located triangle by
-    triangle in each one's widened bounding box, bit for bit as densely."""
+    """Query sets of more than LOCATE_BLOCK rows, cut into blocks, bit for
+    bit as ``dense_locate`` on hard inputs: nearly flat, scaled and shifted
+    sets, a sliver, degenerate triangles, non-finite queries and a grid
+    with undefined cells."""
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -792,14 +794,13 @@ class TestLocateByBoundingBox:
         except DegenerateGeometry:
             return
         probes = np.vstack([locate_probes(tri, rng), hull_probes(nodes)[0]])
-        assert_boxed_matches_dense(tri, np.resize(probes[rng.permutation(len(probes))],
+        assert_blocks_match_dense(tri, np.resize(probes[rng.permutation(len(probes))],
                                                   (max(len(probes), LOCATE_BLOCK + 1), 2)))
 
     @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8, 8), log_shift=st.floats(-2, 8))
     @settings(max_examples=40, deadline=None)
     def test_scaled_and_shifted_sets(self, seed, log_scale, log_shift):
-        # far from the origin the widened box's bounds round: they are
-        # rounded outward
+        # far from the origin the maps' offsets round
         rng = np.random.default_rng(seed)
         nodes = min_separated(rng, int(rng.integers(3, 12)), 0.05)
         nodes = nodes * 10.0 ** log_scale + rng.choice([-1.0, 1.0], 2) * 10.0 ** log_shift
@@ -808,13 +809,13 @@ class TestLocateByBoundingBox:
         except InterpolationError:
             return
         probes = locate_probes(tri, rng)
-        assert_boxed_matches_dense(tri, np.resize(probes[rng.permutation(len(probes))],
+        assert_blocks_match_dense(tri, np.resize(probes[rng.permutation(len(probes))],
                                                   (2 * LOCATE_BLOCK + 3, 2)))
 
     def test_the_sliver_along_the_hull(self):
         # the unit square, its centre and a node 1e-12 inside the bottom
         # edge, rotated: locate covers probes on the edge's line past a
-        # bottom corner, and the box test keeps every one of them
+        # bottom corner, on the sliver triangle
         nodes = rotated([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5], [0.5, 1e-12]], 0.85)
         tri = triangulate(nodes)
         past = np.logspace(-9, -2.25, 28)
@@ -822,25 +823,24 @@ class TestLocateByBoundingBox:
                                     np.column_stack([1 + past, 0 * past])]), 0.85)
         rng = np.random.default_rng(0)
         queries = np.vstack([probes, np.resize(locate_probes(tri, rng), (LOCATE_BLOCK, 2))])
-        t, _ = assert_boxed_matches_dense(tri, queries)
+        t, _ = assert_blocks_match_dense(tri, queries)
         assert (t[:len(probes)] >= 0).any()
 
     def test_too_flat_triangles_test_every_open_query(self):
         # Triangulation accepts any triangles: one with exactly collinear
         # vertices (zero determinant, non-finite maps) and one 1e-14 high
-        # across a unit base, both beyond the rounding bound, beside a
-        # plain one
+        # across a unit base, beside a plain one
         points = np.vstack([[[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]],
                             rotated([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-14], [2.0, 0.0], [0.5, 1.0]], 0.3)])
         rng = np.random.default_rng(1)
         along = np.vstack([
             np.repeat(rng.uniform(-0.5, 3.5, 100), 2).reshape(-1, 2),
             rotated(np.column_stack([rng.uniform(-0.5, 3.5, 200), rng.normal(scale=1e-13, size=200)]), 0.3)])
-        queries = np.vstack([along, points, rng.uniform(-0.5, 3.0, (200, 2))])
+        queries = np.vstack([along, points, rng.uniform(-0.5, 3.0, (LOCATE_BLOCK, 2))])
         with np.errstate(divide="ignore", invalid="ignore"):  # the zero determinant
             tri = Triangulation(points, np.array([[0, 1, 2], [3, 4, 5], [3, 6, 7]]))
             assert not np.isfinite(tri._maps[:, 0]).all()
-            t, _ = assert_boxed_matches_dense(tri, queries)
+            t, _ = assert_blocks_match_dense(tri, queries)
         assert {1, 2} <= set(t.tolist())
 
     def test_pruned_corner_slice_grid_with_undefined_cells(self, default_dataset):
@@ -851,7 +851,7 @@ class TestLocateByBoundingBox:
         nodes = task.points[~((task.points[:, 0] == 2.0) & (task.points[:, 1] == 1.5))]
         tri = triangulate(nodes)
         gu, gv = np.meshgrid(np.linspace(1.0, 2.0, 50), np.linspace(0.5, 1.5, 50), indexing="ij")
-        t, _ = assert_boxed_matches_dense(tri, np.column_stack([gu.ravel(), gv.ravel()]))
+        t, _ = assert_blocks_match_dense(tri, np.column_stack([gu.ravel(), gv.ravel()]))
         assert 0 < (t < 0).sum() < 200
 
     def test_non_finite_queries_are_outside(self):
@@ -864,7 +864,7 @@ class TestLocateByBoundingBox:
         rows = rng.choice(len(queries), 3 * len(special), replace=False)
         queries[rows] = np.tile(special, (3, 1))
         with np.errstate(invalid="ignore"):  # inf - inf in the dense oracles
-            t, bary = assert_boxed_matches_dense(tri, queries)
+            t, bary = assert_blocks_match_dense(tri, queries)
         assert (t[rows] == -1).all() and np.isnan(bary[rows]).all()
         assert (t >= 0).sum() > LOCATE_BLOCK // 2
 

@@ -13,12 +13,18 @@ to the four decimals it prints.
 import dataclasses
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import surfbench
 from surfbench import report
 from surfbench.cli import cli_main, run_experiment
 from surfbench.config import ExperimentConfig
@@ -169,6 +175,28 @@ def test_default_artifact_digests(tmp_path, capsys):
 @pytest.mark.skipif(np.__version__ != "2.4.6",
                     reason="the digests were recorded with numpy 2.4.6; another numpy or "
                            "floating-point library may change the last digits of the artifacts")
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Haswell names an x86-64 kernel")
+def test_another_blas_kernel_moves_no_reason_and_no_metric_beyond_1e_9(full_run, tmp_path):
+    # OpenBLAS picks its kernels by CPU when it loads, and the pinned bytes
+    # hold on one kernel only. OPENBLAS_CORETYPE forces the kernel an
+    # AVX2-only CPU gets, in the child process alone. On an AVX-512 host it
+    # gives runs.csv 53f05eb18d071e8c...: 7408 metric cells move, by up to
+    # 3.9e-14 on the cubic and 1.6e-10 on the RBF, and no reason code does.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join([str(Path(surfbench.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "surfbench", "run", "--outdir", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    other = report.read_runs_csv(tmp_path / "runs.csv")
+    for name in ("regime", "output_index", "fixed_axis", "fixed_level", "repeat", "method",
+                 "valid", "reason", "n_test", "n_finite"):
+        assert getattr(other, name).tolist() == getattr(full_run, name).tolist(), name
+    for name in ("rmse", "mae", "r2"):
+        np.testing.assert_allclose(getattr(other, name), getattr(full_run, name),
+                                   rtol=1e-9, atol=1e-9, err_msg=name)
+
+
 def test_summary_csv_draws_each_interval_once(full_run, default_config, tmp_path):
     with mock.patch.object(report, "bootstrap_ci", wraps=report.bootstrap_ci) as draws:
         table = summarize(full_run, default_config)

@@ -731,14 +731,14 @@ class TestSharing:
                  lambda points, train, test: hull_calls.append(len(train)) or len(train))
         counting("_saddle_systems", protocol._saddle_systems, lambda pts, config: len(pts))
         counting("as_points", protocol.as_points)
-        # once per (triangulation, queries) pair of the 402 covered surfaces,
-        # in one stacked call per group, LOCATE_BLOCK query rows per pass
+        # the test points of each of the 402 fitted surfaces, in one stacked
+        # call per group, LOCATE_BLOCK query rows per pass
         counting("_locate_stack", cubic._locate_stack, lambda tris, queries: len(tris), module=cubic)
         counting("_locate_pass", geometry._locate_pass, module=geometry)
         counting("_score", protocol._score)  # once per group and method
         table = execute_experiment(default_dataset, default_config)
         assert counts == {"_triangulate": 249, "hull_cover": 1496, "_saddle_systems": 1496,
-                          "as_points": 3, "_locate_stack": 249, "_locate_pass": 5, "_score": 6}
+                          "as_points": 3, "_locate_stack": 402, "_locate_pass": 5, "_score": 6}
         assert sorted(hull_calls) == [419, 423, 654]  # one call per node set
         assert Counter(zip(table.method.tolist(), table.reason.tolist())) == {
             ("cubic", "ok"): 402, ("cubic", "test_points_outside_support"): 2238,

@@ -447,7 +447,7 @@ class TestRunsCsv:
         # The column-wise parse meets the bad valid cell first; the error
         # still names the first bad line, and a blank line counts as a line.
         lines = ["noisy,1,x3,2,0,rbf,true,ok,5,5,1,0.8,0.5",
-                 "noisy,1,x3,2,0,rbf,false,singular_system,5,0,NA,NA,NA", "",
+                 "noisy,1,x3,2,0,rbf,false,fit_failed:singular_system,5,0,NA,NA,NA", "",
                  "noisy,1,x3,2,0,rbf,true,ok,5,x,1,0.8,0.5",
                  "noisy,1,x3,2,0,rbf,maybe,ok,5,5,1",
                  "noisy,1,x3,2,0,rbf,true,ok,5,5,1,NA,0.5"]
@@ -465,6 +465,35 @@ class TestRunsCsv:
         with pytest.raises(ValueError) as exc:
             read_runs_csv(path)
         assert str(exc.value) == f"{path}: line {CSV_BLOCK + 2}: invalid literal for int() with base 10: 'x'"
+
+    REASONS = ("ok, test_points_outside_support, too_few_test_points, zero_target_variance, "
+               "fit_failed:insufficient_nodes, fit_failed:degenerate_geometry, fit_failed:duplicate_nodes, "
+               "fit_failed:singular_system, fit_failed:non_finite_input")
+
+    @pytest.mark.parametrize("column, value, cause", [
+        ("valid", "false", "valid must be true exactly when reason is ok, got 'false'"),
+        ("rmse", "nan", "rmse must be finite and >= 0 on a valid row, got 'nan'"),
+        ("rmse", "-1", "rmse must be finite and >= 0 on a valid row, got '-1'"),
+        ("reason", "whatever", f"reason must be one of {REASONS}, got 'whatever'"),
+        ("reason", "", f"reason must be one of {REASONS}, got ''"),
+        ("n_finite", "99", "n_finite must be within 0 and n_test, got '99'"),
+    ], ids=["invalid_ok", "nan_rmse", "negative_rmse", "unknown_reason", "empty_reason", "n_finite_above_n_test"])
+    def test_report_rejects_a_row_that_contradicts_itself(self, tmp_path, capsys, full_run,
+                                                           column, value, cause):
+        # one cell of the default run's runs.csv, on a valid row with
+        # n_test 4 past its first block of rows
+        path = tmp_path / "runs.csv"
+        write_runs_csv(full_run, path)
+        lines = path.read_text().splitlines()
+        assert cli_main(["report", "--runs", str(path)]) == 0
+        capsys.readouterr()
+        line = next(n for n, text in enumerate(lines, 1) if n > 1000 and ",true,ok,4,4," in text)
+        cells = lines[line - 1].split(",")
+        cells[RUNS_CSV_HEADER.split(",").index(column)] = value
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["report", "--runs", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line {line}: {cause}\n"
 
 
 class TestSummaryCsv:
