@@ -28,7 +28,7 @@ runs as a few padded kernel passes of at most LOCATE_BLOCK query rows
 (``_locate_stack``), a large query set cut into blocks, each bit for bit
 ``locate`` of its pair alone.
 ``hull_cover`` tests many training sets of one node set in one call, from
-direction and line tables of the nodes built once for the call.
+line tables of the nodes built once for the call.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ FILL_MARGIN = 1e-12  # relative band of squared distance kept for the exact fill
 # so any value outside the band carries a provably correct sign.
 PREDICATE_EPS_REL = 1e-12
 
-# hull_cover: the coverage band and the slack of a supporting line (relative
-# to the extent of the points; the slack is also the angle in radians by
-# which a hull vertex must turn).
+# hull_cover: the coverage band and the slack of a supporting line, both
+# distances relative to the extent of the points.
 HULL_TOL = 1e-8
 SUPPORT_TOL = 1e-10
-HULL_CHUNK = 1 << 20  # elements per hull_cover temporary
+HULL_CHUNK = 1 << 20  # elements in the large temporaries of a hull_cover chunk, together
 
 
 def orient_sign(pa, pb, pc) -> int:
@@ -478,38 +477,33 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
     (B, m) and ``test`` (B, k) hold node indices of each split. Returns
     ``(covered, trusted)``.
 
-    ``covered`` (B, k) marks the test nodes within HULL_TOL * extent of the
-    inner side of every supporting line of the training hull, where extent
-    is the larger coordinate range of ``points``. A supporting line runs
-    through two hull vertices, and no training node lies right of it by
-    more than SUPPORT_TOL * extent.
+    A supporting line runs through two training nodes, and no training node
+    lies right of it by more than SUPPORT_TOL * extent, where extent is the
+    larger coordinate range of ``points``. ``covered`` (B, k) marks the test
+    nodes that lie right of no supporting line by more than HULL_TOL *
+    extent: every node within (HULL_TOL - SUPPORT_TOL) * extent of the
+    training hull is covered, and no node farther than HULL_TOL * extent
+    outside a supporting line is.
 
-    ``trusted`` (B,) marks the training sets with a proper hull: at least
-    three hull vertices (fewer than three nodes cover nothing), and not
-    collinear as ``triangulate`` tests it, within twice its band of the
-    line through the first two nodes in (x, y) order. On a trusted split
-    ``covered`` alone rules a test node out of the support, however far
-    ``locate`` reaches past the hull on a sliver triangle. An untrusted set
-    is left to ``triangulate``, which gives its failure, or, when it builds,
-    to ``locate``.
+    ``trusted`` (B,) marks the training sets of at least three nodes (fewer
+    cover nothing) that are not collinear as ``triangulate`` tests it, within
+    twice its band of the line through the first two nodes in (x, y) order.
+    On a trusted split ``covered`` alone rules a test node out of the
+    support, however far ``locate`` reaches past the hull on a sliver
+    triangle. An untrusted set is left to ``triangulate``, which gives its
+    failure, or, when it builds, to ``locate``.
 
-    Hull vertices are the training nodes that see the other training
-    nodes within an angle below pi - SUPPORT_TOL; a node that turns the
-    hull by less lies within the slack of the line past it.
-
-    What depends only on the nodes is computed once per call: the
-    direction from each node to each other, and, for each ordered pair of
-    nodes that is a hull vertex of some split, two bit masks over all n
-    nodes (``_line_tables``). A split gathers its directions to find its
-    hull vertices, then tests support and cover by AND and OR of the mask
-    words at its pairs of hull vertices. Each comparison is the
-    same float expression of the same coordinates whichever split makes
-    it, so a split's answer does not depend on the other splits of the
-    call. Besides (B, m), (B, n) and (n, n) arrays, each temporary holds
-    at most HULL_CHUNK elements, or one split's or one table row's when
-    that is more: (b, m, m) directions and (b, h, h, n / 64) words for b
-    splits with up to h hull vertices, and table slabs of (s, r, n) floats
-    for r table rows.
+    The lines depend only on the nodes, so they are computed once per call:
+    for each ordered pair of the training nodes of the call, two bit masks
+    over all n nodes (``_line_tables``). A split tests support and cover by
+    AND and OR of the mask words at every ordered pair of its training
+    nodes. Each comparison is the same float expression of the same
+    coordinates whichever split makes it, so a split's answer does not
+    depend on the other splits of the call. Besides (B, m) and (B, n)
+    arrays and the tables, the large temporaries of a chunk hold at most
+    HULL_CHUNK elements together, or one split's or one table row's when
+    that is more: two (b, m, m, n / 64) word arrays for b splits, and two
+    (s, r, n) float slabs for s of the r table rows.
     """
     p = np.asarray(points, dtype=float)
     train = np.asarray(train, dtype=np.intp)
@@ -529,50 +523,22 @@ def hull_cover(points: np.ndarray, train: np.ndarray, test: np.ndarray) -> tuple
                        ((ac - ab[:, None, :]) ** 2).sum(axis=2))
     collinear = (np.abs(det) <= 2.0 * PREDICATE_EPS_REL * scale).all(axis=1)
 
-    # Hull vertices: the largest gap between the directions to the other
-    # training nodes exceeds pi.
-    d = p[None, :, :] - p[:, None, :]  # d[u, v] = p[v] - p[u]
-    direction = np.arctan2(d[..., 1], d[..., 0])
-    vertex = np.empty((n_sets, m), dtype=bool)
-    step = max(1, HULL_CHUNK // (m * m))
-    for lo in range(0, n_sets, step):
-        s = train[lo:lo + step]
-        ang = direction[s[:, :, None], s[:, None, :]]
-        ang[:, np.arange(m), np.arange(m)] = np.inf
-        ang.sort(axis=2)
-        ang = ang[:, :, : m - 1]
-        gap = np.maximum(np.diff(ang, axis=2).max(axis=2, initial=0.0),
-                         2.0 * np.pi - (ang[:, :, -1] - ang[:, :, 0]))
-        vertex[lo:lo + step] = gap > np.pi + SUPPORT_TOL
-    n_vertex = vertex.sum(axis=1)
-    h = int(n_vertex.max())
-    slot = np.argsort(~vertex, axis=1, kind="stable")[:, :h]
-    valid = np.take_along_axis(vertex, slot, axis=1)
-    corner = np.take_along_axis(train, slot, axis=1)  # (B, h) node indices
-
-    covered = np.ones(test.shape, dtype=bool)
-    trusted = ~collinear & (n_vertex >= 3)
-    if not h:
-        return covered, trusted
-    rows = np.unique(corner[valid])
+    rows, node = np.unique(train, return_inverse=True)
+    node = node.reshape(train.shape)  # table rows
     breaks, beyond = _line_tables(p, rows, extent)
-    row = np.zeros(len(p), dtype=np.intp)
-    row[rows] = np.arange(len(rows))
-    corner = row[corner]  # table rows; an invalid slot's is never read
     member = np.zeros((n_sets, len(p)), dtype=bool)
     member[np.arange(n_sets)[:, None], train] = True
     member = _pack_bits(member)  # (B, words)
-    step = max(1, HULL_CHUNK // (h * h * member.shape[1]))
+    covered = np.empty(test.shape, dtype=bool)
+    step = max(1, HULL_CHUNK // (2 * m * m * member.shape[1]))
     for lo in range(0, n_sets, step):
         s = slice(lo, lo + step)
-        pair = (corner[s, :, None], corner[s, None, :])
-        words = member[s, None, None, :]
-        support = ~(breaks[pair] & words).any(axis=3)
-        support &= valid[s, :, None] & valid[s, None, :]
+        pair = (node[s, :, None], node[s, None, :])
+        support = ~(breaks[pair] & member[s, None, None, :]).any(axis=3)
         cut = np.bitwise_or.reduce(np.where(support[..., None], beyond[pair], 0), axis=(1, 2))
         cut = np.unpackbits(cut.view(np.uint8), axis=1, count=len(p), bitorder="little")
         covered[s] = ~np.take_along_axis(cut, test[s], axis=1).astype(bool)
-    return covered, trusted
+    return covered, ~collinear
 
 
 def _pack_bits(mask: np.ndarray) -> np.ndarray:
@@ -595,19 +561,20 @@ def _line_tables(p: np.ndarray, rows: np.ndarray, extent: float) -> np.ndarray:
     - the second when it lies right of the line by more than HULL_TOL *
       |a_j - a_i| * extent (a test node there is not covered).
 
-    A pair (i, i) marks no node. The rows are built a slab at a time, with
-    HULL_CHUNK elements per float temporary, or one row's when that is
-    more."""
+    A pair (i, i) marks no node. The rows are built a slab at a time, its
+    two (s, r, n) float temporaries within HULL_CHUNK elements together, or
+    one row's when that is more."""
     r, n = len(rows), len(p)
     a = p[rows]
     tables = np.zeros((2, r, r, -(-n // 64)), dtype=np.uint64)
-    step = max(1, HULL_CHUNK // (r * n))
+    step = max(1, HULL_CHUNK // (2 * r * n))
     for lo in range(0, r, step):
         s = slice(lo, lo + step)
         e = a[None, :, :] - a[s, None, :]  # e[i, j] = a_j - a_i
         tol = np.sqrt((e * e).sum(axis=2))[..., None] * extent
         q = (p[None, :, :] - a[s, None, :])[:, None, :, :]  # q[i, 0, c] = p_c - a_i
-        o = e[..., 0, None] * q[..., 1] - e[..., 1, None] * q[..., 0]
+        o = e[..., 0, None] * q[..., 1]
+        o -= e[..., 1, None] * q[..., 0]
         tables[0, s] = _pack_bits(~(o >= -SUPPORT_TOL * tol))
         tables[1, s] = _pack_bits(o < -HULL_TOL * tol)
     return tables

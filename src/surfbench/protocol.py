@@ -34,14 +34,15 @@ once, however many tasks and repeats draw it:
 
 1. One ``geometry.hull_cover`` call per group tests every test point
    against its set's training hull. The call computes the geometry of
-   lines once from the group's nodes (direction and bit-mask tables over
-   the nodes, each temporary within ``geometry.HULL_CHUNK`` elements) and
-   reads each set's answer from them. The training hull is the one rule
-   that rules a test point out: on a split whose training set has a
-   proper hull (at least three hull vertices, and not collinear as
-   ``triangulate`` tests it) and whose training values are finite, a test
-   point more than 1e-8 of the slice extent outside the hull makes the
-   run ``test_points_outside_support`` without a triangulation;
+   lines once from the group's nodes (bit-mask tables over the nodes for
+   the line through every two training nodes, each chunk's temporaries
+   within ``geometry.HULL_CHUNK`` elements) and reads each set's answer
+   from them. The training hull is the one rule that rules a test point
+   out: on a split whose training set is trusted (at least three nodes,
+   not collinear as ``triangulate`` tests it) and whose training values
+   are finite, a test point more than 1e-8 of the slice extent outside a
+   supporting line makes the run ``test_points_outside_support`` without
+   a triangulation;
    ``n_finite`` counts its hull-covered test points. Every other split
    needs its set's triangulation, built once on the already checked nodes
    and shared by the splits of the set. The
@@ -65,8 +66,8 @@ that of each task run alone.
 
 The fitted cubic surfaces of a group are then evaluated at their test
 points as one stack (``cubic.evaluate_stack``). ``locate`` decides among
-the hull-covered points (and on a set without a proper hull): a surface
-that leaves a test point undefined is recorded as
+the hull-covered points (and on an untrusted, nearly collinear set): a
+surface that leaves a test point undefined is recorded as
 ``test_points_outside_support``, with ``n_finite`` counting its finite
 predictions. Each method's runs of a group are scored as one stack, its
 complete runs by ``metrics.metric_stack`` (which equals
@@ -422,10 +423,10 @@ def _cubic_runs(points: np.ndarray, sets: np.ndarray, inverse: np.ndarray, train
     node indices are ``sets[inverse[i]]``, m of them then the rest.
 
     ``hull_cover`` tests each distinct set once, all of them in one call,
-    which computes the lines of ``points`` once for the sets. A split with
-    a proper training hull (``trusted``), finite values and an uncovered
-    test point is recorded as outside support unfitted, whatever
-    ``locate`` would find. Every other split gets its set's
+    which computes the lines of ``points`` once for the sets. A split whose
+    training set is not collinear (``trusted``), with finite values and an
+    uncovered test point, is recorded as outside support unfitted,
+    whatever ``locate`` would find. Every other split gets its set's
     triangulation, built once and shared by every split of the set, or that
     triangulation's failure as its reason; a split with non-finite values
     is then ``fit_failed:non_finite_input``. The builds share one

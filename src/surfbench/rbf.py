@@ -116,10 +116,12 @@ def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarra
     or non-finite coefficients, in that order of precedence.
 
     Each item's system is solved on its own matrix, all those of the fitted
-    items as one stack, so each item equals its batch of one bit for bit;
-    when one item is singular, the stack is solved item by item. Warns of
-    nothing: the entry points (``fit_rbf``, ``protocol.execute_experiment``)
-    warn of the estimates above CONDITION_WARN_THRESHOLD.
+    items as one stack, so each item equals its batch of one bit for bit.
+    An item whose condition estimate is not finite is singular and is left
+    out: ``np.linalg.cond`` inverts by the LU factorization that ``solve``
+    uses, so a zero pivot makes it infinite. Warns of nothing: ``fit_rbf``
+    and ``protocol.execute_experiment`` warn of the estimates above
+    CONDITION_WARN_THRESHOLD.
     """
     n_sets, n = y.shape
     errors: list = [None if ok else NonFiniteInput("rbf fit values must be finite")
@@ -129,23 +131,13 @@ def _fit_systems(a: np.ndarray, tail: np.ndarray, cond: np.ndarray, y: np.ndarra
         return np.full((n_sets, n + 3), np.nan), np.full(n_sets, np.nan), [e or short for e in errors]
     for i in np.nonzero(~tail)[0]:
         errors[i] = errors[i] or SingularSystem("collinear nodes cannot carry a degree-1 tail")
+    for i in np.nonzero(~np.isfinite(cond))[0]:
+        errors[i] = errors[i] or SingularSystem("saddle system is singular: condition estimate not finite")
     rhs = np.zeros((n_sets, n + 3, 1))
     rhs[:, :n, 0] = y
     ok = np.array([e is None for e in errors])
     coeffs = np.full((n_sets, n + 3), np.nan)
-    try:
-        if ok.any():
-            coeffs[ok] = np.linalg.solve(a[ok], rhs[ok])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        if ok.sum() > 1:
-            cond = np.where(ok, cond, np.nan)
-            for i in np.nonzero(ok)[0]:
-                one = slice(i, i + 1)
-                c, k, err = _fit_systems(a[one], tail[one], cond[one], y[one], ok[one])
-                coeffs[i], cond[i], errors[i] = c[0], k[0], err[0]
-            return coeffs, cond, errors
-        errors[int(np.argmax(ok))] = SingularSystem(f"saddle system is singular: {exc}")
-        ok[:] = False
+    coeffs[ok] = np.linalg.solve(a[ok], rhs[ok])[..., 0]
     coeffs[ok, :n] = -coeffs[ok, :n]  # back to the positive kernel convention
     for i in np.nonzero(ok & ~np.isfinite(coeffs).all(axis=1))[0]:
         errors[i] = SingularSystem("saddle system solve produced non-finite coefficients")

@@ -287,10 +287,12 @@ def _run_columns(rows: list[list[str]]) -> list[np.ndarray]:
     metrics of a valid row, n_finite, the other numbers left to right, the
     labels left to right (regime, output, fixed_axis, method: each one
     that ``summarize`` counts), then the rules a row must keep: reason is
-    one of _REASONS, valid is true exactly when reason is ok, n_finite is
-    within 0 and n_test, and a valid row has finite rmse >= 0, mae >= 0
-    and r2 <= 1. So for a single row the first ValueError is that row's
-    first bad cell in this order, and it names the column and the cell."""
+    one of _REASONS, valid is true exactly when reason is ok, fixed_level
+    is finite, repeat >= 0, n_test >= 1, n_finite is within 0 and n_test,
+    a valid row has finite rmse >= 0, mae >= 0 and r2 <= 1, and an invalid
+    row has NA metrics. So for a single row the first ValueError is that
+    row's first bad cell in this order, and it names the column and the
+    cell."""
     cells = list(zip(*rows))
     if not {"true", "false"}.issuperset(cells[6]):
         bad = next(cell for cell in cells[6] if cell not in ("true", "false"))
@@ -312,10 +314,15 @@ def _run_columns(rows: list[list[str]]) -> list[np.ndarray]:
     for name, bad, rule in (
             ("reason", ~np.isin(reason, _REASONS), f"must be one of {', '.join(_REASONS)}"),
             ("valid", valid != (reason == "ok"), "must be true exactly when reason is ok"),
+            ("fixed_level", ~np.isfinite(level), "must be finite"),
+            ("repeat", repeat < 0, "must be >= 0"),
+            ("n_test", n_test < 1, "must be >= 1"),
             ("n_finite", (n_finite < 0) | (n_finite > n_test), "must be within 0 and n_test"),
             ("rmse", valid & ~(finite[0] & (metrics[0] >= 0)), "must be finite and >= 0 on a valid row"),
             ("mae", valid & ~(finite[1] & (metrics[1] >= 0)), "must be finite and >= 0 on a valid row"),
-            ("r2", valid & ~(finite[2] & (metrics[2] <= 1)), "must be finite and <= 1 on a valid row")):
+            ("r2", valid & ~(finite[2] & (metrics[2] <= 1)), "must be finite and <= 1 on a valid row"),
+            *((name, ~valid & (np.array(column) != "NA"), "must be NA on an invalid row")
+              for name, column in zip(("rmse", "mae", "r2"), cells[10:]))):
         if bad.any():
             cell = cells[_RUNS_CSV_COLUMNS.index(name)][int(np.argmax(bad))]
             raise ValueError(f"{name} {rule}, got {cell!r}")
@@ -351,8 +358,10 @@ def read_runs_csv(path) -> RunTable:
     row), a regime, output, fixed axis or method that is not one of the
     protocol's, or a row that contradicts itself (see ``_run_columns``: a
     reason that is not a run reason code, valid and reason that disagree,
-    n_finite outside 0 to n_test, a valid row's metric out of range); and
-    naming the path for a file with no row.
+    a fixed level that is not finite, a negative repeat, n_test below 1,
+    n_finite outside 0 to n_test, a valid row's metric out of range, an
+    invalid row's metric other than NA); and naming the path for a file
+    with no row.
     """
     blocks = []
     with open(path, newline="") as fh:

@@ -172,6 +172,40 @@ def test_default_artifact_digests(tmp_path, capsys):
     }
 
 
+# runs.csv and summary.csv digests beyond the default seed: seeds 2 and 3
+# reach degenerate_geometry and the RBF's singular_system, train fraction 0.9
+# too_few_test_points, which seed 42 never does.
+CONFIG_DIGESTS = {
+    (("random_seed", 1009),): (
+        "6f50d3128dab28d010a0b02e493d55c32f9ea223642ce2f7cf13f4f64c409b29",
+        "9b8278c127a5195e1f92329b2e2aa151abe2c7d897103e35685a309d95308b86"),
+    (("random_seed", 2), ("train_fraction", 0.2)): (
+        "2ab10b0522e62d4ddc1b2a53e6b2b777e437c0cdb545814d06971b43c8ed181c",
+        "548f534422a5e6a43d3a46efef584b2cbaf46653d2e8432800da725b8cff98ee"),
+    (("random_seed", 3), ("train_fraction", 0.35)): (
+        "636d9bf7a2989745c809a9d18b9bceb26f21c601c8974414301a0ae461389143",
+        "52a78322932cec36fd0aa9897f749e771802c186270970f30d318bd978d356d4"),
+    (("random_seed", 7), ("train_fraction", 0.5)): (
+        "b917e7aa2f36cbf26d56a5d89d87b7de323f8881d675c332472b2c4dc933582f",
+        "3795a2e845cfb92db34ca3096ea94c16a690f84f2241a56ac44b6ebd3f1e26c3"),
+    (("random_seed", 11), ("train_fraction", 0.9)): (
+        "b9a54b372dcccfefe09ac1deb838217d7b29513d20f90657b9f6892116380c43",
+        "1d1e3f8d68882529394ac609a13f90bbe2a6f6b6979b1ae835f2858b8843cbd9"),
+}
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="the digests were recorded with numpy 2.4.6; another numpy or "
+                           "floating-point library may change the last digits of the artifacts")
+@pytest.mark.parametrize("fields", CONFIG_DIGESTS, ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields))
+def test_config_artifact_digests(fields, tmp_path, capsys):
+    run_experiment(ExperimentConfig(**dict(fields)), tmp_path)
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("runs.csv", "summary.csv"))
+    assert digests == CONFIG_DIGESTS[fields]
+
+
 @pytest.mark.skipif(np.__version__ != "2.4.6",
                     reason="the digests were recorded with numpy 2.4.6; another numpy or "
                            "floating-point library may change the last digits of the artifacts")

@@ -1,14 +1,17 @@
-"""``geometry.hull_cover`` against its split-by-split formulation.
+"""``geometry.hull_cover`` against its split-by-split formulation, and
+against Qhull away from the hull's boundary.
 
 ``reference_hull_cover`` computes every line of every split from the split's
 own nodes, as ``hull_cover`` did before it read the lines from node-level
-tables. Each comparison of the two is the same float expression of the same
-operands, so the answers must be equal bit for bit.
+tables, and takes every ordered pair of a split's training nodes as a
+candidate supporting line. Each comparison of the two is the same float
+expression of the same operands, so the answers must be equal bit for bit.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +30,9 @@ from surfbench.synthdata import DesignSpec
 
 
 def reference_hull_cover(points, train, test):
-    """``hull_cover`` with each split's lines computed from its own nodes:
-    (B, h, h, max(m, k)) temporaries for h hull vertices."""
+    """``hull_cover`` with each split's lines computed from its own nodes,
+    every ordered pair of its training nodes a candidate supporting line:
+    (b, m, m, max(m, k)) temporaries for b splits."""
     p = np.asarray(points, dtype=float)
     train = np.asarray(train, dtype=np.intp)
     test = np.asarray(test, dtype=np.intp)
@@ -47,40 +51,22 @@ def reference_hull_cover(points, train, test):
                        ((ac - ab[:, None, :]) ** 2).sum(axis=2))
     collinear = (np.abs(det) <= 2.0 * PREDICATE_EPS_REL * scale).all(axis=1)
 
-    # Hull vertices: the largest gap between the directions to the other
-    # training nodes exceeds pi.
-    d = sub[:, None, :, :] - sub[:, :, None, :]
-    ang = np.arctan2(d[..., 1], d[..., 0])
-    ang[:, np.arange(m), np.arange(m)] = np.inf
-    ang = np.sort(ang, axis=2)[:, :, : m - 1]
-    gap = np.maximum(np.diff(ang, axis=2).max(axis=2, initial=0.0),
-                     2.0 * np.pi - (ang[:, :, -1] - ang[:, :, 0]))
-    vertex = gap > np.pi + SUPPORT_TOL
-    n_vertex = vertex.sum(axis=1)
-    h = int(n_vertex.max())
-    slot = np.argsort(~vertex, axis=1, kind="stable")[:, :h]
-    valid = np.take_along_axis(vertex, slot, axis=1)
-    corner = np.take_along_axis(train, slot, axis=1)  # (B, h) node indices
-
     covered = np.ones(test.shape, dtype=bool)
-    step = max(1, HULL_CHUNK // max(1, h * h * max(m, test.shape[1])))
-    for lo in range(0, n_sets if h else 0, step):
+    step = max(1, HULL_CHUNK // (m * m * max(m, test.shape[1])))
+    for lo in range(0, n_sets, step):
         s = slice(lo, lo + step)
-        a = p[corner[s]]  # (b, h, 2)
+        a = sub[s]  # (b, m, 2)
         e = a[:, None, :, :] - a[:, :, None, :]  # e[:, i, j] = a[:, j] - a[:, i]
         tol = np.sqrt((e * e).sum(axis=3))[..., None] * extent
 
         def left(q):
-            """Twice the signed area of (a_i, a_j, q_c), (b, h, h, c)."""
+            """Twice the signed area of (a_i, a_j, q_c), (b, m, m, c)."""
             r = q[:, None, None, :, :] - a[:, :, None, None, :]
             return e[..., 0, None] * r[..., 1] - e[..., 1, None] * r[..., 0]
 
-        o = left(sub[s])
-        support = (o >= -SUPPORT_TOL * tol).all(axis=3)
-        support &= valid[s, :, None] & valid[s, None, :]
-        support[:, np.arange(h), np.arange(h)] = False
+        support = (left(a) >= -SUPPORT_TOL * tol).all(axis=3)
         covered[s] = ~(support[..., None] & (left(p[test[s]]) < -HULL_TOL * tol)).any(axis=(1, 2))
-    return covered, ~collinear & (n_vertex >= 3)
+    return covered, ~collinear
 
 
 def assert_same_cover(points, train, test):
@@ -138,21 +124,29 @@ class TestDifferential:
     def test_comparisons_at_their_thresholds(self):
         # The bottom edge of a unit-wide rectangle has length 1 and the
         # extent is 1, so a node at height y has o = y exactly: each node
-        # at a tolerance sits on the threshold of one comparison. The
-        # nodes 5e-13 and 1e-6 inside the edge are nearly on it, which
-        # does not matter to the hull.
-        heights = [-HULL_TOL, -SUPPORT_TOL, 0.5 * PREDICATE_EPS_REL, 1e-6, HULL_TOL, SUPPORT_TOL]
+        # at a tolerance sits on the threshold of one comparison. Each
+        # training set is the rectangle and one of the nodes near its
+        # bottom edge; the other such nodes are its test nodes.
+        heights = [-3 * HULL_TOL, -HULL_TOL, SUPPORT_TOL - HULL_TOL, -SUPPORT_TOL,
+                   0.5 * PREDICATE_EPS_REL, 1e-6, HULL_TOL, SUPPORT_TOL]
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 0.5]])
         nodes = np.vstack([corners, [[0.25, y] for y in heights], [[0.75, y] for y in heights]])
         ties = np.arange(4, len(nodes))
         train = np.array([[0, 1, 2, 3, t] for t in ties])
         test = np.array([np.setdiff1d(ties, t) for t in ties])
         covered, trusted = assert_same_cover(nodes, train, test)
-        # Every training set has a proper hull, whatever node lies near its
-        # edge, and a test node HULL_TOL below the bottom edge is still
-        # covered.
         assert trusted.all()
-        assert covered.all()
+        # A test node within HULL_TOL - SUPPORT_TOL of the hull is covered,
+        # and one 3 HULL_TOL below the bottom edge, at least 2 HULL_TOL
+        # beyond a supporting line, is not. A training node 5e-13 inside
+        # the edge is within the slack of the short line from a bottom
+        # corner through it, which tilts below the edge: a test node
+        # HULL_TOL below the edge, on the threshold of the edge itself, is
+        # beyond that line.
+        depth = nodes[test, 1]
+        tilted = nodes[ties, 1] == 0.5 * PREDICATE_EPS_REL
+        expected = (depth > -HULL_TOL) | ((depth == -HULL_TOL) & ~tilted[:, None])
+        np.testing.assert_array_equal(covered, expected)
 
     def test_fewer_than_three_training_nodes(self):
         nodes = lattice(4)
@@ -181,10 +175,49 @@ class TestDifferential:
         assert sum(calls) == 1496  # every distinct training set of the run
 
 
+def test_covered_agrees_with_qhull_away_from_the_boundary():
+    # Random sets, lattice subsets and nearly flat sets, each split with
+    # its other nodes, random points around it and probes 20 and 100 band
+    # widths off each Qhull facet as test nodes. Qhull's facet equations
+    # have unit normals, so their largest value at a point is minus its
+    # distance to the boundary inside the hull, and positive but at most
+    # its distance to the hull outside.
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(0)
+    checked = 0
+    for case in range(120):
+        if case % 3 == 0:
+            nodes = min_separated(rng, int(rng.integers(4, 30)), 0.02)
+        elif case % 3 == 1:
+            nodes = lattice(int(rng.choice([4, 10])))
+        else:
+            nodes = nearly_flat(rng)
+        n = len(nodes)
+        train = rng.choice(n, int(rng.integers(3, n + 1)), replace=False)
+        if not hull_cover(nodes, train[None], np.zeros((1, 0), dtype=np.intp))[1][0]:
+            continue
+        hull = spatial.ConvexHull(nodes[train])
+        normal, offset = hull.equations[:, :2], hull.equations[:, 2]
+        middle = nodes[train][hull.simplices].mean(axis=1)
+        band = HULL_TOL * np.ptp(nodes, axis=0).max()
+        steps = np.array([-100.0, -20.0, 20.0, 100.0])[:, None, None] * band
+        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+        queries = np.vstack([(middle + steps * normal).reshape(-1, 2),
+                             rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (40, 2))])
+        points = np.vstack([nodes, queries])
+        test = np.concatenate([np.setdiff1d(np.arange(n), train), np.arange(n, len(points))])
+        covered, trusted = hull_cover(points, train[None], test[None])
+        signed = (points[test] @ normal.T + offset).max(axis=1)
+        far = np.abs(signed) > 10 * HULL_TOL * np.ptp(points, axis=0).max()
+        assert trusted[0]
+        np.testing.assert_array_equal(covered[0][far], signed[far] < 0)
+        checked += far.sum()
+    assert checked > 5000
+
+
 def test_peak_memory_on_a_ten_by_ten_node_set():
     # 108 training sets of 70 of the 100 nodes, as one node set of the
-    # 10 x 10 x 6 design with three repeats gives them. The split-by-split
-    # formulation peaks at about 29 MB here; node-level tables at about 9.
+    # 10 x 10 x 6 design with three repeats gives them: about 9 MB.
     rng = np.random.default_rng(0)
     perm = np.stack([rng.permutation(100) for _ in range(108)])
     train, test = np.sort(perm[:, :70], axis=1), np.sort(perm[:, 70:], axis=1)

@@ -370,8 +370,8 @@ class TestHullCover:
     @given(nodes=st.one_of(order_probe_sets(), st.integers(0, 2**32 - 1).map(
         lambda seed: nearly_flat(np.random.default_rng(seed)))))
     def test_cover_equals_the_hull_outside_the_band(self, nodes):
-        # every set with a proper hull, those with sliver triangles along
-        # the hull included: beyond the band, covered is inside the hull
+        # every trusted set, those with sliver triangles along the hull
+        # included: beyond the band, covered is inside the hull
         assume(len(nodes) >= 3 and len(convex_hull_polygon(nodes)) >= 3)
         probes, outside, band = hull_probes(nodes)
         m = len(nodes)
@@ -385,7 +385,7 @@ class TestHullCover:
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
         row = np.column_stack([np.arange(5.0) / 3.0, np.full(5, 4.0 / 3.0)])
         # a node 1e-10 inside the bottom edge makes a flat Delaunay triangle
-        # there, yet the set has a proper hull
+        # there, yet the set is trusted
         turn = np.array([[0.8, -0.6], [0.6, 0.8]])
         flat = np.vstack([square, [[0.37, 1e-10]]]) @ turn.T
         # three hull vertices, yet collinear within triangulate's band
@@ -393,12 +393,13 @@ class TestHullCover:
         sliver = np.array([[0.0, 0.0], [1e-3, 0.0], [1.0, 4e-10]])
         with pytest.raises(DegenerateGeometry):
             triangulate(sliver)
-        # a triangle 1e-11 high, which triangulate builds, turns the hull by
-        # less than the support slack at its apex: two hull vertices
+        # a triangle 1e-11 high, which triangulate builds, is not collinear
+        # within twice its band: any two nodes make a supporting line, so
+        # the set is trusted however little its apex turns the hull
         thin = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-11]]) @ turn.T
         triangulate(thin)
         for nodes, expected in ((square, True), (row, False), (flat, True), (sliver, False),
-                                (thin, False)):
+                                (thin, True)):
             m = len(nodes)
             _, trusted = hull_cover(nodes, np.arange(m)[None], np.arange(m - 1, m)[None])
             assert trusted[0] == expected
@@ -408,8 +409,8 @@ class TestHullCover:
         # makes a sliver there. locate finds probes on the edge's line up to
         # about 5.6e-5 past a bottom corner, far beyond hull_cover's band:
         # at the sliver's acute corner both edge tests fall below roundoff.
-        # The set has a proper hull, and the hull alone rules such a probe
-        # out of the support.
+        # The set is trusted, and the hull alone rules such a probe out of
+        # the support.
         turn = np.array([[np.cos(0.85), -np.sin(0.85)], [np.sin(0.85), np.cos(0.85)]])
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5],
                         [0.5, 1e-12], [0.3, 0.6], [1.0 + 10 ** -4.25, 0.0]]) @ turn.T
@@ -596,11 +597,12 @@ class TestStage:
             stage(bad_node, [covering, non_finite], config)
 
     def test_untrusted_split_with_a_test_point_outside_drops_its_predictions(self):
-        # a triangle 1e-11 high, which has two hull vertices to hull_cover
-        # but which triangulate builds: the fitted surface is located, finds
-        # the inside test node only, and the run keeps no prediction
+        # a triangle 1.5e-12 high: triangulate builds it (its band is 1e-12
+        # of the squared side), but hull_cover, at twice that band, finds it
+        # collinear and does not trust it. The fitted surface is located,
+        # finds the inside test node only, and the run keeps no prediction
         turn = np.array([[0.8, -0.6], [0.6, 0.8]])
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-11], [0.5, 5e-12], [1.5, 0.5]]) @ turn.T
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.5e-12], [0.3, 0.45e-12], [1.5, 0.5]]) @ turn.T
         task = make_task(pts, pts[:, 0] + pts[:, 1] ** 2)
         plans = [SplitPlan(np.arange(3), np.array([3, 4]), 0)]
         _, trusted = hull_cover(pts, plans[0].train_indices[None], plans[0].test_indices[None])

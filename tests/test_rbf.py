@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import min_separated
+from surfbench.protocol import enumerate_slices, make_splits
 from surfbench.errors import (
     IllConditionedWarning,
     InsufficientNodes,
@@ -309,6 +310,31 @@ class TestStack:
             assert coeffs[i, :6].tobytes() == surface.weights.tobytes()
             assert cond[i] == surface.condition_estimate
 
+    def test_a_finite_condition_estimate_is_a_solvable_system(self, default_dataset):
+        # _fit_systems takes an item whose estimate is not finite as
+        # singular and never solves it: np.linalg.cond(a, 1) inverts by the
+        # LU factorization np.linalg.solve uses. Over the sweep the kernel
+        # block goes from all ones (equal to the tail's constant column, so
+        # singular; subnormal epsilon included) to well conditioned.
+        outcomes = set()
+        for task in enumerate_slices(default_dataset, "noise-free"):
+            pts = np.stack([task.points[plan.train_indices] for plan in make_splits(task, 4, 0.7, 42)])
+            for epsilon in (1e-320, 1e-300, 1e-100, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-5, 1e-3, 1.0, 30.0):
+                a, tail, cond = _saddle_systems(pts, RbfConfig(epsilon=epsilon))
+                for matrix, estimate in zip(a[tail], cond[tail]):
+                    try:
+                        np.linalg.solve(matrix, np.ones(len(matrix)))
+                        solved = True
+                    except np.linalg.LinAlgError:
+                        solved = False
+                    assert solved == np.isfinite(estimate), epsilon
+                    outcomes.add(solved)
+                _, _, errors = _fit_systems(a, tail, cond, np.zeros(pts.shape[:2]),
+                                            np.ones(len(pts), dtype=bool))
+                singular = [str(e).startswith("saddle system is singular") for e in errors]
+                assert singular == (tail & ~np.isfinite(cond)).tolist()
+        assert outcomes == {True, False}
+
     def test_each_item_fails_as_fit_rbf_does_alone(self):
         rng = np.random.default_rng(14)
         pts = np.stack([min_separated(rng, 6, 0.15) for _ in range(4)])
@@ -333,8 +359,9 @@ class TestStack:
     @pytest.mark.parametrize("seed", [16, 17, 18])
     def test_repeated_center_sets_equal_their_batch_of_one(self, seed):
         # center sets repeat with other values, among them an ill-conditioned
-        # set, a singular one (duplicate centers: the item-by-item fallback
-        # runs) and a set that differs from another only by the sign of a zero
+        # set, a singular one (duplicate centers: an infinite condition
+        # estimate) and a set that differs from another only by the sign of a
+        # zero
         rng = np.random.default_rng(seed)
         base = [min_separated(rng, 7, 0.1) for _ in range(3)]
         base[0][0] = 0.0
@@ -352,8 +379,8 @@ class TestStack:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             coeffs, cond, errors = stack_fit(pts, values)
-        # the stack, and its item-by-item fallback, warn of nothing: the
-        # entry points warn of the flagged items
+        # the stack warns of nothing: the entry points warn of the flagged
+        # items
         assert not caught
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)

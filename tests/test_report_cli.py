@@ -470,24 +470,35 @@ class TestRunsCsv:
                "fit_failed:insufficient_nodes, fit_failed:degenerate_geometry, fit_failed:duplicate_nodes, "
                "fit_failed:singular_system, fit_failed:non_finite_input")
 
-    @pytest.mark.parametrize("column, value, cause", [
-        ("valid", "false", "valid must be true exactly when reason is ok, got 'false'"),
-        ("rmse", "nan", "rmse must be finite and >= 0 on a valid row, got 'nan'"),
-        ("rmse", "-1", "rmse must be finite and >= 0 on a valid row, got '-1'"),
-        ("reason", "whatever", f"reason must be one of {REASONS}, got 'whatever'"),
-        ("reason", "", f"reason must be one of {REASONS}, got ''"),
-        ("n_finite", "99", "n_finite must be within 0 and n_test, got '99'"),
-    ], ids=["invalid_ok", "nan_rmse", "negative_rmse", "unknown_reason", "empty_reason", "n_finite_above_n_test"])
+    VALID, INVALID = ",true,ok,4,4,", ",false,test_points_outside_support,4,"
+
+    @pytest.mark.parametrize("column, value, cause, kind", [
+        ("valid", "false", "valid must be true exactly when reason is ok, got 'false'", VALID),
+        ("rmse", "nan", "rmse must be finite and >= 0 on a valid row, got 'nan'", VALID),
+        ("rmse", "-1", "rmse must be finite and >= 0 on a valid row, got '-1'", VALID),
+        ("reason", "whatever", f"reason must be one of {REASONS}, got 'whatever'", VALID),
+        ("reason", "", f"reason must be one of {REASONS}, got ''", VALID),
+        ("n_finite", "99", "n_finite must be within 0 and n_test, got '99'", VALID),
+        ("fixed_level", "nan", "fixed_level must be finite, got 'nan'", VALID),
+        ("fixed_level", "inf", "fixed_level must be finite, got 'inf'", VALID),
+        ("repeat", "-3", "repeat must be >= 0, got '-3'", VALID),
+        ("n_test", "0", "n_test must be >= 1, got '0'", INVALID),
+        ("rmse", "banana", "rmse must be NA on an invalid row, got 'banana'", INVALID),
+        ("mae", "0.5", "mae must be NA on an invalid row, got '0.5'", INVALID),
+        ("r2", "1", "r2 must be NA on an invalid row, got '1'", INVALID),
+    ], ids=["invalid_ok", "nan_rmse", "negative_rmse", "unknown_reason", "empty_reason", "n_finite_above_n_test",
+            "nan_level", "inf_level", "negative_repeat", "no_test_point", "banana_rmse_on_invalid",
+            "mae_on_invalid", "r2_on_invalid"])
     def test_report_rejects_a_row_that_contradicts_itself(self, tmp_path, capsys, full_run,
-                                                           column, value, cause):
-        # one cell of the default run's runs.csv, on a valid row with
-        # n_test 4 past its first block of rows
+                                                           column, value, cause, kind):
+        # one cell of the default run's runs.csv, on a valid or an invalid
+        # row with n_test 4 past its first block of rows
         path = tmp_path / "runs.csv"
         write_runs_csv(full_run, path)
         lines = path.read_text().splitlines()
         assert cli_main(["report", "--runs", str(path)]) == 0
         capsys.readouterr()
-        line = next(n for n, text in enumerate(lines, 1) if n > 1000 and ",true,ok,4,4," in text)
+        line = next(n for n, text in enumerate(lines, 1) if n > 1000 and kind in text)
         cells = lines[line - 1].split(",")
         cells[RUNS_CSV_HEADER.split(",").index(column)] = value
         lines[line - 1] = ",".join(cells)
